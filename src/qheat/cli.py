@@ -36,7 +36,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,31 +66,49 @@ class PointResult:
     solve_info: SolveInfo
 
 
+RESERVOIRS = ("A", "B")
+_TEMPERATURE_KEY = {"A": "ta", "B": "tb"}
+_COUPLING_KEY = {"single": {"A": "ga", "B": "gb"},
+                 "coupled": {"A": "g", "B": "g"}}
+
+
+def _model_system(model: str, params: dict):
+    if model == "single":
+        return make_single_qubit(params["w0"])
+    if model == "coupled":
+        return make_coupled_qubits(params["w1"], params["w2"], params["lam"])[0]
+    raise ValueError(f"unknown model {model!r}")
+
+
+def _bath(model: str, params: dict, reservoir: str) -> BathSpec:
+    return BathSpec(temperature=params[_TEMPERATURE_KEY[reservoir]],
+                    spectral_density=params[_COUPLING_KEY[model][reservoir]],
+                    label=reservoir)
+
+
+def _solve_point(system, kernels: dict, params: dict) -> PointResult:
+    """Everything after the kernel build: combine, assemble, solve,
+    currents, law checks and positivity."""
+    liou = assemble_liouvillian(system, combine_kernels(
+        [kernels[r] for r in RESERVOIRS]))
+    rho, info = solve_steady_state(liou, full_output=True)
+    q = {r: reservoir_current(system, kernels[r], rho) for r in RESERVOIRS}
+    report = law_checks([(r, params[_TEMPERATURE_KEY[r]], q[r])
+                         for r in RESERVOIRS])
+    return PointResult(rho=rho, currents=q, report=report,
+                       positivity=positivity_report(rho), solve_info=info)
+
+
 def compute_point(model: str, mode: str, params: dict) -> PointResult:
     """Generic pipeline at one parameter point.
 
     params for model "single": w0, ga, gb, ta, tb; for model "coupled":
     w1, w2, lam, g, ta, tb (g applies to both reservoirs).
     """
-    if model == "single":
-        system = make_single_qubit(params["w0"])
-        g_of = {"A": params["ga"], "B": params["gb"]}
-    elif model == "coupled":
-        system, _ = make_coupled_qubits(params["w1"], params["w2"], params["lam"])
-        g_of = {"A": params["g"], "B": params["g"]}
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    t_of = {"A": params["ta"], "B": params["tb"]}
-    kernels = {}
-    for r in ("A", "B"):
-        bath = BathSpec(temperature=t_of[r], spectral_density=g_of[r], label=r)
-        kernels[r] = build_kernel(system, bath, r, mode)
-    liou = assemble_liouvillian(system, combine_kernels([kernels["A"], kernels["B"]]))
-    rho, info = solve_steady_state(liou, full_output=True)
-    q = {r: reservoir_current(system, kernels[r], rho) for r in ("A", "B")}
-    report = law_checks([("A", t_of["A"], q["A"]), ("B", t_of["B"], q["B"])])
-    return PointResult(rho=rho, currents=q, report=report,
-                       positivity=positivity_report(rho), solve_info=info)
+    system = _model_system(model, params)
+    kernels = {r: build_kernel(system, _bath(model, params, r), r, mode)
+               for r in RESERVOIRS}
+    return _solve_point(system, kernels, params)
 
 
 # ---------------------------------------------------------------- parsing
@@ -253,6 +270,9 @@ def _sweep_columns(model: str, var: str):
 
 
 CONSERVATION_ROW_TOL = 1e-8
+SWEEP_CHUNK = 256           # grid points per batched kernel build
+_BATH_VARS = ("ta", "tb", "tm", "ga", "gb", "g")
+_POINT_ERRORS = (ValueError, LookupError, RuntimeError)
 
 
 def _sweep_row(model, value, point: PointResult | None, error: str | None):
@@ -289,13 +309,65 @@ def parse_range(spec: str):
     return start, stop, count
 
 
+def _row(model, value, solve, *args):
+    """Sweep row of one grid point; an error that solve(*args) raises
+    becomes an error row."""
+    try:
+        return _sweep_row(model, value, solve(*args), None)
+    except _POINT_ERRORS as exc:
+        return _sweep_row(model, value, None, str(exc))
+
+
+def _bath_sweep_rows(model, mode, base_params, points):
+    """Rows of a sweep whose grid points differ only in their baths.
+
+    The system is built once and each reservoir's kernels once per chunk
+    of SWEEP_CHUNK grid points. Batch entries are bit-identical to
+    per-point builds, so every row equals the compute_point row. Points
+    whose baths are invalid, and all points of a chunk whose batched
+    build raises, run through compute_point one at a time, so each error
+    row carries the message a per-point run gives.
+    """
+    def one_at_a_time(value, params):
+        return _row(model, value, compute_point, model, mode, params)
+
+    try:
+        system = _model_system(model, base_params)
+    except _POINT_ERRORS:
+        return [one_at_a_time(v, p) for v, p in points]
+    rows = [None] * len(points)
+    batch = []
+    for i, (value, params) in enumerate(points):
+        try:
+            batch.append((i, {r: _bath(model, params, r) for r in RESERVOIRS}))
+        except _POINT_ERRORS:
+            rows[i] = one_at_a_time(value, params)
+    for start in range(0, len(batch), SWEEP_CHUNK):
+        chunk = batch[start:start + SWEEP_CHUNK]
+        try:
+            kernels = {r: build_kernel(system, [baths[r] for _, baths in chunk],
+                                       r, mode) for r in RESERVOIRS}
+        except _POINT_ERRORS:
+            for i, _ in chunk:
+                rows[i] = one_at_a_time(*points[i])
+            continue
+        for j, (i, _) in enumerate(chunk):
+            value, params = points[i]
+            rows[i] = _row(model, value, _solve_point, system,
+                           {r: kernels[r][j] for r in RESERVOIRS}, params)
+    return rows
+
+
 def render_sweep(model: str, mode: str, base_params: dict, var: str,
                  start: float, stop: float, count: int,
                  comments: bool = True):
     """Run the sweep and return (csv_text, n_error_rows, worst_min_population).
 
-    Grid points run concurrently; row order follows the grid, so output
-    is deterministic for a fixed configuration.
+    Sweeps over a bath parameter (ta, tb, tm, ga, gb, g) build the system
+    once and the kernels once per chunk of grid points; other sweeps run
+    compute_point per point. Either way every row equals the one
+    compute_point gives at that grid point, and rows follow the grid, so
+    output is deterministic for a fixed configuration.
     """
     var_param = "lam" if var == "lambda" else var
     if var == "tm":
@@ -303,22 +375,20 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
     elif var_param not in base_params:
         raise UsageError(f"cannot sweep {var!r} for model {model!r}; "
                          f"valid: {', '.join(_SWEEP_VARS[model])}")
-    grid = [float(v) for v in np.linspace(start, stop, count)]
-
-    def one(value):
+    points = []
+    for value in np.linspace(start, stop, count):
+        value = float(value)
         p = dict(base_params)
         if var == "tm":
             p["ta"] = value + dt_half
             p["tb"] = value - dt_half
         else:
             p[var_param] = value
-        try:
-            return _sweep_row(model, value, compute_point(model, mode, p), None)
-        except (ValueError, LookupError, RuntimeError) as exc:
-            return _sweep_row(model, value, None, str(exc))
-
-    with ThreadPoolExecutor() as pool:
-        rows = list(pool.map(one, grid))
+        points.append((value, p))
+    if var in _BATH_VARS:
+        rows = _bath_sweep_rows(model, mode, base_params, points)
+    else:
+        rows = [_row(model, v, compute_point, model, mode, p) for v, p in points]
 
     n_bad = sum(1 for r in rows if r[-1] != "ok")
     min_pop = min((float(r[-3]) for r in rows if r[-1] == "ok"), default=0.0)

@@ -21,13 +21,18 @@ semigroup generator; redfield mode keeps trace and hermiticity but not
 positivity, and its surviving non-secular transfer elements couple the
 populations to the coherences of near-degenerate level pairs.
 
-Kernel builds are pure functions over immutable inputs and may run
-concurrently over disjoint parameter points.
+build_kernel also takes a sequence of baths for one system and returns
+one kernel per bath from a single pass of the loop, so a sweep over bath
+parameters (temperatures, coupling strengths) pays the loop once per
+batch instead of once per point. The arithmetic per entry is unchanged,
+so every batch entry is bit-identical to a single-bath build.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,13 +88,16 @@ class SuperKernel:
     """Dense dissipative kernel of one reservoir (or a sum of reservoirs).
 
     data is the (N^2, N^2) complex matrix over flattened pair indices;
-    row (p, p'), column (q, q'). Immutable after construction.
+    row (p, p'), column (q, q'). reservoir is a display name ("A+B" for a
+    sum); reservoirs holds the individual labels, (reservoir,) unless
+    given. Immutable after construction.
     """
 
     dim: int
     data: np.ndarray
     mode: str
     reservoir: str
+    reservoirs: tuple | None = None
 
     def __post_init__(self):
         d2 = self.dim * self.dim
@@ -98,6 +106,8 @@ class SuperKernel:
             raise ValueError(f"kernel data must be {d2}x{d2}, got {data.shape}")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
+        labels = (self.reservoir,) if self.reservoirs is None else self.reservoirs
+        object.__setattr__(self, "reservoirs", tuple(str(r) for r in labels))
 
     def entry(self, p: int, pp: int, q: int, qp: int) -> complex:
         """K_{(p,pp),(q,qp)}."""
@@ -121,18 +131,26 @@ def _reject_near_degenerate(system: SystemSpec, reservoir: str, eps: float,
                     f"inside the secular tolerance {eps:g}")
 
 
-def build_kernel(system: SystemSpec, bath: BathSpec, reservoir: str,
-                 mode: str) -> SuperKernel:
+def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
+                 reservoir: str, mode: str) -> SuperKernel | tuple[SuperKernel, ...]:
     """Dissipative kernel of one reservoir in Redfield or Lindblad mode.
 
     Both modes constrain the two level-sum terms to their energy
     conserving part; lindblad mode additionally applies the secular
     constraint to the transfer term (see the module docstring).
 
+    bath is one BathSpec, giving one SuperKernel, or a sequence of
+    BathSpecs, giving a tuple with one SuperKernel per bath. The sequence
+    form runs the loop once with a float64 array of correlations (one
+    per bath) wherever the single form has a float, so entry i of the
+    tuple is bit-identical to build_kernel(system, bath[i], ...).
+
     The bath correlation is only evaluated where the coupling matrix
     elements are nonzero, which keeps every query at a finite transition
     frequency and lets tabulated spectral densities list only the
-    frequencies the model actually uses.
+    frequencies the model actually uses. Each (channel, frequency) pair
+    is evaluated once per call; a table missing a frequency raises
+    SpectralLookupError at the first query, as in a single-bath build.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -147,8 +165,29 @@ def build_kernel(system: SystemSpec, bath: BathSpec, reservoir: str,
     _reject_near_degenerate(system, reservoir, eps,
                             include_frequencies=secular)
 
+    if isinstance(bath, BathSpec):
+        batch = None
+        correlation = functools.partial(bath_correlation, bath)
+    else:
+        batch = tuple(bath)
+
+        def correlation(a, b, omega):
+            return np.array([bath_correlation(x, a, b, omega) for x in batch],
+                            dtype=np.float64)
+    memo = {}
+
+    def D(a, b, omega):
+        try:
+            return memo[a, b, omega]
+        except KeyError:
+            value = memo[a, b, omega] = correlation(a, b, omega)
+            return value
+
     channels = ((1, 2), (2, 1))     # (1,1) and (2,2) correlations vanish
-    data = np.zeros((n * n, n * n), dtype=complex)
+    # the batch axis goes last, so an entry is written as data[row, col]
+    # in both forms
+    shape = (n * n, n * n) if batch is None else (n * n, n * n, len(batch))
+    data = np.zeros(shape, dtype=complex)
     for p in range(n):
         for pp in range(n):
             row = pair_index(n, p, pp)
@@ -163,7 +202,7 @@ def build_kernel(system: SystemSpec, bath: BathSpec, reservoir: str,
                             for a, b in channels:
                                 prod = s[a][p, l] * s[b][l, q]
                                 if prod != 0:
-                                    acc += prod * bath_correlation(bath, a, b, E[p] - E[l])
+                                    acc += prod * D(a, b, E[p] - E[l])
                         val -= 0.5 * acc
                     if p == q:
                         acc = 0j
@@ -173,18 +212,22 @@ def build_kernel(system: SystemSpec, bath: BathSpec, reservoir: str,
                             for a, b in channels:
                                 prod = s[a][qp, l] * s[b][l, pp]
                                 if prod != 0:
-                                    acc += prod * bath_correlation(bath, a, b, E[pp] - E[l])
+                                    acc += prod * D(a, b, E[pp] - E[l])
                         val -= 0.5 * acc
                     if not (secular and abs((E[p] - E[q]) + (E[qp] - E[pp])) > eps):
                         acc = 0j
                         for a, b in channels:
                             prod = s[b][p, q] * s[a][qp, pp]
                             if prod != 0:
-                                acc += prod * (bath_correlation(bath, a, b, E[qp] - E[pp])
-                                               + bath_correlation(bath, a, b, E[q] - E[p]))
+                                acc += prod * (D(a, b, E[qp] - E[pp])
+                                               + D(a, b, E[q] - E[p]))
                         val += 0.5 * acc
                     data[row, pair_index(n, q, qp)] = val
-    return SuperKernel(dim=n, data=data, mode=mode, reservoir=str(reservoir))
+    if batch is None:
+        return SuperKernel(dim=n, data=data, mode=mode, reservoir=str(reservoir))
+    return tuple(SuperKernel(dim=n, data=data[:, :, i], mode=mode,
+                             reservoir=str(reservoir))
+                 for i in range(len(batch)))
 
 
 def check_trace_condition(K: SuperKernel) -> float:
@@ -225,4 +268,5 @@ def combine_kernels(kernels, allow_mixed_modes: bool = False) -> SuperKernel:
         data += k.data
     mode = kernels[0].mode if len(modes) == 1 else "mixed"
     return SuperKernel(dim=dim, data=data, mode=mode,
-                       reservoir="+".join(k.reservoir for k in kernels))
+                       reservoir="+".join(k.reservoir for k in kernels),
+                       reservoirs=tuple(r for k in kernels for r in k.reservoirs))

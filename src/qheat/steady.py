@@ -153,7 +153,7 @@ def assemble_liouvillian(system: SystemSpec, K_total: SuperKernel) -> Liouvillia
             i = pair_index(n, p, pp)
             m[i, i] += -1j * (system.levels[p] - system.levels[pp])
     return Liouvillian(dim=n, matrix=m, mode=K_total.mode,
-                       reservoirs=tuple(K_total.reservoir.split("+")))
+                       reservoirs=K_total.reservoirs)
 
 
 def solve_steady_state(L: Liouvillian, full_output: bool = False):

@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qheat import cli
 from qheat.cli import (PRESETS, UsageError, compute_point, main, parse_range,
                        render_sweep)
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def read_csv_text(text):
@@ -192,6 +197,27 @@ def test_fig5_negative_population_window(fig5_csv):
     assert all(m >= 0 for t, m in zip(tm, min_pop) if t > 6.5)
 
 
+@pytest.mark.parametrize("fig", ["fig3", "fig4", "fig5"])
+def test_presets_match_stored_reference(fig, request):
+    """The paper figures against the stored seed output: same header and
+    row count, numeric cells to 1e-10 (relative above magnitude one),
+    second_law and status cells exactly."""
+    _, header, rows = read_csv_text(request.getfixturevalue(f"{fig}_csv"))
+    _, ref_header, ref_rows = read_csv_text(
+        (REFERENCE_DIR / f"{fig}.csv").read_text())
+    assert header == ref_header
+    assert len(rows) == len(ref_rows)
+    for row, ref_row in zip(rows, ref_rows):
+        assert len(row) == len(ref_row)
+        for col, cell, want in zip(header, row, ref_row):
+            if col in ("second_law", "status") or cell == want:
+                assert cell == want
+            else:
+                got, ref = float(cell), float(want)
+                assert abs(got - ref) <= 1e-10 * max(1.0, abs(got), abs(ref)), \
+                    (col, cell, want)
+
+
 def test_fig5_strict_positivity_exit(tmp_path):
     path = tmp_path / "fig5.csv"
     assert main(["preset", "fig5", "--strict-positivity",
@@ -274,3 +300,67 @@ def test_render_sweep_programmatic():
 def test_compute_point_rejects_unknown_model():
     with pytest.raises(ValueError):
         compute_point("triple", "lindblad", {})
+
+
+def _per_point_csv(model, mode, params, var, start, stop, count):
+    """The sweep CSV built one compute_point call per grid point."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cli._sweep_columns(model, var))
+    half = 0.5 * (params["ta"] - params["tb"])
+    for value in np.linspace(start, stop, count):
+        value = float(value)
+        p = dict(params)
+        if var == "tm":
+            p["ta"], p["tb"] = value + half, value - half
+        else:
+            p[var] = value
+        try:
+            row = cli._sweep_row(model, value, compute_point(model, mode, p), None)
+        except (ValueError, LookupError, RuntimeError) as exc:
+            row = cli._sweep_row(model, value, None, str(exc))
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+_COUPLED = dict(w1=1.0, w2=2.0, lam=0.5, g=1.0, ta=1.0, tb=1.0)
+_SINGLE = dict(w0=1.0, ga=1.0, gb=1.0, ta=2.0, tb=1.0)
+
+
+@pytest.mark.parametrize("model, mode, params, var, start, stop, count", [
+    ("coupled", "lindblad", _COUPLED, "ta", 0.5, 1.5, 11),
+    ("single", "redfield", _SINGLE, "gb", -0.5, 2.0, 11),
+    ("coupled", "redfield", _COUPLED, "g", -0.5, 2.0, 11),
+    # T_B = T - 5 is negative below T = 5: error rows inside the batch
+    ("coupled", "redfield", dict(_COUPLED, ta=10.0, tb=0.0), "tm", 3.0, 8.0, 21),
+    # a near-degenerate system makes every batched build raise
+    ("coupled", "lindblad", dict(_COUPLED, w2=1.0, lam=1e-13), "ta", 0.5, 1.5, 3),
+])
+def test_bath_sweeps_equal_per_point_rows(model, mode, params, var, start,
+                                          stop, count):
+    text, _, _ = render_sweep(model, mode, params, var, start, stop, count,
+                              comments=False)
+    assert text == _per_point_csv(model, mode, params, var, start, stop, count)
+
+
+def test_bath_sweep_longer_than_chunk(monkeypatch):
+    calls = []
+    real_build = cli.build_kernel
+
+    def counting_build(system, bath, reservoir, mode):
+        if isinstance(bath, list):
+            calls.append(len(bath))
+        return real_build(system, bath, reservoir, mode)
+
+    monkeypatch.setattr(cli, "build_kernel", counting_build)
+    monkeypatch.setattr(cli, "SWEEP_CHUNK", 4)
+    params = dict(_COUPLED, ta=3.0, tb=1.0)
+    text, n_bad, _ = render_sweep("coupled", "lindblad", params, "tm",
+                                  -1.0, 4.0, 21, comments=False)
+    # grid step 0.25; T_B = T - 1 is negative below T = 1, at 8 points
+    assert n_bad == 8
+    # 13 valid points: one build per reservoir per chunk of 4
+    assert calls == [4, 4, 4, 4, 4, 4, 1, 1]
+    monkeypatch.undo()
+    assert text == _per_point_csv("coupled", "lindblad", params, "tm",
+                                  -1.0, 4.0, 21)

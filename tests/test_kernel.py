@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from qheat import (BathSpec, NearDegeneracyError, SpectralDensity,
-                   SuperKernel, SystemSpec, build_kernel,
-                   check_trace_condition, combine_kernels, coupled_rates,
-                   degeneracy_tolerance, gibbs_state, make_coupled_qubits,
-                   make_single_qubit, pair_index, planck_occupation)
+                   SpectralLookupError, SuperKernel, SystemSpec,
+                   assemble_liouvillian, build_kernel, check_trace_condition,
+                   combine_kernels, coupled_rates, degeneracy_tolerance,
+                   gibbs_state, make_coupled_qubits, make_single_qubit,
+                   pair_index, planck_occupation)
 
 
 def test_pair_index():
@@ -197,12 +198,16 @@ def test_near_degenerate_spectra_rejected():
             build_kernel(system, bath, "A", mode)
 
 
-def test_exactly_degenerate_levels_allowed():
-    # bitwise equal energies are unambiguous and pass the guard
+def _degenerate_three_level():
     s1 = np.zeros((3, 3), dtype=complex)
     s1[1, 0] = 1.0
     s1[2, 0] = 1.0
-    system = SystemSpec(levels=(0.0, 1.0, 1.0), couplings={"A": s1})
+    return SystemSpec(levels=(0.0, 1.0, 1.0), couplings={"A": s1})
+
+
+def test_exactly_degenerate_levels_allowed():
+    # bitwise equal energies are unambiguous and pass the guard
+    system = _degenerate_three_level()
     bath = BathSpec(temperature=1.0, spectral_density=1.0, label="A")
     K = build_kernel(system, bath, "A", "lindblad")
     assert check_trace_condition(K) < 1e-12
@@ -226,6 +231,42 @@ def test_tabulated_spectral_density_queried_at_transitions_only():
         label="A")
     with pytest.raises(LookupError):
         build_kernel(system, bath_bad, "A", "redfield")
+    # the sequence form queries the tables the same way
+    kt_batch = build_kernel(system, [bath_c, bath_t], "A", "redfield")
+    assert all(np.array_equal(k.data, kc.data) for k in kt_batch)
+    with pytest.raises(SpectralLookupError):
+        build_kernel(system, [bath_c, bath_bad], "A", "redfield")
+
+
+def _random_system(rng, n):
+    couplings = {r: np.tril(rng.normal(size=(n, n))
+                            + 1j * rng.normal(size=(n, n)), -1) / np.sqrt(n)
+                 for r in ("A", "B")}
+    return SystemSpec(levels=tuple(np.cumsum(rng.uniform(0.5, 1.5, n))),
+                      couplings=couplings)
+
+
+_BATCH_SYSTEMS = {
+    "single": make_single_qubit(1.3),
+    "coupled": make_coupled_qubits(1.0, 2.0, 0.5)[0],
+    **{f"random-n{n}": _random_system(np.random.default_rng([7, n]), n)
+       for n in range(3, 7)},
+    "degenerate-3": _degenerate_three_level(),
+}
+
+
+@pytest.mark.parametrize("mode", ["lindblad", "redfield"])
+@pytest.mark.parametrize("name", sorted(_BATCH_SYSTEMS))
+def test_batched_build_equals_single_builds(name, mode):
+    system = _BATCH_SYSTEMS[name]
+    baths = [BathSpec(temperature=t, spectral_density=g, label="A")
+             for t in (0.0, 0.05, 0.7, 3.0, 16.0) for g in (0.0, 0.4, 1.0)]
+    batch = build_kernel(system, baths, "A", mode)
+    assert isinstance(batch, tuple) and len(batch) == len(baths)
+    for bath, k in zip(baths, batch):
+        single = build_kernel(system, bath, "A", mode)
+        assert np.array_equal(k.data, single.data)
+        assert (k.dim, k.mode, k.reservoir) == (single.dim, mode, "A")
 
 
 def test_build_kernel_input_validation():
@@ -253,6 +294,16 @@ def test_combine_kernels_behaviour():
                          bath_a, "A", "lindblad")
     with pytest.raises(ValueError):
         combine_kernels([ka, other])
+
+
+def test_reservoir_labels_may_contain_plus():
+    system = make_single_qubit(1.0, reservoirs=("hot+1", "B"))
+    bath = BathSpec(temperature=1.0, spectral_density=1.0)
+    total = combine_kernels([build_kernel(system, bath, r, "lindblad")
+                             for r in system.reservoirs])
+    assert total.reservoir == "hot+1+B"
+    assert total.reservoirs == ("hot+1", "B")
+    assert assemble_liouvillian(system, total).reservoirs == ("hot+1", "B")
 
 
 def test_combine_kernels_mixed_modes():
