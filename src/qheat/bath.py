@@ -57,10 +57,11 @@ def planck_occupation(omega: float, T: float) -> float:
 class SpectralDensity:
     """Reservoir coupling weight g(omega), defined for omega > 0.
 
-    Either a frequency-independent constant or a finite table with
-    exact-frequency lookup. Tables deliberately do not interpolate:
-    querying a missing frequency raises SpectralLookupError so that a
-    misconfigured model surfaces instead of being silently extrapolated.
+    Either a finite, non-negative constant or a finite table with
+    exact-frequency lookup (finite frequencies > 0, finite values >= 0).
+    Tables deliberately do not interpolate: querying a missing frequency
+    raises SpectralLookupError so that a misconfigured model surfaces
+    instead of being silently extrapolated.
     """
 
     __slots__ = ("_constant", "_table")
@@ -70,11 +71,16 @@ class SpectralDensity:
             raise ValueError("give exactly one of constant= or table=")
         if constant is not None:
             constant = float(constant)
+            if not math.isfinite(constant):
+                raise ValueError(f"spectral density must be finite, got {constant}")
             if constant < 0:
                 raise ValueError(f"spectral density must be >= 0, got {constant}")
         else:
             table = {float(w): float(g) for w, g in dict(table).items()}
             for w, g in table.items():
+                if not (math.isfinite(w) and math.isfinite(g)):
+                    raise ValueError(f"spectral density table entries must be "
+                                     f"finite, got {g} at omega={w}")
                 if w <= 0:
                     raise ValueError(f"tabulated frequency must be > 0, got {w}")
                 if g < 0:
@@ -111,9 +117,10 @@ class SpectralDensity:
 class BathSpec:
     """One bosonic heat reservoir: temperature plus spectral density.
 
-    spectral_density may be given as a bare number, which is promoted to
-    a constant SpectralDensity. Instances are immutable and safe to share
-    between concurrent kernel builds.
+    The temperature must be finite and >= 0. spectral_density may be
+    given as a bare number, which is promoted to a constant
+    SpectralDensity. Instances are immutable and safe to share between
+    concurrent kernel builds.
     """
 
     temperature: float
@@ -121,6 +128,8 @@ class BathSpec:
     label: str = ""
 
     def __post_init__(self):
+        if not math.isfinite(self.temperature):
+            raise ValueError(f"temperature must be finite, got {self.temperature}")
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if not isinstance(self.spectral_density, SpectralDensity):

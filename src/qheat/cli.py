@@ -22,8 +22,16 @@ check, keep their row with the message in the status column while the
 rest of the sweep continues. No timestamps anywhere: identical
 configurations produce byte-identical files.
 
-Configuration can also come from a JSON file via --config; explicit
-flags win over file values.
+Each model parameter has one flag, which is also its config key and its
+sweep variable name (see _MODEL_FLAGS). Values must be finite. A range
+with a negative start needs the '=' form, --range=-1:4:21, because
+argparse reads a bare -1:4:21 as a flag.
+
+Configuration can also come from a JSON file via --config. Its keys are
+the flag names. Each entry is parsed as the flag --key=value placed
+before the command-line flags, so it passes the checks a flag passes and
+explicit flags win. The switches strict-positivity and no-header take
+true or false.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 physics or
 numeric failure when --strict-positivity is set.
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -113,27 +122,24 @@ def compute_point(model: str, mode: str, params: dict) -> PointResult:
 
 # ---------------------------------------------------------------- parsing
 
-_COMMON_KEYS = {"out": "out", "strict-positivity": "strict_positivity",
-                "no-header": "no_header"}
-_MODEL_KEYS = {
-    "single": {"w0": "w0", "ga": "ga", "gb": "gb", "ta": "ta", "tb": "tb",
-               "mode": "mode"},
-    "coupled": {"w1": "w1", "w2": "w2", "lambda": "lam", "g": "g",
-                "ta": "ta", "tb": "tb", "mode": "mode"},
+# Each model's parameters as flag -> (default, help). The flag name is
+# also the config key and the sweep variable; --lambda is stored under
+# the params key "lam".
+_TEMPERATURES = {"ta": (1.0, "temperature of A"), "tb": (1.0, "temperature of B")}
+_MODEL_FLAGS = {
+    "single": {"w0": (1.0, "qubit splitting"),
+               "ga": (1.0, "reservoir A coupling"),
+               "gb": (1.0, "reservoir B coupling"),
+               **_TEMPERATURES},
+    "coupled": {"w1": (1.0, "qubit 1 splitting"),
+                "w2": (2.0, "qubit 2 splitting"),
+                "lambda": (0.5, "flip-flop coupling"),
+                "g": (1.0, "coupling of both reservoirs"),
+                **_TEMPERATURES},
 }
-_SWEEP_KEYS = {**_MODEL_KEYS["single"], **_MODEL_KEYS["coupled"],
-               "model": "model", "var": "var", "range": "range_spec"}
+_SWEEP_FLAGS = {**_MODEL_FLAGS["single"], **_MODEL_FLAGS["coupled"]}
+_PARAM_KEY = {"lambda": "lam"}      # params key of a flag, if not the flag
 
-_DEFAULTS = {
-    "single": dict(w0=1.0, ga=1.0, gb=1.0, ta=1.0, tb=1.0, mode="lindblad"),
-    "coupled": dict(w1=1.0, w2=2.0, lam=0.5, g=1.0, ta=1.0, tb=1.0,
-                    mode="lindblad"),
-}
-
-_SWEEP_VARS = {
-    "single": ("w0", "ga", "gb", "ta", "tb", "tm"),
-    "coupled": ("w1", "w2", "lambda", "g", "ta", "tb", "tm"),
-}
 
 PRESETS = {
     # populations vs mean temperature in equilibrium (dT = 0)
@@ -159,16 +165,52 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def config_tokens(self, path: str) -> list:
+        """A JSON config file's entries as --key=value tokens for this
+        parser: true/false switch a flag, a string for a text flag goes in
+        verbatim, any other value as its JSON text (so "2" is no float)."""
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read config {path!r}: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise UsageError(f"config {path!r} must hold a JSON object")
+        known = {opt[2:]: action for action in self._actions
+                 for opt in action.option_strings
+                 if opt.startswith("--") and action.dest not in ("help", "config")}
+        unknown = sorted(set(cfg) - set(known))
+        if unknown:
+            raise UsageError(f"unknown config keys {unknown}; known: {sorted(known)}")
+        tokens = []
+        for key, value in cfg.items():
+            if known[key].nargs == 0 and isinstance(value, bool):
+                tokens += [f"--{key}"] if value else []
+            elif isinstance(value, str) and known[key].type is None:
+                tokens.append(f"--{key}={value}")
+            else:
+                tokens.append(f"--{key}={json.dumps(value)}")
+        return tokens
 
-def _add_common(p):
+
+def _add_model_flags(p, flags: dict) -> None:
+    for flag, (default, text) in flags.items():
+        p.add_argument(f"--{flag}", type=float, default=argparse.SUPPRESS,
+                       help=f"{text} (default {default:g})")
+    p.add_argument("--mode", choices=("lindblad", "redfield"),
+                   default="lindblad", help="kernel mode (default lindblad)")
+
+
+def _add_common(p, run):
     p.add_argument("--out", default=None,
                    help="output path; '-' or unset writes to stdout")
     p.add_argument("--config", default=None,
                    help="JSON file with values for any flag; explicit flags win")
-    p.add_argument("--strict-positivity", action="store_true", default=None,
+    p.add_argument("--strict-positivity", action="store_true",
                    help="exit 2 when the steady state is not positive")
-    p.add_argument("--no-header", action="store_true", default=None,
+    p.add_argument("--no-header", action="store_true",
                    help="omit the '#' comment lines from CSV output")
+    p.set_defaults(parser=p, run=run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,77 +220,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("single", help="single-qubit steady-state point")
-    p.add_argument("--w0", type=float, default=None, help="qubit splitting (default 1)")
-    p.add_argument("--ga", type=float, default=None, help="reservoir A coupling (default 1)")
-    p.add_argument("--gb", type=float, default=None, help="reservoir B coupling (default 1)")
-    p.add_argument("--ta", type=float, default=None, help="temperature of A (default 1)")
-    p.add_argument("--tb", type=float, default=None, help="temperature of B (default 1)")
-    p.add_argument("--mode", choices=("lindblad", "redfield"), default=None,
-                   help="kernel mode (default lindblad; identical for this model)")
-    _add_common(p)
-
-    p = sub.add_parser("coupled", help="coupled-qubit steady-state point")
-    p.add_argument("--mode", choices=("lindblad", "redfield"), default=None,
-                   help="kernel mode (default lindblad)")
-    p.add_argument("--w1", type=float, default=None, help="qubit 1 splitting (default 1)")
-    p.add_argument("--w2", type=float, default=None, help="qubit 2 splitting (default 2)")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="flip-flop coupling (default 0.5)")
-    p.add_argument("--g", type=float, default=None,
-                   help="coupling of both reservoirs (default 1)")
-    p.add_argument("--ta", type=float, default=None, help="temperature of A (default 1)")
-    p.add_argument("--tb", type=float, default=None, help="temperature of B (default 1)")
-    _add_common(p)
+    for model in _MODEL_FLAGS:
+        p = sub.add_parser(model, help=f"{model}-qubit steady-state point")
+        _add_model_flags(p, _MODEL_FLAGS[model])
+        _add_common(p, functools.partial(_point_command, model))
 
     p = sub.add_parser("sweep", help="linear parameter sweep, CSV output")
-    p.add_argument("--model", choices=("single", "coupled"), default=None,
+    p.add_argument("--model", choices=tuple(_MODEL_FLAGS), default="coupled",
                    help="model to sweep (default coupled)")
-    p.add_argument("--mode", choices=("lindblad", "redfield"), default=None)
-    for flag in ("w0", "ga", "gb", "w1", "w2", "g", "ta", "tb"):
-        p.add_argument(f"--{flag}", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    _add_model_flags(p, _SWEEP_FLAGS)
     p.add_argument("--var", default=None,
                    help="swept parameter name; 'tm' sweeps the mean temperature "
                         "at fixed T_A - T_B")
     p.add_argument("--range", dest="range_spec", default=None,
                    metavar="START:STOP:COUNT",
-                   help="inclusive linear grid, e.g. 0.5:1.5:101")
-    _add_common(p)
+                   help="inclusive linear grid, e.g. 0.5:1.5:101; write "
+                        "--range=-1:4:21 for a negative start")
+    _add_common(p, _cmd_sweep)
 
     p = sub.add_parser("preset", help="canned figure sweeps")
     p.add_argument("name", choices=sorted(PRESETS))
-    _add_common(p)
+    _add_common(p, _cmd_preset)
     return parser
 
 
-def _apply_config(args, keymap) -> None:
-    """Fill unset args from the JSON config file; flags win on conflict."""
-    if getattr(args, "config", None) is None:
-        return
-    try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {args.config!r}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config {args.config!r} must hold a JSON object")
-    known = {**keymap, **_COMMON_KEYS}
-    unknown = sorted(set(cfg) - set(known))
-    if unknown:
-        raise UsageError(f"unknown config keys {unknown}; known: {sorted(known)}")
-    for key, dest in known.items():
-        if key in cfg and getattr(args, dest, None) is None:
-            setattr(args, dest, cfg[key])
-
-
-def _resolve_params(model: str, args) -> dict:
-    params = {}
-    for dest in set(_MODEL_KEYS[model].values()):
-        value = getattr(args, dest, None)
-        params[dest] = _DEFAULTS[model][dest] if value is None else value
-    return params
+def _model_params(model: str, args) -> dict:
+    """The model's parameters: each flag given, else its table default.
+    A flag of the other model is refused rather than ignored."""
+    given = vars(args)
+    foreign = [f for f in _SWEEP_FLAGS if f in given and f not in _MODEL_FLAGS[model]]
+    if foreign:
+        raise UsageError(f"model {model!r} has no parameter --{foreign[0]}")
+    return {_PARAM_KEY.get(flag, flag): given.get(flag, default)
+            for flag, (default, _) in _MODEL_FLAGS[model].items()}
 
 
 # ---------------------------------------------------------------- sweeps
@@ -369,12 +373,13 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
     compute_point gives at that grid point, and rows follow the grid, so
     output is deterministic for a fixed configuration.
     """
-    var_param = "lam" if var == "lambda" else var
+    valid = (*_MODEL_FLAGS.get(model, ()), "tm")
+    if var not in valid:
+        raise UsageError(f"cannot sweep {var!r} for model {model!r}; "
+                         f"valid: {', '.join(valid)}")
+    var_param = _PARAM_KEY.get(var, var)
     if var == "tm":
         dt_half = 0.5 * (base_params["ta"] - base_params["tb"])
-    elif var_param not in base_params:
-        raise UsageError(f"cannot sweep {var!r} for model {model!r}; "
-                         f"valid: {', '.join(_SWEEP_VARS[model])}")
     points = []
     for value in np.linspace(start, stop, count):
         value = float(value)
@@ -453,18 +458,16 @@ def _write_output(path, text) -> None:
 # ---------------------------------------------------------------- commands
 
 def _point_command(model: str, args) -> int:
-    _apply_config(args, _MODEL_KEYS[model])
-    params = _resolve_params(model, args)
-    mode = params.pop("mode")
+    params = _model_params(model, args)
     try:
-        point = compute_point(model, mode, params)
+        point = compute_point(model, args.mode, params)
     except (ValueError, LookupError) as exc:
         print(f"qheat: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"qheat: {exc}", file=sys.stderr)
         return 2 if args.strict_positivity else 1
-    _write_output(args.out, format_point_report(model, mode, params, point))
+    _write_output(args.out, format_point_report(model, args.mode, params, point))
     if args.strict_positivity and \
             point.positivity.min_eigenvalue < -POSITIVITY_TOL:
         print(f"qheat: steady state fails positivity: min eigenvalue "
@@ -486,22 +489,14 @@ def _sweep_from_config(args, model, mode, params, var, start, stop, count) -> in
 
 
 def _cmd_sweep(args) -> int:
-    _apply_config(args, _SWEEP_KEYS)
-    model = args.model or "coupled"
     if args.var is None or args.range_spec is None:
         raise UsageError("sweep needs both --var and --range")
-    var = args.var
-    if var not in _SWEEP_VARS[model]:
-        raise UsageError(f"cannot sweep {var!r} for model {model!r}; "
-                         f"valid: {', '.join(_SWEEP_VARS[model])}")
-    start, stop, count = parse_range(str(args.range_spec))
-    params = _resolve_params(model, args)
-    mode = params.pop("mode")
-    return _sweep_from_config(args, model, mode, params, var, start, stop, count)
+    return _sweep_from_config(args, args.model, args.mode,
+                              _model_params(args.model, args), args.var,
+                              *parse_range(args.range_spec))
 
 
 def _cmd_preset(args) -> int:
-    _apply_config(args, {})
     cfg = dict(PRESETS[args.name])
     params = {k: cfg[k] for k in cfg
               if k not in ("model", "mode", "var", "start", "stop", "count")}
@@ -511,13 +506,16 @@ def _cmd_preset(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {"single": lambda a: _point_command("single", a),
-               "coupled": lambda a: _point_command("coupled", a),
-               "sweep": _cmd_sweep,
-               "preset": _cmd_preset}[args.command]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return handler(args)
+        if args.config is not None:
+            # config entries go first, so the command-line flags win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(
+                argv[:at] + args.parser.config_tokens(args.config) + argv[at:])
+        return args.run(args)
     except UsageError as exc:
         print(f"qheat: {exc}", file=sys.stderr)
         return 1

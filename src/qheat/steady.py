@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import SuperKernel, pair_index
+from .kernel import TRACE_TOL, SuperKernel, pair_index
 from .system import SystemSpec
 
 __all__ = [
@@ -161,7 +161,9 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
 
     The nullspace dimension is checked first through the singular
     spectrum; anything but exactly one null direction raises
-    DegenerateSteadyStateError with the offending singular values. The
+    DegenerateSteadyStateError with the offending singular values and the
+    generator's trace residual, the largest population-row column sum,
+    which is above TRACE_TOL when a kernel does not preserve trace. The
     solve itself replaces the (0,0) population row of M with the trace
     row (ones on the population columns) and solves M' x = e_0. The
     result is symmetrised, renormalised, and only accepted if
@@ -172,11 +174,16 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
     m = L.matrix
     sv = np.linalg.svd(m, compute_uv=False)
     null_sv = [float(x) for x in sv if x < NULLSPACE_RTOL * sv[0]]
+    n = L.dim
     if len(null_sv) != 1:
+        pop_rows = [pair_index(n, p, p) for p in range(n)]
+        trace_resid = float(np.max(np.abs(m[pop_rows, :].sum(axis=0))))
+        cause = (f" > {TRACE_TOL:g}: the generator does not preserve trace"
+                 if trace_resid > TRACE_TOL else "")
         raise DegenerateSteadyStateError(
             f"nullspace dimension {len(null_sv)}, need exactly 1; "
-            f"singular values below cutoff: {null_sv}, sigma_max {sv[0]:g}")
-    n = L.dim
+            f"singular values below cutoff: {null_sv}, sigma_max {sv[0]:g}; "
+            f"trace residual {trace_resid:.3e}{cause}")
     mp = np.array(m)
     row0 = pair_index(n, 0, 0)
     mp[row0, :] = 0.0

@@ -30,9 +30,10 @@ __all__ = [
 class SystemSpec:
     """Energy levels plus per-reservoir coupling operators.
 
-    levels: energies E_n in ascending order, at least two.
+    levels: finite energies E_n in ascending order, at least two.
     couplings: reservoir label -> raising-channel operator S^1 in the
-        energy basis; retrieve either channel with s_op(label, 1 or 2).
+        energy basis, finite entries; retrieve either channel with
+        s_op(label, 1 or 2).
 
     Every nonzero S^1_{pq} must have E_p - E_q > 0 (the raising channel
     raises the system energy). That is what guarantees the bath
@@ -46,6 +47,8 @@ class SystemSpec:
         levels = tuple(float(e) for e in self.levels)
         if len(levels) < 2:
             raise ValueError("need at least two levels")
+        if not all(math.isfinite(e) for e in levels):
+            raise ValueError(f"levels must be finite, got {levels}")
         if any(b < a for a, b in zip(levels, levels[1:])):
             raise ValueError(f"levels must be ascending, got {levels}")
         n = len(levels)
@@ -55,6 +58,10 @@ class SystemSpec:
             if s1.shape != (n, n):
                 raise ValueError(
                     f"coupling {label!r} must be {n}x{n}, got shape {s1.shape}")
+            if not np.isfinite(s1).all():
+                p, q = np.argwhere(~np.isfinite(s1))[0]
+                raise ValueError(f"coupling {label!r} entry ({p},{q}) must be "
+                                 f"finite, got {s1[p, q]}")
             for p, q in zip(*np.nonzero(s1)):
                 if levels[p] - levels[q] <= 0:
                     raise ValueError(

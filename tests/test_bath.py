@@ -142,3 +142,15 @@ def test_bath_spec_promotes_bare_numbers():
     assert bath.occupation(1.0) == planck_occupation(1.0, 2.0)
     with pytest.raises(ValueError):
         BathSpec(temperature=-1.0, spectral_density=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_values_are_rejected(bad):
+    with pytest.raises(ValueError, match=f"temperature must be finite, got {bad}"):
+        BathSpec(temperature=bad, spectral_density=1.0)
+    with pytest.raises(ValueError, match=f"spectral density must be finite, got {bad}"):
+        SpectralDensity.constant(bad)
+    with pytest.raises(ValueError, match=f"entries must be finite, got {bad} at omega=1.0"):
+        SpectralDensity.from_table({1.0: bad})
+    with pytest.raises(ValueError, match="entries must be finite"):
+        SpectralDensity.from_table({bad: 1.0})

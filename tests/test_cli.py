@@ -364,3 +364,89 @@ def test_bath_sweep_longer_than_chunk(monkeypatch):
     monkeypatch.undo()
     assert text == _per_point_csv("coupled", "lindblad", params, "tm",
                                   -1.0, 4.0, 21)
+
+
+@pytest.mark.parametrize("cfg, argv", [
+    ({"ta": "abc"}, ["single"]),
+    ({"ta": "2"}, ["sweep", "--var", "tm", "--range", "1:2:2"]),
+    ({"model": "triple"}, ["sweep", "--var", "ta", "--range", "1:2:2"]),
+    ({"no-header": "false"}, ["sweep", "--var", "ta", "--range", "1:2:2"]),
+    ({"ta": True}, ["single"]),
+])
+def test_config_values_pass_the_flag_checks(cfg, argv, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(path)])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key, = cfg
+    assert f"error: argument --{key}: " in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_config_with_every_sweep_key_equals_flags(tmp_path):
+    by_flags, by_config = tmp_path / "flags.csv", tmp_path / "config.csv"
+    values = {"model": "coupled", "mode": "redfield", "w1": 1.5, "w2": 2.5,
+              "lambda": 0.25, "g": 0.75, "ta": 2.0, "tb": 0.5, "var": "ta",
+              "range": "-0.5:1:4"}
+    argv = [f"--{key}={value}" for key, value in values.items()]
+    assert main(["sweep", *argv, "--no-header", "--strict-positivity",
+                 "--out", str(by_flags)]) == 2
+    cfg = tmp_path / "all.json"
+    cfg.write_text(json.dumps({**values, "no-header": True,
+                               "strict-positivity": True,
+                               "out": str(by_config)}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    text = by_config.read_text()
+    assert text == by_flags.read_text()
+    assert text.startswith("ta,pop_1")
+    assert "error: temperature must be >= 0, got -0.5" in text
+
+
+@pytest.mark.parametrize("model", ["single", "coupled"])
+def test_every_table_flag_is_a_flag_a_config_key_and_a_sweep_var(
+        model, tmp_path, capsys):
+    cfg = tmp_path / "one.json"
+    for flag in cli._MODEL_FLAGS[model]:
+        for command in ([model], ["sweep", "--model", model, "--var", "ta",
+                                  "--range", "0.5:0.6:2"]):
+            assert main(command + [f"--{flag}", "0.55"]) == 0
+            by_flag = capsys.readouterr().out
+            cfg.write_text(json.dumps({flag: 0.55}))
+            assert main(command + ["--config", str(cfg)]) == 0
+            assert capsys.readouterr().out == by_flag
+            assert f"{cli._PARAM_KEY.get(flag, flag)}=0.55" in by_flag
+        assert main(["sweep", "--model", model, "--var", flag,
+                     "--range", "0.5:0.6:2", "--no-header"]) == 0
+        assert capsys.readouterr().out.startswith(f"{flag},pop_1")
+
+
+def test_sweep_rejects_parameters_of_the_other_model(tmp_path, capsys):
+    argv = ["sweep", "--model", "single", "--var", "ta", "--range", "1:2:2"]
+    assert main(argv + ["--w1", "3"]) == 1
+    assert "model 'single' has no parameter --w1" in capsys.readouterr().err
+    cfg = tmp_path / "w1.json"
+    cfg.write_text(json.dumps({"w1": 3.0}))
+    assert main(argv + ["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "model 'single' has no parameter --w1" in captured.err
+    assert captured.out == ""
+    assert main(["sweep", "--var", "ta", "--range", "1:2:2", "--ga", "2"]) == 1
+    assert "model 'coupled' has no parameter --ga" in capsys.readouterr().err
+
+
+def test_non_finite_inputs_are_rejected(capsys):
+    assert main(["single", "--ta", "inf"]) == 1
+    assert "temperature must be finite, got inf" in capsys.readouterr().err
+    assert main(["single", "--ga", "nan"]) == 1
+    assert "spectral density must be finite, got nan" in capsys.readouterr().err
+    assert main(["coupled", "--w1", "nan"]) == 1
+    assert "levels must be finite" in capsys.readouterr().err
+    assert main(["sweep", "--model", "single", "--var", "tb", "--ta", "inf",
+                 "--range", "1:2:2", "--no-header"]) == 0
+    captured = capsys.readouterr()
+    _, _, rows = read_csv_text(captured.out)
+    assert [r[-1] for r in rows] == ["error: temperature must be finite, got inf"] * 2
+    assert "2 grid point(s)" in captured.err

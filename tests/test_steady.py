@@ -124,17 +124,28 @@ def test_redfield_spectator_coherences_vanish(coupled_pipeline):
 
 def test_degenerate_nullspace_is_refused():
     # unequal couplings leave the non-secular total kernel leaky, so the
-    # generator has no steady state at all; the solver must say so
-    system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
-    L = _liouvillian(system, {"A": 1.0, "B": 0.5}, {"A": 1.5, "B": 1.0},
-                     "redfield")
-    with pytest.raises(DegenerateSteadyStateError, match="nullspace"):
-        solve_steady_state(L)
-    # an all-zero generator has too many steady states
+    # generator has no steady state at all; the solver must say so, and
+    # name the trace residual alpha*beta*|g_A - g_B| as the cause
+    system, diag = make_coupled_qubits(1.0, 2.0, 0.5)
+    for g_b, residual in ((0.5, "1.768e-01"), (0.4, "2.121e-01")):
+        L = _liouvillian(system, {"A": 1.0, "B": g_b}, {"A": 1.5, "B": 1.0},
+                         "redfield")
+        with pytest.raises(DegenerateSteadyStateError) as exc:
+            solve_steady_state(L)
+        assert str(exc.value).startswith(
+            "nullspace dimension 0, need exactly 1; "
+            "singular values below cutoff: [], ")
+        assert str(exc.value).endswith(
+            f"; trace residual {residual} > 1e-12: "
+            "the generator does not preserve trace")
+        assert f"{diag.alpha * diag.beta * (1.0 - g_b):.3e}" == residual
+    # an all-zero generator has too many steady states; it does preserve
+    # trace, so no trace cause is named
     flat = Liouvillian(dim=2, matrix=np.zeros((4, 4)), mode="lindblad",
                        reservoirs=("A",))
-    with pytest.raises(DegenerateSteadyStateError):
+    with pytest.raises(DegenerateSteadyStateError) as exc:
         solve_steady_state(flat)
+    assert str(exc.value).endswith("; trace residual 0.000e+00")
 
 
 def test_gibbs_state_construction():

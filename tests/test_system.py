@@ -160,3 +160,20 @@ def test_coupling_matrices_are_immutable():
     spec = make_single_qubit(1.0)
     with pytest.raises(ValueError):
         spec.s_op("A", 1)[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_inputs_are_rejected(bad):
+    s1 = np.zeros((2, 2), dtype=complex)
+    s1[1, 0] = 1.0
+    with pytest.raises(ValueError, match=r"levels must be finite, got \(0.0, "):
+        SystemSpec(levels=(0.0, bad), couplings={"A": s1})
+    s1[1, 0] = bad
+    with pytest.raises(ValueError, match=r"coupling 'A' entry \(1,0\) must be finite"):
+        SystemSpec(levels=(0.0, 1.0), couplings={"A": s1})
+    # both model factories build a SystemSpec, which refuses the input
+    with pytest.raises(ValueError, match="levels must be finite"):
+        make_single_qubit(abs(bad))
+    for args in ((abs(bad), 2.0, 0.5), (1.0, abs(bad), 0.5)):
+        with pytest.raises(ValueError, match="levels must be finite"):
+            make_coupled_qubits(*args)
