@@ -40,11 +40,14 @@ def planck_occupation(omega: float, T: float) -> float:
 
     The T = 0 limit is exactly 0. Once omega/T passes the overflow range
     of expm1 the distribution equals exp(-omega/T) to double precision,
-    so that value is returned directly.
+    so that value is returned directly. A NaN omega and a non-finite T
+    are rejected.
     """
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError(f"occupation needs omega > 0, got {omega}")
-    if T < 0:
+    if not 0.0 <= T < math.inf:
+        if not math.isfinite(T):
+            raise ValueError(f"temperature must be finite, got {T}")
         raise ValueError(f"temperature must be >= 0, got {T}")
     if T == 0.0:
         return 0.0

@@ -95,17 +95,22 @@ def _bath(model: str, params: dict, reservoir: str) -> BathSpec:
                     label=reservoir)
 
 
-def _solve_point(system, kernels: dict, params: dict) -> PointResult:
-    """Everything after the kernel build: combine, assemble, solve,
-    currents, law checks and positivity."""
+def _steady_tail(system, kernels: dict):
+    """Everything after the kernel build but the law checks: combine,
+    assemble, solve, currents and positivity. The kernels are one point's
+    or a sweep chunk's stacks; each layer takes either shape."""
     liou = assemble_liouvillian(system, combine_kernels(
         [kernels[r] for r in RESERVOIRS]))
     rho, info = solve_steady_state(liou, full_output=True)
     q = {r: reservoir_current(system, kernels[r], rho) for r in RESERVOIRS}
+    return rho, info, q, positivity_report(rho)
+
+
+def _point_result(params, rho, info, q, positivity) -> PointResult:
     report = law_checks([(r, params[_TEMPERATURE_KEY[r]], q[r])
                          for r in RESERVOIRS])
     return PointResult(rho=rho, currents=q, report=report,
-                       positivity=positivity_report(rho), solve_info=info)
+                       positivity=positivity, solve_info=info)
 
 
 def compute_point(model: str, mode: str, params: dict) -> PointResult:
@@ -117,7 +122,7 @@ def compute_point(model: str, mode: str, params: dict) -> PointResult:
     system = _model_system(model, params)
     kernels = {r: build_kernel(system, _bath(model, params, r), r, mode)
                for r in RESERVOIRS}
-    return _solve_point(system, kernels, params)
+    return _point_result(params, *_steady_tail(system, kernels))
 
 
 # ---------------------------------------------------------------- parsing
@@ -274,7 +279,7 @@ def _sweep_columns(model: str, var: str):
 
 
 CONSERVATION_ROW_TOL = 1e-8
-SWEEP_CHUNK = 256           # grid points per batched kernel build
+SWEEP_CHUNK = 256           # grid points per batched kernel build and solve
 _BATH_VARS = ("ta", "tb", "tm", "ga", "gb", "g")
 _POINT_ERRORS = (ValueError, LookupError, RuntimeError)
 
@@ -322,15 +327,30 @@ def _row(model, value, solve, *args):
         return _sweep_row(model, value, None, str(exc))
 
 
+def _chunk_point(params, j, rho, info, q, positivity) -> PointResult:
+    """The PointResult of entry j of a chunk's stacked tail results."""
+    return _point_result(
+        params, DensityMatrix(dim=rho.dim, entries=rho.entries[j]),
+        SolveInfo(residual=float(info.residual[j]),
+                  hermiticity_defect=float(info.hermiticity_defect[j]),
+                  null_singular_values=tuple(info.null_singular_values[j].tolist())),
+        {r: float(q[r][j]) for r in RESERVOIRS},
+        PositivityReport(min_population=float(positivity.min_population[j]),
+                         min_eigenvalue=float(positivity.min_eigenvalue[j]),
+                         hermiticity_defect=float(positivity.hermiticity_defect[j])))
+
+
 def _bath_sweep_rows(model, mode, base_params, points):
     """Rows of a sweep whose grid points differ only in their baths.
 
-    The system is built once and each reservoir's kernels once per chunk
-    of SWEEP_CHUNK grid points. Batch entries are bit-identical to
-    per-point builds, so every row equals the compute_point row. Points
-    whose baths are invalid, and all points of a chunk whose batched
-    build raises, run through compute_point one at a time, so each error
-    row carries the message a per-point run gives.
+    The system is built once, and per chunk of SWEEP_CHUNK grid points
+    each reservoir's kernels are built as one stack, which goes through
+    the tail (combine, assemble, solve, currents, positivity) as one
+    batched call per layer. Stack entries are bit-identical to per-point
+    results, so every row equals the compute_point row. Points whose
+    baths are invalid, and all points of a chunk in which any layer
+    raises, run through compute_point one at a time, so each error row
+    carries the message a per-point run gives.
     """
     def one_at_a_time(value, params):
         return _row(model, value, compute_point, model, mode, params)
@@ -351,14 +371,15 @@ def _bath_sweep_rows(model, mode, base_params, points):
         try:
             kernels = {r: build_kernel(system, [baths[r] for _, baths in chunk],
                                        r, mode) for r in RESERVOIRS}
+            tail = _steady_tail(system, kernels)
         except _POINT_ERRORS:
             for i, _ in chunk:
                 rows[i] = one_at_a_time(*points[i])
             continue
         for j, (i, _) in enumerate(chunk):
             value, params = points[i]
-            rows[i] = _row(model, value, _solve_point, system,
-                           {r: kernels[r][j] for r in RESERVOIRS}, params)
+            rows[i] = _sweep_row(model, value, _chunk_point(params, j, *tail),
+                                 None)
     return rows
 
 
@@ -368,8 +389,9 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
     """Run the sweep and return (csv_text, n_error_rows, worst_min_population).
 
     Sweeps over a bath parameter (ta, tb, tm, ga, gb, g) build the system
-    once and the kernels once per chunk of grid points; other sweeps run
-    compute_point per point. Either way every row equals the one
+    once, and the kernels and the steady-state tail once per chunk of
+    grid points, as (B, N^2, N^2) stacks; other sweeps run compute_point
+    per point. Either way every row equals the one
     compute_point gives at that grid point, and rows follow the grid, so
     output is deterministic for a fixed configuration.
     """

@@ -28,10 +28,13 @@ leave alpha*beta*|g_A - g_B|). Acceptance criterion 09a asks for the
 per-reservoir property and fails on exactly this residual.
 
 build_kernel also takes a sequence of baths for one system and returns
-one kernel per bath from a single pass of the loop, so a sweep over bath
-parameters (temperatures, coupling strengths) pays the loop once per
-batch instead of once per point. The arithmetic per entry is unchanged,
-so every batch entry is bit-identical to a single-bath build.
+one stacked kernel, data of shape (B, N^2, N^2), from a single pass of
+the loop, so a sweep over bath parameters (temperatures, coupling
+strengths) pays the loop once per batch instead of once per point. The
+arithmetic per entry is unchanged, so data[i] is bit-identical to the
+single-bath build of bath i. combine_kernels and check_trace_condition,
+like the steady-state and current layers downstream, act on each entry
+of such a stack as they act on a single kernel.
 """
 
 from __future__ import annotations
@@ -74,6 +77,24 @@ class NearDegeneracyError(ValueError):
     one."""
 
 
+def _frozen(values) -> np.ndarray:
+    """values as a read-only, C-contiguous complex array.
+
+    An array that already is one and owns its memory is taken over as
+    it is: whoever made it read-only has handed it over, and the layers
+    pass their (B, N^2, N^2) stacks on this way instead of copying them.
+    Anything else is copied, so a caller's writeable array is never
+    aliased or frozen.
+    """
+    if (type(values) is np.ndarray and values.dtype == complex
+            and values.flags.c_contiguous and values.flags.owndata
+            and not values.flags.writeable):
+        return values
+    copy = np.array(values, dtype=complex, order="C")
+    copy.flags.writeable = False
+    return copy
+
+
 def pair_index(dim: int, p: int, q: int) -> int:
     """Flat row-major index of the ordered level pair (p, q)."""
     return p * dim + q
@@ -94,9 +115,10 @@ class SuperKernel:
     """Dense dissipative kernel of one reservoir (or a sum of reservoirs).
 
     data is the (N^2, N^2) complex matrix over flattened pair indices;
-    row (p, p'), column (q, q'). reservoir is a display name ("A+B" for a
-    sum); reservoirs holds the individual labels, (reservoir,) unless
-    given. Immutable after construction.
+    row (p, p'), column (q, q'). A stack of B kernels of one reservoir,
+    one per bath, has (B, N^2, N^2) data. reservoir is a display name
+    ("A+B" for a sum); reservoirs holds the individual labels,
+    (reservoir,) unless given. Immutable after construction.
     """
 
     dim: int
@@ -107,16 +129,16 @@ class SuperKernel:
 
     def __post_init__(self):
         d2 = self.dim * self.dim
-        data = np.array(self.data, dtype=complex)
-        if data.shape != (d2, d2):
-            raise ValueError(f"kernel data must be {d2}x{d2}, got {data.shape}")
-        data.flags.writeable = False
+        data = _frozen(self.data)
+        if data.ndim not in (2, 3) or data.shape[-2:] != (d2, d2):
+            raise ValueError(f"kernel data must be {d2}x{d2} or a (B, {d2}, {d2}) "
+                             f"stack, got {data.shape}")
         object.__setattr__(self, "data", data)
         labels = (self.reservoir,) if self.reservoirs is None else self.reservoirs
         object.__setattr__(self, "reservoirs", tuple(str(r) for r in labels))
 
     def entry(self, p: int, pp: int, q: int, qp: int) -> complex:
-        """K_{(p,pp),(q,qp)}."""
+        """K_{(p,pp),(q,qp)} of a single (unstacked) kernel."""
         return complex(self.data[pair_index(self.dim, p, pp),
                                  pair_index(self.dim, q, qp)])
 
@@ -138,18 +160,19 @@ def _reject_near_degenerate(system: SystemSpec, reservoir: str, eps: float,
 
 
 def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
-                 reservoir: str, mode: str) -> SuperKernel | tuple[SuperKernel, ...]:
+                 reservoir: str, mode: str) -> SuperKernel:
     """Dissipative kernel of one reservoir in Redfield or Lindblad mode.
 
     Both modes constrain the two level-sum terms to their energy
     conserving part; lindblad mode additionally applies the secular
     constraint to the transfer term (see the module docstring).
 
-    bath is one BathSpec, giving one SuperKernel, or a sequence of
-    BathSpecs, giving a tuple with one SuperKernel per bath. The sequence
-    form runs the loop once with a float64 array of correlations (one
-    per bath) wherever the single form has a float, so entry i of the
-    tuple is bit-identical to build_kernel(system, bath[i], ...).
+    bath is one BathSpec, giving a kernel with (N^2, N^2) data, or a
+    sequence of B BathSpecs, giving one stacked kernel with (B, N^2, N^2)
+    data. The sequence form runs the loop once with a float64 array of
+    correlations (one per bath) wherever the single form has a float, so
+    data[i] of the stack is bit-identical to the data of
+    build_kernel(system, bath[i], ...).
 
     The bath correlation is only evaluated where the coupling matrix
     elements are nonzero, which keeps every query at a finite transition
@@ -190,10 +213,13 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
             return value
 
     channels = ((1, 2), (2, 1))     # (1,1) and (2,2) correlations vanish
-    # the batch axis goes last, so an entry is written as data[row, col]
-    # in both forms
-    shape = (n * n, n * n) if batch is None else (n * n, n * n, len(batch))
-    data = np.zeros(shape, dtype=complex)
+    # the loop writes entries as out[row, col] in both forms; for a stack,
+    # out views the (B, N^2, N^2) data with the batch axis last
+    if batch is None:
+        data = out = np.zeros((n * n, n * n), dtype=complex)
+    else:
+        data = np.zeros((len(batch), n * n, n * n), dtype=complex)
+        out = data.transpose(1, 2, 0)
     for p in range(n):
         for pp in range(n):
             row = pair_index(n, p, pp)
@@ -228,16 +254,14 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
                                 acc += prod * (D(a, b, E[qp] - E[pp])
                                                + D(a, b, E[q] - E[p]))
                         val += 0.5 * acc
-                    data[row, pair_index(n, q, qp)] = val
-    if batch is None:
-        return SuperKernel(dim=n, data=data, mode=mode, reservoir=str(reservoir))
-    return tuple(SuperKernel(dim=n, data=data[:, :, i], mode=mode,
-                             reservoir=str(reservoir))
-                 for i in range(len(batch)))
+                    out[row, pair_index(n, q, qp)] = val
+    data.flags.writeable = False
+    return SuperKernel(dim=n, data=data, mode=mode, reservoir=str(reservoir))
 
 
-def check_trace_condition(K: SuperKernel) -> float:
-    """Largest per-column violation of sum_p K_{(p,p),(q,q')} = 0.
+def check_trace_condition(K: SuperKernel):
+    """Largest per-column violation of sum_p K_{(p,p),(q,q')} = 0; a
+    float, or an array with one value per entry of a stacked kernel.
 
     Zero (to rounding) for lindblad kernels and for the redfield total
     of reservoirs with equal couplings: there the probability leaving
@@ -248,12 +272,14 @@ def check_trace_condition(K: SuperKernel) -> float:
     """
     n = K.dim
     pop_rows = [pair_index(n, p, p) for p in range(n)]
-    col_sums = K.data[pop_rows, :].sum(axis=0)
-    return float(np.max(np.abs(col_sums)))
+    col_sums = K.data[..., pop_rows, :].sum(axis=-2)
+    worst = np.max(np.abs(col_sums), axis=-1)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def combine_kernels(kernels, allow_mixed_modes: bool = False) -> SuperKernel:
-    """Entrywise sum of per-reservoir kernels of equal dimension.
+    """Entrywise sum of per-reservoir kernels of equal dimension; for
+    stacked kernels, the sum of each entry.
 
     Mixing Redfield and Lindblad kernels is almost always a modelling
     mistake, so it is refused unless allow_mixed_modes is set, and warned
@@ -276,6 +302,7 @@ def combine_kernels(kernels, allow_mixed_modes: bool = False) -> SuperKernel:
     data = kernels[0].data.copy()
     for k in kernels[1:]:
         data += k.data
+    data.flags.writeable = False
     mode = kernels[0].mode if len(modes) == 1 else "mixed"
     return SuperKernel(dim=dim, data=data, mode=mode,
                        reservoir="+".join(k.reservoir for k in kernels),

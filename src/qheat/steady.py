@@ -11,6 +11,15 @@ well conditioned at these dimensions; svd_steady_state extracts the
 nullspace directly and serves as an independent verification path. evolve
 is a plain fixed-step integrator kept as a dynamical cross-check of the
 linear solves.
+
+Liouvillian and DensityMatrix also hold stacks, (B, N^2, N^2) and
+(B, N, N), and assemble_liouvillian, solve_steady_state and
+positivity_report act on each entry of a stack at once: a sweep chunk of
+B points is one batched SVD, one batched LU solve and one batched
+eigvalsh. numpy's stacked linear algebra runs the same LAPACK call per
+entry, so every entry is bit-identical to the result for that entry's
+matrix alone. Scalar diagnostics become arrays over the batch axis, and
+a failing entry raises the error its own matrix raises.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import TRACE_TOL, SuperKernel, pair_index
+from .kernel import TRACE_TOL, SuperKernel, _frozen, pair_index
 from .system import SystemSpec
 
 __all__ = [
@@ -40,7 +49,7 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10        # accepted ||M vec(rho)||_inf
-NULLSPACE_RTOL = 1e-10      # sigma_i < rtol * sigma_max counts as zero
+NULLSPACE_RTOL = 1e-10      # sigma_i <= rtol * sigma_max counts as zero
 TRACE_DRIFT_TOL = 1e-8
 POSITIVITY_TOL = 1e-10
 
@@ -59,45 +68,52 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """N x N complex density matrix in the energy basis."""
+    """N x N complex density matrix in the energy basis, or a (B, N, N)
+    stack of B of them, whose properties give one value (or row) per
+    entry."""
 
     dim: int
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"entries must be {self.dim}x{self.dim}, got {m.shape}")
-        if not np.all(np.isfinite(m)):
+        m = _frozen(self.entries)
+        if m.ndim not in (2, 3) or m.shape[-2:] != (self.dim, self.dim):
+            raise ValueError(f"entries must be {self.dim}x{self.dim} or a "
+                             f"(B, {self.dim}, {self.dim}) stack, got {m.shape}")
+        if not np.isfinite(m).all():
             raise ValueError("density matrix has non-finite entries")
-        m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
     @property
     def populations(self) -> np.ndarray:
         """Diagonal elements as real numbers."""
-        return np.real(np.diagonal(self.entries)).copy()
+        return np.real(np.diagonal(self.entries, axis1=-2, axis2=-1)).copy()
 
     @property
     def coherences(self) -> np.ndarray:
         """Copy of the matrix with the diagonal zeroed."""
         m = self.entries.copy()
-        np.fill_diagonal(m, 0.0)
+        diag = np.arange(self.dim)
+        m[..., diag, diag] = 0.0
         return m
 
     @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
+    def trace(self):
+        t = self.entries.trace(axis1=-2, axis2=-1)
+        return complex(t) if t.ndim == 0 else t
 
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
+    def hermiticity_defect(self):
+        e = self.entries
+        defect = np.abs(e - e.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        return float(defect) if defect.ndim == 0 else defect
 
     def validate(self, tol: float = 1e-10) -> None:
-        """Raise unless Hermitian with unit trace, both within tol."""
-        h = self.hermiticity_defect()
+        """Raise unless every entry is Hermitian with unit trace, both
+        within tol."""
+        h = np.max(self.hermiticity_defect())
         if h > tol:
             raise ValueError(f"not Hermitian: defect {h:g} > {tol:g}")
-        t = abs(self.trace - 1.0)
+        t = np.max(np.abs(self.trace - 1.0))
         if t > tol:
             raise ValueError(f"trace off unity by {t:g} > {tol:g}")
 
@@ -117,7 +133,8 @@ def gibbs_state(levels, T: float) -> DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Full generator M over the flattened pair index."""
+    """Full generator M over the flattened pair index; a stack of
+    B generators is (B, N^2, N^2)."""
 
     dim: int
     matrix: np.ndarray
@@ -126,16 +143,18 @@ class Liouvillian:
 
     def __post_init__(self):
         d2 = self.dim * self.dim
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (d2, d2):
-            raise ValueError(f"matrix must be {d2}x{d2}, got {m.shape}")
-        m.flags.writeable = False
+        m = _frozen(self.matrix)
+        if m.ndim not in (2, 3) or m.shape[-2:] != (d2, d2):
+            raise ValueError(f"matrix must be {d2}x{d2} or a (B, {d2}, {d2}) "
+                             f"stack, got {m.shape}")
         object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
 class SolveInfo:
-    """Diagnostics of one steady-state solve."""
+    """Diagnostics of one steady-state solve. For a stacked solve each
+    field is an array over the batch axis (null_singular_values gains a
+    last axis of length 1)."""
 
     residual: float                 # ||M vec(rho)||_inf after symmetrisation
     hermiticity_defect: float       # asymmetry of the raw solution
@@ -143,71 +162,96 @@ class SolveInfo:
 
 
 def assemble_liouvillian(system: SystemSpec, K_total: SuperKernel) -> Liouvillian:
-    """M = -i E_{pp'} delta + K. Population rows get no phase term."""
+    """M = -i E_{pp'} delta + K, for a kernel or each entry of a stack.
+    Population rows get no phase term."""
     n = system.dim
     if K_total.dim != n:
         raise ValueError(f"kernel dim {K_total.dim} does not match system dim {n}")
-    m = np.array(K_total.data, dtype=complex)
-    for p in range(n):
-        for pp in range(n):
-            i = pair_index(n, p, pp)
-            m[i, i] += -1j * (system.levels[p] - system.levels[pp])
+    E = system.levels
+    phase = np.array([-1j * (E[p] - E[pp]) for p in range(n) for pp in range(n)])
+    m = np.array(K_total.data)
+    # the diagonal of each (N^2, N^2) matrix, as a strided view of m
+    m.reshape(m.shape[:-2] + (-1,))[..., ::n * n + 1] += phase
+    m.flags.writeable = False
     return Liouvillian(dim=n, matrix=m, mode=K_total.mode,
                        reservoirs=K_total.reservoirs)
+
+
+def _degenerate_message(m: np.ndarray, sv: np.ndarray, null: np.ndarray,
+                        n: int) -> str:
+    """Why one generator m, with singular values sv and null mask null,
+    has no unique steady state."""
+    null_sv = [float(x) for x in sv[null]]
+    pop_rows = [pair_index(n, p, p) for p in range(n)]
+    trace_resid = float(np.max(np.abs(m[pop_rows, :].sum(axis=0))))
+    cause = (f" > {TRACE_TOL:g}: the generator does not preserve trace"
+             if trace_resid > TRACE_TOL else "")
+    return (f"nullspace dimension {len(null_sv)}, need exactly 1; "
+            f"singular values below cutoff: {null_sv}, sigma_max {sv[0]:g}; "
+            f"trace residual {trace_resid:.3e}{cause}")
 
 
 def solve_steady_state(L: Liouvillian, full_output: bool = False):
     """Unique trace-one null vector of the generator, as a DensityMatrix.
 
     The nullspace dimension is checked first through the singular
-    spectrum; anything but exactly one null direction raises
-    DegenerateSteadyStateError with the offending singular values and the
-    generator's trace residual, the largest population-row column sum,
-    which is above TRACE_TOL when a kernel does not preserve trace. The
-    solve itself replaces the (0,0) population row of M with the trace
-    row (ones on the population columns) and solves M' x = e_0. The
-    result is symmetrised, renormalised, and only accepted if
-    ||M vec(rho)||_inf < 1e-10.
+    spectrum: sigma_i <= 1e-10 sigma_max counts as zero, so every
+    sigma_i does when sigma_max is 0. Anything but exactly one null
+    direction raises DegenerateSteadyStateError with the offending
+    singular values and the generator's trace residual, the largest
+    population-row column sum, which is above TRACE_TOL when a kernel
+    does not preserve trace. The solve itself replaces the (0,0)
+    population row of M with the trace row (ones on the population
+    columns) and solves M' x = e_0. The result is symmetrised,
+    renormalised, and only accepted if ||M vec(rho)||_inf < 1e-10.
+
+    A stacked generator gives a stacked DensityMatrix, each entry
+    bit-identical to the solve of that entry alone; the first entry
+    that fails a check raises its own error.
 
     With full_output=True returns (rho, SolveInfo).
     """
     m = L.matrix
-    sv = np.linalg.svd(m, compute_uv=False)
-    null_sv = [float(x) for x in sv if x < NULLSPACE_RTOL * sv[0]]
     n = L.dim
-    if len(null_sv) != 1:
-        pop_rows = [pair_index(n, p, p) for p in range(n)]
-        trace_resid = float(np.max(np.abs(m[pop_rows, :].sum(axis=0))))
-        cause = (f" > {TRACE_TOL:g}: the generator does not preserve trace"
-                 if trace_resid > TRACE_TOL else "")
-        raise DegenerateSteadyStateError(
-            f"nullspace dimension {len(null_sv)}, need exactly 1; "
-            f"singular values below cutoff: {null_sv}, sigma_max {sv[0]:g}; "
-            f"trace residual {trace_resid:.3e}{cause}")
-    mp = np.array(m)
+    d2 = n * n
+    sv = np.linalg.svd(m, compute_uv=False)
+    null = sv <= NULLSPACE_RTOL * sv[..., :1]
+    degenerate = null.sum(axis=-1) != 1
+    if np.count_nonzero(degenerate):
+        j = np.flatnonzero(degenerate)[0]
+        raise DegenerateSteadyStateError(_degenerate_message(
+            m.reshape(-1, d2, d2)[j], sv.reshape(-1, d2)[j],
+            null.reshape(-1, d2)[j], n))
     row0 = pair_index(n, 0, 0)
-    mp[row0, :] = 0.0
-    for p in range(n):
-        mp[row0, pair_index(n, p, p)] = 1.0
-    rhs = np.zeros(n * n, dtype=complex)
-    rhs[row0] = 1.0
+    mp = m.copy()
+    mp[..., row0, :] = 0.0
+    mp[..., row0, ::n + 1] = 1.0        # the population columns (p, p)
+    rhs = np.zeros(mp.shape[:-1] + (1,), dtype=complex)   # e_0 columns
+    rhs[..., row0, 0] = 1.0
     try:
         x = np.linalg.solve(mp, rhs)
     except np.linalg.LinAlgError as exc:
         raise SteadyStateResidualError(f"trace-row solve failed: {exc}") from exc
-    rho = x.reshape(n, n)
-    defect = float(np.max(np.abs(rho - rho.conj().T)))
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    residual = float(np.max(np.abs(m @ rho.reshape(-1))))
-    if residual > RESIDUAL_TOL:
+    rho = x.reshape(x.shape[:-2] + (n, n))
+    rho_h = rho.conj().swapaxes(-1, -2)
+    defect = np.abs(rho - rho_h).max(axis=(-2, -1))
+    rho = 0.5 * (rho + rho_h)
+    rho = rho / rho.trace(axis1=-2, axis2=-1).real[..., None, None]
+    residual = np.abs(m @ rho.reshape(x.shape)).max(axis=(-2, -1))
+    too_large = residual > RESIDUAL_TOL
+    if np.count_nonzero(too_large):
+        first = residual.reshape(-1)[np.flatnonzero(too_large)[0]]
         raise SteadyStateResidualError(
-            f"steady-state residual {residual:g} exceeds {RESIDUAL_TOL:g}")
+            f"steady-state residual {first:g} exceeds {RESIDUAL_TOL:g}")
     out = DensityMatrix(dim=n, entries=rho)
-    if full_output:
-        return out, SolveInfo(residual=residual, hermiticity_defect=defect,
-                              null_singular_values=tuple(null_sv))
-    return out
+    if not full_output:
+        return out
+    if m.ndim == 2:
+        return out, SolveInfo(residual=float(residual),
+                              hermiticity_defect=float(defect),
+                              null_singular_values=(float(sv[-1]),))
+    return out, SolveInfo(residual=residual, hermiticity_defect=defect,
+                          null_singular_values=sv[..., -1:])
 
 
 def svd_steady_state(L: Liouvillian) -> DensityMatrix:
@@ -216,6 +260,8 @@ def svd_steady_state(L: Liouvillian) -> DensityMatrix:
     Slower and phase-ambiguous, so the trace-row solver is the primary
     route; this one exists to catch errors the two paths would not share.
     """
+    if L.matrix.ndim != 2:
+        raise ValueError("svd_steady_state takes one generator, not a stack")
     vh = np.linalg.svd(L.matrix)[2]
     rho = vh[-1, :].conj().reshape(L.dim, L.dim)
     tr = np.trace(rho)
@@ -237,6 +283,8 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     0.01/||M||_inf. Raises IntegrationError if the state norm blows up or
     the trace drifts by more than 1e-8 over the whole run.
     """
+    if L.matrix.ndim != 2 or rho0.entries.ndim != 2:
+        raise ValueError("evolve takes one generator and one state, not stacks")
     if rho0.dim != L.dim:
         raise ValueError(f"state dim {rho0.dim} does not match generator dim {L.dim}")
     if t_final < 0:
@@ -273,7 +321,8 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
 
 @dataclass(frozen=True)
 class PositivityReport:
-    """Positivity diagnostics of a density matrix.
+    """Positivity diagnostics of a density matrix, or arrays of them
+    over the batch axis of a stacked one.
 
     A generator outside the quantum dynamical semigroup class (Redfield)
     can push populations negative; min_eigenvalue below -1e-10 is the
@@ -290,9 +339,14 @@ class PositivityReport:
 
 
 def positivity_report(rho: DensityMatrix) -> PositivityReport:
-    """Minimum population, minimum eigenvalue of the Hermitian part, defect."""
-    herm = 0.5 * (rho.entries + rho.entries.conj().T)
-    eigs = np.linalg.eigvalsh(herm)
-    return PositivityReport(min_population=float(np.min(rho.populations)),
-                            min_eigenvalue=float(eigs[0]),
+    """Minimum population, minimum eigenvalue of the Hermitian part, defect;
+    per entry for a stacked rho."""
+    e = rho.entries
+    eigs = np.linalg.eigvalsh(0.5 * (e + e.conj().swapaxes(-1, -2)))
+    min_pop = rho.populations.min(axis=-1)
+    if e.ndim == 2:
+        return PositivityReport(min_population=float(min_pop),
+                                min_eigenvalue=float(eigs[0]),
+                                hermiticity_defect=rho.hermiticity_defect())
+    return PositivityReport(min_population=min_pop, min_eigenvalue=eigs[..., 0],
                             hermiticity_defect=rho.hermiticity_defect())

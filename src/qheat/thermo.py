@@ -11,13 +11,19 @@ with both couplings active heat runs from the hot reservoir to the cold
 one (second law). Currents are always computed from the joint steady
 state through per-reservoir kernels, never from local equilibrium
 assumptions.
+
+reservoir_current also takes a stacked kernel and a stacked steady state,
+(B, N^2, N^2) and (B, N, N) as built for a sweep chunk, and returns one
+current per entry, each bit-identical to the current of that entry alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import SuperKernel, pair_index
+import numpy as np
+
+from .kernel import SuperKernel
 from .steady import DensityMatrix
 from .system import SystemSpec
 
@@ -42,26 +48,35 @@ class CurrentConsistencyError(RuntimeError):
 
 
 def reservoir_current(system: SystemSpec, K_R: SuperKernel,
-                      rho: DensityMatrix) -> float:
+                      rho: DensityMatrix):
     """Heat current q^R from one reservoir, given the joint steady state.
 
     rho must be a steady state of the combined generator; that is the
-    caller's responsibility and is not re-verified here.
+    caller's responsibility and is not re-verified here. A float, or an
+    array over the batch axis for stacked inputs; the first entry with an
+    imaginary current raises.
     """
     n = system.dim
     if K_R.dim != n:
         raise ValueError(f"kernel dim {K_R.dim} does not match system dim {n}")
     if rho.dim != n:
         raise ValueError(f"state dim {rho.dim} does not match system dim {n}")
-    vec = rho.entries.reshape(-1)
+    # the population rows (l, l) sit at flat indices 0, N+1, 2(N+1), ...;
+    # each is one (1, N^2) @ (N^2, 1) product, the same dot product for a
+    # single kernel and for every entry of a stack
+    pop_rows = K_R.data[..., ::n + 1, None, :]
+    vec = rho.entries.reshape(rho.entries.shape[:-2] + (1, n * n, 1))
+    dots = (pop_rows @ vec)[..., 0, 0].T          # (N,) or (N, B)
     q = 0j
-    for lvl in range(n):
-        q += system.levels[lvl] * (K_R.data[pair_index(n, lvl, lvl), :] @ vec)
-    if abs(q.imag) > IMAG_TOL:
+    for energy, dot in zip(system.levels, dots):
+        q = q + energy * dot
+    imaginary = abs(q.imag) > IMAG_TOL
+    if np.count_nonzero(imaginary):
+        first = q.imag.reshape(-1)[np.flatnonzero(imaginary)[0]]
         raise CurrentConsistencyError(
-            f"current has imaginary part {q.imag:g}; state and kernel are "
+            f"current has imaginary part {first:g}; state and kernel are "
             "inconsistent")
-    return float(q.real)
+    return float(q.real) if q.ndim == 0 else q.real
 
 
 @dataclass(frozen=True)

@@ -154,3 +154,10 @@ def test_non_finite_values_are_rejected(bad):
         SpectralDensity.from_table({1.0: bad})
     with pytest.raises(ValueError, match="entries must be finite"):
         SpectralDensity.from_table({bad: 1.0})
+    with pytest.raises(ValueError, match=f"temperature must be finite, got {bad}"):
+        planck_occupation(1.0, bad)
+    if bad == math.inf:
+        assert planck_occupation(bad, 1.0) == 0.0     # the omega -> inf limit
+    else:
+        with pytest.raises(ValueError, match=f"occupation needs omega > 0, got {bad}"):
+            planck_occupation(bad, 1.0)

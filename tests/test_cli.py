@@ -344,23 +344,38 @@ def test_bath_sweeps_equal_per_point_rows(model, mode, params, var, start,
 
 
 def test_bath_sweep_longer_than_chunk(monkeypatch):
-    calls = []
+    calls, solves, per_point = [], [], []
     real_build = cli.build_kernel
+    real_solve = cli.solve_steady_state
+    real_point = cli.compute_point
 
     def counting_build(system, bath, reservoir, mode):
         if isinstance(bath, list):
             calls.append(len(bath))
         return real_build(system, bath, reservoir, mode)
 
+    def counting_solve(liou, **kwargs):
+        solves.append(liou.matrix.shape[:-2])
+        return real_solve(liou, **kwargs)
+
+    def counting_point(model, mode, params):
+        per_point.append(params["tb"])
+        return real_point(model, mode, params)
+
     monkeypatch.setattr(cli, "build_kernel", counting_build)
+    monkeypatch.setattr(cli, "solve_steady_state", counting_solve)
+    monkeypatch.setattr(cli, "compute_point", counting_point)
     monkeypatch.setattr(cli, "SWEEP_CHUNK", 4)
     params = dict(_COUPLED, ta=3.0, tb=1.0)
     text, n_bad, _ = render_sweep("coupled", "lindblad", params, "tm",
                                   -1.0, 4.0, 21, comments=False)
     # grid step 0.25; T_B = T - 1 is negative below T = 1, at 8 points
     assert n_bad == 8
-    # 13 valid points: one build per reservoir per chunk of 4
+    # 13 valid points: one build per reservoir and one stacked solve per
+    # chunk of 4; only the 8 invalid points run through compute_point
     assert calls == [4, 4, 4, 4, 4, 4, 1, 1]
+    assert solves == [(4,), (4,), (4,), (1,)]
+    assert len(per_point) == 8 and all(tb < 0 for tb in per_point)
     monkeypatch.undo()
     assert text == _per_point_csv("coupled", "lindblad", params, "tm",
                                   -1.0, 4.0, 21)

@@ -233,7 +233,7 @@ def test_tabulated_spectral_density_queried_at_transitions_only():
         build_kernel(system, bath_bad, "A", "redfield")
     # the sequence form queries the tables the same way
     kt_batch = build_kernel(system, [bath_c, bath_t], "A", "redfield")
-    assert all(np.array_equal(k.data, kc.data) for k in kt_batch)
+    assert all(np.array_equal(data, kc.data) for data in kt_batch.data)
     with pytest.raises(SpectralLookupError):
         build_kernel(system, [bath_c, bath_bad], "A", "redfield")
 
@@ -262,11 +262,15 @@ def test_batched_build_equals_single_builds(name, mode):
     baths = [BathSpec(temperature=t, spectral_density=g, label="A")
              for t in (0.0, 0.05, 0.7, 3.0, 16.0) for g in (0.0, 0.4, 1.0)]
     batch = build_kernel(system, baths, "A", mode)
-    assert isinstance(batch, tuple) and len(batch) == len(baths)
-    for bath, k in zip(baths, batch):
-        single = build_kernel(system, bath, "A", mode)
-        assert np.array_equal(k.data, single.data)
-        assert (k.dim, k.mode, k.reservoir) == (single.dim, mode, "A")
+    d2 = system.dim ** 2
+    assert batch.data.shape == (len(baths), d2, d2)
+    assert batch.data.flags.c_contiguous
+    assert (batch.dim, batch.mode, batch.reservoirs) == (system.dim, mode, ("A",))
+    singles = [build_kernel(system, bath, "A", mode) for bath in baths]
+    for data, single in zip(batch.data, singles):
+        assert np.array_equal(data, single.data)
+    assert np.array_equal(check_trace_condition(batch),
+                          [check_trace_condition(k) for k in singles])
 
 
 def test_build_kernel_input_validation():

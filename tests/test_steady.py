@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from qheat import (BathSpec, DegenerateSteadyStateError, DensityMatrix,
-                   IntegrationError, Liouvillian, assemble_liouvillian,
+                   IntegrationError, Liouvillian, PositivityReport, SolveInfo,
+                   SuperKernel, SystemSpec, assemble_liouvillian,
                    build_kernel, combine_kernels, coupled_rates, evolve,
                    gibbs_state, make_coupled_qubits, make_single_qubit,
                    pair_index, planck_occupation, positivity_report,
-                   solve_steady_state, svd_steady_state)
+                   reservoir_current, solve_steady_state, svd_steady_state)
 
 
 def _liouvillian(system, g_of, t_of, mode):
@@ -146,6 +147,8 @@ def test_degenerate_nullspace_is_refused():
     with pytest.raises(DegenerateSteadyStateError) as exc:
         solve_steady_state(flat)
     assert str(exc.value).endswith("; trace residual 0.000e+00")
+    # sigma_max is 0 there, so every singular value counts as zero
+    assert str(exc.value).startswith("nullspace dimension 4, need exactly 1; ")
 
 
 def test_gibbs_state_construction():
@@ -267,3 +270,106 @@ def test_assemble_liouvillian_guards():
     L = assemble_liouvillian(other, K4)
     with pytest.raises(ValueError):
         L.matrix[0, 0] = 1.0
+
+
+def _random_lindblad_system(n):
+    rng = np.random.default_rng([11, n])
+    couplings = {r: np.tril(rng.normal(size=(n, n))
+                            + 1j * rng.normal(size=(n, n)), -1) / np.sqrt(n)
+                 for r in ("A", "B")}
+    return SystemSpec(levels=tuple(np.cumsum(rng.uniform(0.5, 1.5, n))),
+                      couplings=couplings)
+
+
+def _stack_cases():
+    coupled = make_coupled_qubits(1.0, 2.0, 0.5)[0]
+    temps = np.linspace(5.0, 8.0, 7)
+    yield ("fig4", coupled, "lindblad", {"A": 1.0, "B": 1.0},
+           [{"A": t, "B": 1.0} for t in np.linspace(0.5, 1.5, 9)])
+    yield ("fig5", coupled, "redfield", {"A": 1.0, "B": 1.0},
+           [{"A": t + 5.0, "B": t - 5.0} for t in temps])
+    for n in range(3, 7):
+        rng = np.random.default_rng([12, n])
+        yield (f"random-n{n}", _random_lindblad_system(n), "lindblad",
+               {"A": 0.7, "B": 1.3},
+               [{"A": a, "B": b} for a, b in rng.uniform(0.2, 4.0, (6, 2))])
+
+
+@pytest.mark.parametrize("case", list(_stack_cases()), ids=lambda c: c[0])
+def test_stacked_tail_equals_per_matrix_calls(case):
+    """combine, assemble, solve, currents and positivity on a (B, N^2, N^2)
+    stack give, entry by entry, exactly what they give on that entry's
+    own 2-D kernels."""
+    _, system, mode, g_of, temps = case
+    stacks = {r: build_kernel(system, [BathSpec(temperature=t[r],
+                                                spectral_density=g_of[r], label=r)
+                                       for t in temps], r, mode)
+              for r in ("A", "B")}
+    L = assemble_liouvillian(system, combine_kernels([stacks["A"], stacks["B"]]))
+    rho, info = solve_steady_state(L, full_output=True)
+    q = {r: reservoir_current(system, stacks[r], rho) for r in stacks}
+    pos = positivity_report(rho)
+    assert rho.entries.shape == (len(temps), system.dim, system.dim)
+    rho.validate()
+    for j in range(len(temps)):
+        kernels = {r: SuperKernel(dim=system.dim, data=stacks[r].data[j],
+                                  mode=mode, reservoir=r) for r in stacks}
+        L_j = assemble_liouvillian(system, combine_kernels(
+            [kernels["A"], kernels["B"]]))
+        assert np.array_equal(L.matrix[j], L_j.matrix)
+        rho_j, info_j = solve_steady_state(L_j, full_output=True)
+        assert np.array_equal(rho.entries[j], rho_j.entries)
+        assert rho.trace[j] == rho_j.trace
+        assert np.array_equal(rho.coherences[j], rho_j.coherences)
+        assert info_j == SolveInfo(
+            residual=float(info.residual[j]),
+            hermiticity_defect=float(info.hermiticity_defect[j]),
+            null_singular_values=tuple(info.null_singular_values[j].tolist()))
+        for r in stacks:
+            assert float(q[r][j]) == reservoir_current(system, kernels[r], rho_j)
+        assert positivity_report(rho_j) == PositivityReport(
+            min_population=float(pos.min_population[j]),
+            min_eigenvalue=float(pos.min_eigenvalue[j]),
+            hermiticity_defect=float(pos.hermiticity_defect[j]))
+
+
+def test_stacked_solve_raises_the_failing_entrys_message():
+    system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
+    good = [_liouvillian(system, {"A": 1.0, "B": 1.0}, {"A": ta, "B": 1.0},
+                         "redfield") for ta in (1.5, 2.0)]
+    leaky = _liouvillian(system, {"A": 1.0, "B": 0.5}, {"A": 1.5, "B": 1.0},
+                         "redfield")
+    with pytest.raises(DegenerateSteadyStateError) as own:
+        solve_steady_state(leaky)
+    stack = Liouvillian(dim=4, matrix=np.stack(
+        [good[0].matrix, leaky.matrix, good[1].matrix]), mode="redfield",
+        reservoirs=("A", "B"))
+    with pytest.raises(DegenerateSteadyStateError) as exc:
+        solve_steady_state(stack)
+    assert str(exc.value) == str(own.value)
+    # an all-zero entry among valid ones: every singular value is null
+    single = make_single_qubit(1.0)
+    valid = _liouvillian(single, {"A": 1.0, "B": 1.0}, {"A": 2.0, "B": 1.0},
+                         "lindblad")
+    stack = Liouvillian(dim=2, matrix=np.stack([valid.matrix, np.zeros((4, 4))]),
+                        mode="lindblad", reservoirs=("A", "B"))
+    with pytest.raises(DegenerateSteadyStateError) as exc:
+        solve_steady_state(stack)
+    assert str(exc.value) == (
+        "nullspace dimension 4, need exactly 1; singular values below "
+        "cutoff: [0.0, 0.0, 0.0, 0.0], sigma_max 0; trace residual 0.000e+00")
+
+
+def test_single_matrix_paths_refuse_stacks():
+    system = make_single_qubit(1.0)
+    L = _liouvillian(system, {"A": 1.0, "B": 1.0}, {"A": 2.0, "B": 1.0},
+                     "lindblad")
+    stack = Liouvillian(dim=2, matrix=np.stack([L.matrix, L.matrix]),
+                        mode="lindblad", reservoirs=("A", "B"))
+    rho = solve_steady_state(L)
+    with pytest.raises(ValueError, match="one generator, not a stack"):
+        svd_steady_state(stack)
+    with pytest.raises(ValueError, match="not stacks"):
+        evolve(stack, rho, 1.0, dt=0.01)
+    with pytest.raises(ValueError, match="not stacks"):
+        evolve(L, DensityMatrix(dim=2, entries=np.stack([rho.entries] * 2)), 1.0)
