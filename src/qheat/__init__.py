@@ -3,8 +3,9 @@
 Builds Redfield or Lindblad dissipative kernels for a finite-level
 system coupled to bosonic heat reservoirs, solves for the stationary
 density matrix, and evaluates per-reservoir heat currents, all in the
-energy eigenbasis. Closed-form references for one and two qubits live
-in qheat.models; the command line front end in qheat.cli.
+energy eigenbasis; steady_point runs that whole chain in one call, for
+one point or a stack of them. Closed-form references for one and two
+qubits live in qheat.models; the command line front end in qheat.cli.
 
 Units: hbar = k_B = 1 throughout.
 """
@@ -26,8 +27,8 @@ from .steady import (POSITIVITY_TOL, RESIDUAL_TOL, DegenerateSteadyStateError,
 from .system import (CoupledDiag, SystemSpec, make_coupled_qubits,
                      make_single_qubit)
 from .thermo import (SECOND_LAW_FAIL, SECOND_LAW_NA, SECOND_LAW_PASS,
-                     CurrentConsistencyError, CurrentReport, law_checks,
-                     reservoir_current)
+                     CurrentConsistencyError, CurrentReport, SteadyPoint,
+                     law_checks, reservoir_current, steady_point)
 
 __version__ = "0.1.0"
 
@@ -44,8 +45,8 @@ __all__ = [
     "svd_steady_state", "evolve", "gibbs_state", "positivity_report",
     "RESIDUAL_TOL", "POSITIVITY_TOL",
     "CurrentReport", "CurrentConsistencyError", "law_checks",
-    "reservoir_current", "SECOND_LAW_PASS", "SECOND_LAW_FAIL",
-    "SECOND_LAW_NA",
+    "reservoir_current", "SteadyPoint", "steady_point", "SECOND_LAW_PASS",
+    "SECOND_LAW_FAIL", "SECOND_LAW_NA",
     "SingleQubitResult", "single_qubit_closed", "RateParams", "coupled_rates",
     "CoupledLindbladResult", "coupled_lindblad_closed",
     "CoupledRedfieldResult", "coupled_redfield_closed", "limit_currents",

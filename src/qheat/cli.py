@@ -6,9 +6,12 @@ Subcommands:
     sweep     linear parameter sweep over either model, CSV output
     preset    canned sweeps fig3 / fig4 / fig5 (see PRESETS)
 
-All physics goes through the generic pipeline (kernel build, nullspace
-solve, per-reservoir currents), never through the closed forms, so CLI
-output exercises the same code path as any library caller.
+All physics goes through qheat.thermo.steady_point (kernel build,
+nullspace solve, per-reservoir currents), never through the closed
+forms, so CLI output exercises the same code path as any library caller:
+a point report is one steady_point call, and a sweep over bath
+parameters is one call per chunk of grid points, its rows written from
+the stacked result.
 
 Sweeps accept the pseudo-variable "tm", the mean temperature: sweeping tm
 moves T_A and T_B together, keeping their difference fixed at the value
@@ -44,6 +47,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -51,11 +55,11 @@ import numpy as np
 
 from . import __version__
 from .bath import BathSpec
-from .kernel import build_kernel, combine_kernels
-from .steady import (POSITIVITY_TOL, DensityMatrix, PositivityReport, SolveInfo,
-                     assemble_liouvillian, positivity_report, solve_steady_state)
+# not called here; perfbench/test_perfbench.py reads cli.build_kernel
+from .kernel import build_kernel  # noqa: F401
+from .steady import POSITIVITY_TOL, DensityMatrix, PositivityReport, SolveInfo
 from .system import make_coupled_qubits, make_single_qubit
-from .thermo import CurrentReport, law_checks, reservoir_current
+from .thermo import CurrentReport, law_checks, steady_point
 
 __all__ = ["PRESETS", "compute_point", "main", "render_sweep", "PointResult"]
 
@@ -89,40 +93,26 @@ def _model_system(model: str, params: dict):
     raise ValueError(f"unknown model {model!r}")
 
 
-def _bath(model: str, params: dict, reservoir: str) -> BathSpec:
-    return BathSpec(temperature=params[_TEMPERATURE_KEY[reservoir]],
-                    spectral_density=params[_COUPLING_KEY[model][reservoir]],
-                    label=reservoir)
-
-
-def _steady_tail(system, kernels: dict):
-    """Everything after the kernel build but the law checks: combine,
-    assemble, solve, currents and positivity. The kernels are one point's
-    or a sweep chunk's stacks; each layer takes either shape."""
-    liou = assemble_liouvillian(system, combine_kernels(
-        [kernels[r] for r in RESERVOIRS]))
-    rho, info = solve_steady_state(liou, full_output=True)
-    q = {r: reservoir_current(system, kernels[r], rho) for r in RESERVOIRS}
-    return rho, info, q, positivity_report(rho)
-
-
-def _point_result(params, rho, info, q, positivity) -> PointResult:
-    report = law_checks([(r, params[_TEMPERATURE_KEY[r]], q[r])
-                         for r in RESERVOIRS])
-    return PointResult(rho=rho, currents=q, report=report,
-                       positivity=positivity, solve_info=info)
+def _baths(model: str, params: dict) -> dict:
+    return {r: BathSpec(temperature=params[_TEMPERATURE_KEY[r]],
+                        spectral_density=params[_COUPLING_KEY[model][r]],
+                        label=r)
+            for r in RESERVOIRS}
 
 
 def compute_point(model: str, mode: str, params: dict) -> PointResult:
-    """Generic pipeline at one parameter point.
+    """One steady_point call at one parameter point, plus the law checks.
 
     params for model "single": w0, ga, gb, ta, tb; for model "coupled":
     w1, w2, lam, g, ta, tb (g applies to both reservoirs).
     """
-    system = _model_system(model, params)
-    kernels = {r: build_kernel(system, _bath(model, params, r), r, mode)
-               for r in RESERVOIRS}
-    return _point_result(params, *_steady_tail(system, kernels))
+    point = steady_point(_model_system(model, params), _baths(model, params),
+                         mode)
+    q = point.currents
+    return PointResult(rho=point.rho, currents=q,
+                       report=law_checks([("A", params["ta"], q["A"]),
+                                          ("B", params["tb"], q["B"])]),
+                       positivity=point.positivity, solve_info=point.solve_info)
 
 
 # ---------------------------------------------------------------- parsing
@@ -284,23 +274,35 @@ _BATH_VARS = ("ta", "tb", "tm", "ga", "gb", "g")
 _POINT_ERRORS = (ValueError, LookupError, RuntimeError)
 
 
-def _sweep_row(model, value, point: PointResult | None, error: str | None):
-    n_cols = len(_sweep_columns(model, "x"))
-    if error is not None:
-        return [_fmt(value)] + [""] * (n_cols - 2) + [f"error: {error}"]
-    pops = [_fmt(p) for p in point.rho.populations]
+def _sweep_row(model, value, params, rho, q_a, q_b, min_population):
+    """Row of one solved grid point from plain values: rho the N x N
+    steady-state matrix, the two currents, the smallest population, and
+    params for the temperatures the law checks compare."""
+    report = law_checks([("A", params["ta"], q_a), ("B", params["tb"], q_b)])
     cohs = []
     if model == "coupled":
-        rho23 = point.rho.entries[1, 2]
-        cohs = [_fmt(rho23.real), _fmt(rho23.imag)]
-    resid = point.report.conservation_residual
+        cohs = [_fmt(rho[1, 2].real), _fmt(rho[1, 2].imag)]
+    resid = report.conservation_residual
     status = "ok"
     if resid >= CONSERVATION_ROW_TOL:
         status = f"error: conservation residual {resid:.3e}"
-    return ([_fmt(value)] + pops + cohs
-            + [_fmt(point.currents["A"]), _fmt(point.currents["B"]),
-               _fmt(resid), _fmt(point.positivity.min_population),
-               point.report.second_law, status])
+    return ([_fmt(value)] + [_fmt(p) for p in np.diagonal(rho).real] + cohs
+            + [_fmt(q_a), _fmt(q_b), _fmt(resid), _fmt(min_population),
+               report.second_law, status])
+
+
+def _point_row(model, mode, value, params):
+    """Row of one grid point solved alone; an error it raises becomes an
+    error row."""
+    try:
+        point = steady_point(_model_system(model, params),
+                             _baths(model, params), mode)
+    except _POINT_ERRORS as exc:
+        n_cols = len(_sweep_columns(model, "x"))
+        return [_fmt(value)] + [""] * (n_cols - 2) + [f"error: {exc}"]
+    return _sweep_row(model, value, params, point.rho.entries,
+                      point.currents["A"], point.currents["B"],
+                      point.positivity.min_population)
 
 
 def parse_range(spec: str):
@@ -311,6 +313,9 @@ def parse_range(spec: str):
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"bad range {spec!r}: {exc}") from exc
+    for name, bound in (("start", start), ("stop", stop)):
+        if not math.isfinite(bound):
+            raise UsageError(f"range {name} must be finite, got {bound}")
     if count < 2:
         raise UsageError(f"range needs count >= 2, got {count}")
     if not start < stop:
@@ -318,68 +323,45 @@ def parse_range(spec: str):
     return start, stop, count
 
 
-def _row(model, value, solve, *args):
-    """Sweep row of one grid point; an error that solve(*args) raises
-    becomes an error row."""
-    try:
-        return _sweep_row(model, value, solve(*args), None)
-    except _POINT_ERRORS as exc:
-        return _sweep_row(model, value, None, str(exc))
-
-
-def _chunk_point(params, j, rho, info, q, positivity) -> PointResult:
-    """The PointResult of entry j of a chunk's stacked tail results."""
-    return _point_result(
-        params, DensityMatrix(dim=rho.dim, entries=rho.entries[j]),
-        SolveInfo(residual=float(info.residual[j]),
-                  hermiticity_defect=float(info.hermiticity_defect[j]),
-                  null_singular_values=tuple(info.null_singular_values[j].tolist())),
-        {r: float(q[r][j]) for r in RESERVOIRS},
-        PositivityReport(min_population=float(positivity.min_population[j]),
-                         min_eigenvalue=float(positivity.min_eigenvalue[j]),
-                         hermiticity_defect=float(positivity.hermiticity_defect[j])))
-
-
 def _bath_sweep_rows(model, mode, base_params, points):
     """Rows of a sweep whose grid points differ only in their baths.
 
-    The system is built once, and per chunk of SWEEP_CHUNK grid points
-    each reservoir's kernels are built as one stack, which goes through
-    the tail (combine, assemble, solve, currents, positivity) as one
-    batched call per layer. Stack entries are bit-identical to per-point
-    results, so every row equals the compute_point row. Points whose
-    baths are invalid, and all points of a chunk in which any layer
-    raises, run through compute_point one at a time, so each error row
-    carries the message a per-point run gives.
+    The system is built once. Per chunk of SWEEP_CHUNK grid points one
+    steady_point call gets each reservoir's baths as a list, so every
+    layer runs once on the chunk's (B, N^2, N^2) stack, and each row is
+    written from that entry's plain values (its N x N matrix, currents
+    and smallest population). Stack entries are bit-identical to
+    one-point results, so every row equals the row of the point solved
+    alone. Points whose baths are invalid, and all points of a chunk in
+    which any layer raises, are solved one at a time, so each error row
+    carries the message a one-point run gives.
     """
-    def one_at_a_time(value, params):
-        return _row(model, value, compute_point, model, mode, params)
-
     try:
         system = _model_system(model, base_params)
     except _POINT_ERRORS:
-        return [one_at_a_time(v, p) for v, p in points]
+        return [_point_row(model, mode, v, p) for v, p in points]
     rows = [None] * len(points)
     batch = []
     for i, (value, params) in enumerate(points):
         try:
-            batch.append((i, {r: _bath(model, params, r) for r in RESERVOIRS}))
+            batch.append((i, _baths(model, params)))
         except _POINT_ERRORS:
-            rows[i] = one_at_a_time(value, params)
+            rows[i] = _point_row(model, mode, value, params)
     for start in range(0, len(batch), SWEEP_CHUNK):
         chunk = batch[start:start + SWEEP_CHUNK]
         try:
-            kernels = {r: build_kernel(system, [baths[r] for _, baths in chunk],
-                                       r, mode) for r in RESERVOIRS}
-            tail = _steady_tail(system, kernels)
+            stack = steady_point(system, {r: [baths[r] for _, baths in chunk]
+                                          for r in RESERVOIRS}, mode)
         except _POINT_ERRORS:
             for i, _ in chunk:
-                rows[i] = one_at_a_time(*points[i])
+                rows[i] = _point_row(model, mode, *points[i])
             continue
+        q, min_pop = stack.currents, stack.positivity.min_population
         for j, (i, _) in enumerate(chunk):
             value, params = points[i]
-            rows[i] = _sweep_row(model, value, _chunk_point(params, j, *tail),
-                                 None)
+            rows[i] = _sweep_row(model, value, params, stack.rho.entries[j],
+                                 q["A"][j], q["B"][j], min_pop[j])
+        del stack       # its stacks must not outlive this chunk into the next
     return rows
 
 
@@ -389,11 +371,11 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
     """Run the sweep and return (csv_text, n_error_rows, worst_min_population).
 
     Sweeps over a bath parameter (ta, tb, tm, ga, gb, g) build the system
-    once, and the kernels and the steady-state tail once per chunk of
-    grid points, as (B, N^2, N^2) stacks; other sweeps run compute_point
-    per point. Either way every row equals the one
-    compute_point gives at that grid point, and rows follow the grid, so
-    output is deterministic for a fixed configuration.
+    once and run steady_point once per chunk of grid points, on
+    (B, N^2, N^2) stacks; other sweeps run steady_point per point.
+    Either way every row equals the one-point row at that grid point,
+    and rows follow the grid, so output is deterministic for a fixed
+    configuration.
     """
     valid = (*_MODEL_FLAGS.get(model, ()), "tm")
     if var not in valid:
@@ -415,7 +397,7 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
     if var in _BATH_VARS:
         rows = _bath_sweep_rows(model, mode, base_params, points)
     else:
-        rows = [_row(model, v, compute_point, model, mode, p) for v, p in points]
+        rows = [_point_row(model, mode, v, p) for v, p in points]
 
     n_bad = sum(1 for r in rows if r[-1] != "ok")
     min_pop = min((float(r[-3]) for r in rows if r[-1] == "ok"), default=0.0)

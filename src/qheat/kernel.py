@@ -199,6 +199,8 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
         correlation = functools.partial(bath_correlation, bath)
     else:
         batch = tuple(bath)
+        if not batch:
+            raise ValueError("bath sequence is empty; need at least one BathSpec")
 
         def correlation(a, b, omega):
             return np.array([bath_correlation(x, a, b, omega) for x in batch],
@@ -278,8 +280,10 @@ def check_trace_condition(K: SuperKernel):
 
 
 def combine_kernels(kernels, allow_mixed_modes: bool = False) -> SuperKernel:
-    """Entrywise sum of per-reservoir kernels of equal dimension; for
-    stacked kernels, the sum of each entry.
+    """Entrywise sum of per-reservoir kernels of equal data shape; for
+    stacked kernels, the sum of each entry. Kernels whose data shapes
+    differ (another dimension, a stack beside a single kernel, stacks of
+    unequal length) are refused with both shapes named.
 
     Mixing Redfield and Lindblad kernels is almost always a modelling
     mistake, so it is refused unless allow_mixed_modes is set, and warned
@@ -288,10 +292,10 @@ def combine_kernels(kernels, allow_mixed_modes: bool = False) -> SuperKernel:
     kernels = list(kernels)
     if not kernels:
         raise ValueError("need at least one kernel")
-    dim = kernels[0].dim
+    shape = kernels[0].data.shape
     for k in kernels[1:]:
-        if k.dim != dim:
-            raise ValueError(f"kernel dimensions differ: {dim} vs {k.dim}")
+        if k.data.shape != shape:
+            raise ValueError(f"kernel data shapes differ: {shape} vs {k.data.shape}")
     modes = {k.mode for k in kernels}
     if len(modes) > 1:
         if not allow_mixed_modes:
@@ -304,6 +308,6 @@ def combine_kernels(kernels, allow_mixed_modes: bool = False) -> SuperKernel:
         data += k.data
     data.flags.writeable = False
     mode = kernels[0].mode if len(modes) == 1 else "mixed"
-    return SuperKernel(dim=dim, data=data, mode=mode,
+    return SuperKernel(dim=kernels[0].dim, data=data, mode=mode,
                        reservoir="+".join(k.reservoir for k in kernels),
                        reservoirs=tuple(r for k in kernels for r in k.reservoirs))

@@ -15,6 +15,14 @@ assumptions.
 reservoir_current also takes a stacked kernel and a stacked steady state,
 (B, N^2, N^2) and (B, N, N) as built for a sweep chunk, and returns one
 current per entry, each bit-identical to the current of that entry alone.
+
+steady_point is the whole pipeline in one call, and every composition in
+the package (the CLI's points and sweeps) goes through it: one kernel per
+reservoir, their sum, the generator, its trace-one null vector, each
+reservoir's current through its own kernel, and the positivity report.
+Given one bath per reservoir it solves one point; given a list of B baths
+per reservoir it runs each layer once on the (B, N^2, N^2) stack, and
+every entry is bit-identical to the one-point result for its baths.
 """
 
 from __future__ import annotations
@@ -23,15 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel, steady
 from .kernel import SuperKernel
-from .steady import DensityMatrix
+from .steady import DensityMatrix, Liouvillian, PositivityReport, SolveInfo
 from .system import SystemSpec
 
 __all__ = [
     "CurrentConsistencyError",
     "CurrentReport",
+    "SteadyPoint",
     "law_checks",
     "reservoir_current",
+    "steady_point",
 ]
 
 IMAG_TOL = 1e-10
@@ -111,3 +122,42 @@ def law_checks(report_inputs) -> CurrentReport:
         verdict = SECOND_LAW_FAIL
     return CurrentReport(currents=items, conservation_residual=residual,
                          second_law=verdict)
+
+
+@dataclass(frozen=True, eq=False)
+class SteadyPoint:
+    """Everything the pipeline computes at one point, or at each entry of
+    a stack: per-entry values then carry a leading batch axis, as in
+    SolveInfo and PositivityReport, and currents are arrays."""
+
+    rho: DensityMatrix
+    currents: dict                  # reservoir label -> q^R
+    kernels: dict                   # reservoir label -> SuperKernel
+    liouvillian: Liouvillian
+    solve_info: SolveInfo
+    positivity: PositivityReport
+
+
+def steady_point(system: SystemSpec, baths: dict, mode: str) -> SteadyPoint:
+    """Steady state, heat currents and diagnostics of system between baths.
+
+    baths maps each reservoir label to one BathSpec, or to a list of B
+    BathSpecs for a stack of B points; kernels are combined in the order
+    of baths. Each layer (build_kernel per reservoir, combine_kernels,
+    assemble_liouvillian, solve_steady_state, reservoir_current per
+    reservoir, positivity_report) runs once, looked up on its module at
+    call time, so a wrapper put on the module attribute sees every call.
+    Lists of unequal length are refused by combine_kernels, which names
+    both shapes; the first entry that fails a check raises the error it
+    raises alone.
+    """
+    kernels = {r: kernel.build_kernel(system, b, r, mode)
+               for r, b in baths.items()}
+    liou = steady.assemble_liouvillian(
+        system, kernel.combine_kernels(kernels.values()))
+    rho, info = steady.solve_steady_state(liou, full_output=True)
+    return SteadyPoint(
+        rho=rho,
+        currents={r: reservoir_current(system, k, rho) for r, k in kernels.items()},
+        kernels=kernels, liouvillian=liou, solve_info=info,
+        positivity=steady.positivity_report(rho))

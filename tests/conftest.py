@@ -1,21 +1,13 @@
 import pytest
 
-from qheat import (BathSpec, assemble_liouvillian, build_kernel,
-                   combine_kernels, make_coupled_qubits, make_single_qubit,
-                   reservoir_current, solve_steady_state)
+from qheat import BathSpec, make_coupled_qubits, make_single_qubit, steady_point
 
 
 def _run_pipeline(system, mode, g_of, t_of):
-    kernels = {}
-    for label in system.reservoirs:
-        bath = BathSpec(temperature=t_of[label], spectral_density=g_of[label],
-                        label=label)
-        kernels[label] = build_kernel(system, bath, label, mode)
-    liou = assemble_liouvillian(system, combine_kernels(list(kernels.values())))
-    rho = solve_steady_state(liou)
-    currents = {label: reservoir_current(system, kernels[label], rho)
-                for label in kernels}
-    return rho, currents, kernels, liou
+    point = steady_point(system, {r: BathSpec(temperature=t_of[r],
+                                              spectral_density=g_of[r], label=r)
+                                  for r in system.reservoirs}, mode)
+    return point.rho, point.currents, point.kernels, point.liouvillian
 
 
 @pytest.fixture

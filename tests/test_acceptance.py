@@ -30,10 +30,9 @@ from qheat.cli import main as cli_main
 from qheat.kernel import build_kernel, check_trace_condition, combine_kernels
 from qheat.models import (coupled_lindblad_closed, coupled_redfield_closed,
                           limit_currents, single_qubit_closed)
-from qheat.steady import (DensityMatrix, assemble_liouvillian, evolve,
-                          positivity_report, solve_steady_state)
+from qheat.steady import DensityMatrix, evolve, positivity_report
 from qheat.system import make_coupled_qubits, make_single_qubit
-from qheat.thermo import reservoir_current
+from qheat.thermo import steady_point
 
 TOL = 1e-10
 
@@ -48,15 +47,10 @@ def deviation(a, b):
 
 
 def run_pipeline(system, g_of, t_of, mode):
-    kernels = {}
-    for r in sorted(g_of):
-        bath = BathSpec(temperature=t_of[r], spectral_density=g_of[r], label=r)
-        kernels[r] = build_kernel(system, bath, r, mode)
-    liou = assemble_liouvillian(
-        system, combine_kernels([kernels[r] for r in sorted(kernels)]))
-    rho = solve_steady_state(liou)
-    q = {r: reservoir_current(system, kernels[r], rho) for r in kernels}
-    return rho, q, kernels, liou
+    point = steady_point(system, {r: BathSpec(temperature=t_of[r],
+                                              spectral_density=g_of[r], label=r)
+                                  for r in sorted(g_of)}, mode)
+    return point.rho, point.currents, point.kernels, point.liouvillian
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qheat import cli
+from qheat import cli, kernel, steady
 from qheat.cli import (PRESETS, UsageError, compute_point, main, parse_range,
                        render_sweep)
 
@@ -303,7 +303,7 @@ def test_compute_point_rejects_unknown_model():
 
 
 def _per_point_csv(model, mode, params, var, start, stop, count):
-    """The sweep CSV built one compute_point call per grid point."""
+    """The sweep CSV built one grid point at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cli._sweep_columns(model, var))
@@ -315,11 +315,7 @@ def _per_point_csv(model, mode, params, var, start, stop, count):
             p["ta"], p["tb"] = value + half, value - half
         else:
             p[var] = value
-        try:
-            row = cli._sweep_row(model, value, compute_point(model, mode, p), None)
-        except (ValueError, LookupError, RuntimeError) as exc:
-            row = cli._sweep_row(model, value, None, str(exc))
-        writer.writerow(row)
+        writer.writerow(cli._point_row(model, mode, value, p))
     return buf.getvalue()
 
 
@@ -345,9 +341,9 @@ def test_bath_sweeps_equal_per_point_rows(model, mode, params, var, start,
 
 def test_bath_sweep_longer_than_chunk(monkeypatch):
     calls, solves, per_point = [], [], []
-    real_build = cli.build_kernel
-    real_solve = cli.solve_steady_state
-    real_point = cli.compute_point
+    real_build = kernel.build_kernel
+    real_solve = steady.solve_steady_state
+    real_point = cli._point_row
 
     def counting_build(system, bath, reservoir, mode):
         if isinstance(bath, list):
@@ -358,13 +354,14 @@ def test_bath_sweep_longer_than_chunk(monkeypatch):
         solves.append(liou.matrix.shape[:-2])
         return real_solve(liou, **kwargs)
 
-    def counting_point(model, mode, params):
+    def counting_point(model, mode, value, params):
         per_point.append(params["tb"])
-        return real_point(model, mode, params)
+        return real_point(model, mode, value, params)
 
-    monkeypatch.setattr(cli, "build_kernel", counting_build)
-    monkeypatch.setattr(cli, "solve_steady_state", counting_solve)
-    monkeypatch.setattr(cli, "compute_point", counting_point)
+    # steady_point looks each layer up on its module
+    monkeypatch.setattr(kernel, "build_kernel", counting_build)
+    monkeypatch.setattr(steady, "solve_steady_state", counting_solve)
+    monkeypatch.setattr(cli, "_point_row", counting_point)
     monkeypatch.setattr(cli, "SWEEP_CHUNK", 4)
     params = dict(_COUPLED, ta=3.0, tb=1.0)
     text, n_bad, _ = render_sweep("coupled", "lindblad", params, "tm",
@@ -372,7 +369,7 @@ def test_bath_sweep_longer_than_chunk(monkeypatch):
     # grid step 0.25; T_B = T - 1 is negative below T = 1, at 8 points
     assert n_bad == 8
     # 13 valid points: one build per reservoir and one stacked solve per
-    # chunk of 4; only the 8 invalid points run through compute_point
+    # chunk of 4; only the 8 invalid points are solved one at a time
     assert calls == [4, 4, 4, 4, 4, 4, 1, 1]
     assert solves == [(4,), (4,), (4,), (1,)]
     assert len(per_point) == 8 and all(tb < 0 for tb in per_point)
@@ -465,3 +462,11 @@ def test_non_finite_inputs_are_rejected(capsys):
     _, _, rows = read_csv_text(captured.out)
     assert [r[-1] for r in rows] == ["error: temperature must be finite, got inf"] * 2
     assert "2 grid point(s)" in captured.err
+    # a non-finite range bound is refused before any grid is built
+    for spec, message in (("-inf:1:3", "range start must be finite, got -inf"),
+                          ("0:inf:3", "range stop must be finite, got inf"),
+                          ("nan:1:3", "range start must be finite, got nan")):
+        assert main(["sweep", "--var", "ta", f"--range={spec}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qheat: {message}\n"

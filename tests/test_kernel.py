@@ -280,6 +280,8 @@ def test_build_kernel_input_validation():
         build_kernel(system, bath, "A", "secular")
     with pytest.raises(KeyError):
         build_kernel(system, bath, "C", "lindblad")
+    with pytest.raises(ValueError, match="bath sequence is empty"):
+        build_kernel(system, [], "A", "lindblad")
 
 
 def test_combine_kernels_behaviour():
@@ -296,8 +298,18 @@ def test_combine_kernels_behaviour():
         combine_kernels([])
     other = build_kernel(make_coupled_qubits(1.0, 2.0, 0.5)[0],
                          bath_a, "A", "lindblad")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(4, 4\) vs \(16, 16\)"):
         combine_kernels([ka, other])
+    # a stack beside a single kernel, or stacks of unequal length, are
+    # refused in either order instead of broadcasting
+    stack3 = build_kernel(system, [bath_b] * 3, "B", "lindblad")
+    stack1 = build_kernel(system, [bath_b], "B", "lindblad")
+    for first, second in ((stack3, ka), (ka, stack3), (stack3, stack1),
+                          (stack1, stack3)):
+        with pytest.raises(ValueError) as exc:
+            combine_kernels([first, second])
+        assert str(exc.value) == (f"kernel data shapes differ: "
+                                  f"{first.data.shape} vs {second.data.shape}")
 
 
 def test_reservoir_labels_may_contain_plus():

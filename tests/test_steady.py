@@ -7,15 +7,14 @@ from qheat import (BathSpec, DegenerateSteadyStateError, DensityMatrix,
                    build_kernel, combine_kernels, coupled_rates, evolve,
                    gibbs_state, make_coupled_qubits, make_single_qubit,
                    pair_index, planck_occupation, positivity_report,
-                   reservoir_current, solve_steady_state, svd_steady_state)
+                   reservoir_current, solve_steady_state, steady_point,
+                   svd_steady_state)
 
 
 def _liouvillian(system, g_of, t_of, mode):
-    kernels = [build_kernel(system,
-                            BathSpec(temperature=t_of[r], spectral_density=g_of[r],
-                                     label=r), r, mode)
-               for r in system.reservoirs]
-    return assemble_liouvillian(system, combine_kernels(kernels))
+    return steady_point(system, {r: BathSpec(temperature=t_of[r],
+                                             spectral_density=g_of[r], label=r)
+                                 for r in g_of}, mode).liouvillian
 
 
 def test_liouvillian_phase_and_population_rows():
@@ -129,8 +128,9 @@ def test_degenerate_nullspace_is_refused():
     # name the trace residual alpha*beta*|g_A - g_B| as the cause
     system, diag = make_coupled_qubits(1.0, 2.0, 0.5)
     for g_b, residual in ((0.5, "1.768e-01"), (0.4, "2.121e-01")):
-        L = _liouvillian(system, {"A": 1.0, "B": g_b}, {"A": 1.5, "B": 1.0},
-                         "redfield")
+        L = assemble_liouvillian(system, combine_kernels([build_kernel(
+            system, BathSpec(temperature=t, spectral_density=g, label=r), r,
+            "redfield") for r, g, t in (("A", 1.0, 1.5), ("B", g_b, 1.0))]))
         with pytest.raises(DegenerateSteadyStateError) as exc:
             solve_steady_state(L)
         assert str(exc.value).startswith(
@@ -337,8 +337,9 @@ def test_stacked_solve_raises_the_failing_entrys_message():
     system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
     good = [_liouvillian(system, {"A": 1.0, "B": 1.0}, {"A": ta, "B": 1.0},
                          "redfield") for ta in (1.5, 2.0)]
-    leaky = _liouvillian(system, {"A": 1.0, "B": 0.5}, {"A": 1.5, "B": 1.0},
-                         "redfield")
+    leaky = assemble_liouvillian(system, combine_kernels([build_kernel(
+        system, BathSpec(temperature=t, spectral_density=g, label=r), r,
+        "redfield") for r, g, t in (("A", 1.0, 1.5), ("B", 0.5, 1.0))]))
     with pytest.raises(DegenerateSteadyStateError) as own:
         solve_steady_state(leaky)
     stack = Liouvillian(dim=4, matrix=np.stack(

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from qheat import (CurrentConsistencyError, CurrentReport, DensityMatrix,
-                   gibbs_state, law_checks, make_coupled_qubits,
-                   planck_occupation, reservoir_current)
+from qheat import (BathSpec, CurrentConsistencyError, CurrentReport,
+                   DensityMatrix, gibbs_state, law_checks, make_coupled_qubits,
+                   make_single_qubit, planck_occupation, reservoir_current,
+                   steady_point)
 
 
 def test_single_qubit_current_reference(single_pipeline):
@@ -107,3 +108,38 @@ def test_second_law_direction(single_pipeline):
     assert q["A"] < 0
     report = law_checks([("A", 1.0, q["A"]), ("B", 2.0, q["B"])])
     assert report.second_law == "pass"
+
+
+@pytest.mark.parametrize("mode", ["lindblad", "redfield"])
+@pytest.mark.parametrize("model", ["single", "coupled"])
+def test_stacked_steady_point_equals_one_point_calls(model, mode):
+    if model == "single":
+        system, g_b = make_single_qubit(1.0), 0.7
+    else:
+        # the coupled redfield total keeps trace only at equal couplings
+        system, g_b = make_coupled_qubits(1.0, 2.0, 0.5)[0], 1.0
+    points = [{"A": BathSpec(temperature=ta, spectral_density=1.0, label="A"),
+               "B": BathSpec(temperature=tb, spectral_density=g_b, label="B")}
+              for ta, tb in ((1.5, 1.0), (2.0, 0.5), (3.0, 1.2), (0.8, 0.8))]
+    stack = steady_point(system, {r: [p[r] for p in points] for r in "AB"},
+                         mode)
+    assert stack.rho.entries.shape == (len(points), system.dim, system.dim)
+    for j, baths in enumerate(points):
+        one = steady_point(system, baths, mode)
+        assert stack.rho.entries[j].tobytes() == one.rho.entries.tobytes()
+        for r in "AB":
+            assert stack.currents[r][j].tobytes() == \
+                np.float64(one.currents[r]).tobytes()
+        assert stack.positivity.min_eigenvalue[j].tobytes() == \
+            np.float64(one.positivity.min_eigenvalue).tobytes()
+
+
+def test_steady_point_refuses_bath_lists_of_unequal_length():
+    system = make_single_qubit(1.0)
+    bath = BathSpec(temperature=1.0, spectral_density=1.0)
+    for a, b, shapes in (([bath] * 3, [bath] * 2, "(3, 4, 4) vs (2, 4, 4)"),
+                         ([bath] * 2, [bath] * 3, "(2, 4, 4) vs (3, 4, 4)"),
+                         (bath, [bath] * 3, "(4, 4) vs (3, 4, 4)")):
+        with pytest.raises(ValueError) as exc:
+            steady_point(system, {"A": a, "B": b}, "lindblad")
+        assert str(exc.value) == f"kernel data shapes differ: {shapes}"
