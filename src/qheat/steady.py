@@ -51,6 +51,7 @@ __all__ = [
 RESIDUAL_TOL = 1e-10        # accepted ||M vec(rho)||_inf
 NULLSPACE_RTOL = 1e-10      # sigma_i <= rtol * sigma_max counts as zero
 TRACE_DRIFT_TOL = 1e-8
+RK4_RADIUS_TOL = 1e-9       # one-step propagator radius above 1 + tol
 POSITIVITY_TOL = 1e-10
 
 
@@ -121,6 +122,8 @@ class DensityMatrix:
 def gibbs_state(levels, T: float) -> DensityMatrix:
     """Thermal state exp(-E_n/T)/Z; T = 0 collapses onto the lowest level(s)."""
     E = np.asarray([float(e) for e in levels])
+    if not math.isfinite(T):
+        raise ValueError(f"temperature must be finite, got {T}")
     if T < 0:
         raise ValueError(f"temperature must be >= 0, got {T}")
     if T == 0.0:
@@ -280,13 +283,20 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
 
     An oracle for the steady-state solvers rather than a production
     integrator: constant step, no error control. The default step is
-    0.01/||M||_inf. Raises IntegrationError if the state norm blows up or
-    the trace drifts by more than 1e-8 over the whole run.
+    0.01/||M||_inf. Raises ValueError for a non-finite t_final or dt, and
+    IntegrationError if the step lies outside RK4's stability region (the
+    one-step propagator has spectral radius above 1 + 1e-9), the state
+    norm blows up, or the trace drifts by more than 1e-8 over the whole
+    run.
     """
     if L.matrix.ndim != 2 or rho0.entries.ndim != 2:
         raise ValueError("evolve takes one generator and one state, not stacks")
     if rho0.dim != L.dim:
         raise ValueError(f"state dim {rho0.dim} does not match generator dim {L.dim}")
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
+    if dt is not None and not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
     if t_final < 0:
         raise ValueError(f"t_final must be >= 0, got {t_final}")
     if t_final == 0:
@@ -298,6 +308,14 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
         raise ValueError(f"dt must be > 0, got {dt}")
     steps = max(1, math.ceil(t_final / dt))
     h = t_final / steps
+    hm = h * m
+    hm2 = hm @ hm
+    step = np.eye(len(m)) + hm + hm2 / 2 + hm2 @ (hm / 6 + hm2 / 24)
+    radius = float(np.abs(np.linalg.eigvals(step)).max())
+    if radius > 1 + RK4_RADIUS_TOL:
+        raise IntegrationError(
+            f"step size {h:g} is outside the RK4 stability region (one-step "
+            f"propagator spectral radius {radius:.6g}); reduce dt")
     y = rho0.entries.reshape(-1).astype(complex)
     stride = L.dim + 1
     trace0 = y[::stride].sum()

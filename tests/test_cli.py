@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from qheat.cli import (PRESETS, UsageError, compute_point, main, parse_range,
                        render_sweep)
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_csv_text(text):
@@ -470,3 +474,113 @@ def test_non_finite_inputs_are_rejected(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"qheat: {message}\n"
+
+
+# ------------------------------------------------ output file, in place
+
+def _stdout_of(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("old", [b"stale line\n" * 5000, b"x"])
+def test_out_rewrites_existing_file_exactly(old, tmp_path, capsys):
+    """A longer old file leaves no stale tail; a shorter one is extended."""
+    want = _stdout_of(["single", "--ta", "2"], capsys)
+    path = tmp_path / "out.txt"
+    path.write_bytes(old)
+    assert main(["single", "--ta", "2", "--out", str(path)]) == 0
+    assert path.read_bytes() == want
+
+
+def test_out_keeps_the_inode_and_hard_links(tmp_path, capsys):
+    want = _stdout_of(["coupled"], capsys)
+    path, link = tmp_path / "out.txt", tmp_path / "link.txt"
+    path.write_bytes(b"old contents, longer than nothing\n" * 100)
+    os.link(path, link)
+    inode = os.stat(path).st_ino
+    assert main(["coupled", "--out", str(path)]) == 0
+    assert os.stat(path).st_ino == inode
+    assert link.read_bytes() == want
+
+
+def test_out_opens_without_truncating(monkeypatch, tmp_path):
+    flags, real_open = [], os.open
+
+    def spy(path, flag, *args):
+        flags.append(flag)
+        return real_open(path, flag, *args)
+
+    monkeypatch.setattr(os, "open", spy)
+    cli._write_output(str(tmp_path / "out.txt"), "text\n")
+    assert flags and not any(f & os.O_TRUNC for f in flags)
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_out_to_null_device(capsys):
+    assert main(["single", "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_out_directory_is_an_error(tmp_path, capsys):
+    with pytest.raises(OSError) as exc:
+        open(tmp_path, "w")     # the message of a plain truncating open
+    want = f"qheat: cannot write {str(tmp_path)!r}: {exc.value}\n"
+    assert main(["single", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == want
+
+
+def test_preset_twice_onto_one_path_equals_reference(tmp_path):
+    path = tmp_path / "fig4.csv"
+    path.write_bytes((REFERENCE_DIR / "fig5.csv").read_bytes())    # longer
+    for _ in range(2):
+        assert main(["preset", "fig4", "--out", str(path)]) == 0
+    assert path.read_bytes() == (REFERENCE_DIR / "fig4.csv").read_bytes()
+
+
+# ------------------------------------------------ one parser per process
+
+def test_shared_parser_equals_fresh_processes(tmp_path, capsys):
+    """Invocations run through main in one process print exactly what
+    each prints in a fresh process, so no flag value carries over."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"ta": 3.0, "w0": 2.0}))
+    invocations = [["single", "--ta", "3"], ["single"],
+                   ["single", "--config", str(cfg), "--tb", "1.5"], ["single"],
+                   ["single", "--bogus"], ["sweep", "--var", "ta"],
+                   ["coupled", "--lambda", "0.3", "--mode", "redfield"],
+                   ["coupled"], ["preset", "fig4", "--no-header"],
+                   ["preset", "fig4"]]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+    for argv in invocations:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "qheat.cli", *argv],
+                               capture_output=True, env=env, check=False)
+        assert (captured.out.encode(), captured.err.encode(), code) == \
+            (fresh.stdout, fresh.stderr, fresh.returncode), argv
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built, build = [], cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    try:
+        for argv in (["single"], ["single", "--ta", "2"], ["coupled"]):
+            assert main(argv) == 0
+        with pytest.raises(SystemExit):
+            main(["single", "--bogus"])
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert built == [1]

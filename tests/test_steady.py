@@ -162,6 +162,8 @@ def test_gibbs_state_construction():
     assert np.allclose(split.populations, [0.5, 0.5, 0.0])
     with pytest.raises(ValueError):
         gibbs_state((0.0, 1.0), -1.0)
+    with pytest.raises(ValueError, match="temperature must be finite, got nan"):
+        gibbs_state((0.0, 1.0), float("nan"))
 
 
 def test_evolve_zero_time_is_identity():
@@ -209,6 +211,30 @@ def test_evolve_guards():
     # a step far outside the stability region must be caught, not returned
     with pytest.raises(IntegrationError):
         evolve(L, rho0, 50.0, dt=5.0)
+    for t_final, dt, name in ((np.inf, None, "t_final"), (np.nan, None, "t_final"),
+                              (1.0, np.inf, "dt"), (1.0, np.nan, "dt")):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            evolve(L, rho0, t_final, dt=dt)
+
+
+@pytest.mark.parametrize("model, mode", [("single", "lindblad"),
+                                         ("coupled", "lindblad"),
+                                         ("coupled", "redfield")])
+def test_evolve_rejects_one_unstable_step(model, mode):
+    """A single step outside RK4's stability region used to return
+    populations like -671.8 and 672.8 without an error."""
+    if model == "single":
+        system = make_single_qubit(1.0)
+    else:
+        system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
+    L = _liouvillian(system, {"A": 1.0, "B": 1.0}, {"A": 2.0, "B": 1.0}, mode)
+    rho0 = DensityMatrix(dim=system.dim, entries=np.eye(system.dim) / system.dim)
+    with pytest.raises(IntegrationError, match="step size 3 is outside the RK4 "
+                                               "stability region"):
+        evolve(L, rho0, 3.0, dt=3.0)
+    with pytest.raises(IntegrationError, match="spectral radius 1\\."):
+        evolve(L, rho0, 0.5, dt=0.5)
+    assert evolve(L, rho0, 0.5, dt=0.005).trace == pytest.approx(1.0)
 
 
 def test_density_matrix_type():
