@@ -280,35 +280,34 @@ _BATH_VARS = ("ta", "tb", "tm", "ga", "gb", "g")
 _POINT_ERRORS = (ValueError, LookupError, RuntimeError)
 
 
-def _sweep_row(model, value, params, rho, q_a, q_b, min_population):
+def _sweep_row(model, value, rho, q_a, q_b, min_population, resid,
+               second_law):
     """Row of one solved grid point from plain values: rho the N x N
     steady-state matrix, the two currents, the smallest population, and
-    params for the temperatures the law checks compare."""
-    report = law_checks([("A", params["ta"], q_a), ("B", params["tb"], q_b)])
+    the law checks' conservation residual and second-law verdict."""
     cohs = []
     if model == "coupled":
         cohs = [_fmt(rho[1, 2].real), _fmt(rho[1, 2].imag)]
-    resid = report.conservation_residual
     status = "ok"
     if resid >= CONSERVATION_ROW_TOL:
         status = f"error: conservation residual {resid:.3e}"
     return ([_fmt(value)] + [_fmt(p) for p in np.diagonal(rho).real] + cohs
             + [_fmt(q_a), _fmt(q_b), _fmt(resid), _fmt(min_population),
-               report.second_law, status])
+               second_law, status])
 
 
 def _point_row(model, mode, value, params):
     """Row of one grid point solved alone; an error it raises becomes an
     error row."""
     try:
-        point = steady_point(_model_system(model, params),
-                             _baths(model, params), mode)
+        point = compute_point(model, mode, params)
     except _POINT_ERRORS as exc:
         n_cols = len(_sweep_columns(model, "x"))
         return [_fmt(value)] + [""] * (n_cols - 2) + [f"error: {exc}"]
-    return _sweep_row(model, value, params, point.rho.entries,
-                      point.currents["A"], point.currents["B"],
-                      point.positivity.min_population)
+    return _sweep_row(model, value, point.rho.entries, point.currents["A"],
+                      point.currents["B"], point.positivity.min_population,
+                      point.report.conservation_residual,
+                      point.report.second_law)
 
 
 def parse_range(spec: str):
@@ -334,11 +333,12 @@ def _bath_sweep_rows(model, mode, base_params, points):
 
     The system is built once. Per chunk of SWEEP_CHUNK grid points one
     steady_point call gets each reservoir's baths as a list, so every
-    layer runs once on the chunk's (B, N^2, N^2) stack, and each row is
-    written from that entry's plain values (its N x N matrix, currents
-    and smallest population). Stack entries are bit-identical to
-    one-point results, so every row equals the row of the point solved
-    alone. Points whose baths are invalid, and all points of a chunk in
+    layer runs once on the chunk's (B, N^2, N^2) stack, law_checks runs
+    once on the chunk's current and temperature arrays, and each row is
+    written from that entry's plain values (its N x N matrix, currents,
+    smallest population, residual and verdict). Stack entries are
+    bit-identical to one-point results, so every row equals the row of
+    the point solved alone. Points whose baths are invalid, and all points of a chunk in
     which any layer raises, are solved one at a time, so each error row
     carries the message a one-point run gives.
     """
@@ -363,10 +363,14 @@ def _bath_sweep_rows(model, mode, base_params, points):
                 rows[i] = _point_row(model, mode, *points[i])
             continue
         q, min_pop = stack.currents, stack.positivity.min_population
+        params = [points[i][1] for i, _ in chunk]
+        report = law_checks([("A", [p["ta"] for p in params], q["A"]),
+                             ("B", [p["tb"] for p in params], q["B"])])
+        resid, verdict = report.conservation_residual, report.second_law
         for j, (i, _) in enumerate(chunk):
-            value, params = points[i]
-            rows[i] = _sweep_row(model, value, params, stack.rho.entries[j],
-                                 q["A"][j], q["B"][j], min_pop[j])
+            rows[i] = _sweep_row(model, points[i][0], stack.rho.entries[j],
+                                 q["A"][j], q["B"][j], min_pop[j], resid[j],
+                                 verdict[j])
         del stack       # its stacks must not outlive this chunk into the next
     return rows
 

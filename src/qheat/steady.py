@@ -10,7 +10,13 @@ and solves the resulting nonsingular system, which is deterministic and
 well conditioned at these dimensions; svd_steady_state extracts the
 nullspace directly and serves as an independent verification path. evolve
 is a plain fixed-step integrator kept as a dynamical cross-check of the
-linear solves.
+linear solves. Each step applies the one-step propagator
+
+    P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24,
+
+which on a constant generator is classic RK4 exactly, and which is the
+matrix whose spectral radius the stability check reads. A zero generator
+leaves the state as it is.
 
 Liouvillian and DensityMatrix also hold stacks, (B, N^2, N^2) and
 (B, N, N), and assemble_liouvillian, solve_steady_state and
@@ -283,11 +289,15 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
 
     An oracle for the steady-state solvers rather than a production
     integrator: constant step, no error control. The default step is
-    0.01/||M||_inf. Raises ValueError for a non-finite t_final or dt, and
-    IntegrationError if the step lies outside RK4's stability region (the
-    one-step propagator has spectral radius above 1 + 1e-9), the state
-    norm blows up, or the trace drifts by more than 1e-8 over the whole
-    run.
+    0.01/||M||_inf. M is constant, so one RK4 step of size h is the
+    matrix P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, built once; each
+    step applies P, the same matrix whose spectral radius is checked.
+    With the default step, a zero generator returns rho0 unchanged
+    (d rho/dt = 0; an explicit dt gives P = I and the same state).
+    Raises ValueError for a non-finite t_final or dt, and
+    IntegrationError if the step lies outside RK4's stability region (P
+    has spectral radius above 1 + 1e-9), the state norm blows up, or the
+    trace drifts by more than 1e-8 over the whole run.
     """
     if L.matrix.ndim != 2 or rho0.entries.ndim != 2:
         raise ValueError("evolve takes one generator and one state, not stacks")
@@ -299,9 +309,9 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
         raise ValueError(f"dt must be finite, got {dt}")
     if t_final < 0:
         raise ValueError(f"t_final must be >= 0, got {t_final}")
-    if t_final == 0:
-        return DensityMatrix(dim=rho0.dim, entries=rho0.entries)
     m = L.matrix
+    if t_final == 0 or (dt is None and not m.any()):
+        return DensityMatrix(dim=rho0.dim, entries=rho0.entries)
     if dt is None:
         dt = 0.01 / float(np.linalg.norm(m, np.inf))
     if dt <= 0:
@@ -321,11 +331,7 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     trace0 = y[::stride].sum()
     bound = 1e6 * max(1.0, float(np.linalg.norm(y)))
     for _ in range(steps):
-        k1 = m @ y
-        k2 = m @ (y + 0.5 * h * k1)
-        k3 = m @ (y + 0.5 * h * k2)
-        k4 = m @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = step @ y
         if not np.all(np.isfinite(y)) or np.linalg.norm(y) > bound:
             raise IntegrationError(
                 f"propagation unstable after norm blowup at step size {h:g}; "

@@ -92,36 +92,41 @@ def reservoir_current(system: SystemSpec, K_R: SuperKernel,
 
 @dataclass(frozen=True)
 class CurrentReport:
-    """Per-reservoir currents with first- and second-law bookkeeping."""
+    """Per-reservoir currents with first- and second-law bookkeeping. For
+    array temperatures or currents the residual and the verdict are
+    arrays over the batch axis, as in SolveInfo."""
 
     currents: tuple                  # (label, temperature, current) triples
     conservation_residual: float     # |q_1 + q_2|
     second_law: str                  # pass / fail / not-applicable
 
 
+def _floats(x):
+    a = np.asarray(x, dtype=float)
+    return float(a) if a.ndim == 0 else a
+
+
 def law_checks(report_inputs) -> CurrentReport:
     """First- and second-law verdicts for a two-reservoir steady state.
 
-    report_inputs: two (label, temperature, current) triples. The
-    conservation residual is |q_1 + q_2|; it stays below 1e-10 for any
-    true steady state. The second-law verdict compares the direction of
-    flow with the temperature ordering: pass when q_1 (T_1 - T_2) >= 0,
-    fail otherwise, not-applicable in equilibrium (T_1 = T_2, where both
+    report_inputs: two (label, temperature, current) triples, whose
+    temperatures and currents are numbers or arrays over a batch axis
+    (a sweep chunk); arrays are judged entry by entry. The conservation
+    residual is |q_1 + q_2|; it stays below 1e-10 for any true steady
+    state. The second-law verdict compares the direction of flow with
+    the temperature ordering: pass when q_1 (T_1 - T_2) >= 0, fail
+    otherwise, not-applicable in equilibrium (T_1 = T_2, where both
     currents vanish and no direction is defined).
     """
-    items = tuple((str(l), float(t), float(q)) for l, t, q in report_inputs)
+    items = tuple((str(l), _floats(t), _floats(q)) for l, t, q in report_inputs)
     if len(items) != 2:
         raise ValueError(f"need exactly two reservoirs, got {len(items)}")
     (_, t1, q1), (_, t2, q2) = items
-    residual = abs(q1 + q2)
-    if t1 == t2:
-        verdict = SECOND_LAW_NA
-    elif q1 * (t1 - t2) >= 0:
-        verdict = SECOND_LAW_PASS
-    else:
-        verdict = SECOND_LAW_FAIL
-    return CurrentReport(currents=items, conservation_residual=residual,
-                         second_law=verdict)
+    verdict = np.where(t1 == t2, SECOND_LAW_NA,
+                       np.where(q1 * (t1 - t2) >= 0, SECOND_LAW_PASS,
+                                SECOND_LAW_FAIL))
+    return CurrentReport(currents=items, conservation_residual=abs(q1 + q2),
+                         second_law=str(verdict) if verdict.ndim == 0 else verdict)
 
 
 @dataclass(frozen=True, eq=False)

@@ -237,6 +237,39 @@ def test_evolve_rejects_one_unstable_step(model, mode):
     assert evolve(L, rho0, 0.5, dt=0.005).trace == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("model, mode", [("single", "lindblad"),
+                                         ("coupled", "lindblad"),
+                                         ("coupled", "redfield")])
+def test_evolve_is_classic_rk4(model, mode):
+    """200 steps of the four-stage RK4 step, written out, as reference."""
+    if model == "single":
+        system = make_single_qubit(1.0)
+    else:
+        system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
+    L = _liouvillian(system, {"A": 1.0, "B": 1.0}, {"A": 2.0, "B": 1.0}, mode)
+    n = system.dim
+    rho0 = DensityMatrix(dim=n, entries=np.eye(n) / n)
+    m, h, steps = L.matrix, 0.005, 200
+    y = rho0.entries.reshape(-1).astype(complex)
+    for _ in range(steps):
+        k1 = m @ y
+        k2 = m @ (y + 0.5 * h * k1)
+        k3 = m @ (y + 0.5 * h * k2)
+        k4 = m @ (y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = evolve(L, rho0, steps * h, dt=h)
+    assert np.max(np.abs(out.entries - y.reshape(n, n))) < 1e-12
+
+
+@pytest.mark.parametrize("dt", [None, 0.01])
+def test_evolve_zero_generator_keeps_the_state(dt):
+    L = Liouvillian(dim=2, matrix=np.zeros((4, 4)), mode="lindblad",
+                    reservoirs=("A", "B"))
+    rho0 = DensityMatrix(dim=2, entries=np.array([[0.7, 0.1j], [-0.1j, 0.3]]))
+    out = evolve(L, rho0, 1.0, dt=dt)
+    assert np.array_equal(out.entries, rho0.entries)
+
+
 def test_density_matrix_type():
     m = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
     rho = DensityMatrix(dim=2, entries=m)

@@ -47,6 +47,19 @@ def test_law_checks_verdicts():
         law_checks([("A", 1.0, 0.0), ("B", 2.0, 0.0), ("C", 3.0, 0.0)])
 
 
+def test_law_checks_judge_arrays_entry_by_entry():
+    ta, tb = [2.0, 1.0, 1.0, 2.0], [1.0, 1.0, 2.0, 1.0]
+    qa, qb = [0.153598, 0.0, -0.1, -0.1], [-0.153598, 0.0, 0.1, 0.2]
+    report = law_checks([("A", ta, np.array(qa)), ("B", tb, np.array(qb))])
+    assert list(report.second_law) == ["pass", "not-applicable", "pass", "fail"]
+    for j in range(4):
+        alone = law_checks([("A", ta[j], qa[j]), ("B", tb[j], qb[j])])
+        assert report.second_law[j] == alone.second_law
+        assert report.conservation_residual[j] == alone.conservation_residual
+    with pytest.raises(ValueError, match="exactly two reservoirs"):
+        law_checks([("A", ta, np.array(qa))])
+
+
 def test_reservoir_current_input_validation(coupled_pipeline):
     _, _, kernels, _ = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 1.5, 1.0)
     system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
