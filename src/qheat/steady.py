@@ -10,13 +10,16 @@ and solves the resulting nonsingular system, which is deterministic and
 well conditioned at these dimensions; svd_steady_state extracts the
 nullspace directly and serves as an independent verification path. evolve
 is a plain fixed-step integrator kept as a dynamical cross-check of the
-linear solves. Each step applies the one-step propagator
+linear solves. Each step is one product with the one-step propagator
 
     P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24,
 
 which on a constant generator is classic RK4 exactly, and which is the
-matrix whose spectral radius the stability check reads. A zero generator
-leaves the state as it is.
+matrix whose spectral radius the stability check reads. The steps run
+in blocks of EVOLVE_BLOCK states in one preallocated buffer, and the
+blow-up check reads every state of a block at once. A zero generator
+leaves the state as it is. A generator with inf or NaN entries is
+refused when the Liouvillian is built.
 
 Liouvillian and DensityMatrix also hold stacks, (B, N^2, N^2) and
 (B, N, N), and assemble_liouvillian, solve_steady_state and
@@ -58,6 +61,7 @@ RESIDUAL_TOL = 1e-10        # accepted ||M vec(rho)||_inf
 NULLSPACE_RTOL = 1e-10      # sigma_i <= rtol * sigma_max counts as zero
 TRACE_DRIFT_TOL = 1e-8
 RK4_RADIUS_TOL = 1e-9       # one-step propagator radius above 1 + tol
+EVOLVE_BLOCK = 64           # evolve steps between blow-up checks
 POSITIVITY_TOL = 1e-10
 
 
@@ -143,7 +147,7 @@ def gibbs_state(levels, T: float) -> DensityMatrix:
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
     """Full generator M over the flattened pair index; a stack of
-    B generators is (B, N^2, N^2)."""
+    B generators is (B, N^2, N^2). Every entry must be finite."""
 
     dim: int
     matrix: np.ndarray
@@ -156,6 +160,9 @@ class Liouvillian:
         if m.ndim not in (2, 3) or m.shape[-2:] != (d2, d2):
             raise ValueError(f"matrix must be {d2}x{d2} or a (B, {d2}, {d2}) "
                              f"stack, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("generator matrix has non-finite (inf or NaN) "
+                             "entries")
         object.__setattr__(self, "matrix", m)
 
 
@@ -291,13 +298,17 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     integrator: constant step, no error control. The default step is
     0.01/||M||_inf. M is constant, so one RK4 step of size h is the
     matrix P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, built once; each
-    step applies P, the same matrix whose spectral radius is checked.
+    step is one product with P, the same matrix whose spectral radius is
+    checked. The steps go into the rows of one (EVOLVE_BLOCK + 1, N^2)
+    buffer; after each block every state in it is checked at once, so
+    the states and the result are those of the plain loop y <- P y.
     With the default step, a zero generator returns rho0 unchanged
     (d rho/dt = 0; an explicit dt gives P = I and the same state).
     Raises ValueError for a non-finite t_final or dt, and
     IntegrationError if the step lies outside RK4's stability region (P
-    has spectral radius above 1 + 1e-9), the state norm blows up, or the
-    trace drifts by more than 1e-8 over the whole run.
+    has spectral radius above 1 + 1e-9), any state has a non-finite
+    entry or a norm above 1e6 * max(1, ||rho0||), or the trace drifts
+    by more than 1e-8 over the whole run.
     """
     if L.matrix.ndim != 2 or rho0.entries.ndim != 2:
         raise ValueError("evolve takes one generator and one state, not stacks")
@@ -330,12 +341,24 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     stride = L.dim + 1
     trace0 = y[::stride].sum()
     bound = 1e6 * max(1.0, float(np.linalg.norm(y)))
-    for _ in range(steps):
-        y = step @ y
-        if not np.all(np.isfinite(y)) or np.linalg.norm(y) > bound:
-            raise IntegrationError(
-                f"propagation unstable after norm blowup at step size {h:g}; "
-                "reduce dt")
+    # row 0 holds the state a block starts from, rows 1..k its k steps
+    rows = np.empty((EVOLVE_BLOCK + 1, y.size), dtype=complex)
+    rows[0] = y
+    pairs = list(zip(rows[:-1], rows[1:]))
+    # a state that overflows mid-block ends in the error below, not warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, steps, EVOLVE_BLOCK):
+            k = min(EVOLVE_BLOCK, steps - start)
+            for src, dst in pairs[:k]:
+                np.matmul(step, src, out=dst)
+            block = rows[1:k + 1]
+            if not (np.isfinite(block).all()
+                    and (np.linalg.norm(block, axis=1) <= bound).all()):
+                raise IntegrationError(
+                    f"propagation unstable after norm blowup at step size "
+                    f"{h:g}; reduce dt")
+            rows[0] = rows[k]
+    y = rows[0]
     drift = abs(y[::stride].sum() - trace0)
     if drift > TRACE_DRIFT_TOL:
         raise IntegrationError(

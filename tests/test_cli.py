@@ -17,6 +17,14 @@ REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
+def _fresh_process_env():
+    """Environment for a `python -m qheat.cli` subprocess that imports
+    this checkout's package."""
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [
+                str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+
+
 def read_csv_text(text):
     comments = [ln for ln in text.splitlines() if ln.startswith("#")]
     rows = [r for r in csv.reader(io.StringIO(text))
@@ -115,6 +123,18 @@ def test_argparse_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+def test_non_finite_generator_exits_one_naming_the_cause():
+    """T = 1e308 overflows the kernel into NaN entries. The run stops at
+    the generator with that cause, not with 'SVD did not converge'. It
+    runs in a subprocess because the kernel build also warns."""
+    run = subprocess.run([sys.executable, "-m", "qheat.cli", "single",
+                          "--ta", "1e308"], capture_output=True, text=True,
+                         env=_fresh_process_env(), check=False)
+    assert run.returncode == 1
+    assert run.stderr.endswith(
+        "qheat: generator matrix has non-finite (inf or NaN) entries\n")
 
 
 def test_sweep_requires_var_and_range(capsys):
@@ -551,9 +571,7 @@ def test_shared_parser_equals_fresh_processes(tmp_path, capsys):
                    ["coupled", "--lambda", "0.3", "--mode", "redfield"],
                    ["coupled"], ["preset", "fig4", "--no-header"],
                    ["preset", "fig4"]]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [
-               str(SRC_DIR), os.environ.get("PYTHONPATH")]))}
+    env = _fresh_process_env()
     for argv in invocations:
         try:
             code = main(argv)

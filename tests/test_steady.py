@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from qheat import (BathSpec, DegenerateSteadyStateError, DensityMatrix,
                    pair_index, planck_occupation, positivity_report,
                    reservoir_current, solve_steady_state, steady_point,
                    svd_steady_state)
+from qheat.steady import EVOLVE_BLOCK
 
 
 def _liouvillian(system, g_of, t_of, mode):
@@ -268,6 +272,102 @@ def test_evolve_zero_generator_keeps_the_state(dt):
     rho0 = DensityMatrix(dim=2, entries=np.array([[0.7, 0.1j], [-0.1j, 0.3]]))
     out = evolve(L, rho0, 1.0, dt=dt)
     assert np.array_equal(out.entries, rho0.entries)
+
+
+def _two_level(entries):
+    """2-level Liouvillian whose 4 x 4 generator is zero except `entries`,
+    a {(row, column): value} map."""
+    m = np.zeros((4, 4), dtype=complex)
+    for ij, value in entries.items():
+        m[ij] = value
+    return Liouvillian(dim=2, matrix=m, mode="lindblad", reservoirs=("A", "B"))
+
+
+MIXED_QUBIT = DensityMatrix(dim=2, entries=np.eye(2) / 2)
+
+
+def test_evolve_norm_blowup_raises():
+    with pytest.raises(IntegrationError, match="^propagation unstable after "
+                       "norm blowup at step size 0.01; reduce dt$"):
+        evolve(_two_level({(0, 3): 1e9}), MIXED_QUBIT, 1.0, dt=0.01)
+
+
+def test_evolve_checks_every_state_of_a_block():
+    """The population rho_00 peaks near 3.7e6 (bound 1e6) at step 2 and
+    is back below 1e-5 by step 64, the end of the first block: a check of
+    the block's last state alone would miss the blow-up and fail on the
+    trace instead."""
+    L = _two_level({(0, 3): 1e9, (0, 0): -50.0, (3, 3): -50.0})
+    with pytest.raises(IntegrationError, match="norm blowup"):
+        evolve(L, MIXED_QUBIT, 1.0, dt=0.01)
+
+
+def test_evolve_trace_drift_raises():
+    with pytest.raises(IntegrationError, match=r"^trace drifted by 0\.31606 "
+                       r"\(> 1e-08\); reduce dt$"):
+        evolve(_two_level({(0, 0): -1.0}), MIXED_QUBIT, 1.0, dt=0.01)
+
+
+def test_evolve_blowup_raises_without_warnings():
+    """A nilpotent generator whose states overflow to inf and then NaN:
+    the error comes alone, with no overflow warning before it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="norm blowup"):
+            evolve(_two_level({(0, 3): 1e307}), MIXED_QUBIT, 200.0, dt=1.0)
+
+
+def _relax_generator(model, mode):
+    if model == "single":
+        system = make_single_qubit(1.0)
+    else:
+        system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
+    return _liouvillian(system, {"A": 1.0, "B": 1.0}, {"A": 2.0, "B": 1.0},
+                        mode)
+
+
+@pytest.mark.parametrize("model, mode", [("single", "lindblad"),
+                                         ("coupled", "lindblad"),
+                                         ("coupled", "redfield")])
+def test_evolve_equals_the_plain_propagator_loop(model, mode):
+    """Bit for bit, y <- P y once per step, for step counts around the
+    block length and for the relax run (t = 80, dt = 0.005)."""
+    L = _relax_generator(model, mode)
+    n = L.dim
+    rho0 = DensityMatrix(dim=n, entries=np.eye(n) / n)
+    h = 2.0 ** -7          # t = steps * h is exact, so evolve takes `steps`
+    runs = [(steps * h, h) for steps in (1, EVOLVE_BLOCK - 1, EVOLVE_BLOCK,
+                                         EVOLVE_BLOCK + 1, 3 * EVOLVE_BLOCK + 5)]
+    for t_final, dt in runs + [(80.0, 0.005)]:
+        steps = max(1, math.ceil(t_final / dt))
+        hm = (t_final / steps) * L.matrix
+        hm2 = hm @ hm
+        P = np.eye(n * n) + hm + hm2 / 2 + hm2 @ (hm / 6 + hm2 / 24)
+        y = rho0.entries.reshape(-1).astype(complex)
+        for _ in range(steps):
+            y = P @ y
+        out = evolve(L, rho0, t_final, dt=dt)
+        assert out.entries.tobytes() == y.reshape(n, n).tobytes(), \
+            (t_final, dt)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_generator_is_rejected(bad):
+    """Used to surface later as 'cannot convert float NaN to integer'
+    (evolve, default dt), 'Array must not contain infs or NaNs' (evolve,
+    explicit dt) or 'SVD did not converge' (solve_steady_state)."""
+    message = r"generator matrix has non-finite \(inf or NaN\) entries"
+    with pytest.raises(ValueError, match=message):
+        _two_level({(1, 2): bad})
+    valid = _relax_generator("single", "lindblad").matrix
+    broken = valid.copy()
+    broken[0, 0] = bad
+    with pytest.raises(ValueError, match=message):
+        Liouvillian(dim=2, matrix=np.stack([valid, broken]), mode="lindblad",
+                    reservoirs=("A", "B"))
+    kernel = SuperKernel(dim=2, data=broken, mode="lindblad", reservoir="A")
+    with pytest.raises(ValueError, match=message):
+        assemble_liouvillian(make_single_qubit(1.0), kernel)
 
 
 def test_density_matrix_type():
