@@ -9,9 +9,11 @@ Subcommands:
 All physics goes through qheat.thermo.steady_point (kernel build,
 nullspace solve, per-reservoir currents), never through the closed
 forms, so CLI output exercises the same code path as any library caller:
-a point report is one steady_point call, and a sweep over bath
-parameters is one call per chunk of grid points, its rows written from
-the stacked result.
+compute_point returns the SteadyPoint of one steady_point call, and a
+sweep over bath parameters is one call per chunk of grid points, its
+rows written from the stacked result. Point reports, point rows and
+chunk rows all take their first- and second-law verdicts from one
+law_checks call on the currents and temperatures.
 
 Sweeps accept the pseudo-variable "tm", the mean temperature: sweeping tm
 moves T_A and T_B together, keeping their difference fixed at the value
@@ -55,7 +57,6 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,26 +64,15 @@ from . import __version__
 from .bath import BathSpec
 # not called here; perfbench/test_perfbench.py reads cli.build_kernel
 from .kernel import build_kernel  # noqa: F401
-from .steady import POSITIVITY_TOL, DensityMatrix, PositivityReport, SolveInfo
+from .steady import POSITIVITY_TOL
 from .system import make_coupled_qubits, make_single_qubit
-from .thermo import CurrentReport, law_checks, steady_point
+from .thermo import CurrentReport, SteadyPoint, law_checks, steady_point
 
-__all__ = ["PRESETS", "compute_point", "main", "render_sweep", "PointResult"]
+__all__ = ["PRESETS", "compute_point", "main", "render_sweep"]
 
 
 class UsageError(Exception):
     """Bad flags or configuration; reported on stderr with exit code 1."""
-
-
-@dataclass(frozen=True)
-class PointResult:
-    """Everything the CLI reports about one steady-state solve."""
-
-    rho: DensityMatrix
-    currents: dict
-    report: CurrentReport
-    positivity: PositivityReport
-    solve_info: SolveInfo
 
 
 RESERVOIRS = ("A", "B")
@@ -106,19 +96,20 @@ def _baths(model: str, params: dict) -> dict:
             for r in RESERVOIRS}
 
 
-def compute_point(model: str, mode: str, params: dict) -> PointResult:
-    """One steady_point call at one parameter point, plus the law checks.
+def compute_point(model: str, mode: str, params: dict) -> SteadyPoint:
+    """The steady_point result at one parameter point.
 
     params for model "single": w0, ga, gb, ta, tb; for model "coupled":
     w1, w2, lam, g, ta, tb (g applies to both reservoirs).
     """
-    point = steady_point(_model_system(model, params), _baths(model, params),
-                         mode)
-    q = point.currents
-    return PointResult(rho=point.rho, currents=q,
-                       report=law_checks([("A", params["ta"], q["A"]),
-                                          ("B", params["tb"], q["B"])]),
-                       positivity=point.positivity, solve_info=point.solve_info)
+    return steady_point(_model_system(model, params), _baths(model, params),
+                        mode)
+
+
+def _law_report(currents: dict, ta, tb) -> CurrentReport:
+    """law_checks of the two reservoirs' currents at temperatures ta and
+    tb: numbers for one point, sequences for a sweep chunk."""
+    return law_checks([("A", ta, currents["A"]), ("B", tb, currents["B"])])
 
 
 # ---------------------------------------------------------------- parsing
@@ -304,10 +295,10 @@ def _point_row(model, mode, value, params):
     except _POINT_ERRORS as exc:
         n_cols = len(_sweep_columns(model, "x"))
         return [_fmt(value)] + [""] * (n_cols - 2) + [f"error: {exc}"]
+    report = _law_report(point.currents, params["ta"], params["tb"])
     return _sweep_row(model, value, point.rho.entries, point.currents["A"],
                       point.currents["B"], point.positivity.min_population,
-                      point.report.conservation_residual,
-                      point.report.second_law)
+                      report.conservation_residual, report.second_law)
 
 
 def parse_range(spec: str):
@@ -364,8 +355,8 @@ def _bath_sweep_rows(model, mode, base_params, points):
             continue
         q, min_pop = stack.currents, stack.positivity.min_population
         params = [points[i][1] for i, _ in chunk]
-        report = law_checks([("A", [p["ta"] for p in params], q["A"]),
-                             ("B", [p["tb"] for p in params], q["B"])])
+        report = _law_report(q, [p["ta"] for p in params],
+                             [p["tb"] for p in params])
         resid, verdict = report.conservation_residual, report.second_law
         for j, (i, _) in enumerate(chunk):
             rows[i] = _sweep_row(model, points[i][0], stack.rho.entries[j],
@@ -428,7 +419,8 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
 
 # ---------------------------------------------------------------- reports
 
-def format_point_report(model, mode, params, point: PointResult) -> str:
+def format_point_report(model, mode, params, point: SteadyPoint) -> str:
+    report = _law_report(point.currents, params["ta"], params["tb"])
     lines = [f"model: {model} (mode {mode})",
              "parameters: " + " ".join(f"{k}={_fmt(v)}"
                                        for k, v in sorted(params.items())),
@@ -450,8 +442,8 @@ def format_point_report(model, mode, params, point: PointResult) -> str:
         lines.append(f"coherences: none above 1e-12 (max {peak:.3e})")
     lines += [f"q_A = {_fmt(point.currents['A'])}",
               f"q_B = {_fmt(point.currents['B'])}",
-              f"conservation residual = {point.report.conservation_residual:.3e}",
-              f"second law: {point.report.second_law}",
+              f"conservation residual = {report.conservation_residual:.3e}",
+              f"second law: {report.second_law}",
               f"min population = {_fmt(point.positivity.min_population)}",
               f"min eigenvalue = {_fmt(point.positivity.min_eigenvalue)}",
               f"solver residual = {point.solve_info.residual:.3e}"]

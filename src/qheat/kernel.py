@@ -27,20 +27,22 @@ sum over reservoirs with equal couplings cancels it (unequal couplings
 leave alpha*beta*|g_A - g_B|). Acceptance criterion 09a asks for the
 per-reservoir property and fails on exactly this residual.
 
-build_kernel also takes a sequence of baths for one system and returns
-one stacked kernel, data of shape (B, N^2, N^2), from a single pass of
-the loop, so a sweep over bath parameters (temperatures, coupling
-strengths) pays the loop once per batch instead of once per point. The
-arithmetic per entry is unchanged, so data[i] is bit-identical to the
-single-bath build of bath i. combine_kernels and check_trace_condition,
-like the steady-state and current layers downstream, act on each entry
-of such a stack as they act on a single kernel.
+build_kernel evaluates the bath only through one correlation table per
+channel, filled before the loop: D^{ab}(E_x - E_y) at every (x, y) where
+S^a_{xy} is nonzero, each distinct frequency once per bath. For one bath
+the table has shape (N, N); for a sequence of B baths it has shape
+(N, N, B), and the same loop, with the same products in the same order,
+yields one stacked kernel with data of shape (B, N^2, N^2). A sweep over
+bath parameters (temperatures, coupling strengths) thus pays the loop
+once per batch instead of once per point, and data[i] is bit-identical
+to the single-bath build of bath i. combine_kernels and
+check_trace_condition, like the steady-state and current layers
+downstream, act on each entry of such a stack as they act on a single
+kernel.
 """
 
 from __future__ import annotations
 
-import functools
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -169,94 +171,102 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
 
     bath is one BathSpec, giving a kernel with (N^2, N^2) data, or a
     sequence of B BathSpecs, giving one stacked kernel with (B, N^2, N^2)
-    data. The sequence form runs the loop once with a float64 array of
-    correlations (one per bath) wherever the single form has a float, so
-    data[i] of the stack is bit-identical to the data of
+    data whose entry data[i] is bit-identical to the data of
     build_kernel(system, bath[i], ...).
 
-    The bath correlation is only evaluated where the coupling matrix
-    elements are nonzero, which keeps every query at a finite transition
-    frequency and lets tabulated spectral densities list only the
-    frequencies the model actually uses. Each (channel, frequency) pair
-    is evaluated once per call; a table missing a frequency raises
-    SpectralLookupError at the first query, as in a single-bath build.
+    Before the loop, each channel (a, b) gets one correlation table
+    holding D^{ab}(E_x - E_y) at every (x, y) where S^a_{xy} is nonzero,
+    of shape (N, N) for one bath and (N, N, B) for a sequence. Each
+    distinct frequency is evaluated once per bath by bath_correlation,
+    which keeps every query at a finite transition frequency and lets
+    tabulated spectral densities list only the frequencies the model
+    actually uses; a table missing one raises SpectralLookupError.
+
+    A kernel with an entry that overflows to inf or NaN is refused with
+    a ValueError naming the reservoir and the temperature and spectral
+    density of its bath (for a sequence, the first such bath).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if reservoir not in system.couplings:
         raise KeyError(
             f"system has no reservoir {reservoir!r}; have {sorted(system.couplings)}")
+    if isinstance(bath, BathSpec):
+        baths, batch = (bath,), ()
+    else:
+        baths = tuple(bath)
+        if not baths:
+            raise ValueError("bath sequence is empty; need at least one BathSpec")
+        batch = (len(baths),)
     n = system.dim
     E = system.levels
-    s = {1: system.s_op(reservoir, 1), 2: system.s_op(reservoir, 2)}
     secular = mode == LINDBLAD
     eps = degeneracy_tolerance(E)
     _reject_near_degenerate(system, reservoir, eps,
                             include_frequencies=secular)
 
-    if isinstance(bath, BathSpec):
-        batch = None
-        correlation = functools.partial(bath_correlation, bath)
-    else:
-        batch = tuple(bath)
-        if not batch:
-            raise ValueError("bath sequence is empty; need at least one BathSpec")
+    # one (S^a, S^b, D^{ab} table) triple per channel; (1,1) and (2,2)
+    # correlations vanish
+    s = {1: system.s_op(reservoir, 1), 2: system.s_op(reservoir, 2)}
+    channels = []
+    for a, b in ((1, 2), (2, 1)):
+        support = list(zip(*s[a].nonzero()))
+        values = {w: np.array([bath_correlation(x, a, b, w)
+                               for x in baths]).reshape(batch)
+                  for w in dict.fromkeys(E[x] - E[y] for x, y in support)}
+        table = np.zeros((n, n) + batch)
+        for x, y in support:
+            table[x, y] = values[E[x] - E[y]]
+        channels.append((s[a], s[b], table))
 
-        def correlation(a, b, omega):
-            return np.array([bath_correlation(x, a, b, omega) for x in batch],
-                            dtype=np.float64)
-    memo = {}
-
-    def D(a, b, omega):
-        try:
-            return memo[a, b, omega]
-        except KeyError:
-            value = memo[a, b, omega] = correlation(a, b, omega)
-            return value
-
-    channels = ((1, 2), (2, 1))     # (1,1) and (2,2) correlations vanish
-    # the loop writes entries as out[row, col] in both forms; for a stack,
-    # out views the (B, N^2, N^2) data with the batch axis last
-    if batch is None:
-        data = out = np.zeros((n * n, n * n), dtype=complex)
-    else:
-        data = np.zeros((len(batch), n * n, n * n), dtype=complex)
-        out = data.transpose(1, 2, 0)
-    for p in range(n):
-        for pp in range(n):
-            row = pair_index(n, p, pp)
-            for q in range(n):
-                for qp in range(n):
-                    val = 0j
-                    if pp == qp:
-                        acc = 0j
-                        for l in range(n):
-                            if abs((E[p] - E[l]) + (E[l] - E[q])) > eps:
-                                continue
-                            for a, b in channels:
-                                prod = s[a][p, l] * s[b][l, q]
+    # out is data with the pair axes first, so out[row, col] is one entry
+    # for one bath and the B entries of a stack for a sequence
+    data = np.zeros(batch + (n * n, n * n), dtype=complex)
+    out = data.transpose(-2, -1, *range(len(batch)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(n):
+            for pp in range(n):
+                row = pair_index(n, p, pp)
+                for q in range(n):
+                    for qp in range(n):
+                        val = 0j
+                        if pp == qp:
+                            acc = 0j
+                            for l in range(n):
+                                if abs((E[p] - E[l]) + (E[l] - E[q])) > eps:
+                                    continue
+                                for s_a, s_b, D in channels:
+                                    prod = s_a[p, l] * s_b[l, q]
+                                    if prod != 0:
+                                        acc += prod * D[p, l]
+                            val -= 0.5 * acc
+                        if p == q:
+                            acc = 0j
+                            for l in range(n):
+                                if abs((E[qp] - E[l]) + (E[l] - E[pp])) > eps:
+                                    continue
+                                # E_q' = E_p' here, so D at (q', l) is D(E_p'l)
+                                for s_a, s_b, D in channels:
+                                    prod = s_a[qp, l] * s_b[l, pp]
+                                    if prod != 0:
+                                        acc += prod * D[qp, l]
+                            val -= 0.5 * acc
+                        if not (secular and abs((E[p] - E[q]) + (E[qp] - E[pp])) > eps):
+                            acc = 0j
+                            # S^b = (S^a)^dagger, so S^a_qp != 0 wherever S^b_pq is
+                            for s_a, s_b, D in channels:
+                                prod = s_b[p, q] * s_a[qp, pp]
                                 if prod != 0:
-                                    acc += prod * D(a, b, E[p] - E[l])
-                        val -= 0.5 * acc
-                    if p == q:
-                        acc = 0j
-                        for l in range(n):
-                            if abs((E[qp] - E[l]) + (E[l] - E[pp])) > eps:
-                                continue
-                            for a, b in channels:
-                                prod = s[a][qp, l] * s[b][l, pp]
-                                if prod != 0:
-                                    acc += prod * D(a, b, E[pp] - E[l])
-                        val -= 0.5 * acc
-                    if not (secular and abs((E[p] - E[q]) + (E[qp] - E[pp])) > eps):
-                        acc = 0j
-                        for a, b in channels:
-                            prod = s[b][p, q] * s[a][qp, pp]
-                            if prod != 0:
-                                acc += prod * (D(a, b, E[qp] - E[pp])
-                                               + D(a, b, E[q] - E[p]))
-                        val += 0.5 * acc
-                    out[row, pair_index(n, q, qp)] = val
+                                    acc += prod * (D[qp, pp] + D[q, p])
+                            val += 0.5 * acc
+                        out[row, pair_index(n, q, qp)] = val
+    finite = np.isfinite(data).reshape(len(baths), -1).all(axis=1)
+    if not finite.all():
+        culprit = baths[int(np.argmin(finite))]
+        raise ValueError(
+            f"kernel of reservoir {reservoir!r} overflows to inf or NaN at "
+            f"temperature {culprit.temperature:g} with spectral density "
+            f"{culprit.spectral_density!r}")
     data.flags.writeable = False
     return SuperKernel(dim=n, data=data, mode=mode, reservoir=str(reservoir))
 
@@ -279,15 +289,12 @@ def check_trace_condition(K: SuperKernel):
     return float(worst) if worst.ndim == 0 else worst
 
 
-def combine_kernels(kernels, allow_mixed_modes: bool = False) -> SuperKernel:
-    """Entrywise sum of per-reservoir kernels of equal data shape; for
-    stacked kernels, the sum of each entry. Kernels whose data shapes
-    differ (another dimension, a stack beside a single kernel, stacks of
-    unequal length) are refused with both shapes named.
-
-    Mixing Redfield and Lindblad kernels is almost always a modelling
-    mistake, so it is refused unless allow_mixed_modes is set, and warned
-    about even then.
+def combine_kernels(kernels) -> SuperKernel:
+    """Entrywise sum of per-reservoir kernels of equal data shape and
+    mode; for stacked kernels, the sum of each entry. Kernels whose data
+    shapes differ (another dimension, a stack beside a single kernel,
+    stacks of unequal length) are refused with both shapes named, and
+    Redfield beside Lindblad kernels with both modes named.
     """
     kernels = list(kernels)
     if not kernels:
@@ -298,16 +305,11 @@ def combine_kernels(kernels, allow_mixed_modes: bool = False) -> SuperKernel:
             raise ValueError(f"kernel data shapes differ: {shape} vs {k.data.shape}")
     modes = {k.mode for k in kernels}
     if len(modes) > 1:
-        if not allow_mixed_modes:
-            raise ValueError(
-                f"refusing to combine mixed modes {sorted(modes)}; "
-                "pass allow_mixed_modes=True to override")
-        warnings.warn("combining kernels of mixed modes", stacklevel=2)
+        raise ValueError(f"refusing to combine mixed modes {sorted(modes)}")
     data = kernels[0].data.copy()
     for k in kernels[1:]:
         data += k.data
     data.flags.writeable = False
-    mode = kernels[0].mode if len(modes) == 1 else "mixed"
-    return SuperKernel(dim=kernels[0].dim, data=data, mode=mode,
+    return SuperKernel(dim=kernels[0].dim, data=data, mode=kernels[0].mode,
                        reservoir="+".join(k.reservoir for k in kernels),
                        reservoirs=tuple(r for k in kernels for r in k.reservoirs))

@@ -1,15 +1,19 @@
 import csv
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qheat import cli, kernel, steady
+from qheat import (BathSpec, DensityMatrix, SteadyPoint, cli, kernel,
+                   make_coupled_qubits, make_single_qubit, steady,
+                   steady_point)
 from qheat.cli import (PRESETS, UsageError, compute_point, main, parse_range,
                        render_sweep)
 
@@ -125,16 +129,23 @@ def test_argparse_errors_exit_one():
     assert exc.value.code == 1
 
 
-def test_non_finite_generator_exits_one_naming_the_cause():
-    """T = 1e308 overflows the kernel into NaN entries. The run stops at
-    the generator with that cause, not with 'SVD did not converge'. It
-    runs in a subprocess because the kernel build also warns."""
-    run = subprocess.run([sys.executable, "-m", "qheat.cli", "single",
-                          "--ta", "1e308"], capture_output=True, text=True,
-                         env=_fresh_process_env(), check=False)
-    assert run.returncode == 1
-    assert run.stderr.endswith(
-        "qheat: generator matrix has non-finite (inf or NaN) entries\n")
+def test_non_finite_generator_exits_one_naming_the_cause(capsys):
+    """T = 1e308 or g = 1e308 overflows the kernel into inf and NaN
+    entries. The build refuses it, naming the reservoir and its bath,
+    before any numpy warning or 'SVD did not converge'."""
+    cases = {("--ta", "1e308"): "temperature 1e+308 with spectral density "
+                                "SpectralDensity.constant(1.0)",
+             ("--ga", "1e308"): "temperature 1 with spectral density "
+                                "SpectralDensity.constant(1e+308)"}
+    for flag, bath in cases.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["single", *flag]) == 1
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"qheat: kernel of reservoir 'A' overflows to "
+                                f"inf or NaN at {bath}\n")
 
 
 def test_sweep_requires_var_and_range(capsys):
@@ -222,24 +233,11 @@ def test_fig5_negative_population_window(fig5_csv):
 
 
 @pytest.mark.parametrize("fig", ["fig3", "fig4", "fig5"])
-def test_presets_match_stored_reference(fig, request):
-    """The paper figures against the stored seed output: same header and
-    row count, numeric cells to 1e-10 (relative above magnitude one),
-    second_law and status cells exactly."""
-    _, header, rows = read_csv_text(request.getfixturevalue(f"{fig}_csv"))
-    _, ref_header, ref_rows = read_csv_text(
-        (REFERENCE_DIR / f"{fig}.csv").read_text())
-    assert header == ref_header
-    assert len(rows) == len(ref_rows)
-    for row, ref_row in zip(rows, ref_rows):
-        assert len(row) == len(ref_row)
-        for col, cell, want in zip(header, row, ref_row):
-            if col in ("second_law", "status") or cell == want:
-                assert cell == want
-            else:
-                got, ref = float(cell), float(want)
-                assert abs(got - ref) <= 1e-10 * max(1.0, abs(got), abs(ref)), \
-                    (col, cell, want)
+def test_presets_match_stored_reference(fig, tmp_path):
+    """The paper figures, byte for byte, against the stored seed output."""
+    path = tmp_path / f"{fig}.csv"
+    assert main(["preset", fig, "--out", str(path)]) == 0
+    assert path.read_bytes() == (REFERENCE_DIR / f"{fig}.csv").read_bytes()
 
 
 def test_fig5_strict_positivity_exit(tmp_path):
@@ -324,6 +322,29 @@ def test_render_sweep_programmatic():
 def test_compute_point_rejects_unknown_model():
     with pytest.raises(ValueError):
         compute_point("triple", "lindblad", {})
+
+
+@pytest.mark.parametrize("model, params, system", [
+    ("single", dict(w0=1.3, ga=0.7, gb=1.1, ta=2.0, tb=0.5),
+     make_single_qubit(1.3)),
+    ("coupled", dict(w1=1.0, w2=2.0, lam=0.5, g=0.8, ta=1.5, tb=1.0),
+     make_coupled_qubits(1.0, 2.0, 0.5)[0]),
+])
+@pytest.mark.parametrize("mode", ["lindblad", "redfield"])
+def test_compute_point_is_the_steady_point(model, params, system, mode):
+    couplings = ((params["ga"], params["gb"]) if model == "single"
+                 else (params["g"], params["g"]))
+    baths = {r: BathSpec(temperature=params[t], spectral_density=g, label=r)
+             for r, t, g in zip("AB", ("ta", "tb"), couplings)}
+    point = compute_point(model, mode, params)
+    ref = steady_point(system, baths, mode)
+    assert isinstance(point, SteadyPoint)
+    assert np.array_equal(point.rho.entries, ref.rho.entries)
+    assert point.currents == ref.currents
+    n = point.rho.dim
+    rho = DensityMatrix(dim=n, entries=np.eye(n) / n)
+    moved = dataclasses.replace(point, rho=rho)
+    assert moved.rho is rho and moved.currents is point.currents
 
 
 def _per_point_csv(model, mode, params, var, start, stop, count):

@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from qheat import (BathSpec, NearDegeneracyError, SpectralDensity,
                    SpectralLookupError, SuperKernel, SystemSpec,
-                   assemble_liouvillian, build_kernel, check_trace_condition,
-                   combine_kernels, coupled_rates, degeneracy_tolerance,
-                   gibbs_state, make_coupled_qubits, make_single_qubit,
-                   pair_index, planck_occupation)
+                   assemble_liouvillian, bath_correlation, build_kernel,
+                   check_trace_condition, combine_kernels, coupled_rates,
+                   degeneracy_tolerance, gibbs_state, kernel,
+                   make_coupled_qubits, make_single_qubit, pair_index,
+                   planck_occupation)
 
 
 def test_pair_index():
@@ -238,6 +241,54 @@ def test_tabulated_spectral_density_queried_at_transitions_only():
         build_kernel(system, [bath_c, bath_bad], "A", "redfield")
 
 
+@pytest.mark.parametrize("n_baths", [None, 1, 3])
+@pytest.mark.parametrize("name, per_bath", [("single", 2), ("coupled", 4)])
+def test_each_frequency_evaluated_once_per_bath(name, per_bath, n_baths,
+                                                monkeypatch):
+    """Two channels, each with its distinct transition frequencies: one
+    for the qubit, omega_plus and omega_minus for the coupled pair."""
+    system = _BATCH_SYSTEMS[name]
+    bath = BathSpec(temperature=0.7, spectral_density=1.0, label="A")
+    baths = bath if n_baths is None else [bath] * n_baths
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return bath_correlation(*args)
+
+    monkeypatch.setattr(kernel, "bath_correlation", counting)
+    for mode in ("lindblad", "redfield"):
+        calls.clear()
+        build_kernel(system, baths, "A", mode)
+        assert len(calls) == per_bath * (n_baths or 1)
+
+
+@pytest.mark.parametrize("t, g, named", [
+    (1e308, 1.0, "temperature 1e+308 with spectral density "
+                 "SpectralDensity.constant(1.0)"),
+    (1.0, 1e308, "temperature 1 with spectral density "
+                 "SpectralDensity.constant(1e+308)"),
+])
+@pytest.mark.parametrize("system", [make_single_qubit(1.0),
+                                    make_coupled_qubits(1.0, 2.0, 0.5)[0]],
+                         ids=["single", "coupled"])
+def test_overflowing_kernel_names_its_bath(system, t, g, named):
+    fine = BathSpec(temperature=2.0, spectral_density=0.5, label="A")
+    bad = BathSpec(temperature=t, spectral_density=g, label="A")
+    worse = BathSpec(temperature=1e308, spectral_density=1e308, label="A")
+    message = f"kernel of reservoir 'A' overflows to inf or NaN at {named}"
+    for mode in ("lindblad", "redfield"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                build_kernel(system, bad, "A", mode)
+            assert str(exc.value) == message
+            # in a stack, the first overflowing bath is named
+            with pytest.raises(ValueError) as exc:
+                build_kernel(system, [fine, bad, fine, worse], "A", mode)
+            assert str(exc.value) == message
+
+
 def _random_system(rng, n):
     couplings = {r: np.tril(rng.normal(size=(n, n))
                             + 1j * rng.normal(size=(n, n)), -1) / np.sqrt(n)
@@ -327,11 +378,10 @@ def test_combine_kernels_mixed_modes():
     bath = BathSpec(temperature=1.0, spectral_density=1.0, label="A")
     kr = build_kernel(system, bath, "A", "redfield")
     kl = build_kernel(system, bath, "A", "lindblad")
-    with pytest.raises(ValueError):
-        combine_kernels([kr, kl])
-    with pytest.warns(UserWarning):
-        mixed = combine_kernels([kr, kl], allow_mixed_modes=True)
-    assert mixed.mode == "mixed"
+    for pair in ([kr, kl], [kl, kr]):
+        with pytest.raises(ValueError) as exc:
+            combine_kernels(pair)
+        assert "lindblad" in str(exc.value) and "redfield" in str(exc.value)
 
 
 def test_kernel_data_is_immutable():
