@@ -81,12 +81,16 @@ _COUPLING_KEY = {"single": {"A": "ga", "B": "gb"},
                  "coupled": {"A": "g", "B": "g"}}
 
 
+# params keys of each model's system; every other parameter sets the baths
+_SYSTEM_PARAMS = {"single": ("w0",), "coupled": ("w1", "w2", "lam")}
+
+
 def _model_system(model: str, params: dict):
-    if model == "single":
-        return make_single_qubit(params["w0"])
-    if model == "coupled":
-        return make_coupled_qubits(params["w1"], params["w2"], params["lam"])[0]
-    raise ValueError(f"unknown model {model!r}")
+    if model not in _SYSTEM_PARAMS:
+        raise ValueError(f"unknown model {model!r}")
+    args = [params[k] for k in _SYSTEM_PARAMS[model]]
+    return (make_single_qubit(*args) if model == "single"
+            else make_coupled_qubits(*args)[0])
 
 
 def _baths(model: str, params: dict) -> dict:
@@ -267,7 +271,6 @@ def _sweep_columns(model: str, var: str):
 
 CONSERVATION_ROW_TOL = 1e-8
 SWEEP_CHUNK = 256           # grid points per batched kernel build and solve
-_BATH_VARS = ("ta", "tb", "tm", "ga", "gb", "g")
 _POINT_ERRORS = (ValueError, LookupError, RuntimeError)
 
 
@@ -371,9 +374,9 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
                  comments: bool = True):
     """Run the sweep and return (csv_text, n_error_rows, worst_min_population).
 
-    Sweeps over a bath parameter (ta, tb, tm, ga, gb, g) build the system
-    once and run steady_point once per chunk of grid points, on
-    (B, N^2, N^2) stacks; other sweeps run steady_point per point.
+    Sweeps over a system parameter (_SYSTEM_PARAMS) run steady_point per
+    point; every other sweep builds the system once and runs steady_point
+    once per chunk of grid points, on (B, N^2, N^2) stacks.
     Either way every row equals the one-point row at that grid point,
     and rows follow the grid, so output is deterministic for a fixed
     configuration.
@@ -395,10 +398,10 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
         else:
             p[var_param] = value
         points.append((value, p))
-    if var in _BATH_VARS:
-        rows = _bath_sweep_rows(model, mode, base_params, points)
-    else:
+    if var_param in _SYSTEM_PARAMS.get(model, ()):
         rows = [_point_row(model, mode, v, p) for v, p in points]
+    else:
+        rows = _bath_sweep_rows(model, mode, base_params, points)
 
     n_bad = sum(1 for r in rows if r[-1] != "ok")
     min_pop = min((float(r[-3]) for r in rows if r[-1] == "ok"), default=0.0)

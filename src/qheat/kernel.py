@@ -39,6 +39,10 @@ to the single-bath build of bath i. combine_kernels and
 check_trace_condition, like the steady-state and current layers
 downstream, act on each entry of such a stack as they act on a single
 kernel.
+
+_frozen (the shape check), _per_entry (a Python scalar for one point, an
+array for a stack) and _trace_residual serve every layer. No kernel
+carries a reservoir label: steady_point keys kernels and currents by it.
 """
 
 from __future__ import annotations
@@ -79,8 +83,10 @@ class NearDegeneracyError(ValueError):
     one."""
 
 
-def _frozen(values) -> np.ndarray:
-    """values as a read-only, C-contiguous complex array.
+def _frozen(values, side: int, what: str) -> np.ndarray:
+    """values as a read-only, C-contiguous complex array of shape
+    (side, side), or a (B, side, side) stack; any other shape raises a
+    ValueError that calls the array what.
 
     An array that already is one and owns its memory is taken over as
     it is: whoever made it read-only has handed it over, and the layers
@@ -88,13 +94,28 @@ def _frozen(values) -> np.ndarray:
     Anything else is copied, so a caller's writeable array is never
     aliased or frozen.
     """
-    if (type(values) is np.ndarray and values.dtype == complex
+    if not (type(values) is np.ndarray and values.dtype == complex
             and values.flags.c_contiguous and values.flags.owndata
             and not values.flags.writeable):
-        return values
-    copy = np.array(values, dtype=complex, order="C")
-    copy.flags.writeable = False
-    return copy
+        values = np.array(values, dtype=complex, order="C")
+        values.flags.writeable = False
+    if values.ndim not in (2, 3) or values.shape[-2:] != (side, side):
+        raise ValueError(f"{what} must be {side}x{side} or a (B, {side}, "
+                         f"{side}) stack, got {values.shape}")
+    return values
+
+
+def _per_entry(values, cast=float):
+    """One value per entry: cast(values), a plain Python value, for one
+    point, where values is 0-d, and the array itself for a stack."""
+    return cast(values) if np.ndim(values) == 0 else values
+
+
+def _trace_residual(matrix: np.ndarray, n: int) -> np.ndarray:
+    """Largest |sum_p matrix_{(p,p),(q,q')}| over the columns (q, q') of
+    an (N^2, N^2) matrix, per entry of a stack; its population rows (p, p)
+    sit at flat indices 0, N+1, 2(N+1), ..."""
+    return np.max(np.abs(matrix[..., ::n + 1, :].sum(axis=-2)), axis=-1)
 
 
 def pair_index(dim: int, p: int, q: int) -> int:
@@ -118,26 +139,17 @@ class SuperKernel:
 
     data is the (N^2, N^2) complex matrix over flattened pair indices;
     row (p, p'), column (q, q'). A stack of B kernels of one reservoir,
-    one per bath, has (B, N^2, N^2) data. reservoir is a display name
-    ("A+B" for a sum); reservoirs holds the individual labels,
-    (reservoir,) unless given. Immutable after construction.
+    one per bath, has (B, N^2, N^2) data. combine_kernels reads mode to
+    refuse mixing modes. Immutable after construction.
     """
 
     dim: int
     data: np.ndarray
     mode: str
-    reservoir: str
-    reservoirs: tuple | None = None
 
     def __post_init__(self):
-        d2 = self.dim * self.dim
-        data = _frozen(self.data)
-        if data.ndim not in (2, 3) or data.shape[-2:] != (d2, d2):
-            raise ValueError(f"kernel data must be {d2}x{d2} or a (B, {d2}, {d2}) "
-                             f"stack, got {data.shape}")
-        object.__setattr__(self, "data", data)
-        labels = (self.reservoir,) if self.reservoirs is None else self.reservoirs
-        object.__setattr__(self, "reservoirs", tuple(str(r) for r in labels))
+        object.__setattr__(self, "data", _frozen(self.data, self.dim * self.dim,
+                                                 "kernel data"))
 
     def entry(self, p: int, pp: int, q: int, qp: int) -> complex:
         """K_{(p,pp),(q,qp)} of a single (unstacked) kernel."""
@@ -268,7 +280,7 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
             f"temperature {culprit.temperature:g} with spectral density "
             f"{culprit.spectral_density!r}")
     data.flags.writeable = False
-    return SuperKernel(dim=n, data=data, mode=mode, reservoir=str(reservoir))
+    return SuperKernel(dim=n, data=data, mode=mode)
 
 
 def check_trace_condition(K: SuperKernel):
@@ -282,19 +294,16 @@ def check_trace_condition(K: SuperKernel):
     total with unequal couplings gives alpha*beta*|g_A - g_B|; see
     acceptance criterion 09a.
     """
-    n = K.dim
-    pop_rows = [pair_index(n, p, p) for p in range(n)]
-    col_sums = K.data[..., pop_rows, :].sum(axis=-2)
-    worst = np.max(np.abs(col_sums), axis=-1)
-    return float(worst) if worst.ndim == 0 else worst
+    return _per_entry(_trace_residual(K.data, K.dim))
 
 
 def combine_kernels(kernels) -> SuperKernel:
     """Entrywise sum of per-reservoir kernels of equal data shape and
-    mode; for stacked kernels, the sum of each entry. Kernels whose data
-    shapes differ (another dimension, a stack beside a single kernel,
-    stacks of unequal length) are refused with both shapes named, and
-    Redfield beside Lindblad kernels with both modes named.
+    mode; for stacked kernels, the sum of each entry. The sum keeps dim
+    and mode and nothing else. Kernels whose data shapes differ (another
+    dimension, a stack beside a single kernel, stacks of unequal length)
+    are refused with both shapes named, and Redfield beside Lindblad
+    kernels with both modes named.
     """
     kernels = list(kernels)
     if not kernels:
@@ -310,6 +319,4 @@ def combine_kernels(kernels) -> SuperKernel:
     for k in kernels[1:]:
         data += k.data
     data.flags.writeable = False
-    return SuperKernel(dim=kernels[0].dim, data=data, mode=kernels[0].mode,
-                       reservoir="+".join(k.reservoir for k in kernels),
-                       reservoirs=tuple(r for k in kernels for r in k.reservoirs))
+    return SuperKernel(dim=kernels[0].dim, data=data, mode=kernels[0].mode)

@@ -27,8 +27,10 @@ positivity_report act on each entry of a stack at once: a sweep chunk of
 B points is one batched SVD, one batched LU solve and one batched
 eigvalsh. numpy's stacked linear algebra runs the same LAPACK call per
 entry, so every entry is bit-identical to the result for that entry's
-matrix alone. Scalar diagnostics become arrays over the batch axis, and
-a failing entry raises the error its own matrix raises.
+matrix alone. Diagnostics are Python scalars for one point and arrays
+over the batch axis for a stack (kernel._per_entry), and a failing entry
+raises the error its own matrix raises. A Liouvillian is only dim and
+matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import TRACE_TOL, SuperKernel, _frozen, pair_index
+from .kernel import (TRACE_TOL, SuperKernel, _frozen, _per_entry,
+                     _trace_residual, pair_index)
 from .system import SystemSpec
 
 __all__ = [
@@ -70,7 +73,8 @@ class DegenerateSteadyStateError(RuntimeError):
 
 
 class SteadyStateResidualError(RuntimeError):
-    """The linear solve went through but left a residual above tolerance."""
+    """The solve left a residual above the absolute tolerance; the
+    message names ||M||_inf, the scale its rounding grows with."""
 
 
 class IntegrationError(RuntimeError):
@@ -87,10 +91,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _frozen(self.entries)
-        if m.ndim not in (2, 3) or m.shape[-2:] != (self.dim, self.dim):
-            raise ValueError(f"entries must be {self.dim}x{self.dim} or a "
-                             f"(B, {self.dim}, {self.dim}) stack, got {m.shape}")
+        m = _frozen(self.entries, self.dim, "entries")
         if not np.isfinite(m).all():
             raise ValueError("density matrix has non-finite entries")
         object.__setattr__(self, "entries", m)
@@ -110,13 +111,11 @@ class DensityMatrix:
 
     @property
     def trace(self):
-        t = self.entries.trace(axis1=-2, axis2=-1)
-        return complex(t) if t.ndim == 0 else t
+        return _per_entry(self.entries.trace(axis1=-2, axis2=-1), complex)
 
     def hermiticity_defect(self):
         e = self.entries
-        defect = np.abs(e - e.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        return float(defect) if defect.ndim == 0 else defect
+        return _per_entry(np.abs(e - e.conj().swapaxes(-1, -2)).max(axis=(-2, -1)))
 
     def validate(self, tol: float = 1e-10) -> None:
         """Raise unless every entry is Hermitian with unit trace, both
@@ -147,19 +146,14 @@ def gibbs_state(levels, T: float) -> DensityMatrix:
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
     """Full generator M over the flattened pair index; a stack of
-    B generators is (B, N^2, N^2). Every entry must be finite."""
+    B generators is (B, N^2, N^2). Every entry must be finite. It keeps
+    no kernel mode or reservoir label: nothing downstream reads them."""
 
     dim: int
     matrix: np.ndarray
-    mode: str
-    reservoirs: tuple
 
     def __post_init__(self):
-        d2 = self.dim * self.dim
-        m = _frozen(self.matrix)
-        if m.ndim not in (2, 3) or m.shape[-2:] != (d2, d2):
-            raise ValueError(f"matrix must be {d2}x{d2} or a (B, {d2}, {d2}) "
-                             f"stack, got {m.shape}")
+        m = _frozen(self.matrix, self.dim * self.dim, "matrix")
         if not np.isfinite(m).all():
             raise ValueError("generator matrix has non-finite (inf or NaN) "
                              "entries")
@@ -169,8 +163,7 @@ class Liouvillian:
 @dataclass(frozen=True)
 class SolveInfo:
     """Diagnostics of one steady-state solve. For a stacked solve each
-    field is an array over the batch axis (null_singular_values gains a
-    last axis of length 1)."""
+    field is an array over the batch axis."""
 
     residual: float                 # ||M vec(rho)||_inf after symmetrisation
     hermiticity_defect: float       # asymmetry of the raw solution
@@ -179,7 +172,7 @@ class SolveInfo:
 
 def assemble_liouvillian(system: SystemSpec, K_total: SuperKernel) -> Liouvillian:
     """M = -i E_{pp'} delta + K, for a kernel or each entry of a stack.
-    Population rows get no phase term."""
+    Population rows get no phase term; only dim and matrix are kept."""
     n = system.dim
     if K_total.dim != n:
         raise ValueError(f"kernel dim {K_total.dim} does not match system dim {n}")
@@ -189,8 +182,7 @@ def assemble_liouvillian(system: SystemSpec, K_total: SuperKernel) -> Liouvillia
     # the diagonal of each (N^2, N^2) matrix, as a strided view of m
     m.reshape(m.shape[:-2] + (-1,))[..., ::n * n + 1] += phase
     m.flags.writeable = False
-    return Liouvillian(dim=n, matrix=m, mode=K_total.mode,
-                       reservoirs=K_total.reservoirs)
+    return Liouvillian(dim=n, matrix=m)
 
 
 def _degenerate_message(m: np.ndarray, sv: np.ndarray, null: np.ndarray,
@@ -198,8 +190,7 @@ def _degenerate_message(m: np.ndarray, sv: np.ndarray, null: np.ndarray,
     """Why one generator m, with singular values sv and null mask null,
     has no unique steady state."""
     null_sv = [float(x) for x in sv[null]]
-    pop_rows = [pair_index(n, p, p) for p in range(n)]
-    trace_resid = float(np.max(np.abs(m[pop_rows, :].sum(axis=0))))
+    trace_resid = float(_trace_residual(m, n))
     cause = (f" > {TRACE_TOL:g}: the generator does not preserve trace"
              if trace_resid > TRACE_TOL else "")
     return (f"nullspace dimension {len(null_sv)}, need exactly 1; "
@@ -219,7 +210,8 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
     does not preserve trace. The solve itself replaces the (0,0)
     population row of M with the trace row (ones on the population
     columns) and solves M' x = e_0. The result is symmetrised,
-    renormalised, and only accepted if ||M vec(rho)||_inf < 1e-10.
+    renormalised, and only accepted if ||M vec(rho)||_inf < 1e-10, an
+    absolute bound; the error names ||M||_inf of the failing generator.
 
     A stacked generator gives a stacked DensityMatrix, each entry
     bit-identical to the solve of that entry alone; the first entry
@@ -256,18 +248,18 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
     residual = np.abs(m @ rho.reshape(x.shape)).max(axis=(-2, -1))
     too_large = residual > RESIDUAL_TOL
     if np.count_nonzero(too_large):
-        first = residual.reshape(-1)[np.flatnonzero(too_large)[0]]
+        j = np.flatnonzero(too_large)[0]
+        scale = np.linalg.norm(m.reshape(-1, d2, d2)[j], np.inf)
         raise SteadyStateResidualError(
-            f"steady-state residual {first:g} exceeds {RESIDUAL_TOL:g}")
+            f"steady-state residual {residual.reshape(-1)[j]:g} exceeds the "
+            f"absolute bound {RESIDUAL_TOL:g}; the generator has "
+            f"||M||_inf {scale:.3e}")
     out = DensityMatrix(dim=n, entries=rho)
     if not full_output:
         return out
-    if m.ndim == 2:
-        return out, SolveInfo(residual=float(residual),
-                              hermiticity_defect=float(defect),
-                              null_singular_values=(float(sv[-1]),))
-    return out, SolveInfo(residual=residual, hermiticity_defect=defect,
-                          null_singular_values=sv[..., -1:])
+    return out, SolveInfo(
+        residual=_per_entry(residual), hermiticity_defect=_per_entry(defect),
+        null_singular_values=_per_entry(sv[..., -1], lambda s: (float(s),)))
 
 
 def svd_steady_state(L: Liouvillian) -> DensityMatrix:
@@ -390,10 +382,7 @@ def positivity_report(rho: DensityMatrix) -> PositivityReport:
     per entry for a stacked rho."""
     e = rho.entries
     eigs = np.linalg.eigvalsh(0.5 * (e + e.conj().swapaxes(-1, -2)))
-    min_pop = rho.populations.min(axis=-1)
-    if e.ndim == 2:
-        return PositivityReport(min_population=float(min_pop),
-                                min_eigenvalue=float(eigs[0]),
-                                hermiticity_defect=rho.hermiticity_defect())
-    return PositivityReport(min_population=min_pop, min_eigenvalue=eigs[..., 0],
-                            hermiticity_defect=rho.hermiticity_defect())
+    return PositivityReport(
+        min_population=_per_entry(rho.populations.min(axis=-1)),
+        min_eigenvalue=_per_entry(eigs[..., 0]),
+        hermiticity_defect=rho.hermiticity_defect())

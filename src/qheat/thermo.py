@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, steady
-from .kernel import SuperKernel
+from .kernel import SuperKernel, _per_entry
 from .steady import DensityMatrix, Liouvillian, PositivityReport, SolveInfo
 from .system import SystemSpec
 
@@ -87,7 +87,7 @@ def reservoir_current(system: SystemSpec, K_R: SuperKernel,
         raise CurrentConsistencyError(
             f"current has imaginary part {first:g}; state and kernel are "
             "inconsistent")
-    return float(q.real) if q.ndim == 0 else q.real
+    return _per_entry(q.real)
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,6 @@ class CurrentReport:
     currents: tuple                  # (label, temperature, current) triples
     conservation_residual: float     # |q_1 + q_2|
     second_law: str                  # pass / fail / not-applicable
-
-
-def _floats(x):
-    a = np.asarray(x, dtype=float)
-    return float(a) if a.ndim == 0 else a
 
 
 def law_checks(report_inputs) -> CurrentReport:
@@ -118,7 +113,9 @@ def law_checks(report_inputs) -> CurrentReport:
     otherwise, not-applicable in equilibrium (T_1 = T_2, where both
     currents vanish and no direction is defined).
     """
-    items = tuple((str(l), _floats(t), _floats(q)) for l, t, q in report_inputs)
+    items = tuple((str(l), _per_entry(np.asarray(t, dtype=float)),
+                   _per_entry(np.asarray(q, dtype=float)))
+                  for l, t, q in report_inputs)
     if len(items) != 2:
         raise ValueError(f"need exactly two reservoirs, got {len(items)}")
     (_, t1, q1), (_, t2, q2) = items
@@ -126,7 +123,7 @@ def law_checks(report_inputs) -> CurrentReport:
                        np.where(q1 * (t1 - t2) >= 0, SECOND_LAW_PASS,
                                 SECOND_LAW_FAIL))
     return CurrentReport(currents=items, conservation_residual=abs(q1 + q2),
-                         second_law=str(verdict) if verdict.ndim == 0 else verdict)
+                         second_law=_per_entry(verdict, str))
 
 
 @dataclass(frozen=True, eq=False)

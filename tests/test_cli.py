@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -101,6 +102,18 @@ def test_point_invalid_parameters_exit_one(capsys):
     assert "lam" in capsys.readouterr().err
     assert main(["single", "--ta", "-1"]) == 1
     assert "temperature" in capsys.readouterr().err
+
+
+def test_residual_error_names_the_generator_scale(capsys):
+    """At T_A = 1e7 the rates, and so the solve's rounding, outgrow the
+    absolute residual bound; the message says so with ||M||_inf."""
+    assert main(["coupled", "--ta", "1e7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the residual itself is rounding, so only its place is pinned
+    assert re.fullmatch(r"qheat: steady-state residual \S+ exceeds the absolute "
+                        r"bound 1e-10; the generator has \|\|M\|\|_inf "
+                        r"2\.286e\+07\n", captured.err)
 
 
 def test_strict_positivity_point_exit(capsys):
@@ -359,7 +372,7 @@ def _per_point_csv(model, mode, params, var, start, stop, count):
         if var == "tm":
             p["ta"], p["tb"] = value + half, value - half
         else:
-            p[var] = value
+            p[cli._PARAM_KEY.get(var, var)] = value
         writer.writerow(cli._point_row(model, mode, value, p))
     return buf.getvalue()
 
@@ -376,6 +389,11 @@ _SINGLE = dict(w0=1.0, ga=1.0, gb=1.0, ta=2.0, tb=1.0)
     ("coupled", "redfield", dict(_COUPLED, ta=10.0, tb=0.0), "tm", 3.0, 8.0, 21),
     # a near-degenerate system makes every batched build raise
     ("coupled", "lindblad", dict(_COUPLED, w2=1.0, lam=1e-13), "ta", 0.5, 1.5, 3),
+    # system parameters run point by point, each row on its own system
+    ("single", "lindblad", _SINGLE, "w0", 0.5, 2.0, 7),
+    ("coupled", "redfield", dict(_COUPLED, ta=1.5), "w2", 1.5, 3.0, 7),
+    # lambda >= sqrt(w1 w2) = 1.414 is refused: error rows past the crossing
+    ("coupled", "lindblad", dict(_COUPLED, ta=1.5), "lambda", 0.1, 2.0, 11),
 ])
 def test_bath_sweeps_equal_per_point_rows(model, mode, params, var, start,
                                           stop, count):

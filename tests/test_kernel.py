@@ -5,11 +5,11 @@ import pytest
 
 from qheat import (BathSpec, NearDegeneracyError, SpectralDensity,
                    SpectralLookupError, SuperKernel, SystemSpec,
-                   assemble_liouvillian, bath_correlation, build_kernel,
-                   check_trace_condition, combine_kernels, coupled_rates,
-                   degeneracy_tolerance, gibbs_state, kernel,
-                   make_coupled_qubits, make_single_qubit, pair_index,
-                   planck_occupation)
+                   bath_correlation, build_kernel, check_trace_condition,
+                   combine_kernels, coupled_rates, degeneracy_tolerance,
+                   gibbs_state, kernel, make_coupled_qubits,
+                   make_single_qubit, pair_index, planck_occupation,
+                   steady_point)
 
 
 def test_pair_index():
@@ -167,7 +167,7 @@ def test_trace_check_detects_perturbation():
     K = build_kernel(system, bath, "A", "lindblad")
     data = np.array(K.data)
     data[pair_index(2, 0, 0), pair_index(2, 1, 1)] += 1e-3
-    bad = SuperKernel(dim=2, data=data, mode="lindblad", reservoir="A")
+    bad = SuperKernel(dim=2, data=data, mode="lindblad")
     assert check_trace_condition(bad) >= 1e-3 - 1e-12
 
 
@@ -316,7 +316,7 @@ def test_batched_build_equals_single_builds(name, mode):
     d2 = system.dim ** 2
     assert batch.data.shape == (len(baths), d2, d2)
     assert batch.data.flags.c_contiguous
-    assert (batch.dim, batch.mode, batch.reservoirs) == (system.dim, mode, ("A",))
+    assert (batch.dim, batch.mode) == (system.dim, mode)
     singles = [build_kernel(system, bath, "A", mode) for bath in baths]
     for data, single in zip(batch.data, singles):
         assert np.array_equal(data, single.data)
@@ -343,7 +343,6 @@ def test_combine_kernels_behaviour():
     kb = build_kernel(system, bath_b, "B", "lindblad")
     total = combine_kernels([ka, kb])
     assert np.array_equal(total.data, ka.data + kb.data)
-    assert total.reservoir == "A+B"
     assert total.mode == "lindblad"
     with pytest.raises(ValueError):
         combine_kernels([])
@@ -364,13 +363,19 @@ def test_combine_kernels_behaviour():
 
 
 def test_reservoir_labels_may_contain_plus():
-    system = make_single_qubit(1.0, reservoirs=("hot+1", "B"))
-    bath = BathSpec(temperature=1.0, spectral_density=1.0)
-    total = combine_kernels([build_kernel(system, bath, r, "lindblad")
-                             for r in system.reservoirs])
-    assert total.reservoir == "hot+1+B"
-    assert total.reservoirs == ("hot+1", "B")
-    assert assemble_liouvillian(system, total).reservoirs == ("hot+1", "B")
+    """Labels live only in the system's couplings and the keys of
+    steady_point's dicts, so any string serves and changes no number."""
+    hot = BathSpec(temperature=2.0, spectral_density=1.0)
+    cold = BathSpec(temperature=0.5, spectral_density=0.7)
+    for mode in ("lindblad", "redfield"):
+        plus, plain = (steady_point(make_single_qubit(1.0, reservoirs=labels),
+                                    dict(zip(labels, (hot, cold))), mode)
+                       for labels in (("hot+1", "B"), ("A", "B")))
+        assert tuple(plus.kernels) == tuple(plus.currents) == ("hot+1", "B")
+        for r, r0 in (("hot+1", "A"), ("B", "B")):
+            assert np.array_equal(plus.kernels[r].data, plain.kernels[r0].data)
+            assert plus.currents[r] == plain.currents[r0]
+        assert np.array_equal(plus.rho.entries, plain.rho.entries)
 
 
 def test_combine_kernels_mixed_modes():
@@ -391,4 +396,4 @@ def test_kernel_data_is_immutable():
     with pytest.raises(ValueError):
         K.data[0, 0] = 1.0
     with pytest.raises(ValueError):
-        SuperKernel(dim=2, data=np.zeros((3, 3)), mode="lindblad", reservoir="A")
+        SuperKernel(dim=2, data=np.zeros((3, 3)), mode="lindblad")
