@@ -5,7 +5,8 @@ system coupled to bosonic heat reservoirs, solves for the stationary
 density matrix, and evaluates per-reservoir heat currents, all in the
 energy eigenbasis; steady_point runs that whole chain in one call, for
 one point or a stack of them. Closed-form references for one and two
-qubits live in qheat.models; the command line front end in qheat.cli.
+qubits, and the Pauli rate equation for any number of levels, live in
+qheat.models; the command line front end in qheat.cli.
 
 Units: hbar = k_B = 1 throughout.
 """
@@ -15,10 +16,11 @@ from .bath import (BathSpec, SpectralDensity, SpectralLookupError,
 from .kernel import (LINDBLAD, MODES, REDFIELD, NearDegeneracyError,
                      SuperKernel, build_kernel, check_trace_condition,
                      combine_kernels, degeneracy_tolerance, pair_index)
-from .models import (CoupledLindbladResult, CoupledRedfieldResult, RateParams,
-                     SingleQubitResult, coupled_lindblad_closed,
-                     coupled_rates, coupled_redfield_closed, limit_currents,
-                     single_qubit_closed)
+from .models import (CoupledLindbladResult, CoupledRedfieldResult,
+                     PauliResult, RateParams, SingleQubitResult,
+                     coupled_lindblad_closed, coupled_rates,
+                     coupled_redfield_closed, limit_currents,
+                     pauli_steady_state, single_qubit_closed)
 from .steady import (POSITIVITY_TOL, RESIDUAL_TOL, DegenerateSteadyStateError,
                      DensityMatrix, IntegrationError, Liouvillian,
                      PositivityReport, SolveInfo, SteadyStateResidualError,
@@ -50,5 +52,6 @@ __all__ = [
     "SingleQubitResult", "single_qubit_closed", "RateParams", "coupled_rates",
     "CoupledLindbladResult", "coupled_lindblad_closed",
     "CoupledRedfieldResult", "coupled_redfield_closed", "limit_currents",
+    "PauliResult", "pauli_steady_state",
     "__version__",
 ]

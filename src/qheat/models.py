@@ -1,4 +1,4 @@
-"""Closed-form steady states and currents for the two concrete models.
+"""Closed-form steady states and currents, and the Pauli rate equation.
 
 Independent implementations of the analytic results: the single driven
 qubit, the coupled-qubit pair under the secular (Lindblad) kernel, and
@@ -6,7 +6,9 @@ the coupled-qubit pair under the full Redfield kernel with a uniform
 spectral density. They exist to cross-validate the generic
 kernel/solve/current pipeline and vice versa, so they are written
 directly from the analytic expressions with no shared code path and no
-algebraic simplification.
+algebraic simplification. pauli_steady_state is the same kind of oracle
+for the secular kernel on any number of levels; the two qubit closed
+forms are special cases of it.
 """
 
 from __future__ import annotations
@@ -14,17 +16,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bath import planck_occupation
 
 __all__ = [
     "CoupledLindbladResult",
     "CoupledRedfieldResult",
+    "PauliResult",
     "RateParams",
     "SingleQubitResult",
     "coupled_lindblad_closed",
     "coupled_rates",
     "coupled_redfield_closed",
     "limit_currents",
+    "pauli_steady_state",
     "single_qubit_closed",
 ]
 
@@ -252,6 +258,59 @@ def coupled_redfield_closed(omega1, omega2, lam, g, t_a, t_b) -> CoupledRedfield
     rho_32 = coh * complex(s, +2 * e)
     return CoupledRedfieldResult(populations=pops, rho_23=rho_23,
                                  rho_32=rho_32, rates=r)
+
+
+@dataclass(frozen=True)
+class PauliResult:
+    populations: np.ndarray     # P_n, in the order of the levels
+    currents: dict              # reservoir label -> q^R
+
+
+def _rate_matrix(levels, s1, g, temperature):
+    """W^R: W[p, q] the rate from level q to level p, columns summing to 0."""
+    n = len(levels)
+    w = np.zeros((n, n))
+    for p in range(n):
+        for q in range(p):
+            omega = levels[p] - levels[q]
+            strength = abs(s1[p, q]) ** 2 * g(omega)
+            occupation = planck_occupation(omega, temperature)
+            w[p, q] += strength * occupation            # up, q -> p
+            w[q, p] += strength * (1.0 + occupation)    # down, p -> q
+    return w - np.diag(w.sum(axis=0))
+
+
+def pauli_steady_state(levels, couplings, g, t) -> PauliResult:
+    """Populations and per-reservoir currents of the Pauli rate equation.
+
+    levels are ascending energies E_n; couplings, g and t map each
+    reservoir label R to its raising operator S^1 in the energy basis
+    (nonzero only below the diagonal), its spectral density (a number or
+    a callable of omega) and its temperature. Reservoir R moves the
+    system from q up to p > q at rate |S^1_pq|^2 g_R(w) n(w) and back
+    down at |S^1_pq|^2 g_R(w) (1 + n(w)), w = E_p - E_q and n the Planck
+    occupation at T_R. The populations P are the trace-one null vector of
+    W = sum_R W^R, and q^R = sum_p E_p (W^R P)_p.
+
+    With nondegenerate levels and Bohr frequencies the secular (lindblad)
+    kernel decouples populations from coherences, its steady state is
+    diagonal and these are its populations and currents (Breuer &
+    Petruccione, The Theory of Open Quantum Systems, section 3.3).
+    single_qubit_closed and coupled_lindblad_closed are special cases.
+    """
+    levels = [float(e) for e in levels]
+    rates = {}
+    for r, s1 in couplings.items():
+        s1 = np.asarray(s1)
+        if np.triu(s1).any():
+            raise ValueError(f"coupling {r!r} must be nonzero only below the "
+                             "diagonal (S^1 raises the energy)")
+        rates[r] = _rate_matrix(levels, s1, _as_g(g[r]), t[r])
+    vh = np.linalg.svd(sum(rates.values()))[2]
+    pops = vh[-1] / vh[-1].sum()
+    return PauliResult(
+        populations=pops,
+        currents={r: float(np.dot(levels, w @ pops)) for r, w in rates.items()})
 
 
 def limit_currents(model: str, regime: str, **params) -> dict:

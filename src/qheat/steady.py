@@ -17,9 +17,14 @@ linear solves. Each step is one product with the one-step propagator
 which on a constant generator is classic RK4 exactly, and which is the
 matrix whose spectral radius the stability check reads. The steps run
 in blocks of EVOLVE_BLOCK states in one preallocated buffer, and the
-blow-up check reads every state of a block at once. A zero generator
-leaves the state as it is. A generator with inf or NaN entries is
-refused when the Liouvillian is built.
+blow-up check reads every state of a block at once. After the check,
+evolve stops early when the block's last two states have the same
+bytes: that state is a fixed point of the rounded step, fl(P y) = y,
+and the product is deterministic, so every later step would return the
+same bytes and the result is that of all the steps. Bytes, not values,
+are compared, so +0.0 and -0.0 never match. A zero generator leaves the
+state as it is. A generator with inf or NaN entries is refused when the
+Liouvillian is built.
 
 Liouvillian and DensityMatrix also hold stacks, (B, N^2, N^2) and
 (B, N, N), and assemble_liouvillian, solve_steady_state and
@@ -294,9 +299,12 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     checked. The steps go into the rows of one (EVOLVE_BLOCK + 1, N^2)
     buffer; after each block every state in it is checked at once, so
     the states and the result are those of the plain loop y <- P y.
-    With the default step, a zero generator returns rho0 unchanged
+    When, after that check, the block's last two states are equal byte
+    for byte, the last one is a fixed point of the rounded step and
+    evolve returns it at once: the remaining steps would not change a
+    bit. With the default step, a zero generator returns rho0 unchanged
     (d rho/dt = 0; an explicit dt gives P = I and the same state).
-    Raises ValueError for a non-finite t_final or dt, and
+    Raises ValueError for a non-finite t_final, dt or t_final / dt, and
     IntegrationError if the step lies outside RK4's stability region (P
     has spectral radius above 1 + 1e-9), any state has a non-finite
     entry or a norm above 1e6 * max(1, ||rho0||), or the trace drifts
@@ -319,7 +327,11 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
         dt = 0.01 / float(np.linalg.norm(m, np.inf))
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    steps = max(1, math.ceil(t_final / dt))
+    ratio = t_final / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_final / dt must be finite, got t_final = "
+                         f"{t_final}, dt = {dt}")
+    steps = max(1, math.ceil(ratio))
     h = t_final / steps
     hm = h * m
     hm2 = hm @ hm
@@ -349,7 +361,11 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
                 raise IntegrationError(
                     f"propagation unstable after norm blowup at step size "
                     f"{h:g}; reduce dt")
+            # fl(P y) == y bit for bit: every later step returns these bytes
+            fixed = rows[k].tobytes() == rows[k - 1].tobytes()
             rows[0] = rows[k]
+            if fixed:
+                break
     y = rows[0]
     drift = abs(y[::stride].sum() - trace0)
     if drift > TRACE_DRIFT_TOL:

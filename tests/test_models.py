@@ -5,6 +5,7 @@ import pytest
 
 from qheat import (coupled_lindblad_closed, coupled_rates,
                    coupled_redfield_closed, limit_currents,
+                   make_coupled_qubits, make_single_qubit, pauli_steady_state,
                    single_qubit_closed)
 
 REF = dict(omega1=1.0, omega2=2.0, lam=0.5)
@@ -205,3 +206,38 @@ def test_exact_currents_approach_low_temperature_limit():
                            t_a=0.079, t_b=0.07, **REF)
     assert abs(exact.q_a_plus - limit["q_a_plus"]) < 0.02 * abs(exact.q_a_plus)
     assert abs(exact.q_a_minus - limit["q_a_minus"]) < 0.02 * abs(exact.q_a_minus)
+
+
+def test_pauli_rate_equation_reduces_to_the_qubit_closed_forms():
+    """Both closed forms are the Pauli equation of their model; drawn as
+    the benchmark's points workload draws them."""
+    rng = np.random.default_rng(304)
+    worst = 0.0
+    for _ in range(100):
+        w0, w1, w2 = rng.uniform(0.2, 5.0, size=3)
+        lam = rng.uniform(0.05, 0.9) * math.sqrt(w1 * w2)
+        ga, gb = rng.uniform(0.05, 2.0, size=2)
+        ta, tb = rng.uniform(0.05, 10.0, size=2)
+        g, t = {"A": ga, "B": gb}, {"A": ta, "B": tb}
+        single = make_single_qubit(w0)
+        ref = pauli_steady_state(single.levels, single.couplings, g, t)
+        closed = single_qubit_closed(w0, ga, gb, ta, tb)
+        diffs = [ref.populations[0] - closed.rho_minus,
+                 ref.populations[1] - closed.rho_plus,
+                 ref.currents["A"] - closed.q_a, ref.currents["B"] - closed.q_b]
+        pair, _ = make_coupled_qubits(w1, w2, lam)
+        ref = pauli_steady_state(pair.levels, pair.couplings, g, t)
+        closed = coupled_lindblad_closed(w1, w2, lam, ga, gb, ta, tb)
+        diffs += list(ref.populations - closed.populations)
+        diffs += [ref.currents["A"] - closed.q_a, ref.currents["B"] - closed.q_b]
+        worst = max(worst, np.max(np.abs(diffs)))
+    assert worst < 1e-12
+
+
+def test_pauli_steady_state_guards():
+    with pytest.raises(ValueError, match="below the diagonal"):
+        pauli_steady_state((0.0, 1.0), {"A": [[0.0, 1.0], [0.0, 0.0]]},
+                           {"A": 1.0}, {"A": 1.0})
+    with pytest.raises(ValueError, match="spectral density must be >= 0"):
+        pauli_steady_state((0.0, 1.0), {"A": [[0.0, 0.0], [1.0, 0.0]]},
+                           {"A": -1.0}, {"A": 1.0})

@@ -12,6 +12,7 @@ from qheat import (BathSpec, DegenerateSteadyStateError, DensityMatrix,
                    pair_index, planck_occupation, positivity_report,
                    reservoir_current, solve_steady_state, steady_point,
                    svd_steady_state)
+from qheat import steady
 from qheat.steady import EVOLVE_BLOCK
 
 
@@ -219,6 +220,16 @@ def test_evolve_guards():
             evolve(L, rho0, t_final, dt=dt)
 
 
+@pytest.mark.parametrize("t_final, dt", [(1.0, 5e-324), (1e308, None)])
+def test_evolve_refuses_a_step_count_that_overflows(t_final, dt):
+    """t_final / dt is inf here; math.ceil used to raise a bare
+    OverflowError: cannot convert float infinity to integer."""
+    L = _relax_generator("single", "lindblad")
+    with pytest.raises(ValueError, match=r"^t_final / dt must be finite, got "
+                       r"t_final = .*, dt = "):
+        evolve(L, MIXED_QUBIT, t_final, dt=dt)
+
+
 @pytest.mark.parametrize("model, mode", [("single", "lindblad"),
                                          ("coupled", "lindblad"),
                                          ("coupled", "redfield")])
@@ -346,6 +357,54 @@ def test_evolve_equals_the_plain_propagator_loop(model, mode):
         out = evolve(L, rho0, t_final, dt=dt)
         assert out.entries.tobytes() == y.reshape(n, n).tobytes(), \
             (t_final, dt)
+
+
+class _CountingNumpy:
+    """numpy as qheat.steady sees it, counting the np.matmul calls: one
+    per evolve step."""
+
+    def __init__(self):
+        self.products = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.products += 1
+        return np.matmul(*args, **kwargs)
+
+
+def test_evolve_stops_at_once_on_a_steady_state(monkeypatch):
+    """Decay of level 1 into level 0 at rate 1, started in level 0: P y
+    is y bit for bit, so the plain loop returns y after any number of
+    steps, and evolve stops after its first block of the 10^6."""
+    L = _two_level({(0, 3): 1.0, (3, 3): -1.0, (1, 1): -0.5, (2, 2): -0.5})
+    rho0 = DensityMatrix(dim=2, entries=np.diag([1.0, 0.0]))
+    h = 2.0 ** -7
+    hm = h * L.matrix
+    hm2 = hm @ hm
+    P = np.eye(4) + hm + hm2 / 2 + hm2 @ (hm / 6 + hm2 / 24)
+    y = rho0.entries.reshape(-1).astype(complex)
+    assert (P @ y).tobytes() == y.tobytes()
+    counter = _CountingNumpy()
+    monkeypatch.setattr(steady, "np", counter)
+    out = evolve(L, rho0, 10 ** 6 * h, dt=h)
+    assert counter.products <= EVOLVE_BLOCK
+    assert out.entries.tobytes() == y.reshape(2, 2).tobytes()
+
+
+@pytest.mark.parametrize("model, mode", [("single", "lindblad"),
+                                         ("coupled", "lindblad"),
+                                         ("coupled", "redfield")])
+def test_evolve_stops_early_on_the_relax_run(model, mode, monkeypatch):
+    """The t = 80, dt = 0.005 runs of the bit-for-bit test above reach
+    a fixed point of the rounded step before their 16000th step."""
+    L = _relax_generator(model, mode)
+    n = L.dim
+    counter = _CountingNumpy()
+    monkeypatch.setattr(steady, "np", counter)
+    evolve(L, DensityMatrix(dim=n, entries=np.eye(n) / n), 80.0, dt=0.005)
+    assert 0 < counter.products < 16000
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
