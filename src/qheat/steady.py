@@ -15,16 +15,21 @@ linear solves. Each step is one product with the one-step propagator
     P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24,
 
 which on a constant generator is classic RK4 exactly, and which is the
-matrix whose spectral radius the stability check reads. The steps run
-in blocks of EVOLVE_BLOCK states in one preallocated buffer, and the
-blow-up check reads every state of a block at once. After the check,
-evolve stops early when the block's last two states have the same
-bytes: that state is a fixed point of the rounded step, fl(P y) = y,
-and the product is deterministic, so every later step would return the
-same bytes and the result is that of all the steps. Bytes, not values,
-are compared, so +0.0 and -0.0 never match. A zero generator leaves the
-state as it is. A generator with inf or NaN entries is refused when the
-Liouvillian is built.
+matrix whose spectral radius the stability check reads. The product is
+P's bound dot method, the same BLAS matrix-vector call as np.matmul
+with less dispatch per step. The steps run in blocks of EVOLVE_BLOCK
+states in one preallocated buffer, and the blow-up check reads every
+state of a block at once with one norm comparison: an inf or NaN entry
+gives an inf or NaN norm, which fails it too. After the check, evolve
+stops early when the block's last two states have the same bytes: that
+state is a fixed point of the rounded step, fl(P y) = y, and the
+product is deterministic, so every later step would return the same
+bytes and the result is that of all the steps. Bytes, not values, are
+compared, so +0.0 and -0.0 never match. The stop may never fire: when
+the rounded step is not trace-preserving bit for bit, it can keep
+changing the state by an ulp on every step, and evolve then takes them
+all. A zero generator leaves the state as it is. A generator with inf
+or NaN entries is refused when the Liouvillian is built.
 
 Liouvillian and DensityMatrix also hold stacks, (B, N^2, N^2) and
 (B, N, N), and assemble_liouvillian, solve_steady_state and
@@ -181,8 +186,8 @@ def assemble_liouvillian(system: SystemSpec, K_total: SuperKernel) -> Liouvillia
     n = system.dim
     if K_total.dim != n:
         raise ValueError(f"kernel dim {K_total.dim} does not match system dim {n}")
-    E = system.levels
-    phase = np.array([-1j * (E[p] - E[pp]) for p in range(n) for pp in range(n)])
+    E = np.asarray(system.levels)
+    phase = -1j * (E[:, None] - E[None, :]).reshape(-1)     # over (p, p')
     m = np.array(K_total.data)
     # the diagonal of each (N^2, N^2) matrix, as a strided view of m
     m.reshape(m.shape[:-2] + (-1,))[..., ::n * n + 1] += phase
@@ -296,19 +301,22 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     0.01/||M||_inf. M is constant, so one RK4 step of size h is the
     matrix P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, built once; each
     step is one product with P, the same matrix whose spectral radius is
-    checked. The steps go into the rows of one (EVOLVE_BLOCK + 1, N^2)
-    buffer; after each block every state in it is checked at once, so
-    the states and the result are those of the plain loop y <- P y.
-    When, after that check, the block's last two states are equal byte
-    for byte, the last one is a fixed point of the rounded step and
-    evolve returns it at once: the remaining steps would not change a
-    bit. With the default step, a zero generator returns rho0 unchanged
-    (d rho/dt = 0; an explicit dt gives P = I and the same state).
-    Raises ValueError for a non-finite t_final, dt or t_final / dt, and
-    IntegrationError if the step lies outside RK4's stability region (P
-    has spectral radius above 1 + 1e-9), any state has a non-finite
-    entry or a norm above 1e6 * max(1, ||rho0||), or the trace drifts
-    by more than 1e-8 over the whole run.
+    checked, taken through P's bound dot method. The steps go into the
+    rows of one (EVOLVE_BLOCK + 1, N^2) buffer; after each block every
+    state in it is checked at once, so the states and the result are
+    those of the plain loop y <- P y. When, after that check, the
+    block's last two states are equal byte for byte, the last one is a
+    fixed point of the rounded step and evolve returns it at once: the
+    remaining steps would not change a bit. A rounded step that is not
+    trace-preserving bit for bit may change the state on every step,
+    and then all the steps are taken. With the default step, a zero
+    generator returns rho0 unchanged (d rho/dt = 0; an explicit dt gives
+    P = I and the same state). Raises ValueError for a non-finite
+    t_final, dt or t_final / dt, and IntegrationError if the step lies
+    outside RK4's stability region (P has spectral radius above
+    1 + 1e-9), any state's norm is not at most 1e6 * max(1, ||rho0||)
+    (an inf or NaN entry makes it inf or NaN, so this catches those
+    too), or the trace drifts by more than 1e-8 over the whole run.
     """
     if L.matrix.ndim != 2 or rho0.entries.ndim != 2:
         raise ValueError("evolve takes one generator and one state, not stacks")
@@ -349,15 +357,15 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     rows = np.empty((EVOLVE_BLOCK + 1, y.size), dtype=complex)
     rows[0] = y
     pairs = list(zip(rows[:-1], rows[1:]))
+    dot = step.dot      # the same BLAS product as np.matmul, less dispatch
     # a state that overflows mid-block ends in the error below, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, steps, EVOLVE_BLOCK):
             k = min(EVOLVE_BLOCK, steps - start)
             for src, dst in pairs[:k]:
-                np.matmul(step, src, out=dst)
-            block = rows[1:k + 1]
-            if not (np.isfinite(block).all()
-                    and (np.linalg.norm(block, axis=1) <= bound).all()):
+                dot(src, out=dst)
+            # an inf or NaN entry makes the norm inf or NaN, failing <= too
+            if not (np.linalg.norm(rows[1:k + 1], axis=1) <= bound).all():
                 raise IntegrationError(
                     f"propagation unstable after norm blowup at step size "
                     f"{h:g}; reduce dt")

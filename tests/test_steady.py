@@ -325,6 +325,19 @@ def test_evolve_blowup_raises_without_warnings():
             evolve(_two_level({(0, 3): 1e307}), MIXED_QUBIT, 200.0, dt=1.0)
 
 
+def test_evolve_blowup_to_nan_without_inf_raises():
+    """The first step's entry 0 is 0.5 + 1e309 - 1e309, inf - inf = NaN,
+    and no state ever holds an inf: the norm check alone must catch the
+    NaN, with no warning before the error."""
+    L = _two_level({(0, 1): 1e308, (0, 2): -1e308})
+    rho0 = DensityMatrix(dim=2, entries=np.array([[0.5, 1e3], [1e3, 0.5]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="^propagation unstable "
+                           "after norm blowup at step size 0.01; reduce dt$"):
+            evolve(L, rho0, 1.0, dt=0.01)
+
+
 def _relax_generator(model, mode):
     if model == "single":
         system = make_single_qubit(1.0)
@@ -359,19 +372,40 @@ def test_evolve_equals_the_plain_propagator_loop(model, mode):
             (t_final, dt)
 
 
-class _CountingNumpy:
-    """numpy as qheat.steady sees it, counting the np.matmul calls: one
-    per evolve step."""
+class _CountingLinalg:
+    """np.linalg as qheat.steady sees it, counting evolve's per-block
+    blow-up checks (norms along axis 1) and the states they read. Every
+    step's state is read once, so `products` is the number of steps
+    taken."""
 
     def __init__(self):
+        self.blocks = 0
         self.products = 0
+
+    def __getattr__(self, name):
+        return getattr(np.linalg, name)
+
+    def norm(self, x, *args, **kwargs):
+        if kwargs.get("axis") == 1:
+            self.blocks += 1
+            self.products += len(x)
+        return np.linalg.norm(x, *args, **kwargs)
+
+
+class _CountingNumpy:
+    """numpy as qheat.steady sees it, with a counting np.linalg."""
+
+    def __init__(self):
+        self.linalg = _CountingLinalg()
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def matmul(self, *args, **kwargs):
-        self.products += 1
-        return np.matmul(*args, **kwargs)
+
+def _propagator(L, h):
+    hm = h * L.matrix
+    hm2 = hm @ hm
+    return np.eye(len(hm)) + hm + hm2 / 2 + hm2 @ (hm / 6 + hm2 / 24)
 
 
 def test_evolve_stops_at_once_on_a_steady_state(monkeypatch):
@@ -381,15 +415,14 @@ def test_evolve_stops_at_once_on_a_steady_state(monkeypatch):
     L = _two_level({(0, 3): 1.0, (3, 3): -1.0, (1, 1): -0.5, (2, 2): -0.5})
     rho0 = DensityMatrix(dim=2, entries=np.diag([1.0, 0.0]))
     h = 2.0 ** -7
-    hm = h * L.matrix
-    hm2 = hm @ hm
-    P = np.eye(4) + hm + hm2 / 2 + hm2 @ (hm / 6 + hm2 / 24)
+    P = _propagator(L, h)
     y = rho0.entries.reshape(-1).astype(complex)
     assert (P @ y).tobytes() == y.tobytes()
     counter = _CountingNumpy()
     monkeypatch.setattr(steady, "np", counter)
     out = evolve(L, rho0, 10 ** 6 * h, dt=h)
-    assert counter.products <= EVOLVE_BLOCK
+    assert counter.linalg.blocks == 1
+    assert counter.linalg.products <= EVOLVE_BLOCK
     assert out.entries.tobytes() == y.reshape(2, 2).tobytes()
 
 
@@ -404,7 +437,33 @@ def test_evolve_stops_early_on_the_relax_run(model, mode, monkeypatch):
     counter = _CountingNumpy()
     monkeypatch.setattr(steady, "np", counter)
     evolve(L, DensityMatrix(dim=n, entries=np.eye(n) / n), 80.0, dt=0.005)
-    assert 0 < counter.products < 16000
+    assert 0 < counter.linalg.products < 16000
+
+
+def test_evolve_takes_every_step_when_no_step_repeats(monkeypatch):
+    """A single-qubit lindblad relax run (w0 = 2.14, g = 0.79 / 1.06,
+    T = 0.49 / 0.58) whose rounded step changes the state on each of its
+    16000 steps: the populations keep losing ulps, the trace drifts far
+    inside its bound, and no fixed point is ever reached. evolve then
+    checks all 250 blocks and returns the state after the last step."""
+    system = make_single_qubit(2.14)
+    L = _liouvillian(system, {"A": 0.79, "B": 1.06}, {"A": 0.49, "B": 0.58},
+                     "lindblad")
+    rho0 = DensityMatrix(dim=2, entries=np.eye(2) / 2)
+    P = _propagator(L, 0.005)
+    y = rho0.entries.reshape(-1).astype(complex)
+    repeats = 0
+    for _ in range(16000):
+        z = P @ y
+        repeats += z.tobytes() == y.tobytes()
+        y = z
+    assert repeats == 0
+    counter = _CountingNumpy()
+    monkeypatch.setattr(steady, "np", counter)
+    out = evolve(L, rho0, 80.0, dt=0.005)
+    assert counter.linalg.blocks == 16000 // EVOLVE_BLOCK
+    assert counter.linalg.products == 16000
+    assert out.entries.tobytes() == y.reshape(2, 2).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
