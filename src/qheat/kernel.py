@@ -27,18 +27,43 @@ sum over reservoirs with equal couplings cancels it (unequal couplings
 leave alpha*beta*|g_A - g_B|). Acceptance criterion 09a asks for the
 per-reservoir property and fails on exactly this residual.
 
-build_kernel evaluates the bath only through one correlation table per
-channel, filled before the loop: D^{ab}(E_x - E_y) at every (x, y) where
-S^a_{xy} is nonzero, each distinct frequency once per bath. For one bath
-the table has shape (N, N); for a sequence of B baths it has shape
-(N, N, B), and the same loop, with the same products in the same order,
-yields one stacked kernel with data of shape (B, N^2, N^2). A sweep over
-bath parameters (temperatures, coupling strengths) thus pays the loop
-once per batch instead of once per point, and data[i] is bit-identical
-to the single-bath build of bath i. combine_kernels and
+build_kernel evaluates the bath only through one correlation table
+D[b, x, y] of shape (B, N, N), bath axis first: D^{12}(E_x - E_y) where
+S^1_{xy} is nonzero and D^{21}(E_x - E_y) where S^2_{xy} is, each
+distinct frequency once per bath. Everything after it is array algebra
+over that bath axis, with B = 1 for one bath (the axis is then dropped
+from the data) and B for a sequence of baths, so the same code yields a
+single kernel or one stacked kernel with data of shape (B, N^2, N^2),
+and data[i] is bit-identical to the single-bath build of bath i. A sweep
+over bath parameters (temperatures, coupling strengths) thus builds its
+kernels once per batch instead of once per point.
+
+The level sum of the two decay terms is one table per batch,
+
+    G[b, x, y] = sum_l [E_xl + E_ly = 0] sum_ab S^a_xl S^b_ly D^{ab}[b, x, l],
+
+filled by a loop over l alone, each step adding the (B, N, N) terms of
+both channels in the (l, channel) order of the reference loop. The
+decay terms subtract G[b, p, q]/2 on the p' = q' diagonal of the
+(B, N, N, N, N) kernel indexed [b, p, p', q, q'], and G[b, q', p']/2 on
+its p = q diagonal. The transfer term of channel (a, b) is an outer
+product over supp S^b x supp S^a, zeroed where lindblad's secular
+bracket fails, times D^{ab}[b, q', p'] + D^{ab}[b, q, p]; half of it is
+added at those entries. S^1 raises and S^2 lowers the energy, so the
+transfer terms of the two channels never share an entry.
+
+The data are byte-identical to those of the six-deep loop over
+(p, p', q, q', l, channel) that tests/kernel_oracle.py keeps as the
+reference. Two rules keep them so. Every complex product is formed from
+real and imaginary parts, (ar br - ai bi) + i (ar bi + ai br), as the
+loop's numpy scalar products are: numpy's array complex multiply may
+fuse a product into the sum (with numpy 2.4 on x86-64 it rounds
+differently in 44 % of random products), which moves entries of
+complex-coupled kernels by a few 1e-15. And every sum keeps the loop's
+order: the level sum runs over (l, channel) in sequence, and each entry
+takes its decay terms before its transfer term. combine_kernels and
 check_trace_condition, like the steady-state and current layers
-downstream, act on each entry of such a stack as they act on a single
-kernel.
+downstream, act on each entry of a stack as they act on a single kernel.
 
 _frozen (the shape check), _per_entry (a Python scalar for one point, an
 array for a stack) and _trace_residual serve every layer. No kernel
@@ -157,20 +182,32 @@ class SuperKernel:
                                  pair_index(self.dim, q, qp)])
 
 
-def _reject_near_degenerate(system: SystemSpec, reservoir: str, eps: float,
-                            include_frequencies: bool):
-    checks = [(sorted(set(system.levels)), "level energies")]
-    if include_frequencies:
-        s1 = system.couplings[reservoir]
-        freqs = sorted({system.levels[p] - system.levels[q]
-                        for p, q in zip(*np.nonzero(s1))})
-        checks.append((freqs, "transition frequencies"))
-    for values, what in checks:
-        for a, b in zip(values, values[1:]):
-            if b - a <= eps:
-                raise NearDegeneracyError(
-                    f"distinct {what} {a:g} and {b:g} differ by {b - a:g}, "
-                    f"inside the secular tolerance {eps:g}")
+def _reject_near_degenerate(values, what: str, eps: float):
+    """Refuse two distinct values within eps of each other: sorted, the
+    neighbours at a nonzero gap are the consecutive distinct values, and
+    the first such pair at most eps apart is named."""
+    values = sorted(values)
+    for a, b in zip(values, values[1:]):
+        if 0 < b - a <= eps:
+            raise NearDegeneracyError(
+                f"distinct {what} {a:g} and {b:g} differ by {b - a:g}, "
+                f"inside the secular tolerance {eps:g}")
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y for broadcastable complex arrays, each entry formed from the
+    real and imaginary parts as (xr yr - xi yi) + i (xr yi + xi yr).
+
+    numpy's array complex multiply may contract a product and a sum into
+    one fused multiply-add, and then rounds differently from its scalar
+    complex product; this form rounds each product and each sum on its
+    own, as the scalar product does.
+    """
+    re = x.real * y.real
+    out = np.empty(re.shape, dtype=complex)
+    np.subtract(re, x.imag * y.imag, out=out.real)
+    np.add(x.real * y.imag, x.imag * y.real, out=out.imag)
+    return out
 
 
 def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
@@ -184,15 +221,21 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
     bath is one BathSpec, giving a kernel with (N^2, N^2) data, or a
     sequence of B BathSpecs, giving one stacked kernel with (B, N^2, N^2)
     data whose entry data[i] is bit-identical to the data of
-    build_kernel(system, bath[i], ...).
+    build_kernel(system, bath[i], ...). Both run the same array algebra
+    over a leading bath axis, of length 1 for one bath and dropped at
+    the end; the module docstring derives it.
 
-    Before the loop, each channel (a, b) gets one correlation table
-    holding D^{ab}(E_x - E_y) at every (x, y) where S^a_{xy} is nonzero,
-    of shape (N, N) for one bath and (N, N, B) for a sequence. Each
-    distinct frequency is evaluated once per bath by bath_correlation,
-    which keeps every query at a finite transition frequency and lets
-    tabulated spectral densities list only the frequencies the model
-    actually uses; a table missing one raises SpectralLookupError.
+    The bath enters only through the correlation table D[b, x, y], which
+    holds D^{12}(E_x - E_y) where S^1_{xy} is nonzero and D^{21}(E_x - E_y)
+    where S^2_{xy} is. Each distinct frequency is evaluated once per bath
+    by the scalar bath_correlation, frequency by frequency, which keeps
+    every query at a finite transition frequency and lets tabulated
+    spectral densities list only the frequencies the model actually
+    uses; a table missing one raises SpectralLookupError.
+
+    Each complex product is formed from its real and imaginary parts and
+    each sum runs in the order of the reference loop, so the data match
+    that loop byte for byte (see the module docstring).
 
     A kernel with an entry that overflows to inf or NaN is refused with
     a ValueError naming the reservoir and the temperature and spectral
@@ -211,69 +254,60 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
             raise ValueError("bath sequence is empty; need at least one BathSpec")
         batch = (len(baths),)
     n = system.dim
-    E = system.levels
+    E = np.array(system.levels)
+    W = E[:, None] - E                  # W[x, y] = E_x - E_y
+    s1 = system.couplings[reservoir]
+    s = {1: s1, 2: s1.conj().T}
+    # the supports of S^1 and S^2, each in its operator's row-major
+    # order, and their transition frequencies
+    support = {1: s1.nonzero(), 2: s1.T.nonzero()}
+    freqs = {a: W[support[a]].tolist() for a in (1, 2)}
     secular = mode == LINDBLAD
-    eps = degeneracy_tolerance(E)
-    _reject_near_degenerate(system, reservoir, eps,
-                            include_frequencies=secular)
+    eps = degeneracy_tolerance(system.levels)
+    _reject_near_degenerate(system.levels, "level energies", eps)
+    if secular:
+        _reject_near_degenerate(freqs[1], "transition frequencies", eps)
 
-    # one (S^a, S^b, D^{ab} table) triple per channel; (1,1) and (2,2)
-    # correlations vanish
-    s = {1: system.s_op(reservoir, 1), 2: system.s_op(reservoir, 2)}
+    # one (a, b, D^{ab} table) per channel; (1,1) and (2,2) vanish
     channels = []
     for a, b in ((1, 2), (2, 1)):
-        support = list(zip(*s[a].nonzero()))
-        values = {w: np.array([bath_correlation(x, a, b, w)
-                               for x in baths]).reshape(batch)
-                  for w in dict.fromkeys(E[x] - E[y] for x, y in support)}
-        table = np.zeros((n, n) + batch)
-        for x, y in support:
-            table[x, y] = values[E[x] - E[y]]
-        channels.append((s[a], s[b], table))
+        values = {w: [bath_correlation(x, a, b, w) for x in baths]
+                  for w in dict.fromkeys(freqs[a])}
+        D = np.zeros((len(baths), n, n))
+        D[(slice(None), *support[a])] = np.array([values[w] for w in freqs[a]]).T
+        channels.append((a, b, D))
 
-    # out is data with the pair axes first, so out[row, col] is one entry
-    # for one bath and the B entries of a stack for a sequence
-    data = np.zeros(batch + (n * n, n * n), dtype=complex)
-    out = data.transpose(-2, -1, *range(len(batch)))
+    r = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for p in range(n):
-            for pp in range(n):
-                row = pair_index(n, p, pp)
-                for q in range(n):
-                    for qp in range(n):
-                        val = 0j
-                        if pp == qp:
-                            acc = 0j
-                            for l in range(n):
-                                if abs((E[p] - E[l]) + (E[l] - E[q])) > eps:
-                                    continue
-                                for s_a, s_b, D in channels:
-                                    prod = s_a[p, l] * s_b[l, q]
-                                    if prod != 0:
-                                        acc += prod * D[p, l]
-                            val -= 0.5 * acc
-                        if p == q:
-                            acc = 0j
-                            for l in range(n):
-                                if abs((E[qp] - E[l]) + (E[l] - E[pp])) > eps:
-                                    continue
-                                # E_q' = E_p' here, so D at (q', l) is D(E_p'l)
-                                for s_a, s_b, D in channels:
-                                    prod = s_a[qp, l] * s_b[l, pp]
-                                    if prod != 0:
-                                        acc += prod * D[qp, l]
-                            val -= 0.5 * acc
-                        if not (secular and abs((E[p] - E[q]) + (E[qp] - E[pp])) > eps):
-                            acc = 0j
-                            # S^b = (S^a)^dagger, so S^a_qp != 0 wherever S^b_pq is
-                            for s_a, s_b, D in channels:
-                                prod = s_b[p, q] * s_a[qp, pp]
-                                if prod != 0:
-                                    acc += prod * (D[qp, pp] + D[q, p])
-                            val += 0.5 * acc
-                        out[row, pair_index(n, q, qp)] = val
-    finite = np.isfinite(data).reshape(len(baths), -1).all(axis=1)
-    if not finite.all():
+        # level sum G[b, x, y] = sum_l [W_xl + W_ly = 0] sum_ab S^a_xl S^b_ly
+        # D^{ab}[b, x, l], added up in (l, channel) order
+        resonant = np.abs(W[:, :, None] + W) <= eps            # [x, l, y]
+        s_a = np.array([s[a] for a, _, _ in channels])
+        s_b = np.array([s[b] for _, b, _ in channels])
+        chains = np.where(resonant, _product(s_a[:, :, :, None], s_b[:, None]), 0)
+        G = np.zeros((len(baths), n, n), dtype=complex)
+        for l in range(n):
+            for chain, (_, _, D) in zip(chains, channels):
+                G += chain[:, l] * D[:, :, l, None]
+        half = 0.5 * G
+        # K[b, p, p', q, q'] = - 1/2 G[b, p, q] d_p'q' - 1/2 G[b, q', p'] d_pq
+        #     + 1/2 sum_ab S^b_pq S^a_q'p' (D^{ab}[b, q', p'] + D^{ab}[b, q, p])
+        data = np.zeros(batch + (n * n, n * n), dtype=complex)
+        K = data.reshape(len(baths), n, n, n, n)
+        # 0 - half, not -half, so that a zero entry is +0 as in the loop
+        K[:, :, r, :, r] = 0.0 - half
+        K[:, r, :, r, :] -= half.swapaxes(1, 2)
+        # the transfer term of a channel lives on supp S^b x supp S^a, and
+        # the channels' supports are disjoint
+        for a, b, D in channels:
+            p, q = (i[:, None] for i in support[b])
+            qp, pp = (i[None, :] for i in support[a])
+            outer = _product(s[b][p, q], s[a][qp, pp])
+            if secular:
+                outer[np.abs(W[p, q] + W[qp, pp]) > eps] = 0
+            K[:, p, pp, q, qp] += 0.5 * (outer * (D[:, qp, pp] + D[:, q, p]))
+    if not np.isfinite(data).all():
+        finite = np.isfinite(K).reshape(len(baths), -1).all(axis=1)
         culprit = baths[int(np.argmin(finite))]
         raise ValueError(
             f"kernel of reservoir {reservoir!r} overflows to inf or NaN at "

@@ -1,0 +1,70 @@
+"""build_kernel against the loop oracle, byte for byte.
+
+The array construction must round every entry as the loop does, which
+holds only while each complex product is formed from its real and
+imaginary parts and each level sum runs in the loop's order. Any change
+of order or of product form shows here as a differing byte, long before
+it moves a closed form or a preset cell.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from kernel_oracle import loop_kernel_data
+from qheat import (BathSpec, MODES, SystemSpec, build_kernel,
+                   make_coupled_qubits, make_single_qubit)
+
+RESERVOIRS = ("A", "B")
+
+
+def _scaling_system(n, seed=31):
+    """Level gaps in [0.5, 1.5] and dense complex raising couplings, drawn
+    in the order the benchmark's scaling workload draws them."""
+    rng = np.random.default_rng([seed, n])
+    couplings = {}
+    for r in RESERVOIRS:
+        s1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        couplings[r] = np.tril(s1, -1) / math.sqrt(n)
+    return SystemSpec(levels=tuple(np.cumsum(rng.uniform(0.5, 1.5, n))),
+                      couplings=couplings)
+
+
+def _degenerate_three_level():
+    """Levels 1 and 2 coincide exactly, so the level sums pair distinct
+    levels."""
+    a = np.zeros((3, 3), dtype=complex)
+    a[1, 0] = 1.0
+    a[2, 0] = 0.5 - 0.25j
+    b = np.zeros((3, 3), dtype=complex)
+    b[1, 0] = 0.3j
+    b[2, 0] = 0.8
+    return SystemSpec(levels=(0.0, 1.0, 1.0), couplings={"A": a, "B": b})
+
+
+SYSTEMS = {
+    "single": make_single_qubit(1.3),
+    "coupled": make_coupled_qubits(1.0, 2.0, 0.5)[0],
+    "coupled-resonant": make_coupled_qubits(1.5, 1.5, 0.4)[0],
+    "degenerate-3": _degenerate_three_level(),
+    **{f"random-n{n}": _scaling_system(n) for n in range(3, 11)},
+}
+
+BATHS = {
+    "one": BathSpec(temperature=1.7, spectral_density=0.8),
+    "stack": [BathSpec(temperature=t, spectral_density=g)
+              for t, g in ((0.0, 1.0), (0.7, 0.0), (2.3, 1.4))],
+}
+
+
+@pytest.mark.parametrize("baths", sorted(BATHS))
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_kernel_bytes_equal_loop_oracle(name, mode, baths):
+    system, bath = SYSTEMS[name], BATHS[baths]
+    for r in system.reservoirs:
+        got = build_kernel(system, bath, r, mode).data
+        want = loop_kernel_data(system, bath, r, mode)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (r, np.max(np.abs(got - want)))
