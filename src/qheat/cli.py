@@ -9,11 +9,14 @@ Subcommands:
 All physics goes through qheat.thermo.steady_point (kernel build,
 nullspace solve, per-reservoir currents), never through the closed
 forms, so CLI output exercises the same code path as any library caller:
-compute_point returns the SteadyPoint of one steady_point call, and a
-sweep over bath parameters is one call per chunk of grid points, its
-rows written from the stacked result. Point reports, point rows and
-chunk rows all take their first- and second-law verdicts from one
-law_checks call on the currents and temperatures.
+compute_point returns the SteadyPoint of one steady_point call. A sweep
+has one path: its grid points are cut into chunks of consecutive points
+that share one system, and each chunk is one steady_point call whose
+rows are written from the stacked result. A sweep over bath parameters
+is then one call per SWEEP_CHUNK points, a sweep over a system parameter
+one call per point. Point reports and sweep rows take their first- and
+second-law verdicts from one law_checks call on the currents and
+temperatures.
 
 Sweeps accept the pseudo-variable "tm", the mean temperature: sweeping tm
 moves T_A and T_B together, keeping their difference fixed at the value
@@ -62,6 +65,7 @@ import numpy as np
 
 from . import __version__
 from .bath import BathSpec
+from .kernel import MODES
 # not called here; perfbench/test_perfbench.py reads cli.build_kernel
 from .kernel import build_kernel  # noqa: F401
 from .steady import POSITIVITY_TOL
@@ -95,8 +99,7 @@ def _model_system(model: str, params: dict):
 
 def _baths(model: str, params: dict) -> dict:
     return {r: BathSpec(temperature=params[_TEMPERATURE_KEY[r]],
-                        spectral_density=params[_COUPLING_KEY[model][r]],
-                        label=r)
+                        spectral_density=params[_COUPLING_KEY[model][r]])
             for r in RESERVOIRS}
 
 
@@ -290,18 +293,10 @@ def _sweep_row(model, value, rho, q_a, q_b, min_population, resid,
                second_law, status])
 
 
-def _point_row(model, mode, value, params):
-    """Row of one grid point solved alone; an error it raises becomes an
-    error row."""
-    try:
-        point = compute_point(model, mode, params)
-    except _POINT_ERRORS as exc:
-        n_cols = len(_sweep_columns(model, "x"))
-        return [_fmt(value)] + [""] * (n_cols - 2) + [f"error: {exc}"]
-    report = _law_report(point.currents, params["ta"], params["tb"])
-    return _sweep_row(model, value, point.rho.entries, point.currents["A"],
-                      point.currents["B"], point.positivity.min_population,
-                      report.conservation_residual, report.second_law)
+def _error_row(model, value, exc):
+    """Row of a grid point whose parameters or solve raised exc."""
+    n_cols = len(_sweep_columns(model, "x"))
+    return [_fmt(value)] + [""] * (n_cols - 2) + [f"error: {exc}"]
 
 
 def parse_range(spec: str):
@@ -322,39 +317,47 @@ def parse_range(spec: str):
     return start, stop, count
 
 
-def _bath_sweep_rows(model, mode, base_params, points):
-    """Rows of a sweep whose grid points differ only in their baths.
+def _sweep_rows(model, mode, points):
+    """Rows of the sweep's (value, params) grid points, in grid order.
 
-    The system is built once. Per chunk of SWEEP_CHUNK grid points one
-    steady_point call gets each reservoir's baths as a list, so every
-    layer runs once on the chunk's (B, N^2, N^2) stack, law_checks runs
-    once on the chunk's current and temperature arrays, and each row is
-    written from that entry's plain values (its N x N matrix, currents,
-    smallest population, residual and verdict). Stack entries are
-    bit-identical to one-point results, so every row equals the row of
-    the point solved alone. Points whose baths are invalid, and all points of a chunk in
-    which any layer raises, are solved one at a time, so each error row
-    carries the message a one-point run gives.
+    Each point's system and baths are built first, the system only when
+    its _SYSTEM_PARAMS values differ from those of the last system built;
+    a point whose parameters are refused gets its error row at once. The
+    others are cut into chunks of consecutive points that share one
+    system, at most SWEEP_CHUNK long, and each chunk is one steady_point
+    call with each reservoir's baths as a list, so every layer runs once
+    on the chunk's (B, N^2, N^2) stack and law_checks once on its current
+    and temperature arrays. Stack entries are bit-identical to one-point
+    results, so every row equals the row of its point solved alone. A
+    chunk that raises is solved again as one-entry chunks, so each error
+    row carries the message a one-point run gives.
     """
-    try:
-        system = _model_system(model, base_params)
-    except _POINT_ERRORS:
-        return [_point_row(model, mode, v, p) for v, p in points]
     rows = [None] * len(points)
-    batch = []
+    chunks = []                 # (system, [(grid index, baths), ...])
+    key = system = None
     for i, (value, params) in enumerate(points):
+        point_key = tuple(params[k] for k in _SYSTEM_PARAMS[model])
         try:
-            batch.append((i, _baths(model, params)))
-        except _POINT_ERRORS:
-            rows[i] = _point_row(model, mode, value, params)
-    for start in range(0, len(batch), SWEEP_CHUNK):
-        chunk = batch[start:start + SWEEP_CHUNK]
+            if point_key != key:
+                system, key = _model_system(model, params), point_key
+            baths = _baths(model, params)
+        except _POINT_ERRORS as exc:
+            rows[i] = _error_row(model, value, exc)
+            continue
+        if not chunks or chunks[-1][0] is not system \
+                or len(chunks[-1][1]) == SWEEP_CHUNK:
+            chunks.append((system, []))
+        chunks[-1][1].append((i, baths))
+    for system, chunk in chunks:        # grows as failing chunks split
         try:
-            stack = steady_point(system, {r: [baths[r] for _, baths in chunk]
+            stack = steady_point(system, {r: [b[r] for _, b in chunk]
                                           for r in RESERVOIRS}, mode)
-        except _POINT_ERRORS:
-            for i, _ in chunk:
-                rows[i] = _point_row(model, mode, *points[i])
+        except _POINT_ERRORS as exc:
+            if len(chunk) == 1:
+                i = chunk[0][0]
+                rows[i] = _error_row(model, points[i][0], exc)
+            else:
+                chunks += [(system, [entry]) for entry in chunk]
             continue
         q, min_pop = stack.currents, stack.positivity.min_population
         params = [points[i][1] for i, _ in chunk]
@@ -374,17 +377,28 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
                  comments: bool = True):
     """Run the sweep and return (csv_text, n_error_rows, worst_min_population).
 
-    Sweeps over a system parameter (_SYSTEM_PARAMS) run steady_point per
-    point; every other sweep builds the system once and runs steady_point
-    once per chunk of grid points, on (B, N^2, N^2) stacks.
-    Either way every row equals the one-point row at that grid point,
-    and rows follow the grid, so output is deterministic for a fixed
-    configuration.
+    Every row comes from _sweep_rows: a sweep over bath parameters is one
+    steady_point call per SWEEP_CHUNK grid points, a sweep over a system
+    parameter (_SYSTEM_PARAMS) one call per point, and each row equals
+    the row of its point solved alone. Rows follow the grid, so output is
+    deterministic for a fixed configuration. An unknown model, mode or
+    sweep variable, or base_params missing a parameter of the model, is a
+    UsageError.
     """
-    valid = (*_MODEL_FLAGS.get(model, ()), "tm")
+    if model not in _MODEL_FLAGS:
+        raise UsageError(f"unknown model {model!r}; valid: "
+                         f"{', '.join(_MODEL_FLAGS)}")
+    if mode not in MODES:
+        raise UsageError(f"unknown mode {mode!r}; valid: {', '.join(MODES)}")
+    valid = (*_MODEL_FLAGS[model], "tm")
     if var not in valid:
         raise UsageError(f"cannot sweep {var!r} for model {model!r}; "
                          f"valid: {', '.join(valid)}")
+    keys = [_PARAM_KEY.get(flag, flag) for flag in _MODEL_FLAGS[model]]
+    missing = [k for k in keys if k not in base_params]
+    if missing:
+        raise UsageError(f"model {model!r} needs parameters "
+                         f"{', '.join(missing)}")
     var_param = _PARAM_KEY.get(var, var)
     if var == "tm":
         dt_half = 0.5 * (base_params["ta"] - base_params["tb"])
@@ -398,10 +412,7 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
         else:
             p[var_param] = value
         points.append((value, p))
-    if var_param in _SYSTEM_PARAMS.get(model, ()):
-        rows = [_point_row(model, mode, v, p) for v, p in points]
-    else:
-        rows = _bath_sweep_rows(model, mode, base_params, points)
+    rows = _sweep_rows(model, mode, points)
 
     n_bad = sum(1 for r in rows if r[-1] != "ok")
     min_pop = min((float(r[-3]) for r in rows if r[-1] == "ok"), default=0.0)

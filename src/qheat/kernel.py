@@ -176,11 +176,6 @@ class SuperKernel:
         object.__setattr__(self, "data", _frozen(self.data, self.dim * self.dim,
                                                  "kernel data"))
 
-    def entry(self, p: int, pp: int, q: int, qp: int) -> complex:
-        """K_{(p,pp),(q,qp)} of a single (unstacked) kernel."""
-        return complex(self.data[pair_index(self.dim, p, pp),
-                                 pair_index(self.dim, q, qp)])
-
 
 def _reject_near_degenerate(values, what: str, eps: float):
     """Refuse two distinct values within eps of each other: sorted, the

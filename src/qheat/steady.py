@@ -127,16 +127,6 @@ class DensityMatrix:
         e = self.entries
         return _per_entry(np.abs(e - e.conj().swapaxes(-1, -2)).max(axis=(-2, -1)))
 
-    def validate(self, tol: float = 1e-10) -> None:
-        """Raise unless every entry is Hermitian with unit trace, both
-        within tol."""
-        h = np.max(self.hermiticity_defect())
-        if h > tol:
-            raise ValueError(f"not Hermitian: defect {h:g} > {tol:g}")
-        t = np.max(np.abs(self.trace - 1.0))
-        if t > tol:
-            raise ValueError(f"trace off unity by {t:g} > {tol:g}")
-
 
 def gibbs_state(levels, T: float) -> DensityMatrix:
     """Thermal state exp(-E_n/T)/Z; T = 0 collapses onto the lowest level(s)."""

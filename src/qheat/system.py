@@ -32,8 +32,8 @@ class SystemSpec:
 
     levels: finite energies E_n in ascending order, at least two.
     couplings: reservoir label -> raising-channel operator S^1 in the
-        energy basis, finite entries; retrieve either channel with
-        s_op(label, 1 or 2).
+        energy basis, finite entries; the lowering channel S^2 is its
+        conjugate transpose.
 
     Every nonzero S^1_{pq} must have E_p - E_q > 0 (the raising channel
     raises the system energy). That is what guarantees the bath
@@ -79,23 +79,6 @@ class SystemSpec:
     @property
     def reservoirs(self) -> tuple:
         return tuple(self.couplings)
-
-    def s_op(self, label: str, channel: int) -> np.ndarray:
-        """Coupling operator S^channel of one reservoir: 1 raises, 2 lowers."""
-        try:
-            s1 = self.couplings[label]
-        except KeyError:
-            raise KeyError(
-                f"no reservoir {label!r}; have {sorted(self.couplings)}") from None
-        if channel == 1:
-            return s1
-        if channel == 2:
-            return s1.conj().T
-        raise ValueError(f"channel must be 1 or 2, got {channel}")
-
-    def transition_energy(self, p: int, q: int) -> float:
-        """E_p - E_q."""
-        return self.levels[p] - self.levels[q]
 
 
 @dataclass(frozen=True)

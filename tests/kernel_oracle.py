@@ -28,7 +28,7 @@ def loop_kernel_data(system, bath, reservoir, mode):
 
     # one (S^a, S^b, D^{ab} table) triple per channel; (1,1) and (2,2)
     # correlations vanish
-    s = {1: system.s_op(reservoir, 1), 2: system.s_op(reservoir, 2)}
+    s = {1: system.couplings[reservoir], 2: system.couplings[reservoir].conj().T}
     channels = []
     for a, b in ((1, 2), (2, 1)):
         support = list(zip(*s[a].nonzero()))

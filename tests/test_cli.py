@@ -360,6 +360,21 @@ def test_compute_point_is_the_steady_point(model, params, system, mode):
     assert moved.rho is rho and moved.currents is point.currents
 
 
+def _point_row(model, mode, value, params):
+    """Row of one grid point solved alone by compute_point; an error it
+    raises becomes an error row."""
+    try:
+        point = compute_point(model, mode, params)
+    except (ValueError, LookupError, RuntimeError) as exc:
+        n_cols = len(cli._sweep_columns(model, "x"))
+        return [cli._fmt(value)] + [""] * (n_cols - 2) + [f"error: {exc}"]
+    report = cli._law_report(point.currents, params["ta"], params["tb"])
+    return cli._sweep_row(model, value, point.rho.entries,
+                          point.currents["A"], point.currents["B"],
+                          point.positivity.min_population,
+                          report.conservation_residual, report.second_law)
+
+
 def _per_point_csv(model, mode, params, var, start, stop, count):
     """The sweep CSV built one grid point at a time."""
     buf = io.StringIO()
@@ -373,7 +388,7 @@ def _per_point_csv(model, mode, params, var, start, stop, count):
             p["ta"], p["tb"] = value + half, value - half
         else:
             p[cli._PARAM_KEY.get(var, var)] = value
-        writer.writerow(cli._point_row(model, mode, value, p))
+        writer.writerow(_point_row(model, mode, value, p))
     return buf.getvalue()
 
 
@@ -389,7 +404,7 @@ _SINGLE = dict(w0=1.0, ga=1.0, gb=1.0, ta=2.0, tb=1.0)
     ("coupled", "redfield", dict(_COUPLED, ta=10.0, tb=0.0), "tm", 3.0, 8.0, 21),
     # a near-degenerate system makes every batched build raise
     ("coupled", "lindblad", dict(_COUPLED, w2=1.0, lam=1e-13), "ta", 0.5, 1.5, 3),
-    # system parameters run point by point, each row on its own system
+    # system parameters run one one-entry chunk per point
     ("single", "lindblad", _SINGLE, "w0", 0.5, 2.0, 7),
     ("coupled", "redfield", dict(_COUPLED, ta=1.5), "w2", 1.5, 3.0, 7),
     # lambda >= sqrt(w1 w2) = 1.414 is refused: error rows past the crossing
@@ -403,28 +418,27 @@ def test_bath_sweeps_equal_per_point_rows(model, mode, params, var, start,
 
 
 def test_bath_sweep_longer_than_chunk(monkeypatch):
-    calls, solves, per_point = [], [], []
+    calls, solves, temperatures = [], [], []
     real_build = kernel.build_kernel
     real_solve = steady.solve_steady_state
-    real_point = cli._point_row
+    real_steady_point = cli.steady_point
 
     def counting_build(system, bath, reservoir, mode):
-        if isinstance(bath, list):
-            calls.append(len(bath))
+        calls.append(len(bath))         # a lone BathSpec has no len
         return real_build(system, bath, reservoir, mode)
 
     def counting_solve(liou, **kwargs):
         solves.append(liou.matrix.shape[:-2])
         return real_solve(liou, **kwargs)
 
-    def counting_point(model, mode, value, params):
-        per_point.append(params["tb"])
-        return real_point(model, mode, value, params)
+    def spying_steady_point(system, baths, mode):
+        temperatures.extend(b.temperature for b in baths["B"])
+        return real_steady_point(system, baths, mode)
 
     # steady_point looks each layer up on its module
     monkeypatch.setattr(kernel, "build_kernel", counting_build)
     monkeypatch.setattr(steady, "solve_steady_state", counting_solve)
-    monkeypatch.setattr(cli, "_point_row", counting_point)
+    monkeypatch.setattr(cli, "steady_point", spying_steady_point)
     monkeypatch.setattr(cli, "SWEEP_CHUNK", 4)
     params = dict(_COUPLED, ta=3.0, tb=1.0)
     text, n_bad, _ = render_sweep("coupled", "lindblad", params, "tm",
@@ -432,13 +446,43 @@ def test_bath_sweep_longer_than_chunk(monkeypatch):
     # grid step 0.25; T_B = T - 1 is negative below T = 1, at 8 points
     assert n_bad == 8
     # 13 valid points: one build per reservoir and one stacked solve per
-    # chunk of 4; only the 8 invalid points are solved one at a time
+    # chunk of 4; the 8 invalid points never reach steady_point
     assert calls == [4, 4, 4, 4, 4, 4, 1, 1]
     assert solves == [(4,), (4,), (4,), (1,)]
-    assert len(per_point) == 8 and all(tb < 0 for tb in per_point)
+    assert len(temperatures) == 13 and min(temperatures) >= 0
     monkeypatch.undo()
     assert text == _per_point_csv("coupled", "lindblad", params, "tm",
                                   -1.0, 4.0, 21)
+
+
+def test_system_sweep_is_one_one_entry_call_per_point(monkeypatch):
+    lengths = []
+    real_steady_point = cli.steady_point
+
+    def spying_steady_point(system, baths, mode):
+        lengths.append({r: len(b) for r, b in baths.items()})
+        return real_steady_point(system, baths, mode)
+
+    monkeypatch.setattr(cli, "steady_point", spying_steady_point)
+    _, n_bad, _ = render_sweep("coupled", "redfield", dict(_COUPLED, ta=1.5),
+                               "w2", 1.5, 3.0, 7, comments=False)
+    assert n_bad == 0
+    assert lengths == [{"A": 1, "B": 1}] * 7
+
+
+@pytest.mark.parametrize("model, mode, params, message", [
+    ("triple", "lindblad", _COUPLED,
+     "unknown model 'triple'; valid: single, coupled"),
+    ("coupled", "bogus", _COUPLED,
+     "unknown mode 'bogus'; valid: redfield, lindblad"),
+    ("single", "lindblad", {k: v for k, v in _SINGLE.items() if k != "w0"},
+     "model 'single' needs parameters w0"),
+    ("coupled", "lindblad", dict(ta=1.0, tb=1.0),
+     "model 'coupled' needs parameters w1, w2, lam, g"),
+])
+def test_render_sweep_refuses_unusable_input(model, mode, params, message):
+    with pytest.raises(UsageError, match=re.escape(message)):
+        render_sweep(model, mode, params, "ta", 1.0, 2.0, 2)
 
 
 @pytest.mark.parametrize("cfg, argv", [

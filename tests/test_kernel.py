@@ -12,6 +12,11 @@ from qheat import (BathSpec, NearDegeneracyError, SpectralDensity,
                    steady_point)
 
 
+def entry(K, p, pp, q, qp):
+    """K_{(p,pp),(q,qp)} of a single (unstacked) kernel."""
+    return K.data[pair_index(K.dim, p, pp), pair_index(K.dim, q, qp)]
+
+
 def test_pair_index():
     assert pair_index(4, 0, 0) == 0
     assert pair_index(4, 1, 2) == 6
@@ -32,17 +37,17 @@ def test_single_qubit_kernel_entries():
     n = planck_occupation(omega0, t)
     for mode in ("lindblad", "redfield"):
         K = build_kernel(system, bath, "A", mode)
-        assert K.entry(1, 1, 1, 1) == pytest.approx(-g * (1 + n), rel=1e-14)
-        assert K.entry(0, 0, 1, 1) == pytest.approx(+g * (1 + n), rel=1e-14)
-        assert K.entry(1, 1, 0, 0) == pytest.approx(+g * n, rel=1e-14)
-        assert K.entry(0, 0, 0, 0) == pytest.approx(-g * n, rel=1e-14)
+        assert entry(K, 1, 1, 1, 1) == pytest.approx(-g * (1 + n), rel=1e-14)
+        assert entry(K, 0, 0, 1, 1) == pytest.approx(+g * (1 + n), rel=1e-14)
+        assert entry(K, 1, 1, 0, 0) == pytest.approx(+g * n, rel=1e-14)
+        assert entry(K, 0, 0, 0, 0) == pytest.approx(-g * n, rel=1e-14)
         gamma = -0.5 * g * (1 + 2 * n)
-        assert K.entry(0, 1, 0, 1) == pytest.approx(gamma, rel=1e-14)
-        assert K.entry(1, 0, 1, 0) == pytest.approx(gamma, rel=1e-14)
+        assert entry(K, 0, 1, 0, 1) == pytest.approx(gamma, rel=1e-14)
+        assert entry(K, 1, 0, 1, 0) == pytest.approx(gamma, rel=1e-14)
         # populations and coherences do not mix for a two-level system
-        assert K.entry(0, 0, 0, 1) == 0
-        assert K.entry(0, 1, 1, 1) == 0
-        assert K.entry(0, 1, 1, 0) == 0
+        assert entry(K, 0, 0, 0, 1) == 0
+        assert entry(K, 0, 1, 1, 1) == 0
+        assert entry(K, 0, 1, 1, 0) == 0
 
 
 def test_single_qubit_modes_identical():
@@ -129,15 +134,15 @@ def test_redfield_population_coherence_transfer_entries():
     k = coupled_rates(w1, w2, lam, g, g, ta, tb).k
     assert abs(k) > 1e-3
     for col in ((1, 2), (2, 1)):
-        assert K.entry(0, 0, *col) == pytest.approx(-k, rel=1e-12)
-        assert K.entry(3, 3, *col) == pytest.approx(+k, rel=1e-12)
-        assert K.entry(1, 1, *col) == 0
-        assert K.entry(2, 2, *col) == 0
+        assert entry(K, 0, 0, *col) == pytest.approx(-k, rel=1e-12)
+        assert entry(K, 3, 3, *col) == pytest.approx(+k, rel=1e-12)
+        assert entry(K, 1, 1, *col) == 0
+        assert entry(K, 2, 2, *col) == 0
     for row in ((1, 2), (2, 1)):
-        assert K.entry(*row, 0, 0) == pytest.approx(-k, rel=1e-12)
-        assert K.entry(*row, 3, 3) == pytest.approx(+k, rel=1e-12)
-        assert K.entry(*row, 1, 1) == 0
-        assert K.entry(*row, 2, 2) == 0
+        assert entry(K, *row, 0, 0) == pytest.approx(-k, rel=1e-12)
+        assert entry(K, *row, 3, 3) == pytest.approx(+k, rel=1e-12)
+        assert entry(K, *row, 1, 1) == 0
+        assert entry(K, *row, 2, 2) == 0
 
 
 def test_redfield_per_reservoir_trace_residual():
