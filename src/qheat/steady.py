@@ -5,9 +5,17 @@ The full generator over the flattened (p, p') index is
     M[(p,p'),(q,q')] = -i (E_p - E_p') delta_{pq} delta_{p'q'} + K[(p,p'),(q,q')]
 
 and the steady state is its one-dimensional nullspace, normalised to unit
-trace. solve_steady_state replaces one population row with the trace row
-and solves the resulting nonsingular system, which is deterministic and
-well conditioned at these dimensions; svd_steady_state extracts the
+trace. solve_steady_state first counts the null directions from the
+singular values. An index whose row and column are zero off the diagonal
+(most coherences of a secular generator, which couple only to coherences
+of the same Bohr frequency) is decoupled, and |M_ii| is its singular
+value; only the linked rest goes through an SVD, so at N = 10 the check
+takes an SVD of about N x N instead of N^2 x N^2. A generator that leaks
+trace, which in general has no null vector, gets one SVD of the whole
+matrix instead, and every refusal quotes the full singular spectrum. It then
+replaces one population row with the trace row and solves the resulting
+nonsingular system on the full matrix, which is deterministic and well
+conditioned at these dimensions; svd_steady_state extracts the
 nullspace directly and serves as an independent verification path. evolve
 is a plain fixed-step integrator kept as a dynamical cross-check of the
 linear solves. Each step is one product with the one-step propagator
@@ -37,7 +45,11 @@ positivity_report act on each entry of a stack at once: a sweep chunk of
 B points is one batched SVD, one batched LU solve and one batched
 eigvalsh. numpy's stacked linear algebra runs the same LAPACK call per
 entry, so every entry is bit-identical to the result for that entry's
-matrix alone. Diagnostics are Python scalars for one point and arrays
+matrix alone. The one exception is the nullspace check, whose values
+are read only against its cutoff: a stack is split once for all its
+entries, with an index decoupled only if it is so in every entry, so an
+entry's singular values may differ in rounding from those of its own
+split. Diagnostics are Python scalars for one point and arrays
 over the batch axis for a stack (kernel._per_entry), and a failing entry
 raises the error its own matrix raises. A Liouvillian is only dim and
 matrix.
@@ -167,7 +179,6 @@ class SolveInfo:
 
     residual: float                 # ||M vec(rho)||_inf after symmetrisation
     hermiticity_defect: float       # asymmetry of the raw solution
-    null_singular_values: tuple     # singular values counted as zero
 
 
 def assemble_liouvillian(system: SystemSpec, K_total: SuperKernel) -> Liouvillian:
@@ -185,16 +196,54 @@ def assemble_liouvillian(system: SystemSpec, K_total: SuperKernel) -> Liouvillia
     return Liouvillian(dim=n, matrix=m)
 
 
-def _degenerate_message(m: np.ndarray, sv: np.ndarray, null: np.ndarray,
-                        n: int) -> str:
-    """Why one generator m, with singular values sv and null mask null,
-    has no unique steady state."""
-    null_sv = [float(x) for x in sv[null]]
-    trace_resid = float(_trace_residual(m, n))
-    cause = (f" > {TRACE_TOL:g}: the generator does not preserve trace"
-             if trace_resid > TRACE_TOL else "")
-    return (f"nullspace dimension {len(null_sv)}, need exactly 1; "
-            f"singular values below cutoff: {null_sv}, sigma_max {sv[0]:g}; "
+def _split_singular_values(m: np.ndarray) -> np.ndarray:
+    """The singular values of each generator in m, in no set order,
+    taken on its split.
+
+    An index whose row and column are zero off the diagonal in every
+    entry of the stack is decoupled, and its |M_ii| is one of M's
+    singular values. The other, linked, indices go through one SVD of
+    their submatrix, whose values take the linked places in the list;
+    index 0 always does, so that submatrix is never empty. Up to a
+    permutation M is the direct sum of the two parts, so the list is
+    M's singular spectrum.
+    """
+    nz = m != 0
+    if nz.ndim > 2:
+        nz = nz.any(axis=0)
+    nz = nz | nz.T
+    nz.reshape(-1)[::len(nz) + 1] = False
+    linked = nz.any(axis=0)
+    linked[0] = True
+    rest = linked.nonzero()[0]
+    sv = np.abs(m.diagonal(0, -2, -1))
+    sv[..., rest] = np.linalg.svd(m.take(rest, -1).take(rest, -2),
+                                  compute_uv=False)
+    return sv
+
+
+def _refuse_degenerate(m: np.ndarray, sv, counts: np.ndarray, n: int):
+    """Raise the DegenerateSteadyStateError of the first entry of m whose
+    full singular spectrum has other than one null direction.
+
+    Only the entries whose counts are not 1 are looked at. sv holds the
+    full spectra, or is None when the counts came from the split; each
+    entry's full SVD is then taken here, so the message quotes the same
+    values for either."""
+    d2 = n * n
+    flat = m.reshape(-1, d2, d2)
+    for j in np.flatnonzero(counts != 1):
+        sv_j = (np.linalg.svd(flat[j], compute_uv=False) if sv is None
+                else sv.reshape(-1, d2)[j])
+        null_sv = [float(x) for x in sv_j[sv_j <= NULLSPACE_RTOL * sv_j[0]]]
+        if len(null_sv) == 1:
+            continue
+        trace_resid = float(_trace_residual(flat[j], n))
+        cause = (f" > {TRACE_TOL:g}: the generator does not preserve trace"
+                 if trace_resid > TRACE_TOL else "")
+        raise DegenerateSteadyStateError(
+            f"nullspace dimension {len(null_sv)}, need exactly 1; "
+            f"singular values below cutoff: {null_sv}, sigma_max {sv_j[0]:g}; "
             f"trace residual {trace_resid:.3e}{cause}")
 
 
@@ -203,15 +252,24 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
 
     The nullspace dimension is checked first through the singular
     spectrum: sigma_i <= 1e-10 sigma_max counts as zero, so every
-    sigma_i does when sigma_max is 0. Anything but exactly one null
-    direction raises DegenerateSteadyStateError with the offending
-    singular values and the generator's trace residual, the largest
-    population-row column sum, which is above TRACE_TOL when a kernel
-    does not preserve trace. The solve itself replaces the (0,0)
-    population row of M with the trace row (ones on the population
-    columns) and solves M' x = e_0. The result is symmetrised,
-    renormalised, and only accepted if ||M vec(rho)||_inf < 1e-10, an
-    absolute bound; the error names ||M||_inf of the failing generator.
+    sigma_i does when sigma_max is 0. A trace-preserving generator
+    (trace residual, the largest population-row column sum, at most
+    TRACE_TOL in every entry) is checked on its split: each index whose
+    row and column are zero off the diagonal gives |M_ii|, and only the
+    remaining indices go through an SVD, of their submatrix. A secular
+    (lindblad) generator couples each coherence only to coherences of
+    the same Bohr frequency, so at N = 10 that submatrix is about N x N
+    instead of N^2 x N^2. A generator that leaks trace gets one SVD of
+    the full matrix. Anything but exactly one null direction raises
+    DegenerateSteadyStateError with the singular values of the full
+    matrix below the cutoff and the trace residual, above TRACE_TOL
+    when a kernel does not preserve trace; a split check that finds an
+    entry degenerate takes that entry's full SVD to say so. The solve
+    itself replaces the (0,0) population row of M with the trace row
+    (ones on the population columns) and solves M' x = e_0 on the full
+    matrix. The result is symmetrised, renormalised, and only accepted
+    if ||M vec(rho)||_inf < 1e-10, an absolute bound; the error names
+    ||M||_inf of the failing generator.
 
     A stacked generator gives a stacked DensityMatrix, each entry
     bit-identical to the solve of that entry alone; the first entry
@@ -222,14 +280,13 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
     m = L.matrix
     n = L.dim
     d2 = n * n
-    sv = np.linalg.svd(m, compute_uv=False)
-    null = sv <= NULLSPACE_RTOL * sv[..., :1]
-    degenerate = null.sum(axis=-1) != 1
-    if np.count_nonzero(degenerate):
-        j = np.flatnonzero(degenerate)[0]
-        raise DegenerateSteadyStateError(_degenerate_message(
-            m.reshape(-1, d2, d2)[j], sv.reshape(-1, d2)[j],
-            null.reshape(-1, d2)[j], n))
+    # the largest trace residual of the stack, as kernel._trace_residual
+    leaky = np.abs(m[..., ::n + 1, :].sum(axis=-2)).max() > TRACE_TOL
+    sv = (np.linalg.svd(m, compute_uv=False) if leaky
+          else _split_singular_values(m))
+    counts = (sv <= NULLSPACE_RTOL * sv.max(axis=-1, keepdims=True)).sum(axis=-1)
+    if np.count_nonzero(counts != 1):
+        _refuse_degenerate(m, sv if leaky else None, counts, n)
     row0 = pair_index(n, 0, 0)
     mp = m.copy()
     mp[..., row0, :] = 0.0
@@ -254,12 +311,12 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
             f"steady-state residual {residual.reshape(-1)[j]:g} exceeds the "
             f"absolute bound {RESIDUAL_TOL:g}; the generator has "
             f"||M||_inf {scale:.3e}")
+    rho.flags.writeable = False      # handed over to DensityMatrix as it is
     out = DensityMatrix(dim=n, entries=rho)
     if not full_output:
         return out
     return out, SolveInfo(
-        residual=_per_entry(residual), hermiticity_defect=_per_entry(defect),
-        null_singular_values=_per_entry(sv[..., -1], lambda s: (float(s),)))
+        residual=_per_entry(residual), hermiticity_defect=_per_entry(defect))
 
 
 def svd_steady_state(L: Liouvillian) -> DensityMatrix:

@@ -52,6 +52,8 @@ class SystemSpec:
         if any(b < a for a, b in zip(levels, levels[1:])):
             raise ValueError(f"levels must be ascending, got {levels}")
         n = len(levels)
+        E = np.array(levels)
+        lowering = E[:, None] <= E      # E_p - E_q <= 0 exactly where E_p <= E_q
         coups = {}
         for label, s1 in dict(self.couplings).items():
             s1 = np.array(s1, dtype=complex)
@@ -62,11 +64,11 @@ class SystemSpec:
                 p, q = np.argwhere(~np.isfinite(s1))[0]
                 raise ValueError(f"coupling {label!r} entry ({p},{q}) must be "
                                  f"finite, got {s1[p, q]}")
-            for p, q in zip(*np.nonzero(s1)):
-                if levels[p] - levels[q] <= 0:
-                    raise ValueError(
-                        f"coupling {label!r} entry ({p},{q}) does not raise energy "
-                        f"(E_p - E_q = {levels[p] - levels[q]:g})")
+            if np.count_nonzero(s1[lowering]):
+                p, q = np.argwhere((s1 != 0) & lowering)[0]
+                raise ValueError(
+                    f"coupling {label!r} entry ({p},{q}) does not raise energy "
+                    f"(E_p - E_q = {levels[p] - levels[q]:g})")
             s1.flags.writeable = False
             coups[str(label)] = s1
         object.__setattr__(self, "levels", levels)

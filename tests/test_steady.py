@@ -521,7 +521,6 @@ def test_solve_info_diagnostics(coupled_pipeline):
     _, _, _, liou = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 1.5, 1.0)
     rho, info = solve_steady_state(liou, full_output=True)
     assert info.residual < 1e-10
-    assert len(info.null_singular_values) == 1
     assert info.hermiticity_defect < 1e-10
     assert abs(rho.trace - 1.0) < 1e-13
 
@@ -590,8 +589,7 @@ def test_stacked_tail_equals_per_matrix_calls(case):
         assert np.array_equal(rho.coherences[j], rho_j.coherences)
         assert info_j == SolveInfo(
             residual=float(info.residual[j]),
-            hermiticity_defect=float(info.hermiticity_defect[j]),
-            null_singular_values=(float(info.null_singular_values[j]),))
+            hermiticity_defect=float(info.hermiticity_defect[j]))
         for r in stacks:
             assert float(q[r][j]) == reservoir_current(system, kernels[r], rho_j)
         assert positivity_report(rho_j) == PositivityReport(
@@ -638,3 +636,126 @@ def test_single_matrix_paths_refuse_stacks():
         evolve(stack, rho, 1.0, dt=0.01)
     with pytest.raises(ValueError, match="not stacks"):
         evolve(L, DensityMatrix(dim=2, entries=np.stack([rho.entries] * 2)), 1.0)
+
+
+def _null_count(sv):
+    """How many of the singular values sv the nullspace check counts."""
+    return np.count_nonzero(
+        sv <= steady.NULLSPACE_RTOL * sv.max(axis=-1, keepdims=True), axis=-1)
+
+
+def _sparse_random_system(rng, n):
+    """Gaps in [0.5, 1.5]; complex raising couplings with about 30 % of
+    their entries zero."""
+    couplings = {}
+    for r in ("A", "B"):
+        s1 = np.tril(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                     -1) / np.sqrt(n)
+        s1[rng.random((n, n)) < 0.3] = 0.0
+        couplings[r] = s1
+    return SystemSpec(levels=tuple(np.cumsum(rng.uniform(0.5, 1.5, n))),
+                      couplings=couplings)
+
+
+def test_split_null_count_equals_the_full_svd_count():
+    """On random systems, N = 2..10 in both modes, the split spectrum is
+    the full SVD's to rounding and gives the same null count, for each
+    generator alone and for the stack of four, whose T = 0 baths, zero
+    spectral densities and zero coupling entries vary the pattern."""
+    rng = np.random.default_rng(17)
+    degenerate = patterns_differ = decoupled = 0
+    for n in range(2, 11):
+        for mode in ("lindblad", "redfield"):
+            for _ in range(3):
+                system = _sparse_random_system(rng, n)
+                baths = {r: [BathSpec(temperature=0.0 if rng.random() < 0.3
+                                      else rng.uniform(0.2, 4.0),
+                                      spectral_density=0.0 if rng.random() < 0.2
+                                      else rng.uniform(0.5, 1.5))
+                             for _ in range(4)] for r in ("A", "B")}
+                m = assemble_liouvillian(system, combine_kernels(
+                    [build_kernel(system, baths[r], r, mode)
+                     for r in ("A", "B")])).matrix
+                full = np.linalg.svd(m, compute_uv=False)
+                stacked = steady._split_singular_values(m)
+                for j in range(len(m)):
+                    alone = steady._split_singular_values(m[j])
+                    for split in (stacked[j], alone):
+                        assert np.allclose(np.sort(split)[::-1], full[j],
+                                           rtol=0, atol=1e-12 * full[j, 0])
+                        assert _null_count(split) == _null_count(full[j])
+                degenerate += np.count_nonzero(_null_count(full) != 1)
+                nz = m != 0
+                patterns_differ += bool((nz != nz[0]).any())
+                off = nz.any(axis=0) & ~np.eye(n * n, dtype=bool)
+                decoupled += np.count_nonzero(~(off | off.T).any(axis=0))
+    # the draws reach the cases the split must get right
+    assert degenerate > 0 and patterns_differ > 0 and decoupled > 0
+
+
+def _generator(system, g_of, t_of, mode):
+    """The assembled generator, not solved."""
+    return assemble_liouvillian(system, combine_kernels([build_kernel(
+        system, BathSpec(temperature=t_of[r], spectral_density=g_of[r]), r,
+        mode) for r in g_of]))
+
+
+def _unreached_level_liouvillian(t_a):
+    """3 levels whose couplings never reach level 2: trace-preserving,
+    with one steady state in levels 0 and 1 and another in level 2."""
+    s1 = np.zeros((3, 3), dtype=complex)
+    s1[1, 0] = 1.0
+    system = SystemSpec(levels=(0.0, 1.0, 2.5), couplings={"A": s1, "B": s1})
+    return _generator(system, {"A": 1.0, "B": 0.5}, {"A": t_a, "B": 1.0},
+                      "lindblad")
+
+
+def test_trace_preserving_degenerate_message_comes_from_the_full_svd():
+    # at T_A = 1.5 the rounding-sized null value of the linked block
+    # differs in its bytes between the split and the full SVD, so the
+    # message shows which one it quotes
+    L = _unreached_level_liouvillian(1.5)
+    m = L.matrix
+    sv = np.linalg.svd(m, compute_uv=False)
+    null = [float(x) for x in sv[sv <= steady.NULLSPACE_RTOL * sv[0]]]
+    residual = float(np.abs(m[::4, :].sum(axis=0)).max())
+    assert residual <= 1e-12 and len(null) == 2
+    expected = (f"nullspace dimension 2, need exactly 1; singular values "
+                f"below cutoff: {null}, sigma_max {sv[0]:g}; trace residual "
+                f"{residual:.3e}")
+    with pytest.raises(DegenerateSteadyStateError) as exc:
+        solve_steady_state(L)
+    assert str(exc.value) == expected
+    # in a stack, the first degenerate entry gives its own message
+    stack = Liouvillian(dim=3, matrix=np.stack(
+        [_unreached_level_liouvillian(t).matrix for t in (1.5, 3.0)]))
+    with pytest.raises(DegenerateSteadyStateError) as exc:
+        solve_steady_state(stack)
+    assert str(exc.value) == expected
+
+
+def test_nullspace_check_makes_one_svd(monkeypatch):
+    system = _random_lindblad_system(10)
+    g_of, t_of = {"A": 1.0, "B": 0.8}, {"A": 2.0, "B": 1.0}
+    secular = _generator(system, g_of, t_of, "lindblad")
+    leaky = _generator(system, g_of, t_of, "redfield")
+    degenerate = _unreached_level_liouvillian(2.0)
+    shapes = []     # the matrix shape of every np.linalg.svd call
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    solve_steady_state(secular)
+    assert len(shapes) == 1 and shapes[0][0] == shapes[0][1] < 100
+    shapes.clear()
+    with pytest.raises(DegenerateSteadyStateError, match="preserve trace"):
+        solve_steady_state(leaky)
+    assert shapes == [(100, 100)]
+    # a split check that finds an entry degenerate takes its full SVD
+    shapes.clear()
+    with pytest.raises(DegenerateSteadyStateError):
+        solve_steady_state(degenerate)
+    assert len(shapes) == 2 and shapes[0][0] < 9 and shapes[1] == (9, 9)

@@ -147,6 +147,39 @@ def test_system_spec_validation():
         SystemSpec(levels=(0.0, 1.0), couplings={"A": lowering})
 
 
+def _first_lowering_entry(levels, couplings):
+    """The message the per-entry loop gives for the first nonzero entry
+    (p, q), row by row and coupling by coupling, with E_p - E_q <= 0."""
+    for label, s1 in couplings.items():
+        for p, q in zip(*np.nonzero(s1)):
+            if levels[p] - levels[q] <= 0:
+                return (f"coupling {label!r} entry ({p},{q}) does not raise "
+                        f"energy (E_p - E_q = {levels[p] - levels[q]:g})")
+    return None
+
+
+def test_energy_check_names_the_first_lowering_entry():
+    rng = np.random.default_rng(5)
+    refused = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 6))
+        # ties make E_p - E_q = 0 below the diagonal too
+        levels = tuple(float(e) for e in np.sort(rng.integers(0, 4, n) * 0.5))
+        couplings = {r: np.where(rng.random((n, n)) < 0.7, 0.0,
+                                 rng.normal(size=(n, n)) + 0j)
+                     for r in ("A", "B")}
+        couplings["A"] = np.tril(couplings["A"], -1)
+        expected = _first_lowering_entry(levels, couplings)
+        if expected is None:
+            SystemSpec(levels=levels, couplings=couplings)
+            continue
+        refused += 1
+        with pytest.raises(ValueError) as exc:
+            SystemSpec(levels=levels, couplings=couplings)
+        assert str(exc.value) == expected
+    assert 0 < refused < 200
+
+
 def test_coupling_matrices_are_immutable():
     spec = make_single_qubit(1.0)
     with pytest.raises(ValueError):
