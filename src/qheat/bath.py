@@ -110,6 +110,18 @@ class SpectralDensity:
             raise SpectralLookupError(
                 f"no tabulated spectral density at omega={omega!r}") from None
 
+    def at(self, omegas: list) -> list:
+        """[self(w) for w in omegas], every w > 0, with one lookup per
+        table entry and none per entry for a constant; the first missing
+        frequency raises the SpectralLookupError self(w) raises."""
+        if self._constant is not None:
+            return [self._constant] * len(omegas)
+        table = self._table
+        try:
+            return [table[w] for w in omegas]
+        except KeyError:
+            return [self(w) for w in omegas]
+
     def __repr__(self):
         if self._constant is not None:
             return f"SpectralDensity.constant({self._constant!r})"

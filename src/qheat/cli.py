@@ -277,20 +277,21 @@ SWEEP_CHUNK = 256           # grid points per batched kernel build and solve
 _POINT_ERRORS = (ValueError, LookupError, RuntimeError)
 
 
-def _sweep_row(model, value, rho, q_a, q_b, min_population, resid,
+def _sweep_row(value, populations, rho23, q_a, q_b, min_population, resid,
                second_law):
-    """Row of one solved grid point from plain values: rho the N x N
-    steady-state matrix, the two currents, the smallest population, and
-    the law checks' conservation residual and second-law verdict."""
-    cohs = []
-    if model == "coupled":
-        cohs = [_fmt(rho[1, 2].real), _fmt(rho[1, 2].imag)]
+    """Row of one solved grid point from plain Python values: the
+    steady state's populations (a list), its rho_23 (a complex for the
+    coupled model, None for the single qubit), the two currents, the
+    smallest population, and the law checks' conservation residual and
+    second-law verdict."""
+    cohs = [] if rho23 is None else [format(rho23.real, ".12g"),
+                                     format(rho23.imag, ".12g")]
     status = "ok"
     if resid >= CONSERVATION_ROW_TOL:
         status = f"error: conservation residual {resid:.3e}"
-    return ([_fmt(value)] + [_fmt(p) for p in np.diagonal(rho).real] + cohs
-            + [_fmt(q_a), _fmt(q_b), _fmt(resid), _fmt(min_population),
-               second_law, status])
+    return ([format(value, ".12g")] + [format(p, ".12g") for p in populations]
+            + cohs + [format(x, ".12g") for x in (q_a, q_b, resid, min_population)]
+            + [second_law, status])
 
 
 def _error_row(model, value, exc):
@@ -359,15 +360,19 @@ def _sweep_rows(model, mode, points):
             else:
                 chunks += [(system, [entry]) for entry in chunk]
             continue
-        q, min_pop = stack.currents, stack.positivity.min_population
         params = [points[i][1] for i, _ in chunk]
-        report = _law_report(q, [p["ta"] for p in params],
+        report = _law_report(stack.currents, [p["ta"] for p in params],
                              [p["tb"] for p in params])
-        resid, verdict = report.conservation_residual, report.second_law
-        for j, (i, _) in enumerate(chunk):
-            rows[i] = _sweep_row(model, points[i][0], stack.rho.entries[j],
-                                 q["A"][j], q["B"][j], min_pop[j], resid[j],
-                                 verdict[j])
+        # each column as Python values, converted once per chunk
+        rho23 = (stack.rho.entries[:, 1, 2].tolist() if model == "coupled"
+                 else [None] * len(chunk))
+        columns = zip(stack.rho.populations.tolist(), rho23,
+                      stack.currents["A"].tolist(), stack.currents["B"].tolist(),
+                      stack.positivity.min_population.tolist(),
+                      report.conservation_residual.tolist(),
+                      report.second_law.tolist())
+        for (i, _), column in zip(chunk, columns):
+            rows[i] = _sweep_row(points[i][0], *column)
         del stack       # its stacks must not outlive this chunk into the next
     return rows
 

@@ -29,12 +29,17 @@ per-reservoir property and fails on exactly this residual.
 
 build_kernel evaluates the bath only through one correlation table
 D[b, x, y] of shape (B, N, N), bath axis first: D^{12}(E_x - E_y) where
-S^1_{xy} is nonzero and D^{21}(E_x - E_y) where S^2_{xy} is, each
-distinct frequency once per bath. Everything after it is array algebra
-over that bath axis, with B = 1 for one bath (the axis is then dropped
-from the data) and B for a sequence of baths, so the same code yields a
-single kernel or one stacked kernel with data of shape (B, N^2, N^2),
-and data[i] is bit-identical to the single-bath build of bath i. A sweep
+S^1_{xy} is nonzero and D^{21}(E_x - E_y) where S^2_{xy} is. Both
+channels are filled from the distinct transition frequencies w of S^1:
+each bath's spectral density is looked up once per w (a constant once
+per bath), and one comprehension over (bath, w) repeats the float
+operations of planck_occupation, so that g (1 + n) and g n equal
+bath_correlation's D^{12}(w) and D^{21}(-w) byte for byte without a
+call per entry. Everything after the table is array algebra over that
+bath axis, with B = 1 for one bath (the axis is then dropped from the
+data) and B for a sequence of baths, so the same code yields a single
+kernel or one stacked kernel with data of shape (B, N^2, N^2), and
+data[i] is bit-identical to the single-bath build of bath i. A sweep
 over bath parameters (temperatures, coupling strengths) thus builds its
 kernels once per batch instead of once per point.
 
@@ -47,10 +52,14 @@ both channels in the (l, channel) order of the reference loop. The
 decay terms subtract G[b, p, q]/2 on the p' = q' diagonal of the
 (B, N, N, N, N) kernel indexed [b, p, p', q, q'], and G[b, q', p']/2 on
 its p = q diagonal. The transfer term of channel (a, b) is an outer
-product over supp S^b x supp S^a, zeroed where lindblad's secular
-bracket fails, times D^{ab}[b, q', p'] + D^{ab}[b, q, p]; half of it is
-added at those entries. S^1 raises and S^2 lowers the energy, so the
-transfer terms of the two channels never share an entry.
+product over supp S^b x supp S^a times D^{ab}[b, q', p'] + D^{ab}[b, q,
+p], and half of it is added at those entries; lindblad mode forms and
+adds it only on the pairs where its secular bracket holds. That drops
+nothing but +-0 terms: no entry is -0 before the transfer step, so
+adding them would change no byte, and a D value that overflows reaches
+its own always secular pair (q', p') = (q, p) and the level sum, so the
+overflow refusal is unchanged. S^1 raises and S^2 lowers the energy, so
+the transfer terms of the two channels never share an entry.
 
 The data are byte-identical to those of the six-deep loop over
 (p, p', q, q', l, channel) that tests/kernel_oracle.py keeps as the
@@ -74,10 +83,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from math import exp, expm1
 
 import numpy as np
 
-from .bath import BathSpec, bath_correlation
+from .bath import BathSpec
 from .system import SystemSpec
 
 __all__ = [
@@ -205,6 +215,26 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _correlations(baths, omegas: list):
+    """D^{12}(w) and D^{21}(-w) of each bath at each of the distinct
+    frequencies omegas, all > 0: two (B, len(omegas)) arrays.
+
+    Each entry equals bath_correlation(bath, 1, 2, w) or
+    bath_correlation(bath, 2, 1, -w) byte for byte: g(w) (1 + n) and
+    g(w) n, with the Planck occupation n written out as
+    planck_occupation computes it, in one comprehension over (bath,
+    frequency) rather than a call per entry. The spectral densities
+    are read bath by bath, so the first bath whose table misses a
+    frequency raises the SpectralLookupError it raises alone.
+    """
+    g = np.array([bath.spectral_density.at(omegas) for bath in baths])
+    occupation = np.array([
+        0.0 if T == 0.0 else exp(-x) if (x := w / T) > 700.0 else 1.0 / expm1(x)
+        for T in [bath.temperature for bath in baths] for w in omegas])
+    occupation = occupation.reshape(g.shape)
+    return g * (1.0 + occupation), g * occupation
+
+
 def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
                  reservoir: str, mode: str) -> SuperKernel:
     """Dissipative kernel of one reservoir in Redfield or Lindblad mode.
@@ -222,11 +252,14 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
 
     The bath enters only through the correlation table D[b, x, y], which
     holds D^{12}(E_x - E_y) where S^1_{xy} is nonzero and D^{21}(E_x - E_y)
-    where S^2_{xy} is. Each distinct frequency is evaluated once per bath
-    by the scalar bath_correlation, frequency by frequency, which keeps
-    every query at a finite transition frequency and lets tabulated
-    spectral densities list only the frequencies the model actually
-    uses; a table missing one raises SpectralLookupError.
+    where S^2_{xy} is. Each bath's spectral density is looked up once per
+    distinct transition frequency, for both channels, and the entries
+    are equal byte for byte to those of the scalar bath_correlation
+    (_correlations). That keeps every query at a finite transition
+    frequency and lets tabulated spectral densities list only the
+    frequencies the model actually uses; a table missing one raises
+    SpectralLookupError, and in a sequence the first bath that misses
+    one raises the error it raises alone.
 
     Each complex product is formed from its real and imaginary parts and
     each sum runs in the order of the reference loop, so the data match
@@ -254,26 +287,34 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
     s1 = system.couplings[reservoir]
     s = {1: s1, 2: s1.conj().T}
     # the supports of S^1 and S^2, each in its operator's row-major
-    # order, and their transition frequencies
+    # order, and the transition frequencies of S^1, all > 0 (S^1 raises)
     support = {1: s1.nonzero(), 2: s1.T.nonzero()}
-    freqs = {a: W[support[a]].tolist() for a in (1, 2)}
+    rows, cols = support[1]
+    freqs = W[rows, cols].tolist()
     secular = mode == LINDBLAD
     eps = degeneracy_tolerance(system.levels)
     _reject_near_degenerate(system.levels, "level energies", eps)
     if secular:
-        _reject_near_degenerate(freqs[1], "transition frequencies", eps)
+        _reject_near_degenerate(freqs, "transition frequencies", eps)
 
-    # one (a, b, D^{ab} table) per channel; (1,1) and (2,2) vanish
-    channels = []
-    for a, b in ((1, 2), (2, 1)):
-        values = {w: [bath_correlation(x, a, b, w) for x in baths]
-                  for w in dict.fromkeys(freqs[a])}
-        D = np.zeros((len(baths), n, n))
-        D[(slice(None), *support[a])] = np.array([values[w] for w in freqs[a]]).T
-        channels.append((a, b, D))
+    # the distinct frequencies, and where each of freqs sits among them
+    omegas = list(dict.fromkeys(freqs))
+    where = {w: i for i, w in enumerate(omegas)}
+    slots = [where[w] for w in freqs]
 
     r = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
+        # one (a, b, D^{ab} table) per channel, (1,1) and (2,2) vanishing:
+        # D^{12}(E_x - E_y) on supp S^1 and D^{21}(E_y - E_x) on its
+        # transpose
+        channels = []
+        for (a, b), values, index in zip(((1, 2), (2, 1)),
+                                         _correlations(baths, omegas),
+                                         ((rows, cols), (cols, rows))):
+            D = np.zeros((len(baths), n, n))
+            D[(slice(None), *index)] = values[:, slots]
+            channels.append((a, b, D))
+
         # level sum G[b, x, y] = sum_l [W_xl + W_ly = 0] sum_ab S^a_xl S^b_ly
         # D^{ab}[b, x, l], added up in (l, channel) order
         resonant = np.abs(W[:, :, None] + W) <= eps            # [x, l, y]
@@ -293,13 +334,17 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
         K[:, :, r, :, r] = 0.0 - half
         K[:, r, :, r, :] -= half.swapaxes(1, 2)
         # the transfer term of a channel lives on supp S^b x supp S^a, and
-        # the channels' supports are disjoint
+        # the channels' supports are disjoint. Lindblad keeps only the
+        # secular pairs: no entry of K is -0 here, so adding the +-0 of a
+        # dropped pair would change no byte, and a D value that overflows
+        # also reaches its own secular pair (q', p') = (q, p)
         for a, b, D in channels:
             p, q = (i[:, None] for i in support[b])
             qp, pp = (i[None, :] for i in support[a])
-            outer = _product(s[b][p, q], s[a][qp, pp])
             if secular:
-                outer[np.abs(W[p, q] + W[qp, pp]) > eps] = 0
+                i, j = np.nonzero(np.abs(W[p, q] + W[qp, pp]) <= eps)
+                p, q, qp, pp = p[i, 0], q[i, 0], qp[0, j], pp[0, j]
+            outer = _product(s[b][p, q], s[a][qp, pp])
             K[:, p, pp, q, qp] += 0.5 * (outer * (D[:, qp, pp] + D[:, q, p]))
     if not np.isfinite(data).all():
         finite = np.isfinite(K).reshape(len(baths), -1).all(axis=1)

@@ -369,7 +369,8 @@ def _point_row(model, mode, value, params):
         n_cols = len(cli._sweep_columns(model, "x"))
         return [cli._fmt(value)] + [""] * (n_cols - 2) + [f"error: {exc}"]
     report = cli._law_report(point.currents, params["ta"], params["tb"])
-    return cli._sweep_row(model, value, point.rho.entries,
+    rho23 = complex(point.rho.entries[1, 2]) if model == "coupled" else None
+    return cli._sweep_row(value, point.rho.populations.tolist(), rho23,
                           point.currents["A"], point.currents["B"],
                           point.positivity.min_population,
                           report.conservation_residual, report.second_law)

@@ -246,26 +246,108 @@ def test_tabulated_spectral_density_queried_at_transitions_only():
         build_kernel(system, [bath_c, bath_bad], "A", "redfield")
 
 
+class _CountingTable(dict):
+    """A spectral-density table that logs each frequency looked up."""
+
+    def __init__(self, table, log):
+        super().__init__(table)
+        self.log = log
+
+    def __getitem__(self, omega):
+        self.log.append(omega)
+        return super().__getitem__(omega)
+
+
+def _distinct_frequencies(system, reservoir):
+    """The distinct E_p - E_q of the reservoir's S^1 support, in its
+    row-major order."""
+    E = system.levels
+    s1 = system.couplings[reservoir]
+    return list(dict.fromkeys(E[p] - E[q] for p, q in zip(*s1.nonzero())))
+
+
 @pytest.mark.parametrize("n_baths", [None, 1, 3])
 @pytest.mark.parametrize("name, per_bath", [("single", 2), ("coupled", 4)])
 def test_each_frequency_evaluated_once_per_bath(name, per_bath, n_baths,
                                                 monkeypatch):
-    """Two channels, each with its distinct transition frequencies: one
-    for the qubit, omega_plus and omega_minus for the coupled pair."""
+    """Each kernel looks its reservoir's distinct transition frequencies
+    up once per bath, for both channels together: per_bath lookups over
+    the kernels of both reservoirs, one frequency each for the qubit,
+    omega_plus and omega_minus each for the coupled pair."""
     system = _BATCH_SYSTEMS[name]
-    bath = BathSpec(temperature=0.7, spectral_density=1.0, label="A")
-    baths = bath if n_baths is None else [bath] * n_baths
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return bath_correlation(*args)
-
-    monkeypatch.setattr(kernel, "bath_correlation", counting)
+    want = [w for r in system.reservoirs
+            for w in _distinct_frequencies(system, r)]
+    logs, baths = [], []
+    for i in range(n_baths or 1):
+        density = SpectralDensity.from_table({w: 1.0 + i for w in want})
+        logs.append([])
+        monkeypatch.setattr(density, "_table",
+                            _CountingTable(density._table, logs[-1]))
+        baths.append(BathSpec(temperature=0.7 * i, spectral_density=density))
     for mode in ("lindblad", "redfield"):
-        calls.clear()
-        build_kernel(system, baths, "A", mode)
-        assert len(calls) == per_bath * (n_baths or 1)
+        for log in logs:
+            log.clear()
+        for r in system.reservoirs:
+            build_kernel(system, baths[0] if n_baths is None else baths, r,
+                         mode)
+        for log in logs:
+            assert len(log) == per_bath
+            assert log == want
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_correlation_tables_equal_bath_correlation_byte_for_byte():
+    """The tables' inlined Planck loop against the scalar bath_correlation:
+    T = 0, omega/T > 700 (where exp(-omega/T) is subnormal) and exactly
+    700, seeded temperatures over 1e-3..1e3, g = 0 and a table."""
+    rng = np.random.default_rng(18)
+    omegas = list(dict.fromkeys([0.71, 0.72, 0.745, 350.0,
+                                 *rng.uniform(0.05, 3.0, 12).tolist()]))
+    table = SpectralDensity.from_table(
+        {w: float(v) for w, v in zip(omegas, rng.uniform(0.0, 2.0, len(omegas)))})
+    temps = [0.0, 1e-3, 0.5, 1e-4, *(10.0 ** rng.uniform(-3, 3, 40)).tolist()]
+    baths = [BathSpec(temperature=t, spectral_density=g)
+             for t in temps for g in (0.0, 1.3, table)]
+    emission, absorption = kernel._correlations(baths, omegas)
+    assert emission.shape == absorption.shape == (len(baths), len(omegas))
+    assert _bits(emission) == _bits([[bath_correlation(b, 1, 2, w)
+                                      for w in omegas] for b in baths])
+    assert _bits(absorption) == _bits([[bath_correlation(b, 2, 1, -w)
+                                        for w in omegas] for b in baths])
+    # the 700 boundary and the subnormal branch are both reached
+    assert 0 < bath_correlation(baths[4], 2, 1, -0.72) < 1e-300
+
+
+@pytest.mark.parametrize("mode", ["lindblad", "redfield"])
+def test_first_bath_missing_a_frequency_raises_its_own_error(mode):
+    """Baths are read in stack order: the first one whose table misses a
+    transition frequency raises the error it raises alone, whatever the
+    later baths miss."""
+    system, diag = make_coupled_qubits(1.0, 2.0, 0.5)
+    plus, minus = diag.omega_plus, diag.omega_minus
+    full = SpectralDensity.from_table({plus: 1.0, minus: 1.0})
+    no_plus = SpectralDensity.from_table({minus: 1.0})
+    no_minus = SpectralDensity.from_table({plus: 1.0})
+
+    def baths(*densities):
+        return [BathSpec(temperature=1.0, spectral_density=d)
+                for d in densities]
+
+    # reservoir A's support meets omega_minus first, so a frequency-major
+    # read would blame no_minus in the second stack
+    for stack, culprit, missing in (
+            (baths(full, no_minus), no_minus, minus),
+            (baths(full, no_plus, no_minus), no_plus, plus),
+            (baths(no_minus, no_plus), no_minus, minus)):
+        with pytest.raises(SpectralLookupError) as alone:
+            build_kernel(system, baths(culprit)[0], "A", mode)
+        with pytest.raises(SpectralLookupError) as exc:
+            build_kernel(system, stack, "A", mode)
+        assert str(exc.value) == str(alone.value)
+        assert str(exc.value).endswith(f"omega={missing!r}")
 
 
 @pytest.mark.parametrize("t, g, named", [

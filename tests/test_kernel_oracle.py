@@ -43,12 +43,28 @@ def _degenerate_three_level():
     return SystemSpec(levels=(0.0, 1.0, 1.0), couplings={"A": a, "B": b})
 
 
+def _ladder(n, spacing, seed=18):
+    """Exactly equally spaced levels spacing * i and dense complex raising
+    couplings: the transition frequencies coincide exactly, so lindblad's
+    secular bracket keeps many pairs off the diagonal."""
+    rng = np.random.default_rng([seed, n])
+    couplings = {}
+    for r in RESERVOIRS:
+        s1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        couplings[r] = np.tril(s1, -1)
+    return SystemSpec(levels=tuple(spacing * i for i in range(n)),
+                      couplings=couplings)
+
+
 SYSTEMS = {
     "single": make_single_qubit(1.3),
     "coupled": make_coupled_qubits(1.0, 2.0, 0.5)[0],
     "coupled-resonant": make_coupled_qubits(1.5, 1.5, 0.4)[0],
     "degenerate-3": _degenerate_three_level(),
     **{f"random-n{n}": _scaling_system(n) for n in range(3, 11)},
+    **{f"ladder-{name}-n{n}": _ladder(n, spacing)
+       for name, spacing in (("unit", 1.0), ("quarter", 0.25))
+       for n in (5, 6)},
 }
 
 BATHS = {
