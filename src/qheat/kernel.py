@@ -1,36 +1,43 @@
 """Dissipative superoperator construction.
 
-The kernel K_{pp',qq'} of one reservoir acts on density matrices
+A reservoir couples through one Hermitian operator X = S^1 + S^2 in the
+energy basis: S^1 raises the energy and S^2 = (S^1)^dagger lowers it,
+so their supports are disjoint and X_xy is whichever is nonzero. The
+bath enters through one correlation function D(w): D^{12}(w) at w > 0,
+D^{21}(w) at w < 0. The kernel K_{pp',qq'} acts on density matrices
 flattened row-major, index (p, p') -> p*N + p'. Both modes evaluate the
 Born-approximation kernel
 
-    K_{pp',qq'} = - delta_{p'q'} 1/2 sum_{ab,l} S^a_{pl}  S^b_{lq}  D^{ab}(E_pl)  [E_pl + E_lq = 0]
-                  - delta_{pq}   1/2 sum_{ab,l} S^a_{q'l} S^b_{lp'} D^{ab}(E_p'l) [E_q'l + E_lp' = 0]
-                  + 1/2 sum_{ab} S^b_{pq} S^a_{q'p'} (D^{ab}(E_q'p') + D^{ab}(E_qp))
+    K_{pp',qq'} = - delta_{p'q'} 1/2 sum_l X_pl  X_lq  D(E_pl)  [E_pl + E_lq = 0]
+                  - delta_{pq}   1/2 sum_l X_q'l X_lp' D(E_q'l) [E_q'l + E_lp' = 0]
+                  + 1/2 X_pq X_q'p' (D(E_q'p') + D(E_qp))       [E_pq E_q'p' < 0]
 
-with E_pq = E_p - E_q, D^{ab} the bath correlation, and [x = 0] a
-Kronecker test with a tolerance scaled to the energy spread. The bracket
-on the two level-sum (decay) terms applies in both modes; since the
-intermediate level l drops out of those brackets, they reduce the
-level sums to the frequency-diagonal part whenever the spectrum is
-nondegenerate. The transfer term distinguishes the modes: redfield
-keeps its full frequency content, lindblad multiplies in the secular
-(rotating wave) constraint [E_pq + E_q'p' = 0] there as well. The full
-secular projection makes the generator a proper quantum dynamical
-semigroup generator, and every lindblad kernel preserves trace on its
-own. Redfield mode keeps hermiticity but not positivity, and its
-surviving non-secular transfer elements couple the populations to the
-coherences of near-degenerate level pairs. It does not preserve trace
-reservoir by reservoir: for the coupled pair, one reservoir's kernel
-leaves a residual alpha*beta*g in its coherence columns, and only the
-sum over reservoirs with equal couplings cancels it (unequal couplings
-leave alpha*beta*|g_A - g_B|). Acceptance criterion 09a asks for the
+with E_pq = E_p - E_q and [x = 0] a Kronecker test with a tolerance
+scaled to the energy spread. Each term pairs a raising with a lowering
+element, as the vanishing (1,1) and (2,2) correlations demand: two
+raising steps through l have E_x > E_l > E_y and never meet the
+level-sum bracket, and the transfer bracket keeps the pairs whose
+frequencies have opposite sign. The bracket on the two level-sum
+(decay) terms applies in both modes; since the intermediate level l
+drops out of those brackets, they reduce the level sums to the
+frequency-diagonal part whenever the spectrum is nondegenerate. The
+transfer term distinguishes the modes: redfield keeps its full
+frequency content, lindblad narrows its bracket to the secular
+(rotating wave) constraint [E_pq + E_q'p' = 0]. The full secular
+projection makes the generator a proper quantum dynamical semigroup
+generator, and every lindblad kernel preserves trace on its own.
+Redfield mode keeps hermiticity but not positivity, and its surviving
+non-secular transfer elements couple the populations to the coherences
+of near-degenerate level pairs. It does not preserve trace reservoir by
+reservoir: for the coupled pair, one reservoir's kernel leaves a
+residual alpha*beta*g in its coherence columns, and only the sum over
+reservoirs with equal couplings cancels it (unequal couplings leave
+alpha*beta*|g_A - g_B|). Acceptance criterion 09a asks for the
 per-reservoir property and fails on exactly this residual.
 
 build_kernel evaluates the bath only through one correlation table
-D[b, x, y] of shape (B, N, N), bath axis first: D^{12}(E_x - E_y) where
-S^1_{xy} is nonzero and D^{21}(E_x - E_y) where S^2_{xy} is. Both
-channels are filled from the distinct transition frequencies w of S^1:
+D[b, x, y] = D(E_x - E_y) on supp X, of shape (B, N, N), bath axis
+first. It is filled from the distinct transition frequencies w of S^1:
 each bath's spectral density is looked up once per w (a constant once
 per bath), and one comprehension over (bath, w) repeats the float
 operations of planck_occupation, so that g (1 + n) and g n equal
@@ -45,21 +52,19 @@ kernels once per batch instead of once per point.
 
 The level sum of the two decay terms is one table per batch,
 
-    G[b, x, y] = sum_l [E_xl + E_ly = 0] sum_ab S^a_xl S^b_ly D^{ab}[b, x, l],
+    G[b, x, y] = sum_l [E_xl + E_ly = 0] X_xl X_ly D[b, x, l],
 
-filled by a loop over l alone, each step adding the (B, N, N) terms of
-both channels in the (l, channel) order of the reference loop. The
-decay terms subtract G[b, p, q]/2 on the p' = q' diagonal of the
-(B, N, N, N, N) kernel indexed [b, p, p', q, q'], and G[b, q', p']/2 on
-its p = q diagonal. The transfer term of channel (a, b) is an outer
-product over supp S^b x supp S^a times D^{ab}[b, q', p'] + D^{ab}[b, q,
-p], and half of it is added at those entries; lindblad mode forms and
-adds it only on the pairs where its secular bracket holds. That drops
-nothing but +-0 terms: no entry is -0 before the transfer step, so
-adding them would change no byte, and a D value that overflows reaches
-its own always secular pair (q', p') = (q, p) and the level sum, so the
-overflow refusal is unchanged. S^1 raises and S^2 lowers the energy, so
-the transfer terms of the two channels never share an entry.
+filled by a loop over l alone. The decay terms subtract G[b, p, q]/2 on
+the p' = q' diagonal of the (B, N, N, N, N) kernel indexed
+[b, p, p', q, q'], and G[b, q', p']/2 on its p = q diagonal. The
+transfer term is an outer product over supp X x supp X times
+D[b, q', p'] + D[b, q, p], and half of it is added at the pairs its
+bracket keeps, at most one term per entry. Lindblad forms it only on
+the secular pairs. That drops nothing but +-0 terms: no entry is -0
+before the transfer step, so adding them would change no byte, and a D
+value that overflows reaches its own always secular pair
+(q', p') = (q, p) and the level sum, so the overflow refusal is
+unchanged.
 
 The data are byte-identical to those of the six-deep loop over
 (p, p', q, q', l, channel) that tests/kernel_oracle.py keeps as the
@@ -69,10 +74,13 @@ loop's numpy scalar products are: numpy's array complex multiply may
 fuse a product into the sum (with numpy 2.4 on x86-64 it rounds
 differently in 44 % of random products), which moves entries of
 complex-coupled kernels by a few 1e-15. And every sum keeps the loop's
-order: the level sum runs over (l, channel) in sequence, and each entry
-takes its decay terms before its transfer term. combine_kernels and
-check_trace_condition, like the steady-state and current layers
-downstream, act on each entry of a stack as they act on a single kernel.
+order: the level sum runs over l in sequence, and each entry takes its
+decay terms before its transfer term. The loop's extra terms, one per
+(l, channel) against one per l here, are +-0, as are the parts where
+S^1 + S^2 turns a -0 into +0; a sum that starts at +0 keeps none of
+those signs. combine_kernels and check_trace_condition, like the
+steady-state and current layers downstream, act on each entry of a
+stack as they act on a single kernel.
 
 _frozen (the shape check), _per_entry (a Python scalar for one point, an
 array for a stack) and _trace_residual serve every layer. No kernel
@@ -250,20 +258,19 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
     over a leading bath axis, of length 1 for one bath and dropped at
     the end; the module docstring derives it.
 
-    The bath enters only through the correlation table D[b, x, y], which
-    holds D^{12}(E_x - E_y) where S^1_{xy} is nonzero and D^{21}(E_x - E_y)
-    where S^2_{xy} is. Each bath's spectral density is looked up once per
-    distinct transition frequency, for both channels, and the entries
-    are equal byte for byte to those of the scalar bath_correlation
-    (_correlations). That keeps every query at a finite transition
+    The reservoir couples through X = S^1 + S^2, and the bath enters only
+    through the correlation table D[b, x, y] = D(E_x - E_y) on supp X.
+    Each bath's spectral density is looked up once per distinct
+    transition frequency, and the entries equal those of the scalar
+    bath_correlation byte for byte (_correlations). That keeps every
+    query at a finite transition
     frequency and lets tabulated spectral densities list only the
     frequencies the model actually uses; a table missing one raises
     SpectralLookupError, and in a sequence the first bath that misses
     one raises the error it raises alone.
 
-    Each complex product is formed from its real and imaginary parts and
-    each sum runs in the order of the reference loop, so the data match
-    that loop byte for byte (see the module docstring).
+    The data match the reference loop byte for byte (see the module
+    docstring).
 
     A kernel with an entry that overflows to inf or NaN is refused with
     a ValueError naming the reservoir and the temperature and spectral
@@ -285,11 +292,9 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
     E = np.array(system.levels)
     W = E[:, None] - E                  # W[x, y] = E_x - E_y
     s1 = system.couplings[reservoir]
-    s = {1: s1, 2: s1.conj().T}
-    # the supports of S^1 and S^2, each in its operator's row-major
-    # order, and the transition frequencies of S^1, all > 0 (S^1 raises)
-    support = {1: s1.nonzero(), 2: s1.T.nonzero()}
-    rows, cols = support[1]
+    x = s1 + s1.conj().T                # X = S^1 + S^2, disjoint supports
+    # supp S^1 in row-major order and its frequencies, > 0 (S^1 raises)
+    rows, cols = s1.nonzero()
     freqs = W[rows, cols].tolist()
     secular = mode == LINDBLAD
     eps = degeneracy_tolerance(system.levels)
@@ -304,48 +309,39 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
 
     r = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        # one (a, b, D^{ab} table) per channel, (1,1) and (2,2) vanishing:
-        # D^{12}(E_x - E_y) on supp S^1 and D^{21}(E_y - E_x) on its
-        # transpose
-        channels = []
-        for (a, b), values, index in zip(((1, 2), (2, 1)),
-                                         _correlations(baths, omegas),
-                                         ((rows, cols), (cols, rows))):
-            D = np.zeros((len(baths), n, n))
-            D[(slice(None), *index)] = values[:, slots]
-            channels.append((a, b, D))
+        # D[b, x, y]: D^{12}(E_x - E_y) on supp S^1, D^{21} on its transpose
+        emission, absorption = _correlations(baths, omegas)
+        D = np.zeros((len(baths), n, n))
+        D[:, rows, cols] = emission[:, slots]
+        D[:, cols, rows] = absorption[:, slots]
 
-        # level sum G[b, x, y] = sum_l [W_xl + W_ly = 0] sum_ab S^a_xl S^b_ly
-        # D^{ab}[b, x, l], added up in (l, channel) order
+        # G[b, x, y] = sum_l [W_xl + W_ly = 0] X_xl X_ly D[b, x, l] in l order;
+        # the bracket drops the (1,1) and (2,2) chains, as E_x > E_l > E_y
         resonant = np.abs(W[:, :, None] + W) <= eps            # [x, l, y]
-        s_a = np.array([s[a] for a, _, _ in channels])
-        s_b = np.array([s[b] for _, b, _ in channels])
-        chains = np.where(resonant, _product(s_a[:, :, :, None], s_b[:, None]), 0)
+        chain = np.where(resonant, _product(x[:, :, None], x), 0)
         G = np.zeros((len(baths), n, n), dtype=complex)
         for l in range(n):
-            for chain, (_, _, D) in zip(chains, channels):
-                G += chain[:, l] * D[:, :, l, None]
+            G += chain[:, l] * D[:, :, l, None]
         half = 0.5 * G
         # K[b, p, p', q, q'] = - 1/2 G[b, p, q] d_p'q' - 1/2 G[b, q', p'] d_pq
-        #     + 1/2 sum_ab S^b_pq S^a_q'p' (D^{ab}[b, q', p'] + D^{ab}[b, q, p])
+        #     + 1/2 X_pq X_q'p' (D[b, q', p'] + D[b, q, p]) [W_pq W_q'p' < 0]
         data = np.zeros(batch + (n * n, n * n), dtype=complex)
         K = data.reshape(len(baths), n, n, n, n)
         # 0 - half, not -half, so that a zero entry is +0 as in the loop
         K[:, :, r, :, r] = 0.0 - half
         K[:, r, :, r, :] -= half.swapaxes(1, 2)
-        # the transfer term of a channel lives on supp S^b x supp S^a, and
-        # the channels' supports are disjoint. Lindblad keeps only the
-        # secular pairs: no entry of K is -0 here, so adding the +-0 of a
+        # the transfer pairs of supp X x supp X; lindblad keeps only the
+        # secular ones: no entry of K is -0 here, so adding the +-0 of a
         # dropped pair would change no byte, and a D value that overflows
         # also reaches its own secular pair (q', p') = (q, p)
-        for a, b, D in channels:
-            p, q = (i[:, None] for i in support[b])
-            qp, pp = (i[None, :] for i in support[a])
-            if secular:
-                i, j = np.nonzero(np.abs(W[p, q] + W[qp, pp]) <= eps)
-                p, q, qp, pp = p[i, 0], q[i, 0], qp[0, j], pp[0, j]
-            outer = _product(s[b][p, q], s[a][qp, pp])
-            K[:, p, pp, q, qp] += 0.5 * (outer * (D[:, qp, pp] + D[:, q, p]))
+        p, q = x.nonzero()
+        w = W[p, q]
+        keep = (np.abs(w[:, None] + w) <= eps if secular
+                else (w[:, None] > 0) != (w > 0))
+        i, j = np.nonzero(keep)
+        p, q, qp, pp = p[i], q[i], p[j], q[j]
+        outer = _product(x[p, q], x[qp, pp])
+        K[:, p, pp, q, qp] += 0.5 * (outer * (D[:, qp, pp] + D[:, q, p]))
     if not np.isfinite(data).all():
         finite = np.isfinite(K).reshape(len(baths), -1).all(axis=1)
         culprit = baths[int(np.argmin(finite))]

@@ -280,8 +280,7 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
     m = L.matrix
     n = L.dim
     d2 = n * n
-    # the largest trace residual of the stack, as kernel._trace_residual
-    leaky = np.abs(m[..., ::n + 1, :].sum(axis=-2)).max() > TRACE_TOL
+    leaky = _trace_residual(m, n).max() > TRACE_TOL
     sv = (np.linalg.svd(m, compute_uv=False) if leaky
           else _split_singular_values(m))
     counts = (sv <= NULLSPACE_RTOL * sv.max(axis=-1, keepdims=True)).sum(axis=-1)

@@ -44,6 +44,14 @@ def test_occupation_rejects_bad_arguments():
         planck_occupation(1.0, -0.5)
 
 
+def test_occupation_rejects_underflowing_ratio():
+    # omega/T rounds to 0, where 1/(exp(omega/T) - 1) has no float value
+    with pytest.raises(ValueError, match="omega 1e-300, T 1e"):
+        planck_occupation(1e-300, 1e30)
+    # the same omega at a temperature it does not underflow against
+    assert planck_occupation(1e-300, 1.0) == 1.0 / math.expm1(1e-300)
+
+
 def test_occupation_monotone_in_temperature():
     rng = np.random.default_rng(101)
     for _ in range(100):

@@ -668,6 +668,17 @@ def test_shared_parser_equals_fresh_processes(tmp_path, capsys):
             (fresh.stdout, fresh.stderr, fresh.returncode), argv
 
 
+def test_import_loads_no_scipy():
+    """The package declares numpy as its only dependency, so importing it
+    and its command line must not pull scipy in, even where it is
+    installed."""
+    probe = ("import sys, qheat, qheat.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         env=_fresh_process_env(), check=True, text=True)
+    assert run.stdout == "[]\n"
+
+
 def test_main_builds_the_parser_once(monkeypatch, capsys):
     built, build = [], cli.build_parser
 

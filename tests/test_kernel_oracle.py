@@ -56,11 +56,33 @@ def _ladder(n, spacing, seed=18):
                       couplings=couplings)
 
 
+def _negative_zero_parts(n=5, seed=19):
+    """Levels and complex raising couplings drawn at random, where every
+    supported coupling has a -0.0 real or imaginary part: X = S^1 + S^2
+    turns each -0.0 real part into +0.0, so the kernel must not depend
+    on the sign of a zero part."""
+    rng = np.random.default_rng([seed, n])
+    couplings = {}
+    for r in RESERVOIRS:
+        s1 = np.zeros((n, n), dtype=complex)
+        for k, (x, y) in enumerate(zip(*np.tril_indices(n, -1))):
+            value = rng.normal()
+            s1[x, y] = complex(-0.0, value) if k % 2 else complex(value, -0.0)
+        couplings[r] = s1
+    return SystemSpec(levels=tuple(np.cumsum(rng.uniform(0.5, 1.5, n))),
+                      couplings=couplings)
+
+
 SYSTEMS = {
     "single": make_single_qubit(1.3),
     "coupled": make_coupled_qubits(1.0, 2.0, 0.5)[0],
     "coupled-resonant": make_coupled_qubits(1.5, 1.5, 0.4)[0],
     "degenerate-3": _degenerate_three_level(),
+    # lam = 0: an exact ladder of levels, where omega1 > omega2 makes
+    # -beta write a -0.0 coupling and omega1 < omega2 a coupling of 6e-17
+    "uncoupled-12": make_coupled_qubits(1.0, 2.0, 0.0)[0],
+    "uncoupled-21": make_coupled_qubits(2.0, 1.0, 0.0)[0],
+    "negative-zero-parts": _negative_zero_parts(),
     **{f"random-n{n}": _scaling_system(n) for n in range(3, 11)},
     **{f"ladder-{name}-n{n}": _ladder(n, spacing)
        for name, spacing in (("unit", 1.0), ("quarter", 0.25))
