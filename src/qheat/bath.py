@@ -41,8 +41,8 @@ def planck_occupation(omega: float, T: float) -> float:
     The T = 0 limit is exactly 0. Once omega/T passes the overflow range
     of expm1 the distribution equals exp(-omega/T) to double precision,
     so that value is returned directly. A NaN omega and a non-finite T
-    are rejected, and so is an omega/T that underflows to 0, where the
-    occupation is past the largest float.
+    are rejected, and so is an omega/T below about 1/DBL_MAX = 5.6e-309
+    (0 included), where the occupation is past the largest float.
     """
     if not omega > 0:
         raise ValueError(f"occupation needs omega > 0, got {omega}")
@@ -53,12 +53,13 @@ def planck_occupation(omega: float, T: float) -> float:
     if T == 0.0:
         return 0.0
     x = omega / T
-    if x == 0.0:
-        raise ValueError(f"occupation overflows: omega/T underflows to 0 at "
-                         f"omega {omega:g}, T {T:g}")
     if x > 700.0:
         return math.exp(-x)
-    return 1.0 / math.expm1(x)
+    n = 1.0 / math.expm1(x) if x else math.inf
+    if n == math.inf:
+        raise ValueError(f"occupation overflows: omega/T = {x:g} is below "
+                         f"1/DBL_MAX at omega {omega:g}, T {T:g}")
+    return n
 
 
 class SpectralDensity:

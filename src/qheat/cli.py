@@ -18,6 +18,14 @@ one call per point. Point reports and sweep rows take their first- and
 second-law verdicts from one law_checks call on the currents and
 temperatures.
 
+A sweep runs as columns from the grid to the CSV text, with no dict
+per grid point: the grid is the swept values and one list per model
+parameter, each reservoir's baths share one SpectralDensity per
+coupling value, and a solved chunk's rows come from its result columns
+through one "%.12g,...,%s,%s" line format, which writes what
+csv.writer writes for those cells. Error rows, whose messages may need
+quoting, go through csv.writer.
+
 Sweeps accept the pseudo-variable "tm", the mean temperature: sweeping tm
 moves T_A and T_B together, keeping their difference fixed at the value
 implied by --ta/--tb.
@@ -89,10 +97,8 @@ _COUPLING_KEY = {"single": {"A": "ga", "B": "gb"},
 _SYSTEM_PARAMS = {"single": ("w0",), "coupled": ("w1", "w2", "lam")}
 
 
-def _model_system(model: str, params: dict):
-    if model not in _SYSTEM_PARAMS:
-        raise ValueError(f"unknown model {model!r}")
-    args = [params[k] for k in _SYSTEM_PARAMS[model]]
+def _model_system(model: str, args):
+    """The model's system at its _SYSTEM_PARAMS values args, in order."""
     return (make_single_qubit(*args) if model == "single"
             else make_coupled_qubits(*args)[0])
 
@@ -109,8 +115,10 @@ def compute_point(model: str, mode: str, params: dict) -> SteadyPoint:
     params for model "single": w0, ga, gb, ta, tb; for model "coupled":
     w1, w2, lam, g, ta, tb (g applies to both reservoirs).
     """
-    return steady_point(_model_system(model, params), _baths(model, params),
-                        mode)
+    if model not in _SYSTEM_PARAMS:
+        raise ValueError(f"unknown model {model!r}")
+    system = _model_system(model, [params[k] for k in _SYSTEM_PARAMS[model]])
+    return steady_point(system, _baths(model, params), mode)
 
 
 def _law_report(currents: dict, ta, tb) -> CurrentReport:
@@ -277,27 +285,26 @@ SWEEP_CHUNK = 256           # grid points per batched kernel build and solve
 _POINT_ERRORS = (ValueError, LookupError, RuntimeError)
 
 
-def _sweep_row(value, populations, rho23, q_a, q_b, min_population, resid,
-               second_law):
-    """Row of one solved grid point from plain Python values: the
-    steady state's populations (a list), its rho_23 (a complex for the
-    coupled model, None for the single qubit), the two currents, the
-    smallest population, and the law checks' conservation residual and
-    second-law verdict."""
-    cohs = [] if rho23 is None else [format(rho23.real, ".12g"),
-                                     format(rho23.imag, ".12g")]
-    status = "ok"
-    if resid >= CONSERVATION_ROW_TOL:
-        status = f"error: conservation residual {resid:.3e}"
-    return ([format(value, ".12g")] + [format(p, ".12g") for p in populations]
-            + cohs + [format(x, ".12g") for x in (q_a, q_b, resid, min_population)]
-            + [second_law, status])
+def _solved_lines(columns) -> list:
+    """One CSV line per row of columns, equally long lists: numbers in
+    every column but the last two, the second-law verdict and the status
+    in those. Each line is the one csv.writer writes for the cells
+    format(x, ".12g") and the two texts, as none of them needs quoting:
+    a number's cell holds only digits, signs, '.', 'e', 'inf' or 'nan',
+    and neither verdicts nor solved statuses hold a comma or a quote."""
+    fmt = ",".join(["%.12g"] * (len(columns) - 2) + ["%s", "%s\n"])
+    return list(map(fmt.__mod__, zip(*columns)))
 
 
-def _error_row(model, value, exc):
-    """Row of a grid point whose parameters or solve raised exc."""
+def _error_line(model, value, exc) -> str:
+    """CSV line of a grid point whose parameters or solve raised exc,
+    written by csv.writer, which quotes a message holding a comma or a
+    quote."""
+    buf = io.StringIO()
     n_cols = len(_sweep_columns(model, "x"))
-    return [_fmt(value)] + [""] * (n_cols - 2) + [f"error: {exc}"]
+    csv.writer(buf, lineterminator="\n").writerow(
+        [_fmt(value)] + [""] * (n_cols - 2) + [f"error: {exc}"])
+    return buf.getvalue()
 
 
 def parse_range(spec: str):
@@ -318,63 +325,92 @@ def parse_range(spec: str):
     return start, stop, count
 
 
-def _sweep_rows(model, mode, points):
-    """Rows of the sweep's (value, params) grid points, in grid order.
+def _sweep_rows(model, mode, values, grid):
+    """CSV lines of the sweep's grid points in grid order, the number of
+    error rows, and the smallest min_population of the ok rows (None if
+    there is none).
 
-    Each point's system and baths are built first, the system only when
-    its _SYSTEM_PARAMS values differ from those of the last system built;
-    a point whose parameters are refused gets its error row at once. The
-    others are cut into chunks of consecutive points that share one
-    system, at most SWEEP_CHUNK long, and each chunk is one steady_point
-    call with each reservoir's baths as a list, so every layer runs once
-    on the chunk's (B, N^2, N^2) stack and law_checks once on its current
-    and temperature arrays. Stack entries are bit-identical to one-point
-    results, so every row equals the row of its point solved alone. A
-    chunk that raises is solved again as one-entry chunks, so each error
-    row carries the message a one-point run gives.
+    values holds the swept variable at each grid point, and grid maps
+    each params key of the model to its column of values, one per grid
+    point. Each point's system and baths are built first, the system
+    only when its _SYSTEM_PARAMS values differ from those of the last
+    system built, and each reservoir's baths share one SpectralDensity
+    per coupling value; a point whose parameters are refused gets its
+    error row at once. The others are cut into chunks of consecutive
+    points that share one system, at most SWEEP_CHUNK long, and each
+    chunk is one steady_point call with each reservoir's baths as a
+    list, so every layer runs once on the chunk's (B, N^2, N^2) stack
+    and law_checks once on its current and temperature arrays. Stack
+    entries are bit-identical to one-point results, so every row equals
+    the row of its point solved alone. A chunk that raises is solved
+    again as one-entry chunks, so each error row carries the message a
+    one-point run gives. A solved chunk's rows are written from its
+    columns by _solved_lines.
     """
-    rows = [None] * len(points)
-    chunks = []                 # (system, [(grid index, baths), ...])
+    lines = [None] * len(values)
+    n_bad, ok_pops = 0, []
+    # per reservoir: temperature and coupling columns and the densities
+    # built so far, by coupling value (a swept column holds one zero at
+    # most, so 0.0 and -0.0 never share one)
+    reservoirs = [(grid[_TEMPERATURE_KEY[r]], grid[_COUPLING_KEY[model][r]], {})
+                  for r in RESERVOIRS]
+    ta, tb = grid["ta"], grid["tb"]
+    chunks = []                 # (system, grid indices, [baths per reservoir])
     key = system = None
-    for i, (value, params) in enumerate(points):
-        point_key = tuple(params[k] for k in _SYSTEM_PARAMS[model])
+    for i, point_key in enumerate(zip(*(grid[k] for k in _SYSTEM_PARAMS[model]))):
         try:
             if point_key != key:
-                system, key = _model_system(model, params), point_key
-            baths = _baths(model, params)
+                system, key = _model_system(model, point_key), point_key
+            baths = []
+            for temperatures, couplings, densities in reservoirs:
+                # a new coupling value goes in bare: BathSpec checks T, then g
+                g = couplings[i]
+                bath = BathSpec(temperature=temperatures[i],
+                                spectral_density=densities.get(g, g))
+                densities[g] = bath.spectral_density
+                baths.append(bath)
         except _POINT_ERRORS as exc:
-            rows[i] = _error_row(model, value, exc)
+            lines[i] = _error_line(model, values[i], exc)
+            n_bad += 1
             continue
         if not chunks or chunks[-1][0] is not system \
                 or len(chunks[-1][1]) == SWEEP_CHUNK:
-            chunks.append((system, []))
-        chunks[-1][1].append((i, baths))
-    for system, chunk in chunks:        # grows as failing chunks split
+            chunks.append((system, [], [[] for _ in RESERVOIRS]))
+        chunks[-1][1].append(i)
+        for column, bath in zip(chunks[-1][2], baths):
+            column.append(bath)
+    for system, index, baths in chunks:     # grows as failing chunks split
         try:
-            stack = steady_point(system, {r: [b[r] for _, b in chunk]
-                                          for r in RESERVOIRS}, mode)
+            stack = steady_point(system, dict(zip(RESERVOIRS, baths)), mode)
         except _POINT_ERRORS as exc:
-            if len(chunk) == 1:
-                i = chunk[0][0]
-                rows[i] = _error_row(model, points[i][0], exc)
+            if len(index) == 1:
+                lines[index[0]] = _error_line(model, values[index[0]], exc)
+                n_bad += 1
             else:
-                chunks += [(system, [entry]) for entry in chunk]
+                chunks += [(system, [i], [[column[j]] for column in baths])
+                           for j, i in enumerate(index)]
             continue
-        params = [points[i][1] for i, _ in chunk]
-        report = _law_report(stack.currents, [p["ta"] for p in params],
-                             [p["tb"] for p in params])
-        # each column as Python values, converted once per chunk
-        rho23 = (stack.rho.entries[:, 1, 2].tolist() if model == "coupled"
-                 else [None] * len(chunk))
-        columns = zip(stack.rho.populations.tolist(), rho23,
-                      stack.currents["A"].tolist(), stack.currents["B"].tolist(),
-                      stack.positivity.min_population.tolist(),
-                      report.conservation_residual.tolist(),
-                      report.second_law.tolist())
-        for (i, _), column in zip(chunk, columns):
-            rows[i] = _sweep_row(points[i][0], *column)
+        report = _law_report(stack.currents, [ta[i] for i in index],
+                             [tb[i] for i in index])
+        resid = report.conservation_residual.tolist()
+        min_pop = stack.positivity.min_population.tolist()
+        status = [f"error: conservation residual {r:.3e}"
+                  if r >= CONSERVATION_ROW_TOL else "ok" for r in resid]
+        ok = [m for m, s in zip(min_pop, status) if s == "ok"]
+        n_bad += len(index) - len(ok)
+        ok_pops += ok
+        cohs = []
+        if model == "coupled":
+            rho23 = stack.rho.entries[:, 1, 2]
+            cohs = [rho23.real.tolist(), rho23.imag.tolist()]
+        columns = ([values[i] for i in index],
+                   *stack.rho.populations.T.tolist(), *cohs,
+                   stack.currents["A"].tolist(), stack.currents["B"].tolist(),
+                   resid, min_pop, report.second_law.tolist(), status)
+        for i, line in zip(index, _solved_lines(columns)):
+            lines[i] = line
         del stack       # its stacks must not outlive this chunk into the next
-    return rows
+    return lines, n_bad, min(ok_pops, default=None)
 
 
 def render_sweep(model: str, mode: str, base_params: dict, var: str,
@@ -382,13 +418,15 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
                  comments: bool = True):
     """Run the sweep and return (csv_text, n_error_rows, worst_min_population).
 
-    Every row comes from _sweep_rows: a sweep over bath parameters is one
-    steady_point call per SWEEP_CHUNK grid points, a sweep over a system
-    parameter (_SYSTEM_PARAMS) one call per point, and each row equals
-    the row of its point solved alone. Rows follow the grid, so output is
-    deterministic for a fixed configuration. An unknown model, mode or
-    sweep variable, or base_params missing a parameter of the model, is a
-    UsageError.
+    The grid is kept as columns: the swept values, and one list per
+    model parameter. Every row comes from _sweep_rows: a sweep over bath
+    parameters is one steady_point call per SWEEP_CHUNK grid points, a
+    sweep over a system parameter (_SYSTEM_PARAMS) one call per point,
+    and each row equals the row of its point solved alone. Rows follow
+    the grid, so output is deterministic for a fixed configuration. The
+    worst min_population is that of the ok rows, as its cell prints it
+    (0.0 if no row is ok). An unknown model, mode or sweep variable, or
+    base_params missing a parameter of the model, is a UsageError.
     """
     if model not in _MODEL_FLAGS:
         raise UsageError(f"unknown model {model!r}; valid: "
@@ -404,23 +442,19 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
     if missing:
         raise UsageError(f"model {model!r} needs parameters "
                          f"{', '.join(missing)}")
-    var_param = _PARAM_KEY.get(var, var)
+    values = np.linspace(start, stop, count).tolist()
+    grid = {k: [base_params[k]] * count for k in keys}
     if var == "tm":
         dt_half = 0.5 * (base_params["ta"] - base_params["tb"])
-    points = []
-    for value in np.linspace(start, stop, count):
-        value = float(value)
-        p = dict(base_params)
-        if var == "tm":
-            p["ta"] = value + dt_half
-            p["tb"] = value - dt_half
-        else:
-            p[var_param] = value
-        points.append((value, p))
-    rows = _sweep_rows(model, mode, points)
+        grid["ta"] = [value + dt_half for value in values]
+        grid["tb"] = [value - dt_half for value in values]
+    else:
+        grid[_PARAM_KEY.get(var, var)] = values
+    lines, n_bad, worst = _sweep_rows(model, mode, values, grid)
 
-    n_bad = sum(1 for r in rows if r[-1] != "ok")
-    min_pop = min((float(r[-3]) for r in rows if r[-1] == "ok"), default=0.0)
+    # the worst population as its cell prints it, so --strict-positivity
+    # judges the number the CSV shows
+    min_pop = 0.0 if worst is None else float(format(worst, ".12g"))
     buf = io.StringIO()
     if comments:
         echo = " ".join(
@@ -430,9 +464,8 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
                  "range": f"{_fmt(start)}:{_fmt(stop)}:{count}"}.items()))
         buf.write(f"# qheat {__version__}\n")
         buf.write(f"# {echo}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_sweep_columns(model, var))
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerow(_sweep_columns(model, var))
+    buf.writelines(lines)
     return buf.getvalue(), n_bad, min_pop
 
 

@@ -217,7 +217,7 @@ def _split_singular_values(m: np.ndarray) -> np.ndarray:
     linked[0] = True
     rest = linked.nonzero()[0]
     sv = np.abs(m.diagonal(0, -2, -1))
-    sv[..., rest] = np.linalg.svd(m.take(rest, -1).take(rest, -2),
+    sv[..., rest] = np.linalg.svd(m[..., rest[:, None], rest],
                                   compute_uv=False)
     return sv
 

@@ -52,6 +52,18 @@ def test_occupation_rejects_underflowing_ratio():
     assert planck_occupation(1e-300, 1.0) == 1.0 / math.expm1(1e-300)
 
 
+@pytest.mark.parametrize("omega", [5e-324, 1e-310])
+def test_occupation_rejects_ratio_whose_inverse_overflows(omega):
+    # 0 < omega/T < 1/DBL_MAX: 1/expm1(omega/T) is inf, not a float value
+    with pytest.raises(ValueError, match=f"omega {omega:g}, T 1$"):
+        planck_occupation(omega, 1.0)
+    with pytest.raises(ValueError, match=f"omega {omega:g}, T 1$"):
+        bath_correlation(BathSpec(temperature=1.0, spectral_density=1.0),
+                         1, 2, omega)
+    # a ratio just inside the float range still has its value
+    assert planck_occupation(1e-300, 1.0) == pytest.approx(1e300, rel=1e-15)
+
+
 def test_occupation_monotone_in_temperature():
     rng = np.random.default_rng(101)
     for _ in range(100):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -361,19 +362,58 @@ def test_compute_point_is_the_steady_point(model, params, system, mode):
 
 
 def _point_row(model, mode, value, params):
-    """Row of one grid point solved alone by compute_point; an error it
-    raises becomes an error row."""
+    """Cells of one grid point solved alone by compute_point, each number
+    as format(x, ".12g"); an error it raises becomes an error row."""
     try:
         point = compute_point(model, mode, params)
     except (ValueError, LookupError, RuntimeError) as exc:
         n_cols = len(cli._sweep_columns(model, "x"))
         return [cli._fmt(value)] + [""] * (n_cols - 2) + [f"error: {exc}"]
     report = cli._law_report(point.currents, params["ta"], params["tb"])
-    rho23 = complex(point.rho.entries[1, 2]) if model == "coupled" else None
-    return cli._sweep_row(value, point.rho.populations.tolist(), rho23,
-                          point.currents["A"], point.currents["B"],
-                          point.positivity.min_population,
-                          report.conservation_residual, report.second_law)
+    resid = report.conservation_residual
+    numbers = [value, *point.rho.populations.tolist()]
+    if model == "coupled":
+        rho23 = complex(point.rho.entries[1, 2])
+        numbers += [rho23.real, rho23.imag]
+    numbers += [point.currents["A"], point.currents["B"], resid,
+                point.positivity.min_population]
+    status = "ok"
+    if resid >= cli.CONSERVATION_ROW_TOL:
+        status = f"error: conservation residual {resid:.3e}"
+    return [format(x, ".12g") for x in numbers] + [report.second_law, status]
+
+
+def _csv_line(cells):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+_AWKWARD = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300, 0.1 + 0.2,
+            999999999999.5]
+
+
+@pytest.mark.parametrize("n_numbers", [8, 12])     # single, coupled rows
+def test_solved_lines_equal_csv_writer_lines(n_numbers):
+    """Every row of a solved chunk is the line csv.writer writes for its
+    cells format(x, ".12g"), the verdict and the status."""
+    rows = [[_AWKWARD[(i + j) % len(_AWKWARD)] for j in range(n_numbers)]
+            + [law, status]
+            for i in range(len(_AWKWARD))
+            for law, status in (("pass", "ok"), ("not-applicable", "ok"),
+                                ("fail", "error: conservation residual "
+                                         "1.000e-07"))]
+    lines = cli._solved_lines([list(column) for column in zip(*rows)])
+    assert lines == [_csv_line([format(x, ".12g") for x in row[:-2]]
+                               + row[-2:]) for row in rows]
+
+
+def test_error_line_quotes_its_message():
+    exc = ValueError('bad value, "quoted"')
+    blanks = [""] * (len(cli._sweep_columns("coupled", "x")) - 2)
+    want = _csv_line(["0.5", *blanks, 'error: bad value, "quoted"'])
+    assert cli._error_line("coupled", 0.5, exc) == want
+    assert want.endswith(',"error: bad value, ""quoted"""\n')
 
 
 def _per_point_csv(model, mode, params, var, start, stop, count):
@@ -416,6 +456,24 @@ def test_bath_sweeps_equal_per_point_rows(model, mode, params, var, start,
     text, _, _ = render_sweep(model, mode, params, var, start, stop, count,
                               comments=False)
     assert text == _per_point_csv(model, mode, params, var, start, stop, count)
+
+
+@pytest.mark.parametrize("params, var, start, stop, count", [
+    (dict(_COUPLED, ta=10.0, tb=0.0), "tm", 3.0, 8.0, 21),     # fig5's window
+    (dict(_COUPLED, ta=1.5), "lambda", 0.1, 2.0, 11),
+])
+def test_sweep_summary_reads_as_the_printed_cells(params, var, start, stop,
+                                                  count):
+    """n_bad counts the rows whose status is not ok, and the worst
+    min_population is the smallest such cell of an ok row as printed,
+    so --strict-positivity judges the number a reader of the CSV sees."""
+    text, n_bad, min_pop = render_sweep("coupled", "redfield", params, var,
+                                        start, stop, count, comments=False)
+    _, header, rows = read_csv_text(text)
+    ok = [float(r[header.index("min_population")]) for r in rows
+          if r[-1] == "ok"]
+    assert n_bad == len(rows) - len(ok) > 0
+    assert min_pop == min(ok)
 
 
 def test_bath_sweep_longer_than_chunk(monkeypatch):
