@@ -35,6 +35,20 @@ reservoirs with equal couplings cancels it (unequal couplings leave
 alpha*beta*|g_A - g_B|). Acceptance criterion 09a asks for the
 per-reservoir property and fails on exactly this residual.
 
+Where redfield mode is valid is an open modelling question. On fig5's
+grid (T_A - T_B = 10, mean temperature 5 to 8, 161 points) at fig5's
+coupling g = 1, all 161 rows fail the second law and 54 have an
+eigenvalue below -1e-10; at g = 0.1, none does either. As g -> 0 the
+currents meet lindblad mode's: at g = 0.01 and T = (2, 1), q_A/g of
+the coupled pair is 0.1013764 in redfield against 0.1014395 in
+lindblad (tests/test_thermo.py pins all of these). Dropping the energy
+bracket on the decay terms would make each kernel preserve trace, and
+09a pass, but would change acceptance criteria 03 and 06 and
+coupled_redfield_closed; which kernel the paper's non-secular figure
+means is not settled here. Partial-secular, trace-preserving forms:
+Cattaneo et al., NJP 21, 113045 (2019); Trushechkin, PRA 103, 062226
+(2021).
+
 build_kernel evaluates the bath only through one correlation table
 D[b, x, y] = D(E_x - E_y) on supp X, of shape (B, N, N), bath axis
 first. It is filled from the distinct transition frequencies w of S^1:

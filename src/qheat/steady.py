@@ -27,13 +27,18 @@ matrix whose spectral radius the stability check reads. The product is
 P's bound dot method, the same BLAS matrix-vector call as np.matmul
 with less dispatch per step. The steps run in blocks of EVOLVE_BLOCK
 states in one preallocated buffer, and the blow-up check reads every
-state of a block at once with one norm comparison: an inf or NaN entry
-gives an inf or NaN norm, which fails it too. After the check, evolve
-stops early when the block's last two states have the same bytes: that
-state is a fixed point of the rounded step, fl(P y) = y, and the
-product is deterministic, so every later step would return the same
-bytes and the result is that of all the steps. Bytes, not values, are
-compared, so +0.0 and -0.0 never match. The stop may never fire: when
+state of a block at once. One BLAS dot of the block's real view with
+itself is the sum of its states' squared norms; a finite sum of at most
+bound^2/4 passes the block, since it proves every norm at most bound/2
+and every entry finite. Only when it does not (the sum is larger, inf
+or NaN, or bound^2 overflows) are the states' norms compared with the
+bound one by one, and they alone decide; an inf or NaN entry gives an
+inf or NaN norm, which fails too. After the check, evolve stops early
+when the block's last two states have the same bytes: that state is a
+fixed point of the rounded step, fl(P y) = y, and the product is
+deterministic, so every later step would return the same bytes and the
+result is that of all the steps. Bytes, not values, are compared, so
++0.0 and -0.0 never match. The stop may never fire: when
 the rounded step is not trace-preserving bit for bit, it can keep
 changing the state by an ulp on every step, and evolve then takes them
 all. A zero generator leaves the state as it is. A generator with inf
@@ -338,6 +343,26 @@ def svd_steady_state(L: Liouvillian) -> DensityMatrix:
     return DensityMatrix(dim=L.dim, entries=rho)
 
 
+def _block_bounded(states: np.ndarray, bound: float) -> bool:
+    """Whether every row of the C-contiguous complex block states has a
+    norm of at most bound; an inf or NaN entry makes its row's norm inf
+    or NaN, which fails.
+
+    One dot of the block's real view with itself is the sum of the
+    squared norms of its rows. When that sum is at most a finite
+    bound^2 / 4, every row's norm is at most bound / 2, with a margin
+    far above the dot's rounding, and every entry is finite, since an
+    inf or NaN entry makes the sum inf or NaN. Otherwise (a larger,
+    inf or NaN sum, or a bound^2 that overflows) the exact per-row
+    norms decide, so the answer is always theirs.
+    """
+    flat = states.view(float).reshape(-1)
+    quarter = bound * bound / 4
+    if quarter < math.inf and flat.dot(flat) <= quarter:
+        return True
+    return bool((np.linalg.norm(states, axis=1) <= bound).all())
+
+
 def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
            dt: float | None = None) -> DensityMatrix:
     """Propagate d rho/dt = M rho with classic fixed-step RK4.
@@ -349,8 +374,11 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     step is one product with P, the same matrix whose spectral radius is
     checked, taken through P's bound dot method. The steps go into the
     rows of one (EVOLVE_BLOCK + 1, N^2) buffer; after each block every
-    state in it is checked at once, so the states and the result are
-    those of the plain loop y <- P y. When, after that check, the
+    state in it is checked at once, by one dot product whose sum of
+    squared norms passes the block when it is at most a finite
+    bound^2 / 4, and by each state's norm when it is not, so the states,
+    the result and every error are those of the plain loop y <- P y
+    with each state checked. When, after that check, the
     block's last two states are equal byte for byte, the last one is a
     fixed point of the rounded step and evolve returns it at once: the
     remaining steps would not change a bit. A rounded step that is not
@@ -410,8 +438,7 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
             k = min(EVOLVE_BLOCK, steps - start)
             for src, dst in pairs[:k]:
                 dot(src, out=dst)
-            # an inf or NaN entry makes the norm inf or NaN, failing <= too
-            if not (np.linalg.norm(rows[1:k + 1], axis=1) <= bound).all():
+            if not _block_bounded(rows[1:k + 1], bound):
                 raise IntegrationError(
                     f"propagation unstable after norm blowup at step size "
                     f"{h:g}; reduce dt")

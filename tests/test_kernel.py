@@ -321,6 +321,32 @@ def test_correlation_tables_equal_bath_correlation_byte_for_byte():
     assert 0 < bath_correlation(baths[4], 2, 1, -0.72) < 1e-300
 
 
+def test_correlation_tables_keep_planck_occupations_edges():
+    """The tables' inlined occupation and planck_occupation are one rule
+    at its edges: T = 0, and omega/T one ulp below 700 (1/expm1) and one
+    ulp above (exp(-omega/T)), byte for byte against bath_correlation.
+    Where planck_occupation refuses omega/T below 1/DBL_MAX (T = 1e300,
+    omega = 2e-12), build_kernel refuses with its overflow error, which
+    names the bath."""
+    omegas = [float(np.nextafter(700.0, 0.0)), float(np.nextafter(700.0, np.inf))]
+    baths = [BathSpec(temperature=t, spectral_density=g)
+             for t in (0.0, 1.0) for g in (0.0, 1.3)]
+    emission, absorption = kernel._correlations(baths, omegas)
+    assert _bits(emission) == _bits([[bath_correlation(b, 1, 2, w)
+                                      for w in omegas] for b in baths])
+    assert _bits(absorption) == _bits([[bath_correlation(b, 2, 1, -w)
+                                        for w in omegas] for b in baths])
+    with pytest.raises(ValueError, match="^occupation overflows"):
+        planck_occupation(2e-12, 1e300)
+    hot = BathSpec(temperature=1e300, spectral_density=1.0)
+    for mode in ("lindblad", "redfield"):
+        with pytest.raises(ValueError) as exc:
+            build_kernel(make_single_qubit(2e-12), hot, "A", mode)
+        assert str(exc.value) == (
+            "kernel of reservoir 'A' overflows to inf or NaN at temperature "
+            "1e+300 with spectral density SpectralDensity.constant(1.0)")
+
+
 @pytest.mark.parametrize("mode", ["lindblad", "redfield"])
 def test_first_bath_missing_a_frequency_raises_its_own_error(mode):
     """Baths are read in stack order: the first one whose table misses a

@@ -22,8 +22,8 @@ _parts = st.floats(-1.0, 1.0)
 
 
 @st.composite
-def lindblad_systems(draw):
-    n = draw(st.integers(2, 6))
+def lindblad_systems(draw, max_n=6):
+    n = draw(st.integers(2, max_n))
     gaps = draw(st.lists(st.floats(0.5, 1.5), min_size=n - 1, max_size=n - 1))
     couplings = {}
     for r in RESERVOIRS:

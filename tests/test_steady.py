@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qheat import (BathSpec, DegenerateSteadyStateError, DensityMatrix,
                    IntegrationError, Liouvillian, PositivityReport, SolveInfo,
@@ -14,6 +16,8 @@ from qheat import (BathSpec, DegenerateSteadyStateError, DensityMatrix,
                    svd_steady_state)
 from qheat import steady
 from qheat.steady import EVOLVE_BLOCK
+from test_kernel_properties import (PROPERTY_SETTINGS, _baths, _kernels,
+                                    lindblad_systems)
 
 
 def _liouvillian(system, g_of, t_of, mode):
@@ -372,34 +376,22 @@ def test_evolve_equals_the_plain_propagator_loop(model, mode):
             (t_final, dt)
 
 
-class _CountingLinalg:
-    """np.linalg as qheat.steady sees it, counting evolve's per-block
-    blow-up checks (norms along axis 1) and the states they read. Every
-    step's state is read once, so `products` is the number of steps
-    taken."""
+class _BlockCounter:
+    """Wraps qheat.steady._block_bounded, counting evolve's per-block
+    blow-up checks and the states they read. Every step's state is read
+    once, so `products` is the number of steps taken."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.blocks = 0
         self.products = 0
+        check = steady._block_bounded
 
-    def __getattr__(self, name):
-        return getattr(np.linalg, name)
-
-    def norm(self, x, *args, **kwargs):
-        if kwargs.get("axis") == 1:
+        def counted(states, bound):
             self.blocks += 1
-            self.products += len(x)
-        return np.linalg.norm(x, *args, **kwargs)
+            self.products += len(states)
+            return check(states, bound)
 
-
-class _CountingNumpy:
-    """numpy as qheat.steady sees it, with a counting np.linalg."""
-
-    def __init__(self):
-        self.linalg = _CountingLinalg()
-
-    def __getattr__(self, name):
-        return getattr(np, name)
+        monkeypatch.setattr(steady, "_block_bounded", counted)
 
 
 def _propagator(L, h):
@@ -418,11 +410,10 @@ def test_evolve_stops_at_once_on_a_steady_state(monkeypatch):
     P = _propagator(L, h)
     y = rho0.entries.reshape(-1).astype(complex)
     assert (P @ y).tobytes() == y.tobytes()
-    counter = _CountingNumpy()
-    monkeypatch.setattr(steady, "np", counter)
+    counter = _BlockCounter(monkeypatch)
     out = evolve(L, rho0, 10 ** 6 * h, dt=h)
-    assert counter.linalg.blocks == 1
-    assert counter.linalg.products <= EVOLVE_BLOCK
+    assert counter.blocks == 1
+    assert counter.products <= EVOLVE_BLOCK
     assert out.entries.tobytes() == y.reshape(2, 2).tobytes()
 
 
@@ -434,10 +425,9 @@ def test_evolve_stops_early_on_the_relax_run(model, mode, monkeypatch):
     a fixed point of the rounded step before their 16000th step."""
     L = _relax_generator(model, mode)
     n = L.dim
-    counter = _CountingNumpy()
-    monkeypatch.setattr(steady, "np", counter)
+    counter = _BlockCounter(monkeypatch)
     evolve(L, DensityMatrix(dim=n, entries=np.eye(n) / n), 80.0, dt=0.005)
-    assert 0 < counter.linalg.products < 16000
+    assert 0 < counter.products < 16000
 
 
 def test_evolve_takes_every_step_when_no_step_repeats(monkeypatch):
@@ -458,12 +448,114 @@ def test_evolve_takes_every_step_when_no_step_repeats(monkeypatch):
         repeats += z.tobytes() == y.tobytes()
         y = z
     assert repeats == 0
-    counter = _CountingNumpy()
-    monkeypatch.setattr(steady, "np", counter)
+    counter = _BlockCounter(monkeypatch)
     out = evolve(L, rho0, 80.0, dt=0.005)
-    assert counter.linalg.blocks == 16000 // EVOLVE_BLOCK
-    assert counter.linalg.products == 16000
+    assert counter.blocks == 16000 // EVOLVE_BLOCK
+    assert counter.products == 16000
     assert out.entries.tobytes() == y.reshape(2, 2).tobytes()
+
+
+def _outcome(run):
+    """The bytes of the state run() returns, or the type and message of
+    the IntegrationError it raises."""
+    try:
+        return run().entries.tobytes()
+    except IntegrationError as exc:
+        return IntegrationError, str(exc)
+
+
+def _plain_outcome(L, rho0, t_final, dt):
+    """evolve's outcome by its definition: the plain loop y <- P y, each
+    state's norm compared with the blow-up bound as it is made, and then
+    the trace drift; the final state's bytes, or the type and message of
+    the error."""
+    n = L.dim
+    steps = max(1, math.ceil(t_final / dt))
+    h = t_final / steps
+    P = _propagator(L, h)
+    y = rho0.entries.reshape(-1).astype(complex)
+    trace0 = y[::n + 1].sum()
+    bound = 1e6 * max(1.0, float(np.linalg.norm(y)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            y = P @ y
+            if not np.linalg.norm(y) <= bound:
+                return IntegrationError, (
+                    f"propagation unstable after norm blowup at step size "
+                    f"{h:g}; reduce dt")
+    drift = abs(y[::n + 1].sum() - trace0)
+    if drift > 1e-8:
+        return IntegrationError, f"trace drifted by {drift:g} (> 1e-08); reduce dt"
+    return y.tobytes()
+
+
+def test_evolve_decides_by_state_norms_past_half_the_bound():
+    """A coherence fed by a decaying population peaks at a norm of
+    7.25e5, between half the bound 1e6 and the bound, at step 3 of 64:
+    the block's sum of squared norms exceeds bound^2 / 4, so the states'
+    own norms decide, and they pass the block. evolve returns the plain
+    loop's bytes."""
+    L = _two_level({(0, 3): 50.0, (3, 3): -50.0, (1, 3): 2e8, (1, 1): -50.0})
+    h = 2.0 ** -7
+    P = _propagator(L, h)
+    y = MIXED_QUBIT.entries.reshape(-1).astype(complex)
+    norms = []
+    for _ in range(EVOLVE_BLOCK):
+        y = P @ y
+        norms.append(np.linalg.norm(y))
+    assert 5e5 < max(norms) <= 1e6
+    want = _plain_outcome(L, MIXED_QUBIT, EVOLVE_BLOCK * h, h)
+    assert want == y.tobytes()
+    assert _outcome(lambda: evolve(L, MIXED_QUBIT, EVOLVE_BLOCK * h, dt=h)) == want
+
+
+@pytest.mark.parametrize("entries, error", [
+    ({(1, 1): -1.0, (2, 2): -1.0}, None),
+    ({(0, 3): 1e9}, "propagation unstable after norm blowup at step size "
+                    "0.01; reduce dt"),
+], ids=["coherence-decay", "blowup"])
+def test_evolve_decides_by_state_norms_when_bound_squared_overflows(entries,
+                                                                    error):
+    """||rho0|| = 7.2e149 makes the bound 7.2e155, finite, and its square
+    overflow, so no block passes on the one dot and the states' own norms
+    alone decide: a coherence decay returns the plain loop's bytes, and a
+    nilpotent generator that carries the states past the bound in the
+    first step raises."""
+    rho0 = DensityMatrix(dim=2, entries=1e150 * np.array([[0.5, 0.1],
+                                                          [0.1, 0.5]]))
+    bound = 1e6 * float(np.linalg.norm(rho0.entries))
+    assert math.isfinite(bound) and bound * bound == math.inf
+    L = _two_level(entries)
+    want = _plain_outcome(L, rho0, 1.0, 0.01)
+    if error:
+        assert want == (IntegrationError, error)
+    else:
+        assert isinstance(want, bytes)
+    assert _outcome(lambda: evolve(L, rho0, 1.0, dt=0.01)) == want
+
+
+@PROPERTY_SETTINGS
+@given(lindblad_systems(max_n=4), st.tuples(_baths, _baths),
+       st.integers(1, 3 * EVOLVE_BLOCK + 5), st.sampled_from([1.0, 1e150]),
+       st.data())
+def test_evolve_gives_the_plain_loops_outcome(system, baths, steps, scale,
+                                              data):
+    """On drawn lindblad generators with N = 2..4 and drawn positive
+    states, for 1 to 3 EVOLVE_BLOCK + 5 steps of a power-of-two size h
+    with h ||M||_inf <= 1, evolve returns the plain loop's bytes or
+    raises its error. A state scaled by 1e150 makes bound^2 overflow, so
+    its blocks are decided by the states' own norms, and the rounding of
+    the steps may drift its trace past 1e-8, which both must report."""
+    n = system.dim
+    liou = assemble_liouvillian(system, combine_kernels(_kernels(system, baths)))
+    parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n * n,
+                               max_size=2 * n * n))
+    a = np.reshape(parts[::2], (n, n)) + 1j * np.reshape(parts[1::2], (n, n))
+    rho = a @ a.conj().T + np.eye(n)
+    rho0 = DensityMatrix(dim=n, entries=scale * rho / rho.trace().real)
+    h = 2.0 ** -math.ceil(math.log2(np.linalg.norm(liou.matrix, np.inf)))
+    assert (_outcome(lambda: evolve(liou, rho0, steps * h, dt=h))
+            == _plain_outcome(liou, rho0, steps * h, h))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

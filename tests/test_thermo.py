@@ -5,6 +5,7 @@ from qheat import (BathSpec, CurrentConsistencyError, CurrentReport,
                    DensityMatrix, gibbs_state, law_checks, make_coupled_qubits,
                    make_single_qubit, planck_occupation, reservoir_current,
                    steady_point)
+from qheat.cli import PRESETS
 
 
 def test_single_qubit_current_reference(single_pipeline):
@@ -156,3 +157,38 @@ def test_steady_point_refuses_bath_lists_of_unequal_length():
         with pytest.raises(ValueError) as exc:
             steady_point(system, {"A": a, "B": b}, "lindblad")
         assert str(exc.value) == f"kernel data shapes differ: {shapes}"
+
+
+@pytest.mark.parametrize("g, second_law_fails, non_positive",
+                         [(1.0, 161, 54), (0.1, 0, 0)])
+def test_redfield_regime_on_the_fig5_grid(g, second_law_fails, non_positive):
+    """Redfield mode on fig5's 161 grid points (T_A - T_B = 10) with both
+    couplings g: at g = 1, fig5's own coupling, every row fails the
+    second law and 54 have an eigenvalue below -1e-10; at g = 0.1 none
+    does either. Which kernel is right at g = 1 is an open modelling
+    question (see qheat.kernel)."""
+    cfg = PRESETS["fig5"]
+    system, _ = make_coupled_qubits(cfg["w1"], cfg["w2"], cfg["lam"])
+    tm = np.linspace(cfg["start"], cfg["stop"], cfg["count"])
+    half = 0.5 * (cfg["ta"] - cfg["tb"])
+    temps = {"A": tm + half, "B": tm - half}
+    point = steady_point(system, {r: [BathSpec(temperature=t,
+                                               spectral_density=g)
+                                      for t in temps[r]] for r in temps},
+                         "redfield")
+    report = law_checks([(r, temps[r], point.currents[r]) for r in temps])
+    assert np.count_nonzero(report.second_law == "fail") == second_law_fails
+    assert np.count_nonzero(point.positivity.min_eigenvalue < -1e-10) \
+        == non_positive
+
+
+def test_redfield_current_meets_lindblad_at_weak_coupling():
+    """At g = 0.01 and T = (2, 1), q_A / g of the coupled pair is
+    0.1013764 in redfield mode against 0.1014395 in lindblad mode."""
+    system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
+    baths = {"A": BathSpec(temperature=2.0, spectral_density=0.01),
+             "B": BathSpec(temperature=1.0, spectral_density=0.01)}
+    q = {mode: steady_point(system, baths, mode).currents["A"] / 0.01
+         for mode in ("redfield", "lindblad")}
+    assert q["redfield"] == pytest.approx(0.1013764, abs=5e-8)
+    assert q["lindblad"] == pytest.approx(0.1014395, abs=5e-8)
