@@ -31,8 +31,9 @@ non-secular transfer elements couple the populations to the coherences
 of near-degenerate level pairs. It does not preserve trace reservoir by
 reservoir: for the coupled pair, one reservoir's kernel leaves a
 residual alpha*beta*g in its coherence columns, and only the sum over
-reservoirs with equal couplings cancels it (unequal couplings leave
-alpha*beta*|g_A - g_B|). Acceptance criterion 09a asks for the
+reservoirs with equal couplings cancels it. Unequal couplings leave
+alpha*beta*|g_A - g_B|, and solve_steady_state refuses such a total as
+leaking trace, before any SVD. Acceptance criterion 09a asks for the
 per-reservoir property and fails on exactly this residual.
 
 Where redfield mode is valid is an open modelling question. On fig5's

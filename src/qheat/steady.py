@@ -5,20 +5,25 @@ The full generator over the flattened (p, p') index is
     M[(p,p'),(q,q')] = -i (E_p - E_p') delta_{pq} delta_{p'q'} + K[(p,p'),(q,q')]
 
 and the steady state is its one-dimensional nullspace, normalised to unit
-trace. solve_steady_state first counts the null directions from the
-singular values. An index whose row and column are zero off the diagonal
-(most coherences of a secular generator, which couple only to coherences
-of the same Bohr frequency) is decoupled, and |M_ii| is its singular
-value; only the linked rest goes through an SVD, so at N = 10 the check
-takes an SVD of about N x N instead of N^2 x N^2. A generator that leaks
-trace, which in general has no null vector, gets one SVD of the whole
-matrix instead, and every refusal quotes the full singular spectrum. It then
-replaces one population row with the trace row and solves the resulting
-nonsingular system on the full matrix, which is deterministic and well
-conditioned at these dimensions; svd_steady_state extracts the
-nullspace directly and serves as an independent verification path. evolve
-is a plain fixed-step integrator kept as a dynamical cross-check of the
-linear solves. Each step is one product with the one-step propagator
+trace. solve_steady_state first refuses a generator that leaks trace:
+one whose trace residual, the largest population-row column sum,
+exceeds TRACE_TOL * max(1, ||M||_inf). Rounding grows as about
+1e-16 ||M||_inf, so the bound passes the residual of a trace-preserving
+generator at any scale, while a structural leak (a redfield total with
+unequal couplings) is refused before any SVD. Every other generator has
+its null directions counted from the singular values of its split. An
+index whose row and column are zero off the diagonal (most coherences of
+a secular generator, which couple only to coherences of the same Bohr
+frequency) is decoupled, and |M_ii| is its singular value; only the
+linked rest goes through an SVD, so at N = 10 the check takes an SVD of
+about N x N instead of N^2 x N^2. A degenerate refusal quotes the full
+singular spectrum. It then replaces one population row with the trace
+row and solves the resulting nonsingular system on the full matrix,
+which is deterministic and well conditioned at these dimensions;
+svd_steady_state extracts the nullspace directly and serves as an
+independent verification path. evolve is a plain fixed-step integrator
+kept as a dynamical cross-check of the linear solves. Each step is one
+product with the one-step propagator
 
     P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24,
 
@@ -33,7 +38,10 @@ bound^2/4 passes the block, since it proves every norm at most bound/2
 and every entry finite. Only when it does not (the sum is larger, inf
 or NaN, or bound^2 overflows) are the states' norms compared with the
 bound one by one, and they alone decide; an inf or NaN entry gives an
-inf or NaN norm, which fails too. After the check, evolve stops early
+inf or NaN norm, which fails too. A norm whose sum of squares
+overflows, that of a state above about 1.34e154, is taken again on the
+state scaled by a power of two, which is exact, and so is the norm of
+rho0 behind the bound. After the check, evolve stops early
 when the block's last two states have the same bytes: that state is a
 fixed point of the rounded step, fl(P y) = y, and the product is
 deterministic, so every later step would return the same bytes and the
@@ -96,7 +104,9 @@ POSITIVITY_TOL = 1e-10
 
 
 class DegenerateSteadyStateError(RuntimeError):
-    """The generator's nullspace is not one-dimensional."""
+    """The generator has no unique steady state: it leaks trace (its
+    trace residual exceeds TRACE_TOL * max(1, ||M||_inf)), or its
+    nullspace is not one-dimensional."""
 
 
 class SteadyStateResidualError(RuntimeError):
@@ -227,70 +237,85 @@ def _split_singular_values(m: np.ndarray) -> np.ndarray:
     return sv
 
 
-def _refuse_degenerate(m: np.ndarray, sv, counts: np.ndarray, n: int):
+def _refuse_leaky(m: np.ndarray, trace_resid: np.ndarray):
+    """Raise the DegenerateSteadyStateError of the first entry of m whose
+    trace residual exceeds TRACE_TOL * max(1, ||M||_inf): more than the
+    rounding of a sum that grows as about 1e-16 ||M||_inf."""
+    scale = np.abs(m).sum(axis=-1).max(axis=-1)
+    leaks = trace_resid > TRACE_TOL * np.maximum(1.0, scale)
+    if np.count_nonzero(leaks):
+        j = np.flatnonzero(leaks)[0]
+        raise DegenerateSteadyStateError(
+            f"trace residual {trace_resid.reshape(-1)[j]:.3e} exceeds "
+            f"{TRACE_TOL:g} * max(1, ||M||_inf), ||M||_inf "
+            f"{scale.reshape(-1)[j]:.3e}: the generator does not preserve "
+            f"trace")
+
+
+def _refuse_degenerate(m: np.ndarray, counts: np.ndarray, n: int):
     """Raise the DegenerateSteadyStateError of the first entry of m whose
     full singular spectrum has other than one null direction.
 
-    Only the entries whose counts are not 1 are looked at. sv holds the
-    full spectra, or is None when the counts came from the split; each
-    entry's full SVD is then taken here, so the message quotes the same
-    values for either."""
+    Only the entries whose split counts are not 1 are looked at, each
+    through its own full SVD, so the message quotes the same values
+    for a point and for a stack."""
     d2 = n * n
     flat = m.reshape(-1, d2, d2)
     for j in np.flatnonzero(counts != 1):
-        sv_j = (np.linalg.svd(flat[j], compute_uv=False) if sv is None
-                else sv.reshape(-1, d2)[j])
+        sv_j = np.linalg.svd(flat[j], compute_uv=False)
         null_sv = [float(x) for x in sv_j[sv_j <= NULLSPACE_RTOL * sv_j[0]]]
         if len(null_sv) == 1:
             continue
-        trace_resid = float(_trace_residual(flat[j], n))
-        cause = (f" > {TRACE_TOL:g}: the generator does not preserve trace"
-                 if trace_resid > TRACE_TOL else "")
         raise DegenerateSteadyStateError(
             f"nullspace dimension {len(null_sv)}, need exactly 1; "
             f"singular values below cutoff: {null_sv}, sigma_max {sv_j[0]:g}; "
-            f"trace residual {trace_resid:.3e}{cause}")
+            f"trace residual {float(_trace_residual(flat[j], n)):.3e}")
 
 
 def solve_steady_state(L: Liouvillian, full_output: bool = False):
     """Unique trace-one null vector of the generator, as a DensityMatrix.
 
-    The nullspace dimension is checked first through the singular
-    spectrum: sigma_i <= 1e-10 sigma_max counts as zero, so every
-    sigma_i does when sigma_max is 0. A trace-preserving generator
-    (trace residual, the largest population-row column sum, at most
-    TRACE_TOL in every entry) is checked on its split: each index whose
-    row and column are zero off the diagonal gives |M_ii|, and only the
-    remaining indices go through an SVD, of their submatrix. A secular
-    (lindblad) generator couples each coherence only to coherences of
-    the same Bohr frequency, so at N = 10 that submatrix is about N x N
-    instead of N^2 x N^2. A generator that leaks trace gets one SVD of
-    the full matrix. Anything but exactly one null direction raises
+    A generator that leaks trace is refused first, before any SVD: when
+    an entry's trace residual (the largest population-row column sum)
+    exceeds TRACE_TOL * max(1, ||M||_inf), the first such entry raises
+    DegenerateSteadyStateError naming that residual, TRACE_TOL and
+    ||M||_inf. The relative bound separates a structural leak from the
+    rounding of a large generator: coupled at T_A = 1e4 has a residual of
+    1.8e-12 at ||M||_inf 2.3e4 and is accepted. Every other generator has
+    its nullspace dimension checked through the singular spectrum of its
+    split: sigma_i <= 1e-10 sigma_max counts as zero, so every sigma_i
+    does when sigma_max is 0. Each index whose row and column are zero
+    off the diagonal gives |M_ii|, and only the remaining indices go
+    through an SVD, of their submatrix. A secular (lindblad) generator
+    couples each coherence only to coherences of the same Bohr
+    frequency, so at N = 10 that submatrix is about N x N instead of
+    N^2 x N^2. Anything but exactly one null direction raises
     DegenerateSteadyStateError with the singular values of the full
-    matrix below the cutoff and the trace residual, above TRACE_TOL
-    when a kernel does not preserve trace; a split check that finds an
-    entry degenerate takes that entry's full SVD to say so. The solve
-    itself replaces the (0,0) population row of M with the trace row
-    (ones on the population columns) and solves M' x = e_0 on the full
-    matrix. The result is symmetrised, renormalised, and only accepted
-    if ||M vec(rho)||_inf < 1e-10, an absolute bound; the error names
+    matrix below the cutoff and the trace residual; the entry's full
+    SVD is taken to say so. The solve itself replaces the (0,0)
+    population row of M with the trace row (ones on the population
+    columns) and solves M' x = e_0 on the full matrix. The result is
+    symmetrised, renormalised, and only accepted if
+    ||M vec(rho)||_inf < 1e-10, an absolute bound; the error names
     ||M||_inf of the failing generator.
 
     A stacked generator gives a stacked DensityMatrix, each entry
-    bit-identical to the solve of that entry alone; the first entry
-    that fails a check raises its own error.
+    bit-identical to the solve of that entry alone. Each check (leak,
+    null count, residual) runs on every entry before the next, and the
+    first entry that fails the first failing check raises its own error.
 
     With full_output=True returns (rho, SolveInfo).
     """
     m = L.matrix
     n = L.dim
     d2 = n * n
-    leaky = _trace_residual(m, n).max() > TRACE_TOL
-    sv = (np.linalg.svd(m, compute_uv=False) if leaky
-          else _split_singular_values(m))
+    trace_resid = _trace_residual(m, n)
+    if trace_resid.max() > TRACE_TOL:
+        _refuse_leaky(m, trace_resid)
+    sv = _split_singular_values(m)
     counts = (sv <= NULLSPACE_RTOL * sv.max(axis=-1, keepdims=True)).sum(axis=-1)
     if np.count_nonzero(counts != 1):
-        _refuse_degenerate(m, sv if leaky else None, counts, n)
+        _refuse_degenerate(m, counts, n)
     row0 = pair_index(n, 0, 0)
     mp = m.copy()
     mp[..., row0, :] = 0.0
@@ -343,6 +368,22 @@ def svd_steady_state(L: Liouvillian) -> DensityMatrix:
     return DensityMatrix(dim=L.dim, entries=rho)
 
 
+def _overflow_safe_norm(v: np.ndarray) -> float:
+    """||v|| of one vector: np.linalg.norm(v) when its sum of squares is
+    finite, as it is for every state below about 1.34e154. Otherwise v
+    is scaled by the power of two 2^-e that puts its largest entry in
+    [1/2, 1), which is exact, normed and scaled back, so a finite v has
+    its true norm (inf only past the largest float); an inf entry keeps
+    it inf and a NaN entry NaN."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+        if norm == math.inf:
+            x = np.ravel(v).view(float)     # real and imaginary parts
+            e = int(np.frexp(np.abs(x).max())[1])
+            norm = float(np.ldexp(np.linalg.norm(x * 2.0 ** -e), e))
+    return norm
+
+
 def _block_bounded(states: np.ndarray, bound: float) -> bool:
     """Whether every row of the C-contiguous complex block states has a
     norm of at most bound; an inf or NaN entry makes its row's norm inf
@@ -354,13 +395,17 @@ def _block_bounded(states: np.ndarray, bound: float) -> bool:
     far above the dot's rounding, and every entry is finite, since an
     inf or NaN entry makes the sum inf or NaN. Otherwise (a larger,
     inf or NaN sum, or a bound^2 that overflows) the exact per-row
-    norms decide, so the answer is always theirs.
+    norms decide, so the answer is always theirs. A row whose squares
+    overflow is normed again by _overflow_safe_norm.
     """
     flat = states.view(float).reshape(-1)
     quarter = bound * bound / 4
     if quarter < math.inf and flat.dot(flat) <= quarter:
         return True
-    return bool((np.linalg.norm(states, axis=1) <= bound).all())
+    norms = np.linalg.norm(states, axis=1)
+    for j in np.flatnonzero(norms == math.inf):
+        norms[j] = _overflow_safe_norm(states[j])
+    return bool((norms <= bound).all())
 
 
 def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
@@ -390,7 +435,9 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     outside RK4's stability region (P has spectral radius above
     1 + 1e-9), any state's norm is not at most 1e6 * max(1, ||rho0||)
     (an inf or NaN entry makes it inf or NaN, so this catches those
-    too), or the trace drifts by more than 1e-8 over the whole run.
+    too; a norm whose squares overflow is taken on the state scaled by
+    a power of two), or the trace drifts by more than 1e-8 over the
+    whole run.
     """
     if L.matrix.ndim != 2 or rho0.entries.ndim != 2:
         raise ValueError("evolve takes one generator and one state, not stacks")
@@ -426,7 +473,7 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     y = rho0.entries.reshape(-1).astype(complex)
     stride = L.dim + 1
     trace0 = y[::stride].sum()
-    bound = 1e6 * max(1.0, float(np.linalg.norm(y)))
+    bound = 1e6 * max(1.0, _overflow_safe_norm(y))
     # row 0 holds the state a block starts from, rows 1..k its k steps
     rows = np.empty((EVOLVE_BLOCK + 1, y.size), dtype=complex)
     rows[0] = y

@@ -117,6 +117,24 @@ def test_residual_error_names_the_generator_scale(capsys):
                         r"2\.286e\+07\n", captured.err)
 
 
+def test_rounding_trace_residual_is_not_a_leak(capsys):
+    """At T_A = 1e4 the generator's trace residual, 1.8e-12, exceeds
+    TRACE_TOL but is rounding of ||M||_inf 2.3e4, far inside
+    TRACE_TOL * max(1, ||M||_inf): the point is accepted, not refused
+    as leaking trace."""
+    system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
+    baths = {r: BathSpec(temperature=t, spectral_density=1.0)
+             for r, t in (("A", 1e4), ("B", 1.0))}
+    m = steady_point(system, baths, "lindblad").liouvillian.matrix
+    residual = np.abs(m[::5].sum(axis=0)).max()
+    scale = np.linalg.norm(m, np.inf)
+    assert kernel.TRACE_TOL < residual <= kernel.TRACE_TOL * scale
+    assert main(["coupled", "--ta", "1e4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "q_A = 0.999108261584\n" in captured.out
+
+
 def test_strict_positivity_point_exit(capsys):
     argv = ["coupled", "--mode", "redfield", "--ta", "10.5", "--tb", "0.5"]
     assert main(argv) == 0

@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, target
 from hypothesis import strategies as st
 
 from qheat import (BathSpec, DegenerateSteadyStateError, DensityMatrix,
-                   IntegrationError, Liouvillian, PositivityReport, SolveInfo,
+                   IntegrationError, Liouvillian, NearDegeneracyError,
+                   PositivityReport, SolveInfo, SteadyStateResidualError,
                    SuperKernel, SystemSpec, assemble_liouvillian,
                    build_kernel, combine_kernels, coupled_rates, evolve,
                    gibbs_state, make_coupled_qubits, make_single_qubit,
@@ -132,22 +133,22 @@ def test_redfield_spectator_coherences_vanish(coupled_pipeline):
 
 def test_degenerate_nullspace_is_refused():
     # unequal couplings leave the non-secular total kernel leaky, so the
-    # generator has no steady state at all; the solver must say so, and
-    # name the trace residual alpha*beta*|g_A - g_B| as the cause
+    # generator has no steady state at all; the solver must refuse it
+    # before any SVD, naming the trace residual alpha*beta*|g_A - g_B|
+    # against TRACE_TOL * max(1, ||M||_inf)
     system, diag = make_coupled_qubits(1.0, 2.0, 0.5)
-    for g_b, residual in ((0.5, "1.768e-01"), (0.4, "2.121e-01")):
+    for g_b, residual, scale in ((0.5, "1.768e-01", "5.633e+00"),
+                                 (0.4, "2.121e-01", "5.569e+00")):
         L = assemble_liouvillian(system, combine_kernels([build_kernel(
             system, BathSpec(temperature=t, spectral_density=g, label=r), r,
             "redfield") for r, g, t in (("A", 1.0, 1.5), ("B", g_b, 1.0))]))
         with pytest.raises(DegenerateSteadyStateError) as exc:
             solve_steady_state(L)
-        assert str(exc.value).startswith(
-            "nullspace dimension 0, need exactly 1; "
-            "singular values below cutoff: [], ")
-        assert str(exc.value).endswith(
-            f"; trace residual {residual} > 1e-12: "
-            "the generator does not preserve trace")
+        assert str(exc.value) == (
+            f"trace residual {residual} exceeds 1e-12 * max(1, ||M||_inf), "
+            f"||M||_inf {scale}: the generator does not preserve trace")
         assert f"{diag.alpha * diag.beta * (1.0 - g_b):.3e}" == residual
+        assert f"{np.linalg.norm(L.matrix, np.inf):.3e}" == scale
     # an all-zero generator has too many steady states; it does preserve
     # trace, so no trace cause is named
     flat = Liouvillian(dim=2, matrix=np.zeros((4, 4)))
@@ -464,22 +465,33 @@ def _outcome(run):
         return IntegrationError, str(exc)
 
 
+def _norm(y):
+    """||y||; when its sum of squares overflows, taken on y / s for s the
+    power of two at or above its largest entry, and multiplied by s."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(y)
+        if norm == np.inf and np.isfinite(y).all():
+            s = 2.0 ** math.ceil(math.log2(np.abs(y).max()))
+            norm = s * np.linalg.norm(y / s)
+    return norm
+
+
 def _plain_outcome(L, rho0, t_final, dt):
     """evolve's outcome by its definition: the plain loop y <- P y, each
     state's norm compared with the blow-up bound as it is made, and then
     the trace drift; the final state's bytes, or the type and message of
-    the error."""
+    the error. Norms whose squares overflow are taken on scaled states."""
     n = L.dim
     steps = max(1, math.ceil(t_final / dt))
     h = t_final / steps
     P = _propagator(L, h)
     y = rho0.entries.reshape(-1).astype(complex)
     trace0 = y[::n + 1].sum()
-    bound = 1e6 * max(1.0, float(np.linalg.norm(y)))
+    bound = 1e6 * max(1.0, float(_norm(y)))
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             y = P @ y
-            if not np.linalg.norm(y) <= bound:
+            if not _norm(y) <= bound:
                 return IntegrationError, (
                     f"propagation unstable after norm blowup at step size "
                     f"{h:g}; reduce dt")
@@ -534,9 +546,49 @@ def test_evolve_decides_by_state_norms_when_bound_squared_overflows(entries,
     assert _outcome(lambda: evolve(L, rho0, 1.0, dt=0.01)) == want
 
 
+def test_evolve_norms_a_state_whose_squares_overflow():
+    """rho0 = 1e150 I/2 gives the bound 7.1e155; a nilpotent generator
+    carries rho_00 to 5.0e154 by t = 1, inside the bound but past the
+    1.34e154 where its square overflows. The state's norm is taken on
+    the state scaled by a power of two, so no blow-up is reported, and
+    the run ends on the trace it gained, as in the plain loop."""
+    rho0 = DensityMatrix(dim=2, entries=1e150 * np.eye(2) / 2)
+    L = _two_level({(0, 3): 1e5})
+    want = _plain_outcome(L, rho0, 1.0, 0.01)
+    assert want == (IntegrationError, "trace drifted by 5e+154 (> 1e-08); "
+                    "reduce dt")
+    assert _outcome(lambda: evolve(L, rho0, 1.0, dt=0.01)) == want
+
+
+@pytest.mark.parametrize("entries, error", [
+    ({(1, 1): -1.0, (2, 2): -1.0}, None),
+    ({(0, 3): 1e9}, "propagation unstable after norm blowup"),
+    ({(0, 3): 1e5}, "trace drifted by 5e+164"),
+], ids=["coherence-decay", "blowup", "drift"])
+def test_evolve_bound_of_a_state_whose_squares_overflow(entries, error):
+    """||rho0|| = 7.2e159: the sum of squares behind the bound overflows.
+    With every warning an error, evolve takes the norm on the scaled
+    state, so the bound is the finite 7.2e165, and gives the plain
+    loop's outcome: a coherence decay returns its bytes, a jump past
+    the bound in the first step is a blow-up, and a growth within it
+    ends on the trace."""
+    rho0 = DensityMatrix(dim=2, entries=1e160 * np.array([[0.5, 0.1],
+                                                          [0.1, 0.5]]))
+    L = _two_level(entries)
+    want = _plain_outcome(L, rho0, 1.0, 0.01)
+    if error:
+        assert want[0] is IntegrationError and want[1].startswith(error)
+    else:
+        assert isinstance(want, bytes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(lambda: evolve(L, rho0, 1.0, dt=0.01)) == want
+
+
 @PROPERTY_SETTINGS
 @given(lindblad_systems(max_n=4), st.tuples(_baths, _baths),
-       st.integers(1, 3 * EVOLVE_BLOCK + 5), st.sampled_from([1.0, 1e150]),
+       st.integers(1, 3 * EVOLVE_BLOCK + 5),
+       st.sampled_from([1.0, 1e150, 1e160]),
        st.data())
 def test_evolve_gives_the_plain_loops_outcome(system, baths, steps, scale,
                                               data):
@@ -545,7 +597,9 @@ def test_evolve_gives_the_plain_loops_outcome(system, baths, steps, scale,
     with h ||M||_inf <= 1, evolve returns the plain loop's bytes or
     raises its error. A state scaled by 1e150 makes bound^2 overflow, so
     its blocks are decided by the states' own norms, and the rounding of
-    the steps may drift its trace past 1e-8, which both must report."""
+    the steps may drift its trace past 1e-8, which both must report.
+    At 1e160 the squares behind each norm overflow too, and both take
+    the norms on scaled states."""
     n = system.dim
     liou = assemble_liouvillian(system, combine_kernels(_kernels(system, baths)))
     parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n * n,
@@ -716,6 +770,27 @@ def test_stacked_solve_raises_the_failing_entrys_message():
         "cutoff: [0.0, 0.0, 0.0, 0.0], sigma_max 0; trace residual 0.000e+00")
 
 
+def test_leak_check_runs_on_every_entry_before_the_null_count():
+    """A degenerate entry before a leaky one: the leak check reads every
+    entry before any null count, so the stack raises the leaky entry's
+    own message, as the null count runs on every entry before the
+    residual check."""
+    system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
+    leaky = assemble_liouvillian(system, combine_kernels([build_kernel(
+        system, BathSpec(temperature=t, spectral_density=g, label=r), r,
+        "redfield") for r, g, t in (("A", 1.0, 1.5), ("B", 0.5, 1.0))]))
+    with pytest.raises(DegenerateSteadyStateError) as own:
+        solve_steady_state(leaky)
+    degenerate = np.zeros((16, 16))
+    with pytest.raises(DegenerateSteadyStateError,
+                       match="^nullspace dimension 16"):
+        solve_steady_state(Liouvillian(dim=4, matrix=degenerate))
+    stack = Liouvillian(dim=4, matrix=np.stack([degenerate, leaky.matrix]))
+    with pytest.raises(DegenerateSteadyStateError) as exc:
+        solve_steady_state(stack)
+    assert str(exc.value) == str(own.value)
+
+
 def test_single_matrix_paths_refuse_stacks():
     system = make_single_qubit(1.0)
     L = _liouvillian(system, {"A": 1.0, "B": 1.0}, {"A": 2.0, "B": 1.0},
@@ -826,6 +901,40 @@ def test_trace_preserving_degenerate_message_comes_from_the_full_svd():
     assert str(exc.value) == expected
 
 
+_REFUSALS = {
+    NearDegeneracyError: ("inside the secular tolerance",),
+    DegenerateSteadyStateError: ("does not preserve trace", "need exactly 1"),
+    SteadyStateResidualError: ("exceeds the absolute bound",),
+}
+
+
+@PROPERTY_SETTINGS
+@given(lindblad_systems(), st.sampled_from(["lindblad", "redfield"]),
+       st.tuples(_baths, _baths))
+def test_every_returned_point_preserves_trace_and_energy(system, mode, baths):
+    """On drawn systems of both modes, with T = 0 baths and unequal
+    couplings allowed, every steady point that returns has a generator
+    whose trace residual, summed here over its population rows, is at
+    most TRACE_TOL * max(1, ||M||_inf), and currents that meet the first
+    law, |q_A + q_B| <= 1e-10; every refusal names its cause. The worst
+    ratio of each to its bound is the hypothesis target."""
+    try:
+        point = steady_point(system, dict(zip(("A", "B"), baths)), mode)
+    except tuple(_REFUSALS) as exc:
+        assert any(c in str(exc) for c in _REFUSALS[type(exc)])
+        return
+    m = point.liouvillian.matrix
+    n = system.dim
+    populations = [p * n + p for p in range(n)]
+    residual = np.abs(m[populations].sum(axis=0)).max()
+    scale = np.abs(m).sum(axis=1).max()
+    trace_ratio = residual / (1e-12 * max(1.0, scale))
+    first_law = abs(point.currents["A"] + point.currents["B"]) / 1e-10
+    target(trace_ratio, label="trace residual / bound")
+    target(first_law, label="|q_A + q_B| / 1e-10")
+    assert trace_ratio <= 1.0 and first_law <= 1.0
+
+
 def test_nullspace_check_makes_one_svd(monkeypatch):
     system = _random_lindblad_system(10)
     g_of, t_of = {"A": 1.0, "B": 0.8}, {"A": 2.0, "B": 1.0}
@@ -845,7 +954,7 @@ def test_nullspace_check_makes_one_svd(monkeypatch):
     shapes.clear()
     with pytest.raises(DegenerateSteadyStateError, match="preserve trace"):
         solve_steady_state(leaky)
-    assert shapes == [(100, 100)]
+    assert shapes == []     # refused before any SVD
     # a split check that finds an entry degenerate takes its full SVD
     shapes.clear()
     with pytest.raises(DegenerateSteadyStateError):
