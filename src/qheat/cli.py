@@ -10,21 +10,11 @@ All physics goes through qheat.thermo.steady_point (kernel build,
 nullspace solve, per-reservoir currents), never through the closed
 forms, so CLI output exercises the same code path as any library caller:
 compute_point returns the SteadyPoint of one steady_point call. A sweep
-has one path: its grid points are cut into chunks of consecutive points
-that share one system, and each chunk is one steady_point call whose
-rows are written from the stacked result. A sweep over bath parameters
-is then one call per SWEEP_CHUNK points, a sweep over a system parameter
-one call per point. Point reports and sweep rows take their first- and
-second-law verdicts from one law_checks call on the currents and
-temperatures.
-
-A sweep runs as columns from the grid to the CSV text, with no dict
-per grid point: the grid is the swept values and one list per model
-parameter, each reservoir's baths share one SpectralDensity per
-coupling value, and a solved chunk's rows come from its result columns
-through one "%.12g,...,%s,%s" line format, which writes what
-csv.writer writes for those cells. Error rows, whose messages may need
-quoting, go through csv.writer.
+has one path, _sweep_rows: each chunk of consecutive grid points that
+share one system is one steady_point call, and the sweep runs as columns
+from the grid to the CSV text, with no dict per grid point. Point
+reports and sweep rows take their first- and second-law verdicts from
+one law_checks call on the currents and temperatures.
 
 Sweeps accept the pseudo-variable "tm", the mean temperature: sweeping tm
 moves T_A and T_B together, keeping their difference fixed at the value
@@ -38,10 +28,11 @@ check, keep their row with the message in the status column while the
 rest of the sweep continues. No timestamps anywhere: identical
 configurations produce byte-identical files.
 
-Each model parameter has one flag, which is also its config key and its
-sweep variable name (see _MODEL_FLAGS). Values must be finite. A range
-with a negative start needs the '=' form, --range=-1:4:21, because
-argparse reads a bare -1:4:21 as a flag.
+Each model is one record in _MODELS, and each of its parameters has one
+flag, which is also its config key and its sweep variable name. A params
+dict must hold exactly its model's keys, and values must be finite. A
+range with a negative start needs the '=' form, --range=-1:4:21,
+because argparse reads a bare -1:4:21 as a flag.
 
 Configuration can also come from a JSON file via --config. Its keys are
 the flag names. Each entry is parsed as the flag --key=value placed
@@ -68,6 +59,7 @@ import math
 import os
 import stat
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,37 +80,85 @@ class UsageError(Exception):
 
 
 RESERVOIRS = ("A", "B")
-_TEMPERATURE_KEY = {"A": "ta", "B": "tb"}
-_COUPLING_KEY = {"single": {"A": "ga", "B": "gb"},
-                 "coupled": {"A": "g", "B": "g"}}
+# A model parameter's flag, which is also its config key and its sweep
+# variable, with its default and help text.
+_Flag = NamedTuple("_Flag", [("name", str), ("default", float), ("help", str)])
+# each reservoir's temperature flag by params key, the same in both models
+_TEMPERATURE_FLAGS = {"ta": _Flag("ta", 1.0, "temperature of A"),
+                      "tb": _Flag("tb", 1.0, "temperature of B")}
 
 
-# params keys of each model's system; every other parameter sets the baths
-_SYSTEM_PARAMS = {"single": ("w0",), "coupled": ("w1", "w2", "lam")}
+class _Model(NamedTuple):
+    """One model's parameter schema and what a sweep row prints of it.
+    build_system looks the system constructor up in this module when it
+    runs, so a caller that rebinds that name (a tracer) sees each call."""
+    flags: dict                 # params key -> _Flag, in --help order
+    system_keys: tuple          # params keys of the system, in builder order
+    build_system: Callable      # the SystemSpec at those keys' values
+    coupling_keys: tuple        # params key of each reservoir's coupling
+    n_levels: int               # one population column per level
+    coherence: tuple | None     # (i, j) of the one coherence a row prints
+
+    def columns(self, var: str) -> list:
+        """A sweep's column header, with var the swept variable."""
+        cells = [f"pop_{i}" for i in range(1, self.n_levels + 1)]
+        if self.coherence is not None:
+            i, j = self.coherence
+            cells += [f"rho{i + 1}{j + 1}_re", f"rho{i + 1}{j + 1}_im"]
+        return [var, *cells, "q_A", "q_B", "conservation_residual",
+                "min_population", "second_law", "status"]
 
 
-def _model_system(model: str, args):
-    """The model's system at its _SYSTEM_PARAMS values args, in order."""
-    return (make_single_qubit(*args) if model == "single"
-            else make_coupled_qubits(*args)[0])
+_MODELS = {
+    "single": _Model(
+        flags={"w0": _Flag("w0", 1.0, "qubit splitting"),
+               "ga": _Flag("ga", 1.0, "reservoir A coupling"),
+               "gb": _Flag("gb", 1.0, "reservoir B coupling"),
+               **_TEMPERATURE_FLAGS},
+        system_keys=("w0",),
+        build_system=lambda w0: make_single_qubit(w0),
+        coupling_keys=("ga", "gb"), n_levels=2, coherence=None),
+    "coupled": _Model(
+        flags={"w1": _Flag("w1", 1.0, "qubit 1 splitting"),
+               "w2": _Flag("w2", 2.0, "qubit 2 splitting"),
+               "lam": _Flag("lambda", 0.5, "flip-flop coupling"),
+               "g": _Flag("g", 1.0, "coupling of both reservoirs"),
+               **_TEMPERATURE_FLAGS},
+        system_keys=("w1", "w2", "lam"),
+        build_system=lambda w1, w2, lam: make_coupled_qubits(w1, w2, lam)[0],
+        coupling_keys=("g", "g"), n_levels=4, coherence=(1, 2)),
+}
 
 
-def _baths(model: str, params: dict) -> dict:
-    return {r: BathSpec(temperature=params[_TEMPERATURE_KEY[r]],
-                        spectral_density=params[_COUPLING_KEY[model][r]])
-            for r in RESERVOIRS}
+def _checked_record(model: str, params, error) -> _Model:
+    """The model's record, once params holds exactly its params keys;
+    else error, naming the keys params misses or those the model lacks."""
+    record = _MODELS[model]
+    missing = [k for k in record.flags if k not in params]
+    if missing:
+        raise error(f"model {model!r} needs parameters {', '.join(missing)}")
+    unknown = [str(k) for k in params if k not in record.flags]
+    if unknown:
+        raise error(f"model {model!r} has no parameters {', '.join(unknown)}")
+    return record
 
 
 def compute_point(model: str, mode: str, params: dict) -> SteadyPoint:
     """The steady_point result at one parameter point.
 
-    params for model "single": w0, ga, gb, ta, tb; for model "coupled":
-    w1, w2, lam, g, ta, tb (g applies to both reservoirs).
+    params holds exactly the params keys of the model's record in
+    _MODELS: w0, ga, gb, ta, tb for "single"; w1, w2, lam, g, ta, tb for
+    "coupled" (g applies to both reservoirs). Any other params, or an
+    unknown model, is a ValueError.
     """
-    if model not in _SYSTEM_PARAMS:
+    if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
-    system = _model_system(model, [params[k] for k in _SYSTEM_PARAMS[model]])
-    return steady_point(system, _baths(model, params), mode)
+    record = _checked_record(model, params, ValueError)
+    system = record.build_system(*(params[k] for k in record.system_keys))
+    baths = {r: BathSpec(temperature=params[t], spectral_density=params[g])
+             for r, t, g in zip(RESERVOIRS, _TEMPERATURE_FLAGS,
+                                record.coupling_keys)}
+    return steady_point(system, baths, mode)
 
 
 def _law_report(currents: dict, ta, tb) -> CurrentReport:
@@ -128,25 +168,6 @@ def _law_report(currents: dict, ta, tb) -> CurrentReport:
 
 
 # ---------------------------------------------------------------- parsing
-
-# Each model's parameters as flag -> (default, help). The flag name is
-# also the config key and the sweep variable; --lambda is stored under
-# the params key "lam".
-_TEMPERATURES = {"ta": (1.0, "temperature of A"), "tb": (1.0, "temperature of B")}
-_MODEL_FLAGS = {
-    "single": {"w0": (1.0, "qubit splitting"),
-               "ga": (1.0, "reservoir A coupling"),
-               "gb": (1.0, "reservoir B coupling"),
-               **_TEMPERATURES},
-    "coupled": {"w1": (1.0, "qubit 1 splitting"),
-                "w2": (2.0, "qubit 2 splitting"),
-                "lambda": (0.5, "flip-flop coupling"),
-                "g": (1.0, "coupling of both reservoirs"),
-                **_TEMPERATURES},
-}
-_SWEEP_FLAGS = {**_MODEL_FLAGS["single"], **_MODEL_FLAGS["coupled"]}
-_PARAM_KEY = {"lambda": "lam"}      # params key of a flag, if not the flag
-
 
 PRESETS = {
     # populations vs mean temperature in equilibrium (dT = 0)
@@ -200,10 +221,10 @@ class _Parser(argparse.ArgumentParser):
         return tokens
 
 
-def _add_model_flags(p, flags: dict) -> None:
-    for flag, (default, text) in flags.items():
-        p.add_argument(f"--{flag}", type=float, default=argparse.SUPPRESS,
-                       help=f"{text} (default {default:g})")
+def _add_model_flags(p, flags) -> None:
+    for flag in flags.values():
+        p.add_argument(f"--{flag.name}", type=float, default=argparse.SUPPRESS,
+                       help=f"{flag.help} (default {flag.default:g})")
     p.add_argument("--mode", choices=("lindblad", "redfield"),
                    default="lindblad", help="kernel mode (default lindblad)")
 
@@ -227,15 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for model in _MODEL_FLAGS:
+    for model, record in _MODELS.items():
         p = sub.add_parser(model, help=f"{model}-qubit steady-state point")
-        _add_model_flags(p, _MODEL_FLAGS[model])
+        _add_model_flags(p, record.flags)
         _add_common(p, functools.partial(_point_command, model))
 
     p = sub.add_parser("sweep", help="linear parameter sweep, CSV output")
-    p.add_argument("--model", choices=tuple(_MODEL_FLAGS), default="coupled",
+    p.add_argument("--model", choices=tuple(_MODELS), default="coupled",
                    help="model to sweep (default coupled)")
-    _add_model_flags(p, _SWEEP_FLAGS)
+    _add_model_flags(p, _all_flags())
     p.add_argument("--var", default=None,
                    help="swept parameter name; 'tm' sweeps the mean temperature "
                         "at fixed T_A - T_B")
@@ -251,33 +272,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _all_flags() -> dict:
+    """Every model's flags by name, in first-seen order: sweep's flags."""
+    return {f.name: f for record in _MODELS.values()
+            for f in record.flags.values()}
+
+
 def _model_params(model: str, args) -> dict:
-    """The model's parameters: each flag given, else its table default.
+    """The model's parameters: each flag given, else its record default.
     A flag of the other model is refused rather than ignored."""
     given = vars(args)
-    foreign = [f for f in _SWEEP_FLAGS if f in given and f not in _MODEL_FLAGS[model]]
+    flags = _MODELS[model].flags
+    own = {f.name for f in flags.values()}
+    foreign = [f for f in _all_flags() if f in given and f not in own]
     if foreign:
         raise UsageError(f"model {model!r} has no parameter --{foreign[0]}")
-    return {_PARAM_KEY.get(flag, flag): given.get(flag, default)
-            for flag, (default, _) in _MODEL_FLAGS[model].items()}
+    return {k: given.get(f.name, f.default) for k, f in flags.items()}
 
 
 # ---------------------------------------------------------------- sweeps
 
 def _fmt(x) -> str:
     return f"{float(x):.12g}"
-
-
-def _sweep_columns(model: str, var: str):
-    if model == "single":
-        pops = ["pop_1", "pop_2"]
-        cohs = []
-    else:
-        pops = ["pop_1", "pop_2", "pop_3", "pop_4"]
-        cohs = ["rho23_re", "rho23_im"]
-    return ([var] + pops + cohs
-            + ["q_A", "q_B", "conservation_residual", "min_population",
-               "second_law", "status"])
 
 
 CONSERVATION_ROW_TOL = 1e-8
@@ -296,12 +312,12 @@ def _solved_lines(columns) -> list:
     return list(map(fmt.__mod__, zip(*columns)))
 
 
-def _error_line(model, value, exc) -> str:
+def _error_line(record: _Model, value, exc) -> str:
     """CSV line of a grid point whose parameters or solve raised exc,
     written by csv.writer, which quotes a message holding a comma or a
     quote."""
     buf = io.StringIO()
-    n_cols = len(_sweep_columns(model, "x"))
+    n_cols = len(record.columns("x"))
     csv.writer(buf, lineterminator="\n").writerow(
         [_fmt(value)] + [""] * (n_cols - 2) + [f"error: {exc}"])
     return buf.getvalue()
@@ -325,15 +341,15 @@ def parse_range(spec: str):
     return start, stop, count
 
 
-def _sweep_rows(model, mode, values, grid):
+def _sweep_rows(record: _Model, mode, values, grid):
     """CSV lines of the sweep's grid points in grid order, the number of
     error rows, and the smallest min_population of the ok rows (None if
     there is none).
 
     values holds the swept variable at each grid point, and grid maps
-    each params key of the model to its column of values, one per grid
+    each params key of the record to its column of values, one per grid
     point. Each point's system and baths are built first, the system
-    only when its _SYSTEM_PARAMS values differ from those of the last
+    only when its record.system_keys values differ from those of the last
     system built, and each reservoir's baths share one SpectralDensity
     per coupling value; a point whose parameters are refused gets its
     error row at once. The others are cut into chunks of consecutive
@@ -352,15 +368,15 @@ def _sweep_rows(model, mode, values, grid):
     # per reservoir: temperature and coupling columns and the densities
     # built so far, by coupling value (a swept column holds one zero at
     # most, so 0.0 and -0.0 never share one)
-    reservoirs = [(grid[_TEMPERATURE_KEY[r]], grid[_COUPLING_KEY[model][r]], {})
-                  for r in RESERVOIRS]
+    reservoirs = [(grid[t], grid[g], {})
+                  for t, g in zip(_TEMPERATURE_FLAGS, record.coupling_keys)]
     ta, tb = grid["ta"], grid["tb"]
     chunks = []                 # (system, grid indices, [baths per reservoir])
     key = system = None
-    for i, point_key in enumerate(zip(*(grid[k] for k in _SYSTEM_PARAMS[model]))):
+    for i, point_key in enumerate(zip(*(grid[k] for k in record.system_keys))):
         try:
             if point_key != key:
-                system, key = _model_system(model, point_key), point_key
+                system, key = record.build_system(*point_key), point_key
             baths = []
             for temperatures, couplings, densities in reservoirs:
                 # a new coupling value goes in bare: BathSpec checks T, then g
@@ -370,7 +386,7 @@ def _sweep_rows(model, mode, values, grid):
                 densities[g] = bath.spectral_density
                 baths.append(bath)
         except _POINT_ERRORS as exc:
-            lines[i] = _error_line(model, values[i], exc)
+            lines[i] = _error_line(record, values[i], exc)
             n_bad += 1
             continue
         if not chunks or chunks[-1][0] is not system \
@@ -384,7 +400,7 @@ def _sweep_rows(model, mode, values, grid):
             stack = steady_point(system, dict(zip(RESERVOIRS, baths)), mode)
         except _POINT_ERRORS as exc:
             if len(index) == 1:
-                lines[index[0]] = _error_line(model, values[index[0]], exc)
+                lines[index[0]] = _error_line(record, values[index[0]], exc)
                 n_bad += 1
             else:
                 chunks += [(system, [i], [[column[j]] for column in baths])
@@ -400,9 +416,10 @@ def _sweep_rows(model, mode, values, grid):
         n_bad += len(index) - len(ok)
         ok_pops += ok
         cohs = []
-        if model == "coupled":
-            rho23 = stack.rho.entries[:, 1, 2]
-            cohs = [rho23.real.tolist(), rho23.imag.tolist()]
+        if record.coherence is not None:
+            p, q = record.coherence
+            rho_pq = stack.rho.entries[:, p, q]
+            cohs = [rho_pq.real.tolist(), rho_pq.imag.tolist()]
         columns = ([values[i] for i in index],
                    *stack.rho.populations.T.tolist(), *cohs,
                    stack.currents["A"].tolist(), stack.currents["B"].tolist(),
@@ -419,38 +436,34 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
     """Run the sweep and return (csv_text, n_error_rows, worst_min_population).
 
     The grid is kept as columns: the swept values, and one list per
-    model parameter. Every row comes from _sweep_rows: a sweep over bath
-    parameters is one steady_point call per SWEEP_CHUNK grid points, a
-    sweep over a system parameter (_SYSTEM_PARAMS) one call per point,
-    and each row equals the row of its point solved alone. Rows follow
+    params key of the model's record in _MODELS. Every row comes from
+    _sweep_rows and equals the row of its point solved alone. Rows follow
     the grid, so output is deterministic for a fixed configuration. The
     worst min_population is that of the ok rows, as its cell prints it
     (0.0 if no row is ok). An unknown model, mode or sweep variable, or
-    base_params missing a parameter of the model, is a UsageError.
+    base_params missing a params key of the model or holding one it
+    lacks, is a UsageError.
     """
-    if model not in _MODEL_FLAGS:
+    if model not in _MODELS:
         raise UsageError(f"unknown model {model!r}; valid: "
-                         f"{', '.join(_MODEL_FLAGS)}")
+                         f"{', '.join(_MODELS)}")
     if mode not in MODES:
         raise UsageError(f"unknown mode {mode!r}; valid: {', '.join(MODES)}")
-    valid = (*_MODEL_FLAGS[model], "tm")
+    key_of = {f.name: k for k, f in _MODELS[model].flags.items()}
+    valid = (*key_of, "tm")
     if var not in valid:
         raise UsageError(f"cannot sweep {var!r} for model {model!r}; "
                          f"valid: {', '.join(valid)}")
-    keys = [_PARAM_KEY.get(flag, flag) for flag in _MODEL_FLAGS[model]]
-    missing = [k for k in keys if k not in base_params]
-    if missing:
-        raise UsageError(f"model {model!r} needs parameters "
-                         f"{', '.join(missing)}")
+    record = _checked_record(model, base_params, UsageError)
     values = np.linspace(start, stop, count).tolist()
-    grid = {k: [base_params[k]] * count for k in keys}
+    grid = {k: [base_params[k]] * count for k in record.flags}
     if var == "tm":
         dt_half = 0.5 * (base_params["ta"] - base_params["tb"])
         grid["ta"] = [value + dt_half for value in values]
         grid["tb"] = [value - dt_half for value in values]
     else:
-        grid[_PARAM_KEY.get(var, var)] = values
-    lines, n_bad, worst = _sweep_rows(model, mode, values, grid)
+        grid[key_of[var]] = values
+    lines, n_bad, worst = _sweep_rows(record, mode, values, grid)
 
     # the worst population as its cell prints it, so --strict-positivity
     # judges the number the CSV shows
@@ -464,7 +477,7 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
                  "range": f"{_fmt(start)}:{_fmt(stop)}:{count}"}.items()))
         buf.write(f"# qheat {__version__}\n")
         buf.write(f"# {echo}\n")
-    csv.writer(buf, lineterminator="\n").writerow(_sweep_columns(model, var))
+    csv.writer(buf, lineterminator="\n").writerow(record.columns(var))
     buf.writelines(lines)
     return buf.getvalue(), n_bad, min_pop
 
@@ -559,9 +572,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    cfg = dict(PRESETS[args.name])
-    params = {k: cfg[k] for k in cfg
-              if k not in ("model", "mode", "var", "start", "stop", "count")}
+    cfg = PRESETS[args.name]
+    params = {k: cfg[k] for k in _MODELS[cfg["model"]].flags}
     return _sweep_from_config(args, cfg["model"], cfg["mode"], params,
                               cfg["var"], cfg["start"], cfg["stop"],
                               cfg["count"])

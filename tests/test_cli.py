@@ -1,5 +1,7 @@
+import argparse
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -159,6 +161,65 @@ def test_argparse_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+def _model_options(*flags):
+    """Options of model flags given as (flag, help text with default)."""
+    return [((f"--{flag}",), argparse.SUPPRESS, text) for flag, text in flags]
+
+
+_SINGLE_FLAGS = [("w0", "qubit splitting (default 1)"),
+                 ("ga", "reservoir A coupling (default 1)"),
+                 ("gb", "reservoir B coupling (default 1)"),
+                 ("ta", "temperature of A (default 1)"),
+                 ("tb", "temperature of B (default 1)")]
+_COUPLED_FLAGS = [("w1", "qubit 1 splitting (default 1)"),
+                  ("w2", "qubit 2 splitting (default 2)"),
+                  ("lambda", "flip-flop coupling (default 0.5)"),
+                  ("g", "coupling of both reservoirs (default 1)"),
+                  ("ta", "temperature of A (default 1)"),
+                  ("tb", "temperature of B (default 1)")]
+_HELP = [(("-h", "--help"), argparse.SUPPRESS, "show this help message and exit")]
+_MODE = [(("--mode",), "lindblad", "kernel mode (default lindblad)")]
+_COMMON = [
+    (("--out",), None, "output path; '-' or unset writes to stdout"),
+    (("--config",), None,
+     "JSON file with values for any flag; explicit flags win"),
+    (("--strict-positivity",), False,
+     "exit 2 when the steady state is not positive"),
+    (("--no-header",), False, "omit the '#' comment lines from CSV output")]
+
+
+def test_parser_options_in_help_order():
+    """Each command's options, in --help order: option strings (or the
+    positional's name), default and help text."""
+    def options(parser):
+        return [(tuple(a.option_strings) or a.dest, a.default, a.help)
+                for a in parser._actions]
+
+    parser = cli.build_parser()
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert options(parser) == _HELP + [
+        (("--version",), argparse.SUPPRESS,
+         "show program's version number and exit"),
+        ("command", None, None)]
+    assert list(sub.choices) == ["single", "coupled", "sweep", "preset"]
+    assert options(sub.choices["single"]) == \
+        _HELP + _model_options(*_SINGLE_FLAGS) + _MODE + _COMMON
+    assert options(sub.choices["coupled"]) == \
+        _HELP + _model_options(*_COUPLED_FLAGS) + _MODE + _COMMON
+    # sweep: every model's flags, each once, in first-seen order
+    assert options(sub.choices["sweep"]) == _HELP + [
+        (("--model",), "coupled", "model to sweep (default coupled)"),
+        *_model_options(*_SINGLE_FLAGS, *_COUPLED_FLAGS[:4]), *_MODE,
+        (("--var",), None, "swept parameter name; 'tm' sweeps the mean "
+                           "temperature at fixed T_A - T_B"),
+        (("--range",), None, "inclusive linear grid, e.g. 0.5:1.5:101; "
+                             "write --range=-1:4:21 for a negative start"),
+        *_COMMON]
+    assert options(sub.choices["preset"]) == \
+        _HELP + [("name", None, None)] + _COMMON
 
 
 def test_non_finite_generator_exits_one_naming_the_cause(capsys):
@@ -385,7 +446,7 @@ def _point_row(model, mode, value, params):
     try:
         point = compute_point(model, mode, params)
     except (ValueError, LookupError, RuntimeError) as exc:
-        n_cols = len(cli._sweep_columns(model, "x"))
+        n_cols = len(cli._MODELS[model].columns("x"))
         return [cli._fmt(value)] + [""] * (n_cols - 2) + [f"error: {exc}"]
     report = cli._law_report(point.currents, params["ta"], params["tb"])
     resid = report.conservation_residual
@@ -428,9 +489,10 @@ def test_solved_lines_equal_csv_writer_lines(n_numbers):
 
 def test_error_line_quotes_its_message():
     exc = ValueError('bad value, "quoted"')
-    blanks = [""] * (len(cli._sweep_columns("coupled", "x")) - 2)
+    coupled = cli._MODELS["coupled"]
+    blanks = [""] * (len(coupled.columns("x")) - 2)
     want = _csv_line(["0.5", *blanks, 'error: bad value, "quoted"'])
-    assert cli._error_line("coupled", 0.5, exc) == want
+    assert cli._error_line(coupled, 0.5, exc) == want
     assert want.endswith(',"error: bad value, ""quoted"""\n')
 
 
@@ -438,7 +500,8 @@ def _per_point_csv(model, mode, params, var, start, stop, count):
     """The sweep CSV built one grid point at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cli._sweep_columns(model, var))
+    writer.writerow(cli._MODELS[model].columns(var))
+    key_of = {f.name: k for k, f in cli._MODELS[model].flags.items()}
     half = 0.5 * (params["ta"] - params["tb"])
     for value in np.linspace(start, stop, count):
         value = float(value)
@@ -446,7 +509,7 @@ def _per_point_csv(model, mode, params, var, start, stop, count):
         if var == "tm":
             p["ta"], p["tb"] = value + half, value - half
         else:
-            p[cli._PARAM_KEY.get(var, var)] = value
+            p[key_of[var]] = value
         writer.writerow(_point_row(model, mode, value, p))
     return buf.getvalue()
 
@@ -556,10 +619,58 @@ def test_system_sweep_is_one_one_entry_call_per_point(monkeypatch):
      "model 'single' needs parameters w0"),
     ("coupled", "lindblad", dict(ta=1.0, tb=1.0),
      "model 'coupled' needs parameters w1, w2, lam, g"),
+    # keys of no parameter of the model are refused, not echoed and ignored
+    ("single", "lindblad", dict(_SINGLE, w1=9.0, lam=3.0),
+     "model 'single' has no parameters w1, lam"),
+    ("coupled", "lindblad", dict(_COUPLED, ga=0.0, gb=0.0),
+     "model 'coupled' has no parameters ga, gb"),
+    # missing keys are named first
+    ("coupled", "lindblad", dict(ta=1.0, tb=1.0, w0=1.0),
+     "model 'coupled' needs parameters w1, w2, lam, g"),
 ])
 def test_render_sweep_refuses_unusable_input(model, mode, params, message):
     with pytest.raises(UsageError, match=re.escape(message)):
         render_sweep(model, mode, params, "ta", 1.0, 2.0, 2)
+
+
+@pytest.mark.parametrize("model, params, message", [
+    ("single", {k: v for k, v in _SINGLE.items() if k != "w0"},
+     "model 'single' needs parameters w0"),
+    ("coupled", dict(_COUPLED, ga=0.0, gb=0.0),
+     "model 'coupled' has no parameters ga, gb"),
+    ("coupled", dict(ta=1.0, tb=1.0, w0=1.0),
+     "model 'coupled' needs parameters w1, w2, lam, g"),
+])
+def test_compute_point_refuses_params_not_of_its_model(model, params,
+                                                       message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compute_point(model, "lindblad", params)
+
+
+def test_system_builders_find_the_constructors_when_called(monkeypatch):
+    """A caller that rebinds cli's constructor names, as a tracer does,
+    sees each system that a point or a sweep builds."""
+    calls = []
+    for name in ("make_single_qubit", "make_coupled_qubits"):
+        def spy(*args, name=name, real=getattr(cli, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(cli, name, spy)
+    compute_point("coupled", "lindblad", _COUPLED)
+    render_sweep("single", "lindblad", _SINGLE, "w0", 0.5, 1.5, 3)
+    assert calls == ["make_coupled_qubits"] + ["make_single_qubit"] * 3
+
+
+def test_cli_keeps_no_per_model_branch_or_table():
+    """Each model's schema lives in its _MODELS record: the module
+    compares no model name and keeps none of the tables it replaced."""
+    source = inspect.getsource(cli)
+    assert re.search(r"model [=!]= \"", source) is None
+    for name in ("_TEMPERATURE_KEY", "_COUPLING_KEY", "_SYSTEM_PARAMS",
+                 "_MODEL_FLAGS", "_TEMPERATURES", "_SWEEP_FLAGS",
+                 "_PARAM_KEY"):
+        assert not hasattr(cli, name)
+        assert re.search(rf"\b{name}\b", source) is None, name
 
 
 @pytest.mark.parametrize("cfg, argv", [
@@ -605,7 +716,8 @@ def test_config_with_every_sweep_key_equals_flags(tmp_path):
 def test_every_table_flag_is_a_flag_a_config_key_and_a_sweep_var(
         model, tmp_path, capsys):
     cfg = tmp_path / "one.json"
-    for flag in cli._MODEL_FLAGS[model]:
+    for key, spec in cli._MODELS[model].flags.items():
+        flag = spec.name
         for command in ([model], ["sweep", "--model", model, "--var", "ta",
                                   "--range", "0.5:0.6:2"]):
             assert main(command + [f"--{flag}", "0.55"]) == 0
@@ -613,7 +725,7 @@ def test_every_table_flag_is_a_flag_a_config_key_and_a_sweep_var(
             cfg.write_text(json.dumps({flag: 0.55}))
             assert main(command + ["--config", str(cfg)]) == 0
             assert capsys.readouterr().out == by_flag
-            assert f"{cli._PARAM_KEY.get(flag, flag)}=0.55" in by_flag
+            assert f"{key}=0.55" in by_flag
         assert main(["sweep", "--model", model, "--var", flag,
                      "--range", "0.5:0.6:2", "--no-header"]) == 0
         assert capsys.readouterr().out.startswith(f"{flag},pop_1")
