@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import exp, expm1, inf
 
 __all__ = [
     "BathSpec",
@@ -35,30 +36,42 @@ class SpectralLookupError(LookupError):
     """Tabulated spectral density has no entry at the requested frequency."""
 
 
-def planck_occupation(omega: float, T: float) -> float:
-    """Thermal boson number n = 1/(exp(omega/T) - 1).
+def _check_temperature(T: float):
+    """Refuse a temperature that is not finite or is below 0."""
+    if not math.isfinite(T):
+        raise ValueError(f"temperature must be finite, got {T}")
+    if T < 0:
+        raise ValueError(f"temperature must be >= 0, got {T}")
 
-    The T = 0 limit is exactly 0. Once omega/T passes the overflow range
-    of expm1 the distribution equals exp(-omega/T) to double precision,
-    so that value is returned directly. A NaN omega and a non-finite T
-    are rejected, and so is an omega/T below about 1/DBL_MAX = 5.6e-309
-    (0 included), where the occupation is past the largest float.
+
+def _occupations(temperatures, omegas) -> list:
+    """Planck occupations 1/(exp(w/T) - 1) of each checked temperature
+    at each frequency w > 0, temperature-major.
+
+    T = 0 gives exactly 0. Past w/T = 700 the occupation equals exp(-w/T)
+    to double precision (an infinite w gives 0), so expm1 never
+    overflows. A w/T below about 1/DBL_MAX, 0 included, gives inf.
+    """
+    return [0.0 if T == 0.0
+            else 1.0 / expm1(x) if 0.0 < (x := w / T) <= 700.0
+            else exp(-x) if x else inf
+            for T in temperatures for w in omegas]
+
+
+def planck_occupation(omega: float, T: float) -> float:
+    """Thermal boson number n = 1/(exp(omega/T) - 1), from _occupations.
+
+    A NaN omega and a non-finite T are rejected, and so is an omega/T
+    below about 1/DBL_MAX = 5.6e-309 (0 included), where the occupation
+    is past the largest float.
     """
     if not omega > 0:
         raise ValueError(f"occupation needs omega > 0, got {omega}")
-    if not 0.0 <= T < math.inf:
-        if not math.isfinite(T):
-            raise ValueError(f"temperature must be finite, got {T}")
-        raise ValueError(f"temperature must be >= 0, got {T}")
-    if T == 0.0:
-        return 0.0
-    x = omega / T
-    if x > 700.0:
-        return math.exp(-x)
-    n = 1.0 / math.expm1(x) if x else math.inf
-    if n == math.inf:
-        raise ValueError(f"occupation overflows: omega/T = {x:g} is below "
-                         f"1/DBL_MAX at omega {omega:g}, T {T:g}")
+    _check_temperature(T)
+    n = _occupations([T], [omega])[0]
+    if n == inf:
+        raise ValueError(f"occupation overflows: omega/T = {omega / T:g} is "
+                         f"below 1/DBL_MAX at omega {omega:g}, T {T:g}")
     return n
 
 
@@ -107,25 +120,20 @@ class SpectralDensity:
     def __call__(self, omega: float) -> float:
         if omega <= 0:
             raise ValueError(f"spectral density only defined for omega > 0, got {omega}")
-        if self._constant is not None:
-            return self._constant
-        try:
-            return self._table[omega]
-        except KeyError:
-            raise SpectralLookupError(
-                f"no tabulated spectral density at omega={omega!r}") from None
+        return self.at([omega])[0]
 
     def at(self, omegas: list) -> list:
         """[self(w) for w in omegas], every w > 0, with one lookup per
         table entry and none per entry for a constant; the first missing
-        frequency raises the SpectralLookupError self(w) raises."""
+        frequency raises SpectralLookupError."""
         if self._constant is not None:
             return [self._constant] * len(omegas)
         table = self._table
         try:
             return [table[w] for w in omegas]
-        except KeyError:
-            return [self(w) for w in omegas]
+        except KeyError as missed:
+            raise SpectralLookupError(f"no tabulated spectral density at "
+                                      f"omega={missed.args[0]!r}") from None
 
     def __repr__(self):
         if self._constant is not None:
@@ -148,18 +156,11 @@ class BathSpec:
     label: str = ""
 
     def __post_init__(self):
-        if not math.isfinite(self.temperature):
-            raise ValueError(f"temperature must be finite, got {self.temperature}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        _check_temperature(self.temperature)
         if not isinstance(self.spectral_density, SpectralDensity):
             object.__setattr__(
                 self, "spectral_density",
                 SpectralDensity.constant(self.spectral_density))
-
-    def occupation(self, omega: float) -> float:
-        """Planck occupation n(omega) at this reservoir's temperature."""
-        return planck_occupation(omega, self.temperature)
 
 
 def bath_correlation(bath: BathSpec, alpha: int, beta: int, omega: float) -> float:
@@ -177,10 +178,11 @@ def bath_correlation(bath: BathSpec, alpha: int, beta: int, omega: float) -> flo
         return 0.0
     if omega == 0.0:
         raise ValueError(f"bath correlation channel ({alpha},{beta}) undefined at omega = 0")
+    T = bath.temperature
     if alpha == 1:
         if omega < 0:
             return 0.0
-        return bath.spectral_density(omega) * (1.0 + bath.occupation(omega))
+        return bath.spectral_density(omega) * (1.0 + planck_occupation(omega, T))
     if omega > 0:
         return 0.0
-    return bath.spectral_density(-omega) * bath.occupation(-omega)
+    return bath.spectral_density(-omega) * planck_occupation(-omega, T)

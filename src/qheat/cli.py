@@ -70,7 +70,7 @@ from .kernel import MODES
 from .kernel import build_kernel  # noqa: F401
 from .steady import POSITIVITY_TOL
 from .system import make_coupled_qubits, make_single_qubit
-from .thermo import CurrentReport, SteadyPoint, law_checks, steady_point
+from .thermo import SteadyPoint, law_checks, steady_point
 
 __all__ = ["PRESETS", "compute_point", "main", "render_sweep"]
 
@@ -159,12 +159,6 @@ def compute_point(model: str, mode: str, params: dict) -> SteadyPoint:
              for r, t, g in zip(RESERVOIRS, _TEMPERATURE_FLAGS,
                                 record.coupling_keys)}
     return steady_point(system, baths, mode)
-
-
-def _law_report(currents: dict, ta, tb) -> CurrentReport:
-    """law_checks of the two reservoirs' currents at temperatures ta and
-    tb: numbers for one point, sequences for a sweep chunk."""
-    return law_checks([("A", ta, currents["A"]), ("B", tb, currents["B"])])
 
 
 # ---------------------------------------------------------------- parsing
@@ -406,8 +400,8 @@ def _sweep_rows(record: _Model, mode, values, grid):
                 chunks += [(system, [i], [[column[j]] for column in baths])
                            for j, i in enumerate(index)]
             continue
-        report = _law_report(stack.currents, [ta[i] for i in index],
-                             [tb[i] for i in index])
+        report = law_checks([("A", [ta[i] for i in index], stack.currents["A"]),
+                             ("B", [tb[i] for i in index], stack.currents["B"])])
         resid = report.conservation_residual.tolist()
         min_pop = stack.positivity.min_population.tolist()
         status = [f"error: conservation residual {r:.3e}"
@@ -485,7 +479,8 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
 # ---------------------------------------------------------------- reports
 
 def format_point_report(model, mode, params, point: SteadyPoint) -> str:
-    report = _law_report(point.currents, params["ta"], params["tb"])
+    report = law_checks([("A", params["ta"], point.currents["A"]),
+                         ("B", params["tb"], point.currents["B"])])
     lines = [f"model: {model} (mode {mode})",
              "parameters: " + " ".join(f"{k}={_fmt(v)}"
                                        for k, v in sorted(params.items())),

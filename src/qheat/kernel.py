@@ -54,16 +54,16 @@ build_kernel evaluates the bath only through one correlation table
 D[b, x, y] = D(E_x - E_y) on supp X, of shape (B, N, N), bath axis
 first. It is filled from the distinct transition frequencies w of S^1:
 each bath's spectral density is looked up once per w (a constant once
-per bath), and one comprehension over (bath, w) repeats the float
-operations of planck_occupation, so that g (1 + n) and g n equal
-bath_correlation's D^{12}(w) and D^{21}(-w) byte for byte without a
-call per entry. Everything after the table is array algebra over that
-bath axis, with B = 1 for one bath (the axis is then dropped from the
-data) and B for a sequence of baths, so the same code yields a single
-kernel or one stacked kernel with data of shape (B, N^2, N^2), and
-data[i] is bit-identical to the single-bath build of bath i. A sweep
-over bath parameters (temperatures, coupling strengths) thus builds its
-kernels once per batch instead of once per point.
+per bath), and one call of qheat.bath's occupation rule, the one
+planck_occupation reads, gives every (bath, w), so that g (1 + n) and
+g n equal bath_correlation's D^{12}(w) and D^{21}(-w) byte for byte.
+Everything after the table is array algebra over that bath axis, with
+B = 1 for one bath (the axis is then dropped from the data) and B for a
+sequence of baths, so the same code yields a single kernel or one
+stacked kernel with data of shape (B, N^2, N^2), and data[i] is
+bit-identical to the single-bath build of bath i. A sweep over bath
+parameters (temperatures, coupling strengths) thus builds its kernels
+once per batch instead of once per point.
 
 The level sum of the two decay terms is one table per batch,
 
@@ -106,11 +106,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import exp, expm1
 
 import numpy as np
 
-from .bath import BathSpec
+from .bath import BathSpec, _occupations
 from .system import SystemSpec
 
 __all__ = [
@@ -244,17 +243,15 @@ def _correlations(baths, omegas: list):
 
     Each entry equals bath_correlation(bath, 1, 2, w) or
     bath_correlation(bath, 2, 1, -w) byte for byte: g(w) (1 + n) and
-    g(w) n, with the Planck occupation n written out as
-    planck_occupation computes it, in one comprehension over (bath,
-    frequency) rather than a call per entry. The spectral densities
-    are read bath by bath, so the first bath whose table misses a
-    frequency raises the SpectralLookupError it raises alone.
+    g(w) n, with the Planck occupations n read from qheat.bath's one
+    occupation rule in one call for the whole table rather than a call
+    per entry. The spectral densities are read bath by bath, so the
+    first bath whose table misses a frequency raises the
+    SpectralLookupError it raises alone.
     """
     g = np.array([bath.spectral_density.at(omegas) for bath in baths])
-    occupation = np.array([
-        0.0 if T == 0.0 else exp(-x) if (x := w / T) > 700.0 else 1.0 / expm1(x)
-        for T in [bath.temperature for bath in baths] for w in omegas])
-    occupation = occupation.reshape(g.shape)
+    occupation = np.array(_occupations([bath.temperature for bath in baths],
+                                       omegas)).reshape(g.shape)
     return g * (1.0 + occupation), g * occupation
 
 
@@ -276,13 +273,13 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
     The reservoir couples through X = S^1 + S^2, and the bath enters only
     through the correlation table D[b, x, y] = D(E_x - E_y) on supp X.
     Each bath's spectral density is looked up once per distinct
-    transition frequency, and the entries equal those of the scalar
+    transition frequency, the occupations come from qheat.bath's one
+    occupation rule, and the entries equal those of the scalar
     bath_correlation byte for byte (_correlations). That keeps every
-    query at a finite transition
-    frequency and lets tabulated spectral densities list only the
-    frequencies the model actually uses; a table missing one raises
-    SpectralLookupError, and in a sequence the first bath that misses
-    one raises the error it raises alone.
+    query at a finite transition frequency and lets tabulated spectral
+    densities list only the frequencies the model actually uses; a table
+    missing one raises SpectralLookupError, and in a sequence the first
+    bath that misses one raises the error it raises alone.
 
     The data match the reference loop byte for byte (see the module
     docstring).

@@ -75,6 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bath import _check_temperature
 from .kernel import (TRACE_TOL, SuperKernel, _frozen, _per_entry,
                      _trace_residual, pair_index)
 from .system import SystemSpec
@@ -158,10 +159,7 @@ class DensityMatrix:
 def gibbs_state(levels, T: float) -> DensityMatrix:
     """Thermal state exp(-E_n/T)/Z; T = 0 collapses onto the lowest level(s)."""
     E = np.asarray([float(e) for e in levels])
-    if not math.isfinite(T):
-        raise ValueError(f"temperature must be finite, got {T}")
-    if T < 0:
-        raise ValueError(f"temperature must be >= 0, got {T}")
+    _check_temperature(T)
     if T == 0.0:
         w = (E == E.min()).astype(float)
     else:
@@ -252,15 +250,14 @@ def _refuse_leaky(m: np.ndarray, trace_resid: np.ndarray):
             f"trace")
 
 
-def _refuse_degenerate(m: np.ndarray, counts: np.ndarray, n: int):
+def _refuse_degenerate(m: np.ndarray, counts: np.ndarray, trace_resid: np.ndarray):
     """Raise the DegenerateSteadyStateError of the first entry of m whose
     full singular spectrum has other than one null direction.
 
     Only the entries whose split counts are not 1 are looked at, each
     through its own full SVD, so the message quotes the same values
     for a point and for a stack."""
-    d2 = n * n
-    flat = m.reshape(-1, d2, d2)
+    flat = m.reshape((-1,) + m.shape[-2:])
     for j in np.flatnonzero(counts != 1):
         sv_j = np.linalg.svd(flat[j], compute_uv=False)
         null_sv = [float(x) for x in sv_j[sv_j <= NULLSPACE_RTOL * sv_j[0]]]
@@ -269,7 +266,7 @@ def _refuse_degenerate(m: np.ndarray, counts: np.ndarray, n: int):
         raise DegenerateSteadyStateError(
             f"nullspace dimension {len(null_sv)}, need exactly 1; "
             f"singular values below cutoff: {null_sv}, sigma_max {sv_j[0]:g}; "
-            f"trace residual {float(_trace_residual(flat[j], n)):.3e}")
+            f"trace residual {trace_resid.reshape(-1)[j]:.3e}")
 
 
 def solve_steady_state(L: Liouvillian, full_output: bool = False):
@@ -292,7 +289,12 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
     N^2 x N^2. Anything but exactly one null direction raises
     DegenerateSteadyStateError with the singular values of the full
     matrix below the cutoff and the trace residual; the entry's full
-    SVD is taken to say so. The solve itself replaces the (0,0)
+    SVD is taken to say so. The cutoff is set by the Bohr frequencies,
+    but the nonzero singular values of the population block scale with
+    the couplings g, so very weak coupling is refused although its
+    steady state is unique: at T = (2, 1), in either mode, the single
+    qubit (omega0 = 1) below g = 1.5e-11 and the coupled pair
+    (1, 2, 0.5) below g = 1.8e-10. The solve itself replaces the (0,0)
     population row of M with the trace row (ones on the population
     columns) and solves M' x = e_0 on the full matrix. The result is
     symmetrised, renormalised, and only accepted if
@@ -308,14 +310,13 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
     """
     m = L.matrix
     n = L.dim
-    d2 = n * n
     trace_resid = _trace_residual(m, n)
     if trace_resid.max() > TRACE_TOL:
         _refuse_leaky(m, trace_resid)
     sv = _split_singular_values(m)
     counts = (sv <= NULLSPACE_RTOL * sv.max(axis=-1, keepdims=True)).sum(axis=-1)
     if np.count_nonzero(counts != 1):
-        _refuse_degenerate(m, counts, n)
+        _refuse_degenerate(m, counts, trace_resid)
     row0 = pair_index(n, 0, 0)
     mp = m.copy()
     mp[..., row0, :] = 0.0
@@ -335,11 +336,11 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
     too_large = residual > RESIDUAL_TOL
     if np.count_nonzero(too_large):
         j = np.flatnonzero(too_large)[0]
-        scale = np.linalg.norm(m.reshape(-1, d2, d2)[j], np.inf)
+        scale = np.abs(m).sum(axis=-1).max(axis=-1)
         raise SteadyStateResidualError(
             f"steady-state residual {residual.reshape(-1)[j]:g} exceeds the "
             f"absolute bound {RESIDUAL_TOL:g}; the generator has "
-            f"||M||_inf {scale:.3e}")
+            f"||M||_inf {scale.reshape(-1)[j]:.3e}")
     rho.flags.writeable = False      # handed over to DensityMatrix as it is
     out = DensityMatrix(dim=n, entries=rho)
     if not full_output:

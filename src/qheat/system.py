@@ -103,23 +103,22 @@ class CoupledDiag:
     energies: tuple
 
 
-def make_single_qubit(omega0: float, reservoirs=("A", "B")) -> SystemSpec:
+def make_single_qubit(omega0: float) -> SystemSpec:
     """Two-level system with splitting omega0: levels -omega0/2, +omega0/2.
 
-    Each listed reservoir couples through the same raising operator
-    sigma^+ with the single matrix element <+|sigma^+|-> = 1, transition
-    energy omega0.
+    Reservoirs A and B both drive the qubit, through the same raising
+    operator sigma^+ with the single matrix element <+|sigma^+|-> = 1,
+    transition energy omega0.
     """
     if omega0 <= 0:
         raise ValueError(f"omega0 must be > 0, got {omega0}")
     s1 = np.zeros((2, 2), dtype=complex)
     s1[1, 0] = 1.0
     return SystemSpec(levels=(-0.5 * omega0, +0.5 * omega0),
-                      couplings={str(r): s1 for r in reservoirs})
+                      couplings={"A": s1, "B": s1})
 
 
-def make_coupled_qubits(omega1: float, omega2: float, lam: float,
-                        reservoirs=("A", "B")):
+def make_coupled_qubits(omega1: float, omega2: float, lam: float):
     """Two qubits with a flip-flop exchange coupling, diagonalised.
 
     The product-basis Hamiltonian is
@@ -129,8 +128,8 @@ def make_coupled_qubits(omega1: float, omega2: float, lam: float,
 
     with eigenvalues (-omega_m, -delta, +delta, +omega_m) in ascending
     order, where omega_m = (omega1 + omega2)/2 and
-    delta = sqrt(((omega1 - omega2)/2)^2 + lam^2). The first reservoir
-    label drives qubit 1, the second qubit 2. In the eigenbasis each
+    delta = sqrt(((omega1 - omega2)/2)^2 + lam^2). Reservoir A drives
+    qubit 1 and reservoir B qubit 2. In the eigenbasis each
     sigma^+ has four matrix elements built from alpha and beta; the
     transitions fall in two groups, 1<->3 and 2<->4 at omega_plus, 1<->2
     and 3<->4 at omega_minus.
@@ -168,9 +167,8 @@ def make_coupled_qubits(omega1: float, omega2: float, lam: float,
     s1b[2, 0] = beta        # 1 -> 3 at omega_plus
     s1b[3, 1] = -beta       # 2 -> 4 at omega_plus
 
-    label_a, label_b = (str(r) for r in reservoirs)
     spec = SystemSpec(levels=(-omega_m, -delta, +delta, +omega_m),
-                      couplings={label_a: s1a, label_b: s1b})
+                      couplings={"A": s1a, "B": s1b})
     diag = CoupledDiag(omega_m=omega_m, delta_omega=delta_omega, theta=theta,
                        alpha=alpha, beta=beta, omega_plus=omega_plus,
                        omega_minus=omega_minus, energies=spec.levels)

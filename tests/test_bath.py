@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qheat
 from qheat import (BathSpec, SpectralDensity, SpectralLookupError,
                    bath_correlation, planck_occupation)
 
@@ -142,6 +144,13 @@ def test_spectral_density_table():
         g(1.5)
     # SpectralLookupError is a LookupError so generic handlers catch it
     assert issubclass(SpectralLookupError, LookupError)
+    for missing in (1.5, 3.0):
+        with pytest.raises(SpectralLookupError) as one:
+            g(missing)
+        with pytest.raises(SpectralLookupError) as first:
+            g.at([1.0, 2.0, missing, 4.0])
+        assert str(one.value) == str(first.value) == (
+            f"no tabulated spectral density at omega={missing!r}")
     with pytest.raises(ValueError):
         SpectralDensity.from_table({-1.0: 0.5})
     with pytest.raises(ValueError):
@@ -159,7 +168,6 @@ def test_bath_spec_promotes_bare_numbers():
     bath = BathSpec(temperature=2.0, spectral_density=3)
     assert isinstance(bath.spectral_density, SpectralDensity)
     assert bath.spectral_density(1.0) == 3.0
-    assert bath.occupation(1.0) == planck_occupation(1.0, 2.0)
     with pytest.raises(ValueError):
         BathSpec(temperature=-1.0, spectral_density=1.0)
 
@@ -181,3 +189,13 @@ def test_non_finite_values_are_rejected(bad):
     else:
         with pytest.raises(ValueError, match=f"occupation needs omega > 0, got {bad}"):
             planck_occupation(bad, 1.0)
+
+
+def test_each_bath_rule_is_written_only_in_bath():
+    """The Planck occupation and the temperature check live in
+    qheat.bath alone; every other module calls them there."""
+    for path in sorted(Path(qheat.__file__).parent.glob("*.py")):
+        if path.name != "bath.py":
+            source = path.read_text()
+            assert "expm1" not in source, path.name
+            assert "temperature must be" not in source, path.name

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from qheat import (BathSpec, DensityMatrix, SteadyPoint, cli, kernel,
-                   make_coupled_qubits, make_single_qubit, steady,
-                   steady_point)
+                   law_checks, make_coupled_qubits, make_single_qubit,
+                   steady, steady_point)
 from qheat.cli import (PRESETS, UsageError, compute_point, main, parse_range,
                        render_sweep)
 
@@ -448,7 +448,8 @@ def _point_row(model, mode, value, params):
     except (ValueError, LookupError, RuntimeError) as exc:
         n_cols = len(cli._MODELS[model].columns("x"))
         return [cli._fmt(value)] + [""] * (n_cols - 2) + [f"error: {exc}"]
-    report = cli._law_report(point.currents, params["ta"], params["tb"])
+    report = law_checks([("A", params["ta"], point.currents["A"]),
+                         ("B", params["tb"], point.currents["B"])])
     resid = report.conservation_residual
     numbers = [value, *point.rho.populations.tolist()]
     if model == "coupled":

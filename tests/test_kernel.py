@@ -480,10 +480,14 @@ def test_reservoir_labels_may_contain_plus():
     steady_point's dicts, so any string serves and changes no number."""
     hot = BathSpec(temperature=2.0, spectral_density=1.0)
     cold = BathSpec(temperature=0.5, spectral_density=0.7)
+    qubit = make_single_qubit(1.0)
+    s1 = qubit.couplings["A"]
     for mode in ("lindblad", "redfield"):
-        plus, plain = (steady_point(make_single_qubit(1.0, reservoirs=labels),
-                                    dict(zip(labels, (hot, cold))), mode)
-                       for labels in (("hot+1", "B"), ("A", "B")))
+        plus, plain = (
+            steady_point(SystemSpec(levels=qubit.levels,
+                                    couplings=dict.fromkeys(labels, s1)),
+                         dict(zip(labels, (hot, cold))), mode)
+            for labels in (("hot+1", "B"), ("A", "B")))
         assert tuple(plus.kernels) == tuple(plus.currents) == ("hot+1", "B")
         for r, r0 in (("hot+1", "A"), ("B", "B")):
             assert np.array_equal(plus.kernels[r].data, plain.kernels[r0].data)
