@@ -97,13 +97,12 @@ class _Model(NamedTuple):
     build_system: Callable      # the SystemSpec at those keys' values
     coupling_keys: tuple        # params key of each reservoir's coupling
     n_levels: int               # one population column per level
-    coherence: tuple | None     # (i, j) of the one coherence a row prints
+    coherences: tuple           # (i, j) of each coherence a row prints
 
     def columns(self, var: str) -> list:
         """A sweep's column header, with var the swept variable."""
         cells = [f"pop_{i}" for i in range(1, self.n_levels + 1)]
-        if self.coherence is not None:
-            i, j = self.coherence
+        for i, j in self.coherences:
             cells += [f"rho{i + 1}{j + 1}_re", f"rho{i + 1}{j + 1}_im"]
         return [var, *cells, "q_A", "q_B", "conservation_residual",
                 "min_population", "second_law", "status"]
@@ -117,7 +116,7 @@ _MODELS = {
                **_TEMPERATURE_FLAGS},
         system_keys=("w0",),
         build_system=lambda w0: make_single_qubit(w0),
-        coupling_keys=("ga", "gb"), n_levels=2, coherence=None),
+        coupling_keys=("ga", "gb"), n_levels=2, coherences=()),
     "coupled": _Model(
         flags={"w1": _Flag("w1", 1.0, "qubit 1 splitting"),
                "w2": _Flag("w2", 2.0, "qubit 2 splitting"),
@@ -126,13 +125,18 @@ _MODELS = {
                **_TEMPERATURE_FLAGS},
         system_keys=("w1", "w2", "lam"),
         build_system=lambda w1, w2, lam: make_coupled_qubits(w1, w2, lam)[0],
-        coupling_keys=("g", "g"), n_levels=4, coherence=(1, 2)),
+        coupling_keys=("g", "g"), n_levels=4, coherences=((1, 2),)),
 }
 
 
-def _checked_record(model: str, params, error) -> _Model:
-    """The model's record, once params holds exactly its params keys;
-    else error, naming the keys params misses or those the model lacks."""
+def _checked_record(model: str, mode: str, params, error) -> _Model:
+    """The model's record, once model and mode are known and params holds
+    exactly the record's params keys; else error, naming the unknown
+    model or mode, the keys params misses or those the model lacks."""
+    if model not in _MODELS:
+        raise error(f"unknown model {model!r}; valid: {', '.join(_MODELS)}")
+    if mode not in MODES:
+        raise error(f"unknown mode {mode!r}; valid: {', '.join(MODES)}")
     record = _MODELS[model]
     missing = [k for k in record.flags if k not in params]
     if missing:
@@ -148,12 +152,10 @@ def compute_point(model: str, mode: str, params: dict) -> SteadyPoint:
 
     params holds exactly the params keys of the model's record in
     _MODELS: w0, ga, gb, ta, tb for "single"; w1, w2, lam, g, ta, tb for
-    "coupled" (g applies to both reservoirs). Any other params, or an
-    unknown model, is a ValueError.
+    "coupled" (g applies to both reservoirs). An unknown model or mode,
+    or any other params, is a ValueError raised before anything is built.
     """
-    if model not in _MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    record = _checked_record(model, params, ValueError)
+    record = _checked_record(model, mode, params, ValueError)
     system = record.build_system(*(params[k] for k in record.system_keys))
     baths = {r: BathSpec(temperature=params[t], spectral_density=params[g])
              for r, t, g in zip(RESERVOIRS, _TEMPERATURE_FLAGS,
@@ -400,8 +402,8 @@ def _sweep_rows(record: _Model, mode, values, grid):
                 chunks += [(system, [i], [[column[j]] for column in baths])
                            for j, i in enumerate(index)]
             continue
-        report = law_checks([("A", [ta[i] for i in index], stack.currents["A"]),
-                             ("B", [tb[i] for i in index], stack.currents["B"])])
+        report = law_checks(([ta[i] for i in index], stack.currents["A"]),
+                            ([tb[i] for i in index], stack.currents["B"]))
         resid = report.conservation_residual.tolist()
         min_pop = stack.positivity.min_population.tolist()
         status = [f"error: conservation residual {r:.3e}"
@@ -410,10 +412,9 @@ def _sweep_rows(record: _Model, mode, values, grid):
         n_bad += len(index) - len(ok)
         ok_pops += ok
         cohs = []
-        if record.coherence is not None:
-            p, q = record.coherence
+        for p, q in record.coherences:
             rho_pq = stack.rho.entries[:, p, q]
-            cohs = [rho_pq.real.tolist(), rho_pq.imag.tolist()]
+            cohs += [rho_pq.real.tolist(), rho_pq.imag.tolist()]
         columns = ([values[i] for i in index],
                    *stack.rho.populations.T.tolist(), *cohs,
                    stack.currents["A"].tolist(), stack.currents["B"].tolist(),
@@ -434,21 +435,16 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
     _sweep_rows and equals the row of its point solved alone. Rows follow
     the grid, so output is deterministic for a fixed configuration. The
     worst min_population is that of the ok rows, as its cell prints it
-    (0.0 if no row is ok). An unknown model, mode or sweep variable, or
-    base_params missing a params key of the model or holding one it
-    lacks, is a UsageError.
+    (0.0 if no row is ok). An unknown model or mode, base_params missing
+    a params key of the model or holding one it lacks, or an unknown
+    sweep variable, is a UsageError, in that order.
     """
-    if model not in _MODELS:
-        raise UsageError(f"unknown model {model!r}; valid: "
-                         f"{', '.join(_MODELS)}")
-    if mode not in MODES:
-        raise UsageError(f"unknown mode {mode!r}; valid: {', '.join(MODES)}")
-    key_of = {f.name: k for k, f in _MODELS[model].flags.items()}
+    record = _checked_record(model, mode, base_params, UsageError)
+    key_of = {f.name: k for k, f in record.flags.items()}
     valid = (*key_of, "tm")
     if var not in valid:
         raise UsageError(f"cannot sweep {var!r} for model {model!r}; "
                          f"valid: {', '.join(valid)}")
-    record = _checked_record(model, base_params, UsageError)
     values = np.linspace(start, stop, count).tolist()
     grid = {k: [base_params[k]] * count for k in record.flags}
     if var == "tm":
@@ -479,8 +475,8 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
 # ---------------------------------------------------------------- reports
 
 def format_point_report(model, mode, params, point: SteadyPoint) -> str:
-    report = law_checks([("A", params["ta"], point.currents["A"]),
-                         ("B", params["tb"], point.currents["B"])])
+    report = law_checks((params["ta"], point.currents["A"]),
+                        (params["tb"], point.currents["B"]))
     lines = [f"model: {model} (mode {mode})",
              "parameters: " + " ".join(f"{k}={_fmt(v)}"
                                        for k, v in sorted(params.items())),
@@ -491,13 +487,10 @@ def format_point_report(model, mode, params, point: SteadyPoint) -> str:
     peak = float(abs(off).max()) if off.size else 0.0
     if peak > 1e-12:
         lines.append("coherences:")
-        n = point.rho.dim
-        for i in range(n):
-            for j in range(n):
-                z = point.rho.entries[i, j]
-                if i != j and abs(z) > 1e-12:
-                    lines.append(f"  rho_{i + 1}{j + 1} = {_fmt(z.real)}"
-                                 f"{z.imag:+.12g}j")
+        for i, j in np.argwhere(abs(off) > 1e-12):
+            z = off[i, j]
+            lines.append(f"  rho_{i + 1}{j + 1} = {_fmt(z.real)}"
+                         f"{z.imag:+.12g}j")
     else:
         lines.append(f"coherences: none above 1e-12 (max {peak:.3e})")
     lines += [f"q_A = {_fmt(point.currents['A'])}",
@@ -531,12 +524,10 @@ def _point_command(model: str, args) -> int:
     params = _model_params(model, args)
     try:
         point = compute_point(model, args.mode, params)
-    except (ValueError, LookupError) as exc:
+    except _POINT_ERRORS as exc:
         print(f"qheat: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
-        print(f"qheat: {exc}", file=sys.stderr)
-        return 2 if args.strict_positivity else 1
+        strict = args.strict_positivity and isinstance(exc, RuntimeError)
+        return 2 if strict else 1
     _write_output(args.out, format_point_report(model, args.mode, params, point))
     if args.strict_positivity and \
             point.positivity.min_eigenvalue < -POSITIVITY_TOL:

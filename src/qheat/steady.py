@@ -5,52 +5,23 @@ The full generator over the flattened (p, p') index is
     M[(p,p'),(q,q')] = -i (E_p - E_p') delta_{pq} delta_{p'q'} + K[(p,p'),(q,q')]
 
 and the steady state is its one-dimensional nullspace, normalised to unit
-trace. solve_steady_state first refuses a generator that leaks trace:
-one whose trace residual, the largest population-row column sum,
-exceeds TRACE_TOL * max(1, ||M||_inf). Rounding grows as about
-1e-16 ||M||_inf, so the bound passes the residual of a trace-preserving
-generator at any scale, while a structural leak (a redfield total with
-unequal couplings) is refused before any SVD. Every other generator has
-its null directions counted from the singular values of its split. An
-index whose row and column are zero off the diagonal (most coherences of
-a secular generator, which couple only to coherences of the same Bohr
-frequency) is decoupled, and |M_ii| is its singular value; only the
-linked rest goes through an SVD, so at N = 10 the check takes an SVD of
-about N x N instead of N^2 x N^2. A degenerate refusal quotes the full
-singular spectrum. It then replaces one population row with the trace
-row and solves the resulting nonsingular system on the full matrix,
-which is deterministic and well conditioned at these dimensions;
-svd_steady_state extracts the nullspace directly and serves as an
-independent verification path. evolve is a plain fixed-step integrator
-kept as a dynamical cross-check of the linear solves. Each step is one
-product with the one-step propagator
+trace. The module holds:
 
-    P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24,
-
-which on a constant generator is classic RK4 exactly, and which is the
-matrix whose spectral radius the stability check reads. The product is
-P's bound dot method, the same BLAS matrix-vector call as np.matmul
-with less dispatch per step. The steps run in blocks of EVOLVE_BLOCK
-states in one preallocated buffer, and the blow-up check reads every
-state of a block at once. One BLAS dot of the block's real view with
-itself is the sum of its states' squared norms; a finite sum of at most
-bound^2/4 passes the block, since it proves every norm at most bound/2
-and every entry finite. Only when it does not (the sum is larger, inf
-or NaN, or bound^2 overflows) are the states' norms compared with the
-bound one by one, and they alone decide; an inf or NaN entry gives an
-inf or NaN norm, which fails too. A norm whose sum of squares
-overflows, that of a state above about 1.34e154, is taken again on the
-state scaled by a power of two, which is exact, and so is the norm of
-rho0 behind the bound. After the check, evolve stops early
-when the block's last two states have the same bytes: that state is a
-fixed point of the rounded step, fl(P y) = y, and the product is
-deterministic, so every later step would return the same bytes and the
-result is that of all the steps. Bytes, not values, are compared, so
-+0.0 and -0.0 never match. The stop may never fire: when
-the rounded step is not trace-preserving bit for bit, it can keep
-changing the state by an ulp on every step, and evolve then takes them
-all. A zero generator leaves the state as it is. A generator with inf
-or NaN entries is refused when the Liouvillian is built.
+- DensityMatrix, Liouvillian and gibbs_state: the states and generators
+  the other functions take and return. assemble_liouvillian builds M
+  from a system and its combined kernel, and a Liouvillian with inf or
+  NaN entries is refused when it is built.
+- solve_steady_state, the one solve, with SolveInfo for its
+  diagnostics and DegenerateSteadyStateError and
+  SteadyStateResidualError for its refusals; its docstring gives each
+  check and the trace-row solve.
+- svd_steady_state, the SVD null vector of one generator, an
+  independent verification path for the solve.
+- evolve, a fixed-step RK4 integrator kept as a dynamical cross-check
+  of the linear solves, with IntegrationError for its refusals; its
+  docstring and _block_bounded's give its blow-up check and early stop.
+- positivity_report and PositivityReport: the smallest population and
+  eigenvalue of a state.
 
 Liouvillian and DensityMatrix also hold stacks, (B, N^2, N^2) and
 (B, N, N), and assemble_liouvillian, solve_steady_state and

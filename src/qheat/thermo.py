@@ -45,7 +45,9 @@ __all__ = [
     "steady_point",
 ]
 
-IMAG_TOL = 1e-10
+# the currents' noise: an imaginary part above it is refused, and a
+# current at or below it has no direction for the second law
+CURRENT_TOL = 1e-10
 
 SECOND_LAW_PASS = "pass"
 SECOND_LAW_FAIL = "fail"
@@ -81,7 +83,7 @@ def reservoir_current(system: SystemSpec, K_R: SuperKernel,
     q = 0j
     for energy, dot in zip(system.levels, dots):
         q = q + energy * dot
-    imaginary = abs(q.imag) > IMAG_TOL
+    imaginary = abs(q.imag) > CURRENT_TOL
     if np.count_nonzero(imaginary):
         first = q.imag.reshape(-1)[np.flatnonzero(imaginary)[0]]
         raise CurrentConsistencyError(
@@ -92,37 +94,34 @@ def reservoir_current(system: SystemSpec, K_R: SuperKernel,
 
 @dataclass(frozen=True)
 class CurrentReport:
-    """Per-reservoir currents with first- and second-law bookkeeping. For
-    array temperatures or currents the residual and the verdict are
-    arrays over the batch axis, as in SolveInfo."""
+    """First- and second-law verdicts of two reservoirs' currents. For
+    array temperatures or currents both are arrays over the batch axis,
+    as in SolveInfo."""
 
-    currents: tuple                  # (label, temperature, current) triples
     conservation_residual: float     # |q_1 + q_2|
     second_law: str                  # pass / fail / not-applicable
 
 
-def law_checks(report_inputs) -> CurrentReport:
+def law_checks(first, second) -> CurrentReport:
     """First- and second-law verdicts for a two-reservoir steady state.
 
-    report_inputs: two (label, temperature, current) triples, whose
-    temperatures and currents are numbers or arrays over a batch axis
-    (a sweep chunk); arrays are judged entry by entry. The conservation
-    residual is |q_1 + q_2|; it stays below 1e-10 for any true steady
-    state. The second-law verdict compares the direction of flow with
-    the temperature ordering: pass when q_1 (T_1 - T_2) >= 0, fail
-    otherwise, not-applicable in equilibrium (T_1 = T_2, where both
-    currents vanish and no direction is defined).
+    first and second are the two reservoirs' (temperature, current)
+    pairs, numbers or arrays over a batch axis (a sweep chunk); arrays
+    are judged entry by entry. The conservation residual is |q_1 + q_2|;
+    it stays below 1e-10 for any true steady state. The second-law
+    verdict compares the direction of flow with the temperature
+    ordering: not-applicable in equilibrium (T_1 = T_2, where both
+    currents vanish and no direction is defined); else pass when
+    q_1 (T_1 - T_2) >= 0 or when |q_1| <= CURRENT_TOL, a current within
+    the noise that has no direction (two uncoupled qubits, or a qubit
+    with one coupling off), and fail otherwise.
     """
-    items = tuple((str(l), _per_entry(np.asarray(t, dtype=float)),
-                   _per_entry(np.asarray(q, dtype=float)))
-                  for l, t, q in report_inputs)
-    if len(items) != 2:
-        raise ValueError(f"need exactly two reservoirs, got {len(items)}")
-    (_, t1, q1), (_, t2, q2) = items
+    t1, q1, t2, q2 = (_per_entry(np.asarray(x, dtype=float))
+                      for x in (*first, *second))
+    downhill = (q1 * (t1 - t2) >= 0) | (abs(q1) <= CURRENT_TOL)
     verdict = np.where(t1 == t2, SECOND_LAW_NA,
-                       np.where(q1 * (t1 - t2) >= 0, SECOND_LAW_PASS,
-                                SECOND_LAW_FAIL))
-    return CurrentReport(currents=items, conservation_residual=abs(q1 + q2),
+                       np.where(downhill, SECOND_LAW_PASS, SECOND_LAW_FAIL))
+    return CurrentReport(conservation_residual=abs(q1 + q2),
                          second_law=_per_entry(verdict, str))
 
 

@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qheat import (BathSpec, DensityMatrix, SteadyPoint, cli, kernel,
-                   law_checks, make_coupled_qubits, make_single_qubit,
-                   steady, steady_point)
+from qheat import (BathSpec, DensityMatrix, SteadyPoint, __version__, cli,
+                   kernel, law_checks, make_coupled_qubits,
+                   make_single_qubit, steady, steady_point)
 from qheat.cli import (PRESETS, UsageError, compute_point, main, parse_range,
                        render_sweep)
 
@@ -100,6 +100,48 @@ def test_coupled_point_report(capsys):
     assert "rho_44" in out
 
 
+def test_point_report_lists_each_coherence_in_row_major_order(capsys):
+    assert main(["coupled", "--ta", "2", "--mode", "redfield"]) == 0
+    out = capsys.readouterr().out
+    rho = compute_point("coupled", "redfield", dict(
+        w1=1.0, w2=2.0, lam=0.5, g=1.0, ta=2.0, tb=1.0)).rho.entries
+    listed = out.split("coherences:\n")[1].split("q_A")[0]
+    assert listed == "".join(f"  rho_{i + 1}{j + 1} = {z.real:.12g}"
+                             f"{z.imag:+.12g}j\n"
+                             for i, j in ((1, 2), (2, 1)) for z in [rho[i, j]])
+
+
+@pytest.mark.parametrize("argv", [
+    ["coupled", "--lambda", "0", "--ta", "2", "--tb", "1"],
+    ["coupled", "--lambda", "0", "--ta", "2", "--tb", "1", "--mode",
+     "redfield"],
+    ["single", "--gb", "0", "--ta", "2", "--tb", "1"],
+])
+def test_vanishing_current_passes_the_second_law(argv, capsys):
+    """Two uncoupled qubits, or a qubit with B's coupling off, each at
+    equilibrium with its own bath: q_A is rounding noise that runs
+    against the bias here, and has no direction to judge."""
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    q_a = float(re.search(r"^q_A = (\S+)$", out, re.M).group(1))
+    assert -1e-10 <= q_a < 0
+    assert "second law: pass\n" in out
+
+
+@pytest.mark.parametrize("mode", ["lindblad", "redfield"])
+@pytest.mark.parametrize("params", [dict(w1=1.0, w2=2.0, lam=0.0, g=1.0),
+                                    dict(w0=1.0, ga=1.0, gb=0.0)])
+def test_vanishing_current_sweep_passes_the_second_law(params, mode):
+    model = "coupled" if "lam" in params else "single"
+    text, n_bad, _ = render_sweep(model, mode, dict(params, ta=1.0, tb=1.0),
+                                  "ta", 0.5, 3.0, 11)
+    _, header, rows = read_csv_text(text)
+    law = header.index("second_law")
+    assert n_bad == 0
+    assert [row[law] for row in rows] == \
+        ["pass"] * 2 + ["not-applicable"] + ["pass"] * 8
+
+
 def test_point_invalid_parameters_exit_one(capsys):
     assert main(["coupled", "--lambda", "3"]) == 1
     assert "lam" in capsys.readouterr().err
@@ -152,6 +194,15 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "qheat" in capsys.readouterr().out
+
+
+def test_pyproject_version_is_the_package_version():
+    """The version is written in pyproject.toml and in qheat/__init__.py;
+    read with a regex, since tomllib is absent on Python 3.10."""
+    pyproject = (SRC_DIR.parent / "pyproject.toml").read_text()
+    project = pyproject.split("[project]\n", 1)[1].split("\n[", 1)[0]
+    versions = re.findall(r'^version = "([^"]+)"$', project, flags=re.M)
+    assert versions == [__version__]
 
 
 def test_argparse_errors_exit_one():
@@ -391,6 +442,11 @@ def test_config_rejections(tmp_path, capsys):
     cfg.write_text("{not json")
     assert main(["single", "--config", str(cfg)]) == 1
     assert main(["single", "--config", str(tmp_path / "missing.json")]) == 1
+    capsys.readouterr()
+    cfg.write_text("[1, 2]")
+    assert main(["single", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == \
+        f"qheat: config {str(cfg)!r} must hold a JSON object\n"
 
 
 def test_unwritable_output_path(tmp_path):
@@ -413,8 +469,16 @@ def test_render_sweep_programmatic():
 
 
 def test_compute_point_rejects_unknown_model():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown model 'triple'; "
+                                         "valid: single, coupled$"):
         compute_point("triple", "lindblad", {})
+
+
+def test_compute_point_rejects_unknown_mode_before_any_build(monkeypatch):
+    monkeypatch.setattr(cli, "make_coupled_qubits", None)
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'; "
+                                         "valid: redfield, lindblad$"):
+        compute_point("coupled", "bogus", _COUPLED)
 
 
 @pytest.mark.parametrize("model, params, system", [
@@ -448,8 +512,8 @@ def _point_row(model, mode, value, params):
     except (ValueError, LookupError, RuntimeError) as exc:
         n_cols = len(cli._MODELS[model].columns("x"))
         return [cli._fmt(value)] + [""] * (n_cols - 2) + [f"error: {exc}"]
-    report = law_checks([("A", params["ta"], point.currents["A"]),
-                         ("B", params["tb"], point.currents["B"])])
+    report = law_checks((params["ta"], point.currents["A"]),
+                        (params["tb"], point.currents["B"]))
     resid = report.conservation_residual
     numbers = [value, *point.rho.populations.tolist()]
     if model == "coupled":
@@ -660,6 +724,22 @@ def test_system_builders_find_the_constructors_when_called(monkeypatch):
     compute_point("coupled", "lindblad", _COUPLED)
     render_sweep("single", "lindblad", _SINGLE, "w0", 0.5, 1.5, 3)
     assert calls == ["make_coupled_qubits"] + ["make_single_qubit"] * 3
+
+
+def test_render_sweep_names_bad_params_before_a_bad_var():
+    with pytest.raises(UsageError,
+                       match="^model 'single' has no parameters lam$"):
+        render_sweep("single", "lindblad", dict(_SINGLE, lam=0.5), "w1",
+                     1.0, 2.0, 2)
+
+
+def test_checked_record_is_the_one_model_and_mode_check():
+    source = inspect.getsource(cli)
+    check = inspect.getsource(cli._checked_record)
+    for test in ("not in _MODELS", "not in MODES"):
+        assert source.count(test) == check.count(test) == 1, test
+    assert "is not None" not in inspect.getsource(cli._Model)
+    assert "coherence is" not in source
 
 
 def test_cli_keeps_no_per_model_branch_or_table():

@@ -348,6 +348,18 @@ def test_correlation_tables_keep_planck_occupations_edges():
 
 
 @pytest.mark.parametrize("mode", ["lindblad", "redfield"])
+def test_overflowing_kernel_names_its_tabulated_density(mode):
+    table = SpectralDensity.from_table([(1.0, 1e308)])
+    with pytest.raises(ValueError) as exc:
+        build_kernel(make_single_qubit(1.0),
+                     BathSpec(temperature=1.0, spectral_density=table),
+                     "A", mode)
+    assert str(exc.value) == (
+        "kernel of reservoir 'A' overflows to inf or NaN at temperature 1 "
+        "with spectral density SpectralDensity.from_table([(1.0, 1e+308)])")
+
+
+@pytest.mark.parametrize("mode", ["lindblad", "redfield"])
 def test_first_bath_missing_a_frequency_raises_its_own_error(mode):
     """Baths are read in stack order: the first one whose table misses a
     transition frequency raises the error it raises alone, whatever the

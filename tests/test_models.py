@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,25 @@ def test_single_qubit_closed_guards():
         single_qubit_closed(1.0, 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         single_qubit_closed(1.0, -1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape(
+            "spectral densities must be >= 0, got -1.0, 1.0")):
+        single_qubit_closed(1.0, lambda omega: -1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("omega1, omega2, lam, message", [
+    (0.0, 2.0, 0.5, "qubit splittings must be > 0, got 0.0, 2.0"),
+    (1.0, 2.0, 3.0, "need 0 <= lam < sqrt(omega1*omega2) = 1.41421, "
+                    "got lam = 3.0"),
+])
+def test_coupled_rates_refuse_unusable_geometry(omega1, omega2, lam, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        coupled_rates(omega1, omega2, lam, 1.0, 1.0, 1.0, 1.0)
+
+
+def test_coupled_lindblad_closed_refuses_no_dissipation():
+    with pytest.raises(ValueError, match="^no dissipation on one transition "
+                                         "group; steady state undefined$"):
+        coupled_lindblad_closed(g_a=0.0, g_b=0.0, t_a=1.0, t_b=1.0, **REF)
 
 
 def test_coupled_rates_structure():

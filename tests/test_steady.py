@@ -11,10 +11,10 @@ from qheat import (BathSpec, DegenerateSteadyStateError, DensityMatrix,
                    PositivityReport, SolveInfo, SteadyStateResidualError,
                    SuperKernel, SystemSpec, assemble_liouvillian,
                    build_kernel, combine_kernels, coupled_rates, evolve,
-                   gibbs_state, make_coupled_qubits, make_single_qubit,
-                   pair_index, planck_occupation, positivity_report,
-                   reservoir_current, solve_steady_state, steady_point,
-                   svd_steady_state)
+                   gibbs_state, law_checks, make_coupled_qubits,
+                   make_single_qubit, pair_index, planck_occupation,
+                   positivity_report, reservoir_current, solve_steady_state,
+                   steady_point, svd_steady_state)
 from qheat import steady
 from qheat.steady import EVOLVE_BLOCK
 from test_kernel_properties import (PROPERTY_SETTINGS, _baths, _kernels,
@@ -791,6 +791,14 @@ def test_leak_check_runs_on_every_entry_before_the_null_count():
     assert str(exc.value) == str(own.value)
 
 
+def test_svd_steady_state_refuses_a_traceless_null_vector():
+    # the null vector of diag(1, 0, 1, 1) is the coherence rho_12
+    L = Liouvillian(dim=2, matrix=np.diag([1.0, 0, 1, 1]).astype(complex))
+    with pytest.raises(DegenerateSteadyStateError) as exc:
+        svd_steady_state(L)
+    assert str(exc.value) == "null vector is traceless (|tr| = 0); not a state"
+
+
 def test_single_matrix_paths_refuse_stacks():
     system = make_single_qubit(1.0)
     L = _liouvillian(system, {"A": 1.0, "B": 1.0}, {"A": 2.0, "B": 1.0},
@@ -933,6 +941,47 @@ def test_every_returned_point_preserves_trace_and_energy(system, mode, baths):
     target(trace_ratio, label="trace residual / bound")
     target(first_law, label="|q_A + q_B| / 1e-10")
     assert trace_ratio <= 1.0 and first_law <= 1.0
+
+
+def _lindblad_point(system, baths):
+    """The lindblad steady point between baths, or None where a refusal
+    that names its cause stops the pipeline."""
+    try:
+        return steady_point(system, dict(zip(("A", "B"), baths)), "lindblad")
+    except tuple(_REFUSALS) as exc:
+        assert any(c in str(exc) for c in _REFUSALS[type(exc)])
+        return None
+
+
+@PROPERTY_SETTINGS
+@given(lindblad_systems(), st.tuples(_baths, _baths))
+def test_every_lindblad_point_meets_the_second_law(system, baths):
+    """Heat of a global lindblad generator runs from hot to cold
+    (Spohn, J. Math. Phys. 19, 1227, 1978): on drawn systems, with T = 0
+    baths and zero couplings allowed, every returned point's verdict is
+    pass or not-applicable. The worst q_A (T_A - T_B), the most negative,
+    is the hypothesis target."""
+    point = _lindblad_point(system, baths)
+    if point is None:
+        return
+    t_a, t_b = (b.temperature for b in baths)
+    q = point.currents
+    target(-q["A"] * (t_a - t_b), label="-q_A (T_A - T_B)")
+    assert law_checks((t_a, q["A"]), (t_b, q["B"])).second_law in \
+        ("pass", "not-applicable")
+
+
+@PROPERTY_SETTINGS
+@given(lindblad_systems(), st.tuples(_baths, _baths))
+def test_every_lindblad_steady_state_is_positive(system, baths):
+    """On the same draws, every returned lindblad steady state has its
+    smallest eigenvalue at least -1e-10; the most negative one is the
+    hypothesis target."""
+    point = _lindblad_point(system, baths)
+    if point is None:
+        return
+    target(-point.positivity.min_eigenvalue, label="-min eigenvalue")
+    assert point.positivity.min_eigenvalue >= -1e-10
 
 
 def test_nullspace_check_makes_one_svd(monkeypatch):
