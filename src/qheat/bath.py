@@ -6,7 +6,9 @@ units hbar = k_B = 1 throughout; frequencies, energies and temperatures
 are all dimensionless.
 
 A reservoir enters the dissipative kernels only through its temperature
-and its spectral density g(omega), so that is all a BathSpec stores. The
+and its spectral density g(omega), so that is all a BathSpec stores;
+BathColumns holds B of them as a temperature column and one spectral
+density per entry, the form a stacked kernel build reads. The
 two active correlation channels follow the usual convention
 
     D^{12}(omega) = g(omega) (1 + n(omega))    for omega > 0   (emission)
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from math import exp, expm1, inf
 
 __all__ = [
+    "BathColumns",
     "BathSpec",
     "SpectralDensity",
     "SpectralLookupError",
@@ -161,6 +164,41 @@ class BathSpec:
             object.__setattr__(
                 self, "spectral_density",
                 SpectralDensity.constant(self.spectral_density))
+
+
+@dataclass(frozen=True, eq=False)
+class BathColumns:
+    """B baths of one reservoir as two columns: bath i has temperature
+    temperatures[i] and spectral density spectral_densities[i].
+
+    This is the form build_kernel reads, and the one a sweep hands over:
+    entries may share one SpectralDensity object, and each distinct
+    object is looked up once per kernel. The columns must be equally
+    long and not empty, every temperature must pass BathSpec's check
+    (the first that does not raises its message), and every density must
+    be a SpectralDensity.
+    """
+
+    temperatures: tuple
+    spectral_densities: tuple
+
+    def __post_init__(self):
+        temperatures = tuple(self.temperatures)
+        densities = tuple(self.spectral_densities)
+        if len(temperatures) != len(densities):
+            raise ValueError(f"bath columns differ in length: "
+                             f"{len(temperatures)} temperatures, "
+                             f"{len(densities)} spectral densities")
+        if not temperatures:
+            raise ValueError("bath columns are empty; need at least one bath")
+        for T in temperatures:
+            _check_temperature(T)
+        for density in densities:
+            if not isinstance(density, SpectralDensity):
+                raise TypeError(f"spectral densities must be SpectralDensity "
+                                f"objects, got {density!r}")
+        object.__setattr__(self, "temperatures", temperatures)
+        object.__setattr__(self, "spectral_densities", densities)
 
 
 def bath_correlation(bath: BathSpec, alpha: int, beta: int, omega: float) -> float:

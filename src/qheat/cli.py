@@ -12,9 +12,12 @@ forms, so CLI output exercises the same code path as any library caller:
 compute_point returns the SteadyPoint of one steady_point call. A sweep
 has one path, _sweep_rows: each chunk of consecutive grid points that
 share one system is one steady_point call, and the sweep runs as columns
-from the grid to the CSV text, with no dict per grid point. Point
-reports and sweep rows take their first- and second-law verdicts from
-one law_checks call on the currents and temperatures.
+from the grid to the CSV text, with no dict or bath object per grid
+point. Point reports and sweep rows take their first- and second-law
+verdicts from one law_checks call on the currents and temperatures, and
+one first-law rule (_first_law_error) judges both: a point whose
+|q_A + q_B| reaches CONSERVATION_ROW_TOL is an error row in a sweep and
+is refused by the point command with the same message.
 
 Sweeps accept the pseudo-variable "tm", the mean temperature: sweeping tm
 moves T_A and T_B together, keeping their difference fixed at the value
@@ -44,8 +47,9 @@ true or false.
 length, rather than truncating it first (see _write_output). main
 builds its argparse tree once per process and reuses it on every call.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 physics or
-numeric failure when --strict-positivity is set.
+Exit codes: 0 success, 1 usage or configuration error or a refused
+point, 2 physics or numeric failure (a RuntimeError, the first-law
+refusal among them) when --strict-positivity is set.
 """
 
 from __future__ import annotations
@@ -64,13 +68,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .bath import BathSpec
+from .bath import BathColumns, BathSpec, SpectralDensity, _check_temperature
 from .kernel import MODES
 # not called here; perfbench/test_perfbench.py reads cli.build_kernel
 from .kernel import build_kernel  # noqa: F401
 from .steady import POSITIVITY_TOL
 from .system import make_coupled_qubits, make_single_qubit
-from .thermo import SteadyPoint, law_checks, steady_point
+from .thermo import CurrentReport, SteadyPoint, law_checks, steady_point
 
 __all__ = ["PRESETS", "compute_point", "main", "render_sweep"]
 
@@ -297,6 +301,16 @@ SWEEP_CHUNK = 256           # grid points per batched kernel build and solve
 _POINT_ERRORS = (ValueError, LookupError, RuntimeError)
 
 
+def _first_law_error(residual: float):
+    """The refusal of a point whose currents break the first law, |q_A +
+    q_B| at or above CONSERVATION_ROW_TOL, or None where they keep it:
+    the message of a sweep's error row and of the point command's
+    refusal."""
+    if residual >= CONSERVATION_ROW_TOL:
+        return f"conservation residual {residual:.3e}"
+    return None
+
+
 def _solved_lines(columns) -> list:
     """One CSV line per row of columns, equally long lists: numbers in
     every column but the last two, the second-law verdict and the status
@@ -344,20 +358,25 @@ def _sweep_rows(record: _Model, mode, values, grid):
 
     values holds the swept variable at each grid point, and grid maps
     each params key of the record to its column of values, one per grid
-    point. Each point's system and baths are built first, the system
-    only when its record.system_keys values differ from those of the last
-    system built, and each reservoir's baths share one SpectralDensity
-    per coupling value; a point whose parameters are refused gets its
-    error row at once. The others are cut into chunks of consecutive
-    points that share one system, at most SWEEP_CHUNK long, and each
-    chunk is one steady_point call with each reservoir's baths as a
-    list, so every layer runs once on the chunk's (B, N^2, N^2) stack
-    and law_checks once on its current and temperature arrays. Stack
-    entries are bit-identical to one-point results, so every row equals
-    the row of its point solved alone. A chunk that raises is solved
-    again as one-entry chunks, so each error row carries the message a
-    one-point run gives. A solved chunk's rows are written from its
-    columns by _solved_lines.
+    point. Each point is checked first, as a one-point run checks it:
+    its system, built only when its record.system_keys values differ
+    from those of the last system built, then per reservoir its
+    temperature and its coupling, whose SpectralDensity is built once
+    per coupling value and shared by every point with that value. A
+    point whose parameters are refused gets its error row at once, with
+    the message BathSpec's own checks give. The others are cut into
+    chunks of consecutive points that share one system, at most
+    SWEEP_CHUNK long, and each chunk is one steady_point call with each
+    reservoir's baths as a BathColumns, a temperature column and one
+    shared density per entry, so no bath object is built per point and
+    every layer runs once on the chunk's (B, N^2, N^2) stack and
+    law_checks once on its current and temperature arrays. Stack entries
+    are bit-identical to one-point results, so every row equals the row
+    of its point solved alone, and _first_law_error marks a row whose
+    currents break the first law as the point command refuses it. A
+    chunk that raises is solved again as one-entry chunks, so each error
+    row carries the message a one-point run gives. A solved chunk's rows
+    are written from its columns by _solved_lines.
     """
     lines = [None] * len(values)
     n_bad, ok_pops = 0, []
@@ -366,21 +385,21 @@ def _sweep_rows(record: _Model, mode, values, grid):
     # most, so 0.0 and -0.0 never share one)
     reservoirs = [(grid[t], grid[g], {})
                   for t, g in zip(_TEMPERATURE_FLAGS, record.coupling_keys)]
-    ta, tb = grid["ta"], grid["tb"]
-    chunks = []                 # (system, grid indices, [baths per reservoir])
+    chunks = []     # (system, grid indices, [densities] per reservoir)
     key = system = None
     for i, point_key in enumerate(zip(*(grid[k] for k in record.system_keys))):
         try:
             if point_key != key:
                 system, key = record.build_system(*point_key), point_key
-            baths = []
+            point = []
             for temperatures, couplings, densities in reservoirs:
-                # a new coupling value goes in bare: BathSpec checks T, then g
+                # BathSpec's checks in its order: the temperature, then g
+                _check_temperature(temperatures[i])
                 g = couplings[i]
-                bath = BathSpec(temperature=temperatures[i],
-                                spectral_density=densities.get(g, g))
-                densities[g] = bath.spectral_density
-                baths.append(bath)
+                density = densities.get(g)
+                if density is None:
+                    density = densities[g] = SpectralDensity.constant(g)
+                point.append(density)
         except _POINT_ERRORS as exc:
             lines[i] = _error_line(record, values[i], exc)
             n_bad += 1
@@ -389,25 +408,28 @@ def _sweep_rows(record: _Model, mode, values, grid):
                 or len(chunks[-1][1]) == SWEEP_CHUNK:
             chunks.append((system, [], [[] for _ in RESERVOIRS]))
         chunks[-1][1].append(i)
-        for column, bath in zip(chunks[-1][2], baths):
-            column.append(bath)
-    for system, index, baths in chunks:     # grows as failing chunks split
+        for column, density in zip(chunks[-1][2], point):
+            column.append(density)
+    for system, index, densities in chunks:     # grows as failing chunks split
+        baths = {r: BathColumns([temperatures[i] for i in index], column)
+                 for r, (temperatures, _, _), column
+                 in zip(RESERVOIRS, reservoirs, densities)}
         try:
-            stack = steady_point(system, dict(zip(RESERVOIRS, baths)), mode)
+            stack = steady_point(system, baths, mode)
         except _POINT_ERRORS as exc:
             if len(index) == 1:
                 lines[index[0]] = _error_line(record, values[index[0]], exc)
                 n_bad += 1
             else:
-                chunks += [(system, [i], [[column[j]] for column in baths])
+                chunks += [(system, [i], [[column[j]] for column in densities])
                            for j, i in enumerate(index)]
             continue
-        report = law_checks(([ta[i] for i in index], stack.currents["A"]),
-                            ([tb[i] for i in index], stack.currents["B"]))
+        report = law_checks((baths["A"].temperatures, stack.currents["A"]),
+                            (baths["B"].temperatures, stack.currents["B"]))
         resid = report.conservation_residual.tolist()
         min_pop = stack.positivity.min_population.tolist()
-        status = [f"error: conservation residual {r:.3e}"
-                  if r >= CONSERVATION_ROW_TOL else "ok" for r in resid]
+        status = ["ok" if (e := _first_law_error(r)) is None else f"error: {e}"
+                  for r in resid]
         ok = [m for m, s in zip(min_pop, status) if s == "ok"]
         n_bad += len(index) - len(ok)
         ok_pops += ok
@@ -474,9 +496,8 @@ def render_sweep(model: str, mode: str, base_params: dict, var: str,
 
 # ---------------------------------------------------------------- reports
 
-def format_point_report(model, mode, params, point: SteadyPoint) -> str:
-    report = law_checks((params["ta"], point.currents["A"]),
-                        (params["tb"], point.currents["B"]))
+def format_point_report(model, mode, params, point: SteadyPoint,
+                        report: CurrentReport) -> str:
     lines = [f"model: {model} (mode {mode})",
              "parameters: " + " ".join(f"{k}={_fmt(v)}"
                                        for k, v in sorted(params.items())),
@@ -521,14 +542,24 @@ def _write_output(path, text) -> None:
 # ---------------------------------------------------------------- commands
 
 def _point_command(model: str, args) -> int:
+    """Print one point's report; a point whose solve raises, or whose
+    currents break the first law (_first_law_error, the sweep's rule), is
+    refused on stderr instead, with exit code 1 (2 for a RuntimeError
+    under --strict-positivity)."""
     params = _model_params(model, args)
     try:
         point = compute_point(model, args.mode, params)
+        report = law_checks((params["ta"], point.currents["A"]),
+                            (params["tb"], point.currents["B"]))
+        refusal = _first_law_error(report.conservation_residual)
+        if refusal is not None:
+            raise RuntimeError(refusal)
     except _POINT_ERRORS as exc:
         print(f"qheat: {exc}", file=sys.stderr)
         strict = args.strict_positivity and isinstance(exc, RuntimeError)
         return 2 if strict else 1
-    _write_output(args.out, format_point_report(model, args.mode, params, point))
+    _write_output(args.out,
+                  format_point_report(model, args.mode, params, point, report))
     if args.strict_positivity and \
             point.positivity.min_eigenvalue < -POSITIVITY_TOL:
         print(f"qheat: steady state fails positivity: min eigenvalue "

@@ -50,20 +50,24 @@ means is not settled here. Partial-secular, trace-preserving forms:
 Cattaneo et al., NJP 21, 113045 (2019); Trushechkin, PRA 103, 062226
 (2021).
 
-build_kernel evaluates the bath only through one correlation table
+build_kernel reads its baths as two columns, the temperatures and one
+spectral density per bath: a BathColumns is that form, and one BathSpec
+or a sequence of them is turned into it first, so one code path serves
+all three. The bath enters only through one correlation table
 D[b, x, y] = D(E_x - E_y) on supp X, of shape (B, N, N), bath axis
 first. It is filled from the distinct transition frequencies w of S^1:
-each bath's spectral density is looked up once per w (a constant once
-per bath), and one call of qheat.bath's occupation rule, the one
-planck_occupation reads, gives every (bath, w), so that g (1 + n) and
-g n equal bath_correlation's D^{12}(w) and D^{21}(-w) byte for byte.
-Everything after the table is array algebra over that bath axis, with
-B = 1 for one bath (the axis is then dropped from the data) and B for a
-sequence of baths, so the same code yields a single kernel or one
-stacked kernel with data of shape (B, N^2, N^2), and data[i] is
-bit-identical to the single-bath build of bath i. A sweep over bath
-parameters (temperatures, coupling strengths) thus builds its kernels
-once per batch instead of once per point.
+each distinct spectral density object is looked up once per w (a
+constant once in all), however many baths share it, and one call of
+qheat.bath's occupation rule, the one planck_occupation reads, gives
+every (bath, w), so that g (1 + n) and g n equal bath_correlation's
+D^{12}(w) and D^{21}(-w) byte for byte. Everything after the table is
+array algebra over that bath axis, with B = 1 for one bath (the axis is
+then dropped from the data) and B for B baths, so the same code yields
+a single kernel or one stacked kernel with data of shape
+(B, N^2, N^2), and data[i] is bit-identical to the single-bath build of
+bath i. A sweep over bath parameters (temperatures, coupling strengths)
+thus builds its kernels once per batch instead of once per point, and
+hands them over as columns with no per-point object.
 
 The level sum of the two decay terms is one table per batch,
 
@@ -109,7 +113,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpec, _occupations
+from .bath import BathColumns, BathSpec, _occupations
 from .system import SystemSpec
 
 __all__ = [
@@ -237,25 +241,32 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _correlations(baths, omegas: list):
-    """D^{12}(w) and D^{21}(-w) of each bath at each of the distinct
+def _correlations(temperatures, densities, omegas: list):
+    """D^{12}(w) and D^{21}(-w) of each bath, given as the columns of its
+    temperatures and spectral densities, at each of the distinct
     frequencies omegas, all > 0: two (B, len(omegas)) arrays.
 
     Each entry equals bath_correlation(bath, 1, 2, w) or
     bath_correlation(bath, 2, 1, -w) byte for byte: g(w) (1 + n) and
     g(w) n, with the Planck occupations n read from qheat.bath's one
     occupation rule in one call for the whole table rather than a call
-    per entry. The spectral densities are read bath by bath, so the
-    first bath whose table misses a frequency raises the
-    SpectralLookupError it raises alone.
+    per entry. Each distinct spectral density object is looked up once,
+    in the order of its first bath, so the first bath whose table misses
+    a frequency raises the SpectralLookupError it raises alone; a column
+    of one shared density gives one row of g, broadcast over the baths.
     """
-    g = np.array([bath.spectral_density.at(omegas) for bath in baths])
-    occupation = np.array(_occupations([bath.temperature for bath in baths],
-                                       omegas)).reshape(g.shape)
+    distinct = list(dict.fromkeys(densities))
+    g = np.array([density.at(omegas) for density in distinct])
+    if len(distinct) > 1:
+        row = {density: i for i, density in enumerate(distinct)}
+        g = g[[row[density] for density in densities]]
+    occupation = np.array(_occupations(temperatures, omegas)).reshape(
+        len(temperatures), len(omegas))
     return g * (1.0 + occupation), g * occupation
 
 
-def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
+def build_kernel(system: SystemSpec,
+                 bath: BathSpec | BathColumns | Sequence[BathSpec],
                  reservoir: str, mode: str) -> SuperKernel:
     """Dissipative kernel of one reservoir in Redfield or Lindblad mode.
 
@@ -263,12 +274,14 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
     conserving part; lindblad mode additionally applies the secular
     constraint to the transfer term (see the module docstring).
 
-    bath is one BathSpec, giving a kernel with (N^2, N^2) data, or a
-    sequence of B BathSpecs, giving one stacked kernel with (B, N^2, N^2)
-    data whose entry data[i] is bit-identical to the data of
-    build_kernel(system, bath[i], ...). Both run the same array algebra
-    over a leading bath axis, of length 1 for one bath and dropped at
-    the end; the module docstring derives it.
+    bath is one BathSpec, giving a kernel with (N^2, N^2) data, or B
+    baths as a BathColumns or a sequence of B BathSpecs, giving one
+    stacked kernel with (B, N^2, N^2) data whose entry data[i] is
+    bit-identical to the data of the one-bath build of bath i. Each form
+    is turned into the same two columns at the top, temperatures and
+    spectral densities, and all run the same array algebra over a
+    leading bath axis, of length 1 for one bath and dropped at the end;
+    the module docstring derives it.
 
     The reservoir couples through X = S^1 + S^2, and the bath enters only
     through the correlation table D[b, x, y] = D(E_x - E_y) on supp X.
@@ -278,7 +291,7 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
     bath_correlation byte for byte (_correlations). That keeps every
     query at a finite transition frequency and lets tabulated spectral
     densities list only the frequencies the model actually uses; a table
-    missing one raises SpectralLookupError, and in a sequence the first
+    missing one raises SpectralLookupError, and among B baths the first
     bath that misses one raises the error it raises alone.
 
     The data match the reference loop byte for byte (see the module
@@ -286,20 +299,28 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
 
     A kernel with an entry that overflows to inf or NaN is refused with
     a ValueError naming the reservoir and the temperature and spectral
-    density of its bath (for a sequence, the first such bath).
+    density of its bath (among B baths, the first such bath).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if reservoir not in system.couplings:
         raise KeyError(
             f"system has no reservoir {reservoir!r}; have {sorted(system.couplings)}")
+    # every form of bath as its two columns; batch is () for one BathSpec
     if isinstance(bath, BathSpec):
-        baths, batch = (bath,), ()
+        temperatures, densities = (bath.temperature,), (bath.spectral_density,)
+        batch = ()
     else:
-        baths = tuple(bath)
-        if not baths:
-            raise ValueError("bath sequence is empty; need at least one BathSpec")
-        batch = (len(baths),)
+        if not isinstance(bath, BathColumns):
+            baths = tuple(bath)
+            if not baths:
+                raise ValueError("bath sequence is empty; need at least one "
+                                 "BathSpec")
+            bath = BathColumns(tuple(b.temperature for b in baths),
+                               tuple(b.spectral_density for b in baths))
+        temperatures, densities = bath.temperatures, bath.spectral_densities
+        batch = (len(temperatures),)
+    n_baths = len(temperatures)
     n = system.dim
     E = np.array(system.levels)
     W = E[:, None] - E                  # W[x, y] = E_x - E_y
@@ -322,8 +343,8 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
     r = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
         # D[b, x, y]: D^{12}(E_x - E_y) on supp S^1, D^{21} on its transpose
-        emission, absorption = _correlations(baths, omegas)
-        D = np.zeros((len(baths), n, n))
+        emission, absorption = _correlations(temperatures, densities, omegas)
+        D = np.zeros((n_baths, n, n))
         D[:, rows, cols] = emission[:, slots]
         D[:, cols, rows] = absorption[:, slots]
 
@@ -331,14 +352,14 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
         # the bracket drops the (1,1) and (2,2) chains, as E_x > E_l > E_y
         resonant = np.abs(W[:, :, None] + W) <= eps            # [x, l, y]
         chain = np.where(resonant, _product(x[:, :, None], x), 0)
-        G = np.zeros((len(baths), n, n), dtype=complex)
+        G = np.zeros((n_baths, n, n), dtype=complex)
         for l in range(n):
             G += chain[:, l] * D[:, :, l, None]
         half = 0.5 * G
         # K[b, p, p', q, q'] = - 1/2 G[b, p, q] d_p'q' - 1/2 G[b, q', p'] d_pq
         #     + 1/2 X_pq X_q'p' (D[b, q', p'] + D[b, q, p]) [W_pq W_q'p' < 0]
         data = np.zeros(batch + (n * n, n * n), dtype=complex)
-        K = data.reshape(len(baths), n, n, n, n)
+        K = data.reshape(n_baths, n, n, n, n)
         # 0 - half, not -half, so that a zero entry is +0 as in the loop
         K[:, :, r, :, r] = 0.0 - half
         K[:, r, :, r, :] -= half.swapaxes(1, 2)
@@ -355,12 +376,12 @@ def build_kernel(system: SystemSpec, bath: BathSpec | Sequence[BathSpec],
         outer = _product(x[p, q], x[qp, pp])
         K[:, p, pp, q, qp] += 0.5 * (outer * (D[:, qp, pp] + D[:, q, p]))
     if not np.isfinite(data).all():
-        finite = np.isfinite(K).reshape(len(baths), -1).all(axis=1)
-        culprit = baths[int(np.argmin(finite))]
+        finite = np.isfinite(K).reshape(n_baths, -1).all(axis=1)
+        j = int(np.argmin(finite))
         raise ValueError(
             f"kernel of reservoir {reservoir!r} overflows to inf or NaN at "
-            f"temperature {culprit.temperature:g} with spectral density "
-            f"{culprit.spectral_density!r}")
+            f"temperature {temperatures[j]:g} with spectral density "
+            f"{densities[j]!r}")
     data.flags.writeable = False
     return SuperKernel(dim=n, data=data, mode=mode)
 

@@ -26,14 +26,17 @@ trace. The module holds:
 Liouvillian and DensityMatrix also hold stacks, (B, N^2, N^2) and
 (B, N, N), and assemble_liouvillian, solve_steady_state and
 positivity_report act on each entry of a stack at once: a sweep chunk of
-B points is one batched SVD, one batched LU solve and one batched
-eigvalsh. numpy's stacked linear algebra runs the same LAPACK call per
+B points is one batched SVD per block size of the nullspace check, one
+batched LU solve and one batched eigvalsh. numpy's stacked linear algebra runs the same LAPACK call per
 entry, so every entry is bit-identical to the result for that entry's
 matrix alone. The one exception is the nullspace check, whose values
 are read only against its cutoff: a stack is split once for all its
-entries, with an index decoupled only if it is so in every entry, so an
+entries, into the connected blocks of the links any entry has, so an
 entry's singular values may differ in rounding from those of its own
-split. Diagnostics are Python scalars for one point and arrays
+split. The split takes one batched SVD per block size, and its
+partition, which depends only on the pattern of nonzero entries, is
+cached by that pattern (_blocks), so a sweep's later chunks and every
+later point of one model pay a dict lookup for it. Diagnostics are Python scalars for one point and arrays
 over the batch axis for a stack (kernel._per_entry), and a failing entry
 raises the error its own matrix raises. A Liouvillian is only dim and
 matrix.
@@ -41,6 +44,7 @@ matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -180,29 +184,63 @@ def assemble_liouvillian(system: SystemSpec, K_total: SuperKernel) -> Liouvillia
     return Liouvillian(dim=n, matrix=m)
 
 
+@functools.lru_cache(maxsize=64)
+def _blocks(pattern: bytes, n: int) -> tuple:
+    """The connected blocks of more than one index of a link pattern,
+    grouped by size: one read-only (k, s) array per block size s, in
+    rising s, whose rows are the k blocks of that size, each in rising
+    index order.
+
+    pattern holds the bytes of a symmetric n x n bool matrix with a
+    false diagonal, index i linked to j where it is true. The blocks are
+    found by a breadth-first walk; an index linked to nothing is a block
+    of one and is left out. The partition depends only on the pattern,
+    so it is cached, and a solve whose pattern was seen before pays only
+    this lookup.
+    """
+    neighbours = [row.nonzero()[0].tolist()
+                  for row in np.frombuffer(pattern, dtype=bool).reshape(n, n)]
+    seen = [False] * n
+    by_size = {}
+    for start in range(n):
+        if seen[start] or not neighbours[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        for i in block:             # grows as the walk reaches new indices
+            for j in neighbours[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    block.append(j)
+        by_size.setdefault(len(block), []).append(sorted(block))
+    groups = tuple(np.array(by_size[size]) for size in sorted(by_size))
+    for group in groups:
+        group.flags.writeable = False
+    return groups
+
+
 def _split_singular_values(m: np.ndarray) -> np.ndarray:
     """The singular values of each generator in m, in no set order,
-    taken on its split.
+    taken block by block.
 
-    An index whose row and column are zero off the diagonal in every
-    entry of the stack is decoupled, and its |M_ii| is one of M's
-    singular values. The other, linked, indices go through one SVD of
-    their submatrix, whose values take the linked places in the list;
-    index 0 always does, so that submatrix is never empty. Up to a
-    permutation M is the direct sum of the two parts, so the list is
-    M's singular spectrum.
+    Index i is linked to j when M_ij or M_ji is nonzero in some entry of
+    the stack, and up to a permutation each M is the direct sum of the
+    submatrices of the connected blocks of those links, so the values of
+    the blocks together are M's singular spectrum. An index linked to
+    nothing gives |M_ii|; the blocks of each size s >= 2 go through one
+    batched SVD of their (k, s, s) submatrices, whose values take the
+    blocks' places in the list. The blocks come from _blocks, cached by
+    the pattern.
     """
     nz = m != 0
     if nz.ndim > 2:
         nz = nz.any(axis=0)
     nz = nz | nz.T
     nz.reshape(-1)[::len(nz) + 1] = False
-    linked = nz.any(axis=0)
-    linked[0] = True
-    rest = linked.nonzero()[0]
     sv = np.abs(m.diagonal(0, -2, -1))
-    sv[..., rest] = np.linalg.svd(m[..., rest[:, None], rest],
-                                  compute_uv=False)
+    for group in _blocks(nz.tobytes(), len(nz)):
+        sv[..., group] = np.linalg.svd(
+            m[..., group[:, :, None], group[:, None, :]], compute_uv=False)
     return sv
 
 
@@ -252,22 +290,30 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
     1.8e-12 at ||M||_inf 2.3e4 and is accepted. Every other generator has
     its nullspace dimension checked through the singular spectrum of its
     split: sigma_i <= 1e-10 sigma_max counts as zero, so every sigma_i
-    does when sigma_max is 0. Each index whose row and column are zero
-    off the diagonal gives |M_ii|, and only the remaining indices go
-    through an SVD, of their submatrix. A secular (lindblad) generator
+    does when sigma_max is 0. M is, up to a permutation, the direct sum
+    of the submatrices of the connected blocks of its nonzero pattern
+    (i linked to j where M_ij or M_ji is nonzero). Each index linked to
+    nothing gives |M_ii|, and the blocks of each size go through one
+    batched SVD (_split_singular_values). A secular (lindblad) generator
     couples each coherence only to coherences of the same Bohr
-    frequency, so at N = 10 that submatrix is about N x N instead of
-    N^2 x N^2. Anything but exactly one null direction raises
+    frequency, so at N = 10 its largest block is about N x N instead of
+    N^2 x N^2, and the coupled pair's 16 indices fall into blocks of 4,
+    2, 2, 2 and 2 (lindblad) or 6, 4 and 4 (redfield), plus decoupled
+    ones. Anything but exactly one null direction raises
     DegenerateSteadyStateError with the singular values of the full
     matrix below the cutoff and the trace residual; the entry's full
-    SVD is taken to say so. The cutoff is set by the Bohr frequencies,
-    but the nonzero singular values of the population block scale with
-    the couplings g, so very weak coupling is refused although its
-    steady state is unique: at T = (2, 1), in either mode, the single
-    qubit (omega0 = 1) below g = 1.5e-11 and the coupled pair
-    (1, 2, 0.5) below g = 1.8e-10. The solve itself replaces the (0,0)
-    population row of M with the trace row (ones on the population
-    columns) and solves M' x = e_0 on the full matrix. The result is
+    SVD is taken to say so, and an entry whose split counts other than
+    one null direction but whose full SVD counts one, which rounding at
+    the cutoff can make, is solved. The cutoff is set by the Bohr
+    frequencies, but the nonzero singular values of the population
+    block scale with the couplings g, so very weak coupling is refused
+    although its steady state is unique: at T = (2, 1), in either mode,
+    the single qubit (omega0 = 1) below g = 1.5e-11 and the coupled
+    pair (1, 2, 0.5) below g = 1.8e-10. The solve itself replaces the
+    (0,0) population row of M with the trace row (ones on the
+    population columns) and solves M' x = e_0 on the full matrix. M' is
+    singular when the one null vector is traceless, and that LU failure
+    is refused as a SteadyStateResidualError. The result is
     symmetrised, renormalised, and only accepted if
     ||M vec(rho)||_inf < 1e-10, an absolute bound; the error names
     ||M||_inf of the failing generator.

@@ -20,9 +20,10 @@ steady_point is the whole pipeline in one call, and every composition in
 the package (the CLI's points and sweeps) goes through it: one kernel per
 reservoir, their sum, the generator, its trace-one null vector, each
 reservoir's current through its own kernel, and the positivity report.
-Given one bath per reservoir it solves one point; given a list of B baths
-per reservoir it runs each layer once on the (B, N^2, N^2) stack, and
-every entry is bit-identical to the one-point result for its baths.
+Given one bath per reservoir it solves one point; given B baths per
+reservoir (a BathColumns or a list of BathSpecs) it runs each layer once
+on the (B, N^2, N^2) stack, and every entry is bit-identical to the
+one-point result for its baths.
 """
 
 from __future__ import annotations
@@ -133,7 +134,6 @@ class SteadyPoint:
 
     rho: DensityMatrix
     currents: dict                  # reservoir label -> q^R
-    kernels: dict                   # reservoir label -> SuperKernel
     liouvillian: Liouvillian
     solve_info: SolveInfo
     positivity: PositivityReport
@@ -142,15 +142,17 @@ class SteadyPoint:
 def steady_point(system: SystemSpec, baths: dict, mode: str) -> SteadyPoint:
     """Steady state, heat currents and diagnostics of system between baths.
 
-    baths maps each reservoir label to one BathSpec, or to a list of B
-    BathSpecs for a stack of B points; kernels are combined in the order
-    of baths. Each layer (build_kernel per reservoir, combine_kernels,
-    assemble_liouvillian, solve_steady_state, reservoir_current per
-    reservoir, positivity_report) runs once, looked up on its module at
+    baths maps each reservoir label to one BathSpec, or for a stack of B
+    points to B baths, as a BathColumns or a list of B BathSpecs;
+    kernels are combined in the order of baths. Each layer (build_kernel
+    per reservoir, combine_kernels, assemble_liouvillian,
+    solve_steady_state, reservoir_current per reservoir,
+    positivity_report) runs once, looked up on its module at
     call time, so a wrapper put on the module attribute sees every call.
-    Lists of unequal length are refused by combine_kernels, which names
+    Stacks of unequal length are refused by combine_kernels, which names
     both shapes; the first entry that fails a check raises the error it
-    raises alone.
+    raises alone. The per-reservoir kernels are not kept: each is read
+    only for its reservoir's current.
     """
     kernels = {r: kernel.build_kernel(system, b, r, mode)
                for r, b in baths.items()}
@@ -160,5 +162,5 @@ def steady_point(system: SystemSpec, baths: dict, mode: str) -> SteadyPoint:
     return SteadyPoint(
         rho=rho,
         currents={r: reservoir_current(system, k, rho) for r, k in kernels.items()},
-        kernels=kernels, liouvillian=liou, solve_info=info,
+        liouvillian=liou, solve_info=info,
         positivity=steady.positivity_report(rho))

@@ -7,7 +7,7 @@ def _run_pipeline(system, mode, g_of, t_of):
     point = steady_point(system, {r: BathSpec(temperature=t_of[r],
                                               spectral_density=g_of[r], label=r)
                                   for r in system.reservoirs}, mode)
-    return point.rho, point.currents, point.kernels, point.liouvillian
+    return point.rho, point.currents, point.liouvillian
 
 
 @pytest.fixture

@@ -50,7 +50,7 @@ def run_pipeline(system, g_of, t_of, mode):
     point = steady_point(system, {r: BathSpec(temperature=t_of[r],
                                               spectral_density=g_of[r], label=r)
                                   for r in sorted(g_of)}, mode)
-    return point.rho, point.currents, point.kernels, point.liouvillian
+    return point.rho, point.currents, point.liouvillian
 
 
 @lru_cache(maxsize=None)
@@ -63,9 +63,9 @@ def single_draws():
         w0 = rng.uniform(0.2, 5.0)
         ga, gb = rng.uniform(0.0, 2.0, size=2)
         ta, tb = rng.uniform(0.05, 10.0, size=2)
-        rho, q, _, _ = run_pipeline(make_single_qubit(w0),
-                                    {"A": ga, "B": gb}, {"A": ta, "B": tb},
-                                    "lindblad")
+        rho, q, _ = run_pipeline(make_single_qubit(w0),
+                                 {"A": ga, "B": gb}, {"A": ta, "B": tb},
+                                 "lindblad")
         points.append(dict(params=(w0, ga, gb, ta, tb), rho=rho, q=q,
                            closed=single_qubit_closed(w0, ga, gb, ta, tb)))
     return points, time.perf_counter() - start
@@ -83,8 +83,8 @@ def coupled_lindblad_draws():
         ga, gb = rng.uniform(0.0, 2.0, size=2)
         ta, tb = rng.uniform(0.05, 10.0, size=2)
         system, _ = make_coupled_qubits(w1, w2, lam)
-        rho, q, _, _ = run_pipeline(system, {"A": ga, "B": gb},
-                                    {"A": ta, "B": tb}, "lindblad")
+        rho, q, _ = run_pipeline(system, {"A": ga, "B": gb},
+                                 {"A": ta, "B": tb}, "lindblad")
         points.append(dict(
             params=(w1, w2, lam, ga, gb, ta, tb), rho=rho, q=q,
             closed=coupled_lindblad_closed(w1, w2, lam, ga, gb, ta, tb)))
@@ -102,8 +102,8 @@ def coupled_redfield_draws():
         g = rng.uniform(0.05, 2.0)
         ta, tb = rng.uniform(0.05, 10.0, size=2)
         system, _ = make_coupled_qubits(w1, w2, lam)
-        rho, q, _, _ = run_pipeline(system, {"A": g, "B": g},
-                                    {"A": ta, "B": tb}, "redfield")
+        rho, q, _ = run_pipeline(system, {"A": g, "B": g},
+                                 {"A": ta, "B": tb}, "redfield")
         points.append(dict(params=(w1, w2, lam, g, ta, tb), rho=rho, q=q,
                            closed=coupled_redfield_closed(w1, w2, lam, g,
                                                           ta, tb)))
@@ -200,9 +200,9 @@ def test_criterion_06_nonsecular_negative_populations():
     assert len(grid) >= 100
     low = []
     for tm in grid:
-        rho, _, _, _ = run_pipeline(system, {"A": 1.0, "B": 1.0},
-                                    {"A": tm + 5.0, "B": tm - 5.0},
-                                    "redfield")
+        rho, _, _ = run_pipeline(system, {"A": 1.0, "B": 1.0},
+                                 {"A": tm + 5.0, "B": tm - 5.0},
+                                 "redfield")
         pops = rho.populations
         low.append(min(pops[1], pops[3]))
     low = np.array(low)
@@ -213,10 +213,10 @@ def test_criterion_06_nonsecular_negative_populations():
     assert 5.5 <= edge <= 6.5
     # equal temperatures: the non-secular solve loses its coherences and
     # agrees with the secular populations
-    rho_r, _, _, _ = run_pipeline(system, {"A": 1.0, "B": 1.0},
-                                  {"A": 2.0, "B": 2.0}, "redfield")
-    rho_l, _, _, _ = run_pipeline(system, {"A": 1.0, "B": 1.0},
-                                  {"A": 2.0, "B": 2.0}, "lindblad")
+    rho_r, _, _ = run_pipeline(system, {"A": 1.0, "B": 1.0},
+                               {"A": 2.0, "B": 2.0}, "redfield")
+    rho_l, _, _ = run_pipeline(system, {"A": 1.0, "B": 1.0},
+                               {"A": 2.0, "B": 2.0}, "lindblad")
     assert float(np.abs(rho_r.coherences).max()) < 1e-10
     assert all(agree(p, q)
                for p, q in zip(rho_r.populations, rho_l.populations))
@@ -246,8 +246,8 @@ def test_criterion_08_decoupled_and_quenched_limits():
     # lam = 0: each qubit equilibrates with its own reservoir and the
     # steady state is the product of the two single-qubit states
     system, _ = make_coupled_qubits(1.0, 2.0, 0.0)
-    rho, q, _, _ = run_pipeline(system, {"A": 1.2, "B": 0.8},
-                                {"A": 2.0, "B": 0.7}, "lindblad")
+    rho, q, _ = run_pipeline(system, {"A": 1.2, "B": 0.8},
+                             {"A": 2.0, "B": 0.7}, "lindblad")
     n1 = planck_occupation(1.0, 2.0)
     n2 = planck_occupation(2.0, 0.7)
     p1 = n1 / (1.0 + 2.0 * n1)
@@ -259,9 +259,9 @@ def test_criterion_08_decoupled_and_quenched_limits():
     assert mismatch < 1e-10
     assert abs(q["A"]) < 1e-12 and abs(q["B"]) < 1e-12
     # quenched reservoir: detailed balance with the remaining bath alone
-    rho1, _, _, _ = run_pipeline(make_single_qubit(1.0),
-                                 {"A": 1.3, "B": 0.0}, {"A": 2.0, "B": 0.3},
-                                 "lindblad")
+    rho1, _, _ = run_pipeline(make_single_qubit(1.0),
+                              {"A": 1.3, "B": 0.0}, {"A": 2.0, "B": 0.3},
+                              "lindblad")
     ratio = rho1.populations[1] / rho1.populations[0]
     assert agree(ratio, math.exp(-1.0 / 2.0))
 
@@ -294,8 +294,8 @@ def test_criterion_09b_lindblad_steady_states_positive():
         worst = min(worst, positivity_report(pt["rho"]).min_eigenvalue)
     # the parameter point whose non-secular solve goes negative
     system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
-    rho, _, _, _ = run_pipeline(system, {"A": 1.0, "B": 1.0},
-                                {"A": 10.5, "B": 0.5}, "lindblad")
+    rho, _, _ = run_pipeline(system, {"A": 1.0, "B": 1.0},
+                             {"A": 10.5, "B": 0.5}, "lindblad")
     worst = min(worst, positivity_report(rho).min_eigenvalue)
     print(f"criterion 9b: smallest steady-state eigenvalue {worst:.3e}")
     assert worst >= -1e-10
@@ -330,8 +330,8 @@ def test_criterion_10_integrator_agrees_with_nullspace():
         else:
             system, _ = make_coupled_qubits(p["w1"], p["w2"], p["lam"])
             g_of = {"A": p["g"], "B": p["g"]}
-        rho_ss, _, _, liou = run_pipeline(system, g_of,
-                                          {"A": p["ta"], "B": p["tb"]}, mode)
+        rho_ss, _, liou = run_pipeline(system, g_of,
+                                       {"A": p["ta"], "B": p["tb"]}, mode)
         rho0 = DensityMatrix(dim=system.dim,
                              entries=np.eye(system.dim) / system.dim)
         rho_t = evolve(liou, rho0, 80.0, dt=0.005)
@@ -363,8 +363,8 @@ def test_criterion_11b_equilibrium_sweep_endpoints(tmp_path):
     system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
     devs, pops = {}, {}
     for t in (8.0, 16.0):
-        rho, _, _, _ = run_pipeline(system, {"A": 1.0, "B": 1.0},
-                                    {"A": t, "B": t}, "lindblad")
+        rho, _, _ = run_pipeline(system, {"A": 1.0, "B": 1.0},
+                                 {"A": t, "B": t}, "lindblad")
         pops[t] = rho.populations
         devs[t] = max(abs(p - 0.25) for p in rho.populations)
         weights = [math.exp(-e / t) for e in system.levels]

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qheat import (BathSpec, DensityMatrix, SteadyPoint, __version__, cli,
-                   kernel, law_checks, make_coupled_qubits,
+from qheat import (BathSpec, DensityMatrix, SteadyPoint, __version__, bath,
+                   cli, kernel, law_checks, make_coupled_qubits,
                    make_single_qubit, steady, steady_point)
 from qheat.cli import (PRESETS, UsageError, compute_point, main, parse_range,
                        render_sweep)
@@ -84,6 +84,39 @@ def test_single_point_report(capsys):
     assert "second law: pass" in out
     assert "conservation residual" in out
     assert "rho_11" in out and "rho_22" in out
+
+
+_FIRST_LAW_BREAKERS = [
+    # q_A is lost to cancellation at T_A = 1e14: |q_A + q_B| = 4.0e-4
+    ("single", "lindblad", ["--ta", "1e14", "--tb", "1"], "ta", "1e14:2e14:2"),
+    ("single", "redfield", ["--ta", "1e14", "--tb", "1"], "ta", "1e14:2e14:2"),
+    # the same cancellation in the pair, |q_A + q_B| = 1.5e-4 at |q_A| = 1;
+    # redfield points this hot fail the steady-state residual bound first
+    ("coupled", "lindblad", ["--lambda", "0.01", "--ta", "1e14", "--tb", "1e6"],
+     "ta", "1e14:2e14:2"),
+]
+
+
+@pytest.mark.parametrize("model, mode, flags, var, grid", _FIRST_LAW_BREAKERS)
+def test_point_command_refuses_what_a_sweep_marks_as_an_error(
+        model, mode, flags, var, grid, capsys):
+    """One first-law rule: a point whose |q_A + q_B| reaches
+    CONSERVATION_ROW_TOL is refused by the point command with the
+    message of its sweep row, with exit code 1, or 2 under
+    --strict-positivity as for the other RuntimeError refusals."""
+    sweep_flags = [f for i, f in enumerate(flags)
+                   if f != f"--{var}" and flags[i - 1] != f"--{var}"]
+    assert main(["sweep", "--model", model, "--mode", mode, *sweep_flags,
+                 "--var", var, f"--range={grid}", "--no-header"]) == 0
+    status = read_csv_text(capsys.readouterr().out)[2][0][-1]   # first row
+    assert status.startswith("error: conservation residual ")
+    for strict, code in (([], 1), (["--strict-positivity"], 2)):
+        assert main([model, "--mode", mode, *flags, *strict]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"qheat: {status.removeprefix('error: ')}\n"
+    if model == "single":
+        assert status == "error: conservation residual 3.996e-04"
 
 
 def test_equilibrium_point_report(capsys):
@@ -629,7 +662,7 @@ def test_bath_sweep_longer_than_chunk(monkeypatch):
     real_steady_point = cli.steady_point
 
     def counting_build(system, bath, reservoir, mode):
-        calls.append(len(bath))         # a lone BathSpec has no len
+        calls.append(len(bath.temperatures))    # a sweep's BathColumns
         return real_build(system, bath, reservoir, mode)
 
     def counting_solve(liou, **kwargs):
@@ -637,7 +670,7 @@ def test_bath_sweep_longer_than_chunk(monkeypatch):
         return real_solve(liou, **kwargs)
 
     def spying_steady_point(system, baths, mode):
-        temperatures.extend(b.temperature for b in baths["B"])
+        temperatures.extend(baths["B"].temperatures)
         return real_steady_point(system, baths, mode)
 
     # steady_point looks each layer up on its module
@@ -665,7 +698,7 @@ def test_system_sweep_is_one_one_entry_call_per_point(monkeypatch):
     real_steady_point = cli.steady_point
 
     def spying_steady_point(system, baths, mode):
-        lengths.append({r: len(b) for r, b in baths.items()})
+        lengths.append({r: len(b.temperatures) for r, b in baths.items()})
         return real_steady_point(system, baths, mode)
 
     monkeypatch.setattr(cli, "steady_point", spying_steady_point)
@@ -673,6 +706,62 @@ def test_system_sweep_is_one_one_entry_call_per_point(monkeypatch):
                                "w2", 1.5, 3.0, 7, comments=False)
     assert n_bad == 0
     assert lengths == [{"A": 1, "B": 1}] * 7
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_builds_bath_objects_independent_of_grid_count(name,
+                                                              monkeypatch):
+    """A preset's chunk hands its baths over as columns: the BathSpecs and
+    SpectralDensities a sweep builds do not grow with its grid."""
+    built = []
+    real_post_init = bath.BathSpec.__post_init__
+    real_init = bath.SpectralDensity.__init__
+
+    def counting_post_init(self):
+        built.append("BathSpec")
+        real_post_init(self)
+
+    def counting_init(self, *args, **kwargs):
+        built.append("SpectralDensity")
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bath.BathSpec, "__post_init__", counting_post_init)
+    monkeypatch.setattr(bath.SpectralDensity, "__init__", counting_init)
+    cfg = PRESETS[name]
+    params = {k: cfg[k] for k in cli._MODELS[cfg["model"]].flags}
+    counts = []
+    for count in (cfg["count"], 7):
+        built.clear()
+        render_sweep(cfg["model"], cfg["mode"], params, cfg["var"],
+                     cfg["start"], cfg["stop"], count)
+        counts.append((built.count("BathSpec"), built.count("SpectralDensity")))
+    assert counts[0] == counts[1] and counts[0][1] <= 2
+
+
+@pytest.mark.parametrize("model, mode, params, var, start, stop, count", [
+    # T_A = T + 5 and T_B = T - 5: T_A < 0 below T = -5, T_B < 0 below 5,
+    # and g = -0.5 is refused wherever both temperatures pass
+    ("coupled", "lindblad", dict(_COUPLED, ta=10.0, tb=0.0, g=-0.5), "tm",
+     -8.0, 8.0, 17),
+    ("coupled", "redfield", dict(_COUPLED, ta=10.0, tb=0.0), "tm",
+     -8.0, 8.0, 17),
+    # g_A across 0, with T_B = -1 refused only past g_A's own check
+    ("single", "lindblad", dict(_SINGLE, tb=-1.0), "ga", -1.0, 1.0, 9),
+    ("single", "redfield", _SINGLE, "ga", -1.0, 1.0, 9),
+])
+def test_mixed_sweep_rows_carry_their_one_point_messages(
+        model, mode, params, var, start, stop, count):
+    """In sweeps where some points are refused, every refused row's status
+    is the error its point raises alone, in grid order, and the solved
+    rows are those of their points alone."""
+    text, n_bad, _ = render_sweep(model, mode, params, var, start, stop,
+                                  count, comments=False)
+    rows = read_csv_text(text)[2]
+    want = read_csv_text(_per_point_csv(model, mode, params, var, start,
+                                        stop, count))[2]
+    assert rows == want
+    errors = [r[-1] for r in rows if r[-1] != "ok"]
+    assert n_bad == len(errors) and len(set(errors)) > 1
 
 
 @pytest.mark.parametrize("model, mode, params, message", [

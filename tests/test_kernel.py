@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from qheat import (BathSpec, NearDegeneracyError, SpectralDensity,
                    gibbs_state, kernel, make_coupled_qubits,
                    make_single_qubit, pair_index, planck_occupation,
                    steady_point)
+from qheat.bath import BathColumns
 
 
 def entry(K, p, pp, q, qp):
@@ -299,6 +301,12 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _tables(baths, omegas):
+    """kernel._correlations of a list of baths, given as its columns."""
+    return kernel._correlations([b.temperature for b in baths],
+                                [b.spectral_density for b in baths], omegas)
+
+
 def test_correlation_tables_equal_bath_correlation_byte_for_byte():
     """The tables' inlined Planck loop against the scalar bath_correlation:
     T = 0, omega/T > 700 (where exp(-omega/T) is subnormal) and exactly
@@ -309,9 +317,12 @@ def test_correlation_tables_equal_bath_correlation_byte_for_byte():
     table = SpectralDensity.from_table(
         {w: float(v) for w, v in zip(omegas, rng.uniform(0.0, 2.0, len(omegas)))})
     temps = [0.0, 1e-3, 0.5, 1e-4, *(10.0 ** rng.uniform(-3, 3, 40)).tolist()]
+    # three density objects, each shared by many baths and looked up once
+    densities = (SpectralDensity.constant(0.0), SpectralDensity.constant(1.3),
+                 table)
     baths = [BathSpec(temperature=t, spectral_density=g)
-             for t in temps for g in (0.0, 1.3, table)]
-    emission, absorption = kernel._correlations(baths, omegas)
+             for t in temps for g in densities]
+    emission, absorption = _tables(baths, omegas)
     assert emission.shape == absorption.shape == (len(baths), len(omegas))
     assert _bits(emission) == _bits([[bath_correlation(b, 1, 2, w)
                                       for w in omegas] for b in baths])
@@ -331,7 +342,7 @@ def test_correlation_tables_keep_planck_occupations_edges():
     omegas = [float(np.nextafter(700.0, 0.0)), float(np.nextafter(700.0, np.inf))]
     baths = [BathSpec(temperature=t, spectral_density=g)
              for t in (0.0, 1.0) for g in (0.0, 1.3)]
-    emission, absorption = kernel._correlations(baths, omegas)
+    emission, absorption = _tables(baths, omegas)
     assert _bits(emission) == _bits([[bath_correlation(b, 1, 2, w)
                                       for w in omegas] for b in baths])
     assert _bits(absorption) == _bits([[bath_correlation(b, 2, 1, -w)
@@ -359,6 +370,12 @@ def test_overflowing_kernel_names_its_tabulated_density(mode):
         "with spectral density SpectralDensity.from_table([(1.0, 1e+308)])")
 
 
+def _columns(baths):
+    """A list of BathSpecs as the BathColumns build_kernel reads."""
+    return BathColumns([b.temperature for b in baths],
+                       [b.spectral_density for b in baths])
+
+
 @pytest.mark.parametrize("mode", ["lindblad", "redfield"])
 def test_first_bath_missing_a_frequency_raises_its_own_error(mode):
     """Baths are read in stack order: the first one whose table misses a
@@ -382,10 +399,11 @@ def test_first_bath_missing_a_frequency_raises_its_own_error(mode):
             (baths(no_minus, no_plus), no_minus, minus)):
         with pytest.raises(SpectralLookupError) as alone:
             build_kernel(system, baths(culprit)[0], "A", mode)
-        with pytest.raises(SpectralLookupError) as exc:
-            build_kernel(system, stack, "A", mode)
-        assert str(exc.value) == str(alone.value)
-        assert str(exc.value).endswith(f"omega={missing!r}")
+        for form in (stack, _columns(stack)):
+            with pytest.raises(SpectralLookupError) as exc:
+                build_kernel(system, form, "A", mode)
+            assert str(exc.value) == str(alone.value)
+            assert str(exc.value).endswith(f"omega={missing!r}")
 
 
 @pytest.mark.parametrize("t, g, named", [
@@ -409,9 +427,11 @@ def test_overflowing_kernel_names_its_bath(system, t, g, named):
                 build_kernel(system, bad, "A", mode)
             assert str(exc.value) == message
             # in a stack, the first overflowing bath is named
-            with pytest.raises(ValueError) as exc:
-                build_kernel(system, [fine, bad, fine, worse], "A", mode)
-            assert str(exc.value) == message
+            stack = [fine, bad, fine, worse]
+            for form in (stack, _columns(stack)):
+                with pytest.raises(ValueError) as exc:
+                    build_kernel(system, form, "A", mode)
+                assert str(exc.value) == message
 
 
 def _random_system(rng, n):
@@ -447,6 +467,38 @@ def test_batched_build_equals_single_builds(name, mode):
         assert np.array_equal(data, single.data)
     assert np.array_equal(check_trace_condition(batch),
                           [check_trace_condition(k) for k in singles])
+    # the column form, with the densities shared by value, builds the
+    # list form's bytes
+    shared = {g: SpectralDensity.constant(g) for g in (0.0, 0.4, 1.0)}
+    columns = BathColumns(
+        [b.temperature for b in baths],
+        [shared[b.spectral_density.at([1.0])[0]] for b in baths])
+    assert build_kernel(system, columns, "A", mode).data.tobytes() == \
+        batch.data.tobytes()
+
+
+def test_bath_columns_refuse_what_a_bath_refuses():
+    one = SpectralDensity.constant(1.0)
+    for temperatures, densities, error, message in (
+            ([1.0, 2.0], [one], ValueError,
+             "bath columns differ in length: 2 temperatures, 1 spectral "
+             "densities"),
+            ([], [], ValueError, "bath columns are empty"),
+            ([1.0, -0.5, math.nan], [one] * 3, ValueError,
+             "temperature must be >= 0, got -0.5"),
+            ([1.0, math.inf], [one] * 2, ValueError,
+             "temperature must be finite, got inf"),
+            ([1.0], [1.0], TypeError,
+             "spectral densities must be SpectralDensity objects, got 1.0"),
+            # unhashable entries get the same message, and the first bad
+            # entry in bath order is named
+            ([1.0, 2.0], [[1.0], {}], TypeError,
+             "spectral densities must be SpectralDensity objects, got [1.0]"),
+            ([1.0] * 4, [one, 2.0, [3.0], 2.0], TypeError,
+             "spectral densities must be SpectralDensity objects, got 2.0")):
+        with pytest.raises(error) as exc:
+            BathColumns(temperatures, densities)
+        assert str(exc.value).startswith(message)
 
 
 def test_build_kernel_input_validation():
@@ -489,20 +541,23 @@ def test_combine_kernels_behaviour():
 
 def test_reservoir_labels_may_contain_plus():
     """Labels live only in the system's couplings and the keys of
-    steady_point's dicts, so any string serves and changes no number."""
+    steady_point's currents, so any string serves and changes no number."""
     hot = BathSpec(temperature=2.0, spectral_density=1.0)
     cold = BathSpec(temperature=0.5, spectral_density=0.7)
     qubit = make_single_qubit(1.0)
     s1 = qubit.couplings["A"]
     for mode in ("lindblad", "redfield"):
-        plus, plain = (
-            steady_point(SystemSpec(levels=qubit.levels,
-                                    couplings=dict.fromkeys(labels, s1)),
-                         dict(zip(labels, (hot, cold))), mode)
-            for labels in (("hot+1", "B"), ("A", "B")))
-        assert tuple(plus.kernels) == tuple(plus.currents) == ("hot+1", "B")
-        for r, r0 in (("hot+1", "A"), ("B", "B")):
-            assert np.array_equal(plus.kernels[r].data, plain.kernels[r0].data)
+        systems = {labels: SystemSpec(levels=qubit.levels,
+                                      couplings=dict.fromkeys(labels, s1))
+                   for labels in (("hot+1", "B"), ("A", "B"))}
+        plus, plain = (steady_point(system, dict(zip(labels, (hot, cold))),
+                                    mode)
+                       for labels, system in systems.items())
+        assert tuple(plus.currents) == ("hot+1", "B")
+        for r, r0, bath in (("hot+1", "A", hot), ("B", "B", cold)):
+            assert np.array_equal(
+                build_kernel(systems["hot+1", "B"], bath, r, mode).data,
+                build_kernel(systems["A", "B"], bath, r0, mode).data)
             assert plus.currents[r] == plain.currents[r0]
         assert np.array_equal(plus.rho.entries, plain.rho.entries)
 

@@ -149,6 +149,12 @@ def test_coupled_redfield_guards():
         coupled_redfield_closed(g=-1.0, t_a=1.5, t_b=1.0, **REF)
     with pytest.raises((TypeError, ValueError)):
         coupled_redfield_closed(g=lambda w: 1.0, t_a=1.5, t_b=1.0, **REF)
+    # at g = 1e-200 the rates are of order 1e-200 and their products in
+    # the normalisation underflow to 0: refused, not divided by
+    assert coupled_rates(g_a=1e-200, g_b=1e-200, t_a=1.5, t_b=1.0,
+                         **REF).n_norm == 0.0
+    with pytest.raises(ValueError, match="^normalisation factor vanished"):
+        coupled_redfield_closed(g=1e-200, t_a=1.5, t_b=1.0, **REF)
 
 
 def test_coherence_correction_shifts_populations():

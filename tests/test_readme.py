@@ -14,4 +14,6 @@ def test_readme_python_blocks_run_in_order():
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["stack"].rho.entries.shape == (3, 4, 4)
+    assert namespace["columns"].rho.entries.tobytes() == \
+        namespace["stack"].rho.entries.tobytes()
     assert namespace["currents"] == namespace["point"].currents

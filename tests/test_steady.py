@@ -44,7 +44,7 @@ def test_liouvillian_phase_and_population_rows():
 
 
 def test_single_qubit_steady_state_reference(single_pipeline):
-    rho, currents, _, _ = single_pipeline(1.0, 1.0, 1.0, 2.0, 1.0)
+    rho, currents, _ = single_pipeline(1.0, 1.0, 1.0, 2.0, 1.0)
     assert abs(rho.populations[1] - 0.3399216660850968) < 1e-12
     assert abs(rho.populations.sum() - 1.0) < 1e-13
     assert np.max(np.abs(rho.coherences)) < 1e-14
@@ -54,12 +54,12 @@ def test_single_qubit_steady_state_reference(single_pipeline):
 
 def test_solver_agrees_with_svd_path(single_pipeline, coupled_pipeline):
     cases = []
-    _, _, _, liou = single_pipeline(1.0, 1.0, 1.0, 2.0, 1.0)
+    _, _, liou = single_pipeline(1.0, 1.0, 1.0, 2.0, 1.0)
     cases.append(liou)
-    _, _, _, liou = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 1.5, 1.0)
+    _, _, liou = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 1.5, 1.0)
     cases.append(liou)
-    _, _, _, liou = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 10.5, 0.5,
-                                     mode="redfield")
+    _, _, liou = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 10.5, 0.5,
+                                  mode="redfield")
     cases.append(liou)
     for L in cases:
         direct = solve_steady_state(L)
@@ -72,16 +72,16 @@ def test_equilibrium_steady_state_is_gibbs(single_pipeline, coupled_pipeline):
     thermal2 = gibbs_state(make_single_qubit(1.0).levels, t)
     thermal4 = gibbs_state(make_coupled_qubits(1.0, 2.0, 0.5)[0].levels, t)
     for mode in ("lindblad", "redfield"):
-        rho, _, _, _ = single_pipeline(1.0, 1.0, 1.0, t, t, mode=mode)
+        rho, _, _ = single_pipeline(1.0, 1.0, 1.0, t, t, mode=mode)
         assert np.max(np.abs(rho.entries - thermal2.entries)) < 1e-12
-        rho, _, _, _ = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, t, t, mode=mode)
+        rho, _, _ = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, t, t, mode=mode)
         assert np.max(np.abs(rho.entries - thermal4.entries)) < 1e-12
 
 
 def test_population_block_solves_alone(coupled_pipeline):
     """The secular generator never mixes populations and coherences, so the
     4x4 population block must reproduce the full solve's diagonal."""
-    rho, _, _, liou = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 1.5, 1.0)
+    rho, _, liou = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 1.5, 1.0)
     pop = [pair_index(4, p, p) for p in range(4)]
     block = liou.matrix[np.ix_(pop, pop)].copy()
     block[0, :] = 1.0
@@ -121,8 +121,8 @@ def test_redfield_six_state_restriction():
 
 
 def test_redfield_spectator_coherences_vanish(coupled_pipeline):
-    rho, _, _, _ = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 10.5, 0.5,
-                                    mode="redfield")
+    rho, _, _ = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 10.5, 0.5,
+                                 mode="redfield")
     live = {(1, 2), (2, 1)}
     for i in range(4):
         for j in range(4):
@@ -184,7 +184,7 @@ def test_evolve_zero_time_is_identity():
 
 
 def test_evolve_relaxes_to_steady_state(coupled_pipeline):
-    rho_ss, _, _, liou = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 1.5, 1.0)
+    rho_ss, _, liou = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 1.5, 1.0)
     rho0 = DensityMatrix(dim=4, entries=np.eye(4) / 4)
     rho_t = evolve(liou, rho0, 80.0, dt=0.005)
     assert np.max(np.abs(rho_t.entries - rho_ss.entries)) < 1e-6
@@ -652,19 +652,19 @@ def test_positivity_report_cases(coupled_pipeline):
     assert clean.min_eigenvalue > 0
     assert clean.positive
     # the non-secular steady state at a strong thermal bias is not a state
-    rho, _, _, _ = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 10.5, 0.5,
-                                    mode="redfield")
+    rho, _, _ = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 10.5, 0.5,
+                                 mode="redfield")
     broken = positivity_report(rho)
     assert broken.min_population < 0
     assert broken.min_eigenvalue < -1e-10
     assert not broken.positive
     # the secular kernel keeps the same parameter point positive
-    rho, _, _, _ = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 10.5, 0.5)
+    rho, _, _ = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 10.5, 0.5)
     assert positivity_report(rho).min_eigenvalue >= -1e-10
 
 
 def test_solve_info_diagnostics(coupled_pipeline):
-    _, _, _, liou = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 1.5, 1.0)
+    _, _, liou = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 1.5, 1.0)
     rho, info = solve_steady_state(liou, full_output=True)
     assert info.residual < 1e-10
     assert info.hermiticity_defect < 1e-10
@@ -832,11 +832,27 @@ def _sparse_random_system(rng, n):
                       couplings=couplings)
 
 
+def _assert_split_matches_the_full_svd(m):
+    """For the stack m and for each of its entries alone, the split
+    spectrum is the full SVD's to rounding and gives its null count."""
+    full = np.linalg.svd(m, compute_uv=False)
+    stacked = steady._split_singular_values(m)
+    for j in range(len(m)):
+        alone = steady._split_singular_values(m[j])
+        for split in (stacked[j], alone):
+            assert np.allclose(np.sort(split)[::-1], full[j],
+                               rtol=0, atol=1e-12 * full[j, 0])
+            assert _null_count(split) == _null_count(full[j])
+    return full
+
+
 def test_split_null_count_equals_the_full_svd_count():
     """On random systems, N = 2..10 in both modes, the split spectrum is
     the full SVD's to rounding and gives the same null count, for each
     generator alone and for the stack of four, whose T = 0 baths, zero
-    spectral densities and zero coupling entries vary the pattern."""
+    spectral densities and zero coupling entries vary the pattern. The
+    coupled pair's (B, 16, 16) stacks, over T = 0..6 and g = 0..2 in both
+    modes, do too, on a pattern the block cache has not seen."""
     rng = np.random.default_rng(17)
     degenerate = patterns_differ = decoupled = 0
     for n in range(2, 11):
@@ -851,14 +867,7 @@ def test_split_null_count_equals_the_full_svd_count():
                 m = assemble_liouvillian(system, combine_kernels(
                     [build_kernel(system, baths[r], r, mode)
                      for r in ("A", "B")])).matrix
-                full = np.linalg.svd(m, compute_uv=False)
-                stacked = steady._split_singular_values(m)
-                for j in range(len(m)):
-                    alone = steady._split_singular_values(m[j])
-                    for split in (stacked[j], alone):
-                        assert np.allclose(np.sort(split)[::-1], full[j],
-                                           rtol=0, atol=1e-12 * full[j, 0])
-                        assert _null_count(split) == _null_count(full[j])
+                full = _assert_split_matches_the_full_svd(m)
                 degenerate += np.count_nonzero(_null_count(full) != 1)
                 nz = m != 0
                 patterns_differ += bool((nz != nz[0]).any())
@@ -866,6 +875,23 @@ def test_split_null_count_equals_the_full_svd_count():
                 decoupled += np.count_nonzero(~(off | off.T).any(axis=0))
     # the draws reach the cases the split must get right
     assert degenerate > 0 and patterns_differ > 0 and decoupled > 0
+    pair, _ = make_coupled_qubits(1.0, 2.0, 0.5)
+    steady._blocks.cache_clear()
+    for mode in ("lindblad", "redfield"):
+        baths = {r: [BathSpec(temperature=t, spectral_density=g)
+                     for t, g in zip(rng.uniform(0.0, 6.0, 12),
+                                     [0.0, *rng.uniform(0.0, 2.0, 11)])]
+                 for r in ("A", "B")}
+        if mode == "redfield":      # equal couplings keep the trace
+            baths["B"] = [BathSpec(temperature=b.temperature,
+                                   spectral_density=a.spectral_density)
+                          for a, b in zip(baths["A"], baths["B"])]
+        m = assemble_liouvillian(pair, combine_kernels(
+            [build_kernel(pair, baths[r], r, mode) for r in ("A", "B")])).matrix
+        assert m.shape == (12, 16, 16)
+        _assert_split_matches_the_full_svd(m)
+    # each mode's stack pattern, then each entry's own, missed the cache
+    assert steady._blocks.cache_info().misses >= 2
 
 
 def _generator(system, g_of, t_of, mode):
@@ -907,6 +933,53 @@ def test_trace_preserving_degenerate_message_comes_from_the_full_svd():
     with pytest.raises(DegenerateSteadyStateError) as exc:
         solve_steady_state(stack)
     assert str(exc.value) == expected
+
+
+def _two_level_generator(population_rate):
+    """A trace-preserving 4 x 4 generator: the population block
+    r [[-1, 1], [1, -1]], whose one null direction is the equal
+    populations when r > 0 and which is zero when r = 0, and coherences
+    that decay at rate 1."""
+    m = np.diag([-population_rate, -1.0, -1.0, -population_rate]) + 0j
+    m[0, 3] = m[3, 0] = population_rate
+    return m
+
+
+def test_a_split_count_the_full_svd_overrules_is_solved(monkeypatch):
+    """Rounding at the cutoff can make the split count two null
+    directions where the entry's full SVD counts one, and the full SVD
+    decides. The split is made to report a second zero, a coherence's,
+    for every entry of a stack: the entry with one null direction is
+    passed over, and the next, whose population block is zero, is
+    refused with its own message; alone, the first is solved."""
+    split = steady._split_singular_values
+
+    def split_with_a_second_zero(m):
+        sv = split(m)
+        sv[..., 1] = 0.0
+        return sv
+
+    monkeypatch.setattr(steady, "_split_singular_values",
+                        split_with_a_second_zero)
+    good, degenerate = _two_level_generator(2.0), _two_level_generator(0.0)
+    rho = solve_steady_state(Liouvillian(dim=2, matrix=good))
+    assert np.allclose(rho.entries, np.diag([0.5, 0.5]), atol=1e-15)
+    stack = Liouvillian(dim=2, matrix=np.stack([good, degenerate]))
+    with pytest.raises(DegenerateSteadyStateError,
+                       match="^nullspace dimension 2"):
+        solve_steady_state(stack)
+
+
+def test_a_traceless_null_vector_fails_the_trace_row_solve():
+    """One null direction, but a traceless one: the population block
+    [[-1, -1], [1, 1]] preserves trace and has the null vector (1, -1),
+    so the trace row makes the solved matrix singular, and the LU
+    failure is refused as a SteadyStateResidualError."""
+    m = np.diag([-1.0, -1.0, -1.0, 1.0]).astype(complex)
+    m[0, 3], m[3, 0] = -1.0, 1.0
+    with pytest.raises(SteadyStateResidualError) as exc:
+        solve_steady_state(Liouvillian(dim=2, matrix=m))
+    assert str(exc.value) == "trace-row solve failed: Singular matrix"
 
 
 _REFUSALS = {
@@ -985,11 +1058,15 @@ def test_every_lindblad_steady_state_is_positive(system, baths):
 
 
 def test_nullspace_check_makes_one_svd(monkeypatch):
+    """The split check takes one batched SVD per size of coupled block,
+    each block smaller than the N^2 x N^2 generator; a leaky generator
+    is refused before any SVD, and a degenerate one adds its full SVD."""
     system = _random_lindblad_system(10)
     g_of, t_of = {"A": 1.0, "B": 0.8}, {"A": 2.0, "B": 1.0}
     secular = _generator(system, g_of, t_of, "lindblad")
     leaky = _generator(system, g_of, t_of, "redfield")
     degenerate = _unreached_level_liouvillian(2.0)
+    pair, _ = make_coupled_qubits(1.0, 2.0, 0.5)
     shapes = []     # the matrix shape of every np.linalg.svd call
     svd = np.linalg.svd
 
@@ -999,7 +1076,13 @@ def test_nullspace_check_makes_one_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     solve_steady_state(secular)
-    assert len(shapes) == 1 and shapes[0][0] == shapes[0][1] < 100
+    assert len(shapes) == 1 and shapes[0][-2] == shapes[0][-1] < 100
+    # the coupled pair's blocks: [4, 2, 2, 2, 2] secular, [6, 4, 4] not
+    for mode, blocks in (("lindblad", {(4, 2, 2), (1, 4, 4)}),
+                         ("redfield", {(2, 4, 4), (1, 6, 6)})):
+        shapes.clear()
+        solve_steady_state(_generator(pair, {"A": 1.0, "B": 1.0}, t_of, mode))
+        assert len(shapes) == len(blocks) and set(shapes) == blocks
     shapes.clear()
     with pytest.raises(DegenerateSteadyStateError, match="preserve trace"):
         solve_steady_state(leaky)
@@ -1008,4 +1091,4 @@ def test_nullspace_check_makes_one_svd(monkeypatch):
     shapes.clear()
     with pytest.raises(DegenerateSteadyStateError):
         solve_steady_state(degenerate)
-    assert len(shapes) == 2 and shapes[0][0] < 9 and shapes[1] == (9, 9)
+    assert len(shapes) == 2 and shapes[0][-1] < 9 and shapes[1] == (9, 9)

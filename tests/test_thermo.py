@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qheat import (BathSpec, CurrentConsistencyError, CurrentReport,
-                   DensityMatrix, gibbs_state, law_checks, make_coupled_qubits,
+                   DensityMatrix, build_kernel, gibbs_state, law_checks, make_coupled_qubits,
                    make_single_qubit, planck_occupation, reservoir_current,
                    steady_point)
 from qheat.cli import PRESETS
@@ -12,22 +12,22 @@ from qheat.thermo import CURRENT_TOL
 
 
 def test_single_qubit_current_reference(single_pipeline):
-    _, currents, _, _ = single_pipeline(1.0, 1.0, 1.0, 2.0, 1.0)
+    _, currents, _ = single_pipeline(1.0, 1.0, 1.0, 2.0, 1.0)
     assert abs(currents["A"] - 0.1535979428592492) < 1e-12
     assert abs(currents["A"] + currents["B"]) < 1e-13
 
 
 def test_equilibrium_currents_vanish(single_pipeline, coupled_pipeline):
     for mode in ("lindblad", "redfield"):
-        _, q, _, _ = single_pipeline(1.0, 1.0, 1.0, 1.3, 1.3, mode=mode)
+        _, q, _ = single_pipeline(1.0, 1.0, 1.0, 1.3, 1.3, mode=mode)
         assert abs(q["A"]) < 1e-12 and abs(q["B"]) < 1e-12
-        _, q, _, _ = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 1.3, 1.3,
-                                      mode=mode)
+        _, q, _ = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 1.3, 1.3,
+                                   mode=mode)
         assert abs(q["A"]) < 1e-12 and abs(q["B"]) < 1e-12
 
 
 def test_coupled_current_reference(coupled_pipeline):
-    _, q, _, _ = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 1.5, 1.0)
+    _, q, _ = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 1.5, 1.0)
     assert abs(q["A"] - 0.05340806916420305) < 1e-12
     assert abs(q["A"] + q["B"]) < 1e-13
 
@@ -78,39 +78,43 @@ def test_second_law_passes_a_current_within_the_noise():
         assert alone.second_law == report.second_law[j]
 
 
-def test_reservoir_current_input_validation(coupled_pipeline):
-    _, _, kernels, _ = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 1.5, 1.0)
+def _coupled_kernel_a(mode):
+    """Reservoir A's kernel of the coupled pair at g = 1, T_A = 1.5."""
     system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
+    return system, build_kernel(
+        system, BathSpec(temperature=1.5, spectral_density=1.0), "A", mode)
+
+
+def test_reservoir_current_input_validation():
+    system, kernel_a = _coupled_kernel_a("lindblad")
     wrong_state = DensityMatrix(dim=2, entries=np.eye(2) / 2)
     with pytest.raises(ValueError):
-        reservoir_current(system, kernels["A"], wrong_state)
+        reservoir_current(system, kernel_a, wrong_state)
     with pytest.raises(ValueError,
                        match="^kernel dim 4 does not match system dim 2$"):
-        reservoir_current(make_single_qubit(1.0), kernels["A"], wrong_state)
+        reservoir_current(make_single_qubit(1.0), kernel_a, wrong_state)
 
 
-def test_imaginary_current_guard(coupled_pipeline):
+def test_imaginary_current_guard():
     # a corrupted (non-Hermitian) state pushed through the non-secular
     # kernel leaks an imaginary current component; that must raise
-    _, _, kernels, _ = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 1.0, 1.5, 1.0,
-                                        mode="redfield")
-    system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
+    system, kernel_a = _coupled_kernel_a("redfield")
     junk = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     junk[1, 2] = 1j
     with pytest.raises(CurrentConsistencyError):
-        reservoir_current(system, kernels["A"], DensityMatrix(dim=4, entries=junk))
+        reservoir_current(system, kernel_a, DensityMatrix(dim=4, entries=junk))
 
 
 def test_quenched_reservoir_equilibrates(single_pipeline, coupled_pipeline):
     # with one coupling switched off the currents die and the system
     # thermalises with the remaining reservoir
     omega0, ta = 1.0, 2.0
-    rho, q, _, _ = single_pipeline(omega0, 1.0, 0.0, ta, 1.0)
+    rho, q, _ = single_pipeline(omega0, 1.0, 0.0, ta, 1.0)
     assert abs(q["A"]) < 1e-13 and abs(q["B"]) < 1e-13
     ratio = rho.populations[1] / rho.populations[0]
     assert abs(ratio - np.exp(-omega0 / ta)) < 1e-12
     system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
-    rho, q, _, _ = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 0.0, ta, 1.0)
+    rho, q, _ = coupled_pipeline(1.0, 2.0, 0.5, 1.0, 0.0, ta, 1.0)
     assert abs(q["A"]) < 1e-13 and abs(q["B"]) < 1e-13
     thermal = gibbs_state(system.levels, ta)
     assert np.max(np.abs(rho.entries - thermal.entries)) < 1e-10
@@ -120,7 +124,7 @@ def test_decoupled_qubits_factorise(coupled_pipeline):
     """At lam = 0 each qubit talks only to its own reservoir: the joint
     state is the product of two thermal qubits and nothing flows."""
     w1, w2, ta, tb = 1.0, 2.0, 2.0, 0.7
-    rho, q, _, _ = coupled_pipeline(w1, w2, 0.0, 1.2, 0.8, ta, tb)
+    rho, q, _ = coupled_pipeline(w1, w2, 0.0, 1.2, 0.8, ta, tb)
     assert abs(q["A"]) < 1e-12 and abs(q["B"]) < 1e-12
     n1 = planck_occupation(w1, ta)
     n2 = planck_occupation(w2, tb)
@@ -133,12 +137,12 @@ def test_decoupled_qubits_factorise(coupled_pipeline):
 
 
 def test_second_law_direction(single_pipeline):
-    _, q, _, _ = single_pipeline(1.0, 1.0, 1.0, 2.0, 1.0)
+    _, q, _ = single_pipeline(1.0, 1.0, 1.0, 2.0, 1.0)
     report = law_checks((2.0, q["A"]), (1.0, q["B"]))
     assert report.second_law == "pass"
     assert q["A"] > 0
     # swap the bias, the current follows
-    _, q, _, _ = single_pipeline(1.0, 1.0, 1.0, 1.0, 2.0)
+    _, q, _ = single_pipeline(1.0, 1.0, 1.0, 1.0, 2.0)
     assert q["A"] < 0
     report = law_checks((1.0, q["A"]), (2.0, q["B"]))
     assert report.second_law == "pass"
