@@ -364,12 +364,15 @@ def _sweep_rows(record: _Model, mode, values, grid):
     temperature and its coupling, whose SpectralDensity is built once
     per coupling value and shared by every point with that value. A
     point whose parameters are refused gets its error row at once, with
-    the message BathSpec's own checks give. The others are cut into
-    chunks of consecutive points that share one system, at most
-    SWEEP_CHUNK long, and each chunk is one steady_point call with each
-    reservoir's baths as a BathColumns, a temperature column and one
-    shared density per entry, so no bath object is built per point and
-    every layer runs once on the chunk's (B, N^2, N^2) stack and
+    the message BathSpec's own checks give. Each temperature column is
+    flagged by one array test, and only a flagged temperature goes
+    through BathSpec's check for its message, at its place in that
+    order; BathColumns checks each chunk's columns once more. The others
+    are cut into chunks of consecutive points that share one system, at
+    most SWEEP_CHUNK long, and each chunk is one steady_point call with
+    each reservoir's baths as a BathColumns, a temperature column and
+    one shared density per entry, so no bath object is built per point
+    and every layer runs once on the chunk's (B, N^2, N^2) stack and
     law_checks once on its current and temperature arrays. Stack entries
     are bit-identical to one-point results, so every row equals the row
     of its point solved alone, and _first_law_error marks a row whose
@@ -380,11 +383,15 @@ def _sweep_rows(record: _Model, mode, values, grid):
     """
     lines = [None] * len(values)
     n_bad, ok_pops = 0, []
-    # per reservoir: temperature and coupling columns and the densities
-    # built so far, by coupling value (a swept column holds one zero at
-    # most, so 0.0 and -0.0 never share one)
-    reservoirs = [(grid[t], grid[g], {})
-                  for t, g in zip(_TEMPERATURE_FLAGS, record.coupling_keys)]
+    # per reservoir: temperature and coupling columns, whether BathSpec
+    # refuses each temperature (one array test, below 0, inf or NaN), and
+    # the densities built so far, by coupling value (a swept column holds
+    # one zero at most, so 0.0 and -0.0 never share one)
+    reservoirs = []
+    for t, g in zip(_TEMPERATURE_FLAGS, record.coupling_keys):
+        column = np.asarray(grid[t], dtype=float)
+        refused = ~((column >= 0.0) & (column < math.inf))
+        reservoirs.append((grid[t], grid[g], refused.tolist(), {}))
     chunks = []     # (system, grid indices, [densities] per reservoir)
     key = system = None
     for i, point_key in enumerate(zip(*(grid[k] for k in record.system_keys))):
@@ -392,9 +399,10 @@ def _sweep_rows(record: _Model, mode, values, grid):
             if point_key != key:
                 system, key = record.build_system(*point_key), point_key
             point = []
-            for temperatures, couplings, densities in reservoirs:
+            for temperatures, couplings, refused, densities in reservoirs:
                 # BathSpec's checks in its order: the temperature, then g
-                _check_temperature(temperatures[i])
+                if refused[i]:
+                    _check_temperature(temperatures[i])
                 g = couplings[i]
                 density = densities.get(g)
                 if density is None:
@@ -412,7 +420,7 @@ def _sweep_rows(record: _Model, mode, values, grid):
             column.append(density)
     for system, index, densities in chunks:     # grows as failing chunks split
         baths = {r: BathColumns([temperatures[i] for i in index], column)
-                 for r, (temperatures, _, _), column
+                 for r, (temperatures, *_), column
                  in zip(RESERVOIRS, reservoirs, densities)}
         try:
             stack = steady_point(system, baths, mode)

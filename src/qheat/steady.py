@@ -26,20 +26,22 @@ trace. The module holds:
 Liouvillian and DensityMatrix also hold stacks, (B, N^2, N^2) and
 (B, N, N), and assemble_liouvillian, solve_steady_state and
 positivity_report act on each entry of a stack at once: a sweep chunk of
-B points is one batched SVD per block size of the nullspace check, one
-batched LU solve and one batched eigvalsh. numpy's stacked linear algebra runs the same LAPACK call per
-entry, so every entry is bit-identical to the result for that entry's
-matrix alone. The one exception is the nullspace check, whose values
-are read only against its cutoff: a stack is split once for all its
-entries, into the connected blocks of the links any entry has, so an
-entry's singular values may differ in rounding from those of its own
-split. The split takes one batched SVD per block size, and its
-partition, which depends only on the pattern of nonzero entries, is
-cached by that pattern (_blocks), so a sweep's later chunks and every
-later point of one model pay a dict lookup for it. Diagnostics are Python scalars for one point and arrays
-over the batch axis for a stack (kernel._per_entry), and a failing entry
-raises the error its own matrix raises. A Liouvillian is only dim and
-matrix.
+B points is one batched det per block size of the nullspace
+certificate, one batched LU solve and one batched eigvalsh. numpy's
+stacked linear algebra runs the same LAPACK call per entry, so every
+entry is bit-identical to the result for that entry's matrix alone. The
+nullspace check is the one exception, as its values are read only
+against its cutoff: the certificate proves from dets and norms that an
+entry has exactly one null direction, and only the entries it leaves go
+through the split, one batched SVD per block size. Both take the
+connected blocks of the links any entry of the stack has, so an entry's
+values may differ in rounding from those of the entry alone, and the
+blocks, which depend only on the pattern of nonzero entries, are cached
+by that pattern (_blocks), so a sweep's later chunks and every later
+point of one model pay a dict lookup for them. Diagnostics are Python
+scalars for one point and arrays over the batch axis for a stack
+(kernel._per_entry), and a failing entry raises the error its own
+matrix raises. A Liouvillian is only dim and matrix.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10        # accepted ||M vec(rho)||_inf
 NULLSPACE_RTOL = 1e-10      # sigma_i <= rtol * sigma_max counts as zero
+_FRO_FLOOR = 2.0 ** -256    # a smaller ||M||_F may have lost digits to underflow
 TRACE_DRIFT_TOL = 1e-8
 RK4_RADIUS_TOL = 1e-9       # one-step propagator radius above 1 + tol
 EVOLVE_BLOCK = 64           # evolve steps between blow-up checks
@@ -187,9 +190,10 @@ def assemble_liouvillian(system: SystemSpec, K_total: SuperKernel) -> Liouvillia
 @functools.lru_cache(maxsize=64)
 def _blocks(pattern: bytes, n: int) -> tuple:
     """The connected blocks of more than one index of a link pattern,
-    grouped by size: one read-only (k, s) array per block size s, in
-    rising s, whose rows are the k blocks of that size, each in rising
-    index order.
+    grouped by size: per block size s, in rising s, a pair of read-only
+    arrays, the (k, s) indices whose rows are the k blocks of that size,
+    each in rising index order, and the (k, s, s) flat indices of their
+    submatrices' cells in a row-major n x n matrix.
 
     pattern holds the bytes of a symmetric n x n bool matrix with a
     false diagonal, index i linked to j where it is true. The blocks are
@@ -213,35 +217,101 @@ def _blocks(pattern: bytes, n: int) -> tuple:
                     seen[j] = True
                     block.append(j)
         by_size.setdefault(len(block), []).append(sorted(block))
-    groups = tuple(np.array(by_size[size]) for size in sorted(by_size))
-    for group in groups:
-        group.flags.writeable = False
-    return groups
+    groups = []
+    for size in sorted(by_size):
+        group = np.array(by_size[size])
+        cells = group[:, :, None] * n + group[:, None, :]
+        group.flags.writeable = cells.flags.writeable = False
+        groups.append((group, cells))
+    return tuple(groups)
+
+
+def _linked_blocks(m: np.ndarray) -> tuple:
+    """The _blocks of the links of m, index i linked to j when M_ij or
+    M_ji is nonzero in some entry of the stack."""
+    nz = m != 0
+    if nz.ndim > 2:
+        nz = nz.any(axis=0)
+    nz = nz | nz.T
+    nz.reshape(-1)[::len(nz) + 1] = False
+    return _blocks(nz.tobytes(), len(nz))
 
 
 def _split_singular_values(m: np.ndarray) -> np.ndarray:
     """The singular values of each generator in m, in no set order,
     taken block by block.
 
-    Index i is linked to j when M_ij or M_ji is nonzero in some entry of
-    the stack, and up to a permutation each M is the direct sum of the
-    submatrices of the connected blocks of those links, so the values of
-    the blocks together are M's singular spectrum. An index linked to
-    nothing gives |M_ii|; the blocks of each size s >= 2 go through one
-    batched SVD of their (k, s, s) submatrices, whose values take the
-    blocks' places in the list. The blocks come from _blocks, cached by
-    the pattern.
+    Up to a permutation each M is the direct sum of the submatrices of
+    the connected blocks of the links of the stack (_linked_blocks), so
+    the values of the blocks together are M's singular spectrum. An
+    index linked to nothing gives |M_ii|; the blocks of each size s >= 2
+    go through one batched SVD of their (k, s, s) submatrices, whose
+    values take the blocks' places in the list.
     """
-    nz = m != 0
-    if nz.ndim > 2:
-        nz = nz.any(axis=0)
-    nz = nz | nz.T
-    nz.reshape(-1)[::len(nz) + 1] = False
     sv = np.abs(m.diagonal(0, -2, -1))
-    for group in _blocks(nz.tobytes(), len(nz)):
-        sv[..., group] = np.linalg.svd(
-            m[..., group[:, :, None], group[:, None, :]], compute_uv=False)
+    cells_of = m.reshape(m.shape[:-2] + (-1,))
+    for group, cells in _linked_blocks(m):
+        sv[..., group] = np.linalg.svd(cells_of[..., cells], compute_uv=False)
     return sv
+
+
+def _det_bound(b: np.ndarray) -> np.ndarray:
+    """|det b| / ||b||_F^(s-1), a lower bound on the smallest singular
+    value of each s x s matrix of the stack b, which is |det b| over the
+    product of its s - 1 others, each at most ||b||_F.
+
+    Each matrix is first scaled by the power of two that puts its
+    largest real or imaginary part in [1/2, 1), which is exact, so
+    neither the det nor the norm overflows, and the bound is scaled back;
+    a zero matrix gives 0.
+    """
+    parts = np.ascontiguousarray(b).view(float)
+    e = np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
+    scaled = np.ldexp(parts, -e[..., None, None])
+    flat = scaled.reshape(e.shape + (-1,))
+    fro2 = np.vecdot(flat, flat)
+    det = np.abs(np.linalg.det(scaled.view(complex)))
+    # a nonzero scaled matrix has a part of at least 1/2, so the floor
+    # only turns a zero matrix's 0 / 0 into 0
+    return np.ldexp(det / np.maximum(fro2, 0.25) ** ((b.shape[-1] - 1) / 2), e)
+
+
+def _certified(m: np.ndarray, mp: np.ndarray,
+               trace_resid: np.ndarray) -> np.ndarray:
+    """Per entry of m, whether its split is sure to count exactly one
+    null direction, shown without an SVD; mp is m with the trace row in
+    row (0, 0), the matrix the solve factorises.
+
+    With s_1 >= ... >= s_d the singular values of an M of d = N^2 rows:
+    - s_{d-1}(M) >= s_min(M'), since M and M' share all rows but one;
+    - s_min(M') is the smallest of |M'_ii| over the indices linked to
+      nothing and of s_min over the blocks of M''s links
+      (_linked_blocks), each at least _det_bound;
+    - s_d(M) <= ||t^T M|| / ||t|| <= sqrt(N) * trace residual, t being
+      ones on the N population indices: t^T M holds the population
+      rows' column sums, N^2 of them, each at most the residual;
+    - ||M||_F / N <= s_1 <= ||M||_F.
+    So where that lower bound on s_min(M') exceeds 2 rtol ||M||_F and
+    sqrt(N) * residual is at most rtol ||M||_F / (2N), rtol being
+    NULLSPACE_RTOL, s_{d-1} > 2 rtol s_1 and s_d <= rtol s_1 / 2: one
+    value lies below the cutoff rtol s_1 and the next above it, each
+    with a factor of two to spare for the rounding of the split's SVD
+    and of these bounds. ||M||_F is one dot product of M's real view
+    with itself; where it overflows to inf the first condition fails,
+    and an entry with ||M||_F below 2^-256, whose squares may underflow,
+    is not certified.
+    """
+    n = math.isqrt(m.shape[-1])
+    parts = m.reshape(m.shape[:-2] + (-1,)).view(float)
+    with np.errstate(over="ignore"):
+        fro = np.sqrt(np.vecdot(parts, parts))
+    lower = np.abs(mp.diagonal(0, -2, -1))
+    cells_of = mp.reshape(mp.shape[:-2] + (-1,))
+    for group, cells in _linked_blocks(mp):
+        lower[..., group] = _det_bound(cells_of[..., cells])[..., None]
+    cutoff = NULLSPACE_RTOL * fro
+    return ((fro >= _FRO_FLOOR) & (lower.min(axis=-1) > 2 * cutoff)
+            & (math.sqrt(n) * trace_resid <= cutoff / (2 * n)))
 
 
 def _refuse_leaky(m: np.ndarray, trace_resid: np.ndarray):
@@ -287,36 +357,58 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
     DegenerateSteadyStateError naming that residual, TRACE_TOL and
     ||M||_inf. The relative bound separates a structural leak from the
     rounding of a large generator: coupled at T_A = 1e4 has a residual of
-    1.8e-12 at ||M||_inf 2.3e4 and is accepted. Every other generator has
-    its nullspace dimension checked through the singular spectrum of its
-    split: sigma_i <= 1e-10 sigma_max counts as zero, so every sigma_i
-    does when sigma_max is 0. M is, up to a permutation, the direct sum
-    of the submatrices of the connected blocks of its nonzero pattern
-    (i linked to j where M_ij or M_ji is nonzero). Each index linked to
-    nothing gives |M_ii|, and the blocks of each size go through one
-    batched SVD (_split_singular_values). A secular (lindblad) generator
-    couples each coherence only to coherences of the same Bohr
-    frequency, so at N = 10 its largest block is about N x N instead of
-    N^2 x N^2, and the coupled pair's 16 indices fall into blocks of 4,
-    2, 2, 2 and 2 (lindblad) or 6, 4 and 4 (redfield), plus decoupled
-    ones. Anything but exactly one null direction raises
-    DegenerateSteadyStateError with the singular values of the full
-    matrix below the cutoff and the trace residual; the entry's full
-    SVD is taken to say so, and an entry whose split counts other than
-    one null direction but whose full SVD counts one, which rounding at
-    the cutoff can make, is solved. The cutoff is set by the Bohr
-    frequencies, but the nonzero singular values of the population
-    block scale with the couplings g, so very weak coupling is refused
-    although its steady state is unique: at T = (2, 1), in either mode,
-    the single qubit (omega0 = 1) below g = 1.5e-11 and the coupled
-    pair (1, 2, 0.5) below g = 1.8e-10. The solve itself replaces the
-    (0,0) population row of M with the trace row (ones on the
-    population columns) and solves M' x = e_0 on the full matrix. M' is
-    singular when the one null vector is traceless, and that LU failure
-    is refused as a SteadyStateResidualError. The result is
-    symmetrised, renormalised, and only accepted if
-    ||M vec(rho)||_inf < 1e-10, an absolute bound; the error names
-    ||M||_inf of the failing generator.
+    1.8e-12 at ||M||_inf 2.3e4 and is accepted. Every other generator
+    must have exactly one null direction: sigma_i <= 1e-10 sigma_max
+    counts as zero, so every sigma_i does when sigma_max is 0.
+
+    The solve replaces the (0,0) population row of M with the trace row
+    (ones on the population columns), and this M' is built first,
+    because it also certifies the count without an SVD (_certified).
+    M' shares all rows of M but one, so the second-smallest singular
+    value of M is at least sigma_min(M'), which is bounded from below
+    by |det b| / ||b||_F^(s-1) over the s x s blocks b of M''s nonzero
+    pattern (one batched det per block size) and by |M'_ii| over the
+    indices linked to nothing; the trace row, which M nearly
+    annihilates, puts the smallest one at most sqrt(N) times the trace
+    residual; and ||M||_F / N <= sigma_max <= ||M||_F. An entry whose
+    bounds put the smallest value below half the cutoff and the next
+    above twice it counts exactly one null direction in the split too,
+    with room for rounding, and is passed. The certificate leaves weak
+    couplings, degenerate generators and generators far from unit scale
+    (whose ||M||_F is below 2^-256 or overflows, or next to whose
+    entries the trace row's ones weaken the det bound). The det bound
+    falls as g^(s-1), so the coupled pair at T = (2, 1) is certified at
+    g = 1e-3 but not 3e-4 in lindblad mode, and at 3e-3 but not 1e-3 in
+    redfield mode.
+
+    Only the entries the certificate leaves go through the split, one
+    batched call for all of them, whose count decides as it did without
+    the certificate. M is, up to a permutation, the direct sum of the
+    submatrices of the connected blocks of its nonzero pattern (i linked
+    to j where M_ij or M_ji is nonzero). Each index linked to nothing
+    gives |M_ii|, and the blocks of each size go through one batched SVD
+    (_split_singular_values). A secular (lindblad) generator couples
+    each coherence only to coherences of the same Bohr frequency, so at
+    N = 10 its largest block is about N x N instead of N^2 x N^2, and
+    the coupled pair's 16 indices fall into blocks of 4, 2, 2, 2 and 2
+    (lindblad) or 6, 4 and 4 (redfield), plus decoupled ones. Anything
+    but exactly one null direction raises DegenerateSteadyStateError
+    with the singular values of the full matrix below the cutoff and the
+    trace residual; the entry's full SVD is taken to say so, and an
+    entry whose split counts other than one null direction but whose
+    full SVD counts one, which rounding at the cutoff can make, is
+    solved. The cutoff is set by the Bohr frequencies, but the nonzero
+    singular values of the population block scale with the couplings g,
+    so very weak coupling is refused although its steady state is
+    unique: at T = (2, 1), in either mode, the single qubit
+    (omega0 = 1) below g = 1.5e-11 and the coupled pair (1, 2, 0.5)
+    below g = 1.8e-10.
+
+    The solve itself is M' x = e_0 on the full matrix. M' is singular
+    when the one null vector is traceless, and that LU failure is
+    refused as a SteadyStateResidualError. The result is symmetrised,
+    renormalised, and only accepted if ||M vec(rho)||_inf < 1e-10, an
+    absolute bound; the error names ||M||_inf of the failing generator.
 
     A stacked generator gives a stacked DensityMatrix, each entry
     bit-identical to the solve of that entry alone. Each check (leak,
@@ -330,14 +422,18 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
     trace_resid = _trace_residual(m, n)
     if trace_resid.max() > TRACE_TOL:
         _refuse_leaky(m, trace_resid)
-    sv = _split_singular_values(m)
-    counts = (sv <= NULLSPACE_RTOL * sv.max(axis=-1, keepdims=True)).sum(axis=-1)
-    if np.count_nonzero(counts != 1):
-        _refuse_degenerate(m, counts, trace_resid)
     row0 = pair_index(n, 0, 0)
     mp = m.copy()
     mp[..., row0, :] = 0.0
     mp[..., row0, ::n + 1] = 1.0        # the population columns (p, p)
+    certified = _certified(m, mp, trace_resid)
+    if not certified.all():         # the split counts the entries left
+        left = np.flatnonzero(~certified)
+        m_left = m.reshape((-1,) + m.shape[-2:])[left]
+        sv = _split_singular_values(m_left)
+        counts = (sv <= NULLSPACE_RTOL * sv.max(axis=-1, keepdims=True)).sum(axis=-1)
+        if np.count_nonzero(counts != 1):
+            _refuse_degenerate(m_left, counts, trace_resid.reshape(-1)[left])
     rhs = np.zeros(mp.shape[:-1] + (1,), dtype=complex)   # e_0 columns
     rhs[..., row0, 0] = 1.0
     try:

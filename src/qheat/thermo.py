@@ -75,14 +75,28 @@ def reservoir_current(system: SystemSpec, K_R: SuperKernel,
         raise ValueError(f"kernel dim {K_R.dim} does not match system dim {n}")
     if rho.dim != n:
         raise ValueError(f"state dim {rho.dim} does not match system dim {n}")
-    # the population rows (l, l) sit at flat indices 0, N+1, 2(N+1), ...;
-    # each is one (1, N^2) @ (N^2, 1) product, the same dot product for a
-    # single kernel and for every entry of a stack
-    pop_rows = K_R.data[..., ::n + 1, None, :]
+    return _current(system.levels, _population_rows(K_R), rho)
+
+
+def _population_rows(K: SuperKernel) -> np.ndarray:
+    """The N population rows (l, l) of a kernel, or of each entry of a
+    stack, (N, N^2) or (B, N, N^2): flat rows 0, N+1, 2(N+1), ... of its
+    data, the only rows a current reads. A view."""
+    return K.data[..., ::K.dim + 1, :]
+
+
+def _current(levels, pop_rows: np.ndarray, rho: DensityMatrix):
+    """q = sum_l E_l K_{(l,l),.} vec(rho) from a kernel's population rows
+    (_population_rows), per entry for a stack; the first entry with an
+    imaginary current raises. Each row is one (1, N^2) @ (N^2, 1)
+    product, the same dot product for a single kernel and for every
+    entry of a stack, so a stacked current is bit-identical to the
+    current of that entry alone."""
+    n = rho.dim
     vec = rho.entries.reshape(rho.entries.shape[:-2] + (1, n * n, 1))
-    dots = (pop_rows @ vec)[..., 0, 0].T          # (N,) or (N, B)
+    dots = (pop_rows[..., None, :] @ vec)[..., 0, 0].T      # (N,) or (N, B)
     q = 0j
-    for energy, dot in zip(system.levels, dots):
+    for energy, dot in zip(levels, dots):
         q = q + energy * dot
     imaginary = abs(q.imag) > CURRENT_TOL
     if np.count_nonzero(imaginary):
@@ -146,21 +160,28 @@ def steady_point(system: SystemSpec, baths: dict, mode: str) -> SteadyPoint:
     points to B baths, as a BathColumns or a list of B BathSpecs;
     kernels are combined in the order of baths. Each layer (build_kernel
     per reservoir, combine_kernels, assemble_liouvillian,
-    solve_steady_state, reservoir_current per reservoir,
-    positivity_report) runs once, looked up on its module at
-    call time, so a wrapper put on the module attribute sees every call.
-    Stacks of unequal length are refused by combine_kernels, which names
-    both shapes; the first entry that fails a check raises the error it
-    raises alone. The per-reservoir kernels are not kept: each is read
-    only for its reservoir's current.
+    solve_steady_state, positivity_report) runs once, looked up on its
+    module at call time, so a wrapper put on the module attribute sees
+    every call. Stacks of unequal length are refused by combine_kernels,
+    which names both shapes; the first entry that fails a check raises
+    the error it raises alone. Once combined, each reservoir's kernel is
+    cut to its N population rows, the only rows its current reads; the
+    kernels are let go before the generator is built and their sum once
+    it is, so from then on a chunk holds two (B, N^2, N^2) stacks at
+    most, the generator and the solve's trace-row copy. Each current is
+    reservoir_current's formula (_current) on those rows, so it is
+    bit-identical to reservoir_current on the whole kernel.
     """
-    kernels = {r: kernel.build_kernel(system, b, r, mode)
-               for r, b in baths.items()}
-    liou = steady.assemble_liouvillian(
-        system, kernel.combine_kernels(kernels.values()))
+    kernels = [kernel.build_kernel(system, b, r, mode) for r, b in baths.items()]
+    total = kernel.combine_kernels(kernels)
+    rows = [_population_rows(k).copy() for k in kernels]
+    del kernels
+    liou = steady.assemble_liouvillian(system, total)
+    del total
     rho, info = steady.solve_steady_state(liou, full_output=True)
     return SteadyPoint(
         rho=rho,
-        currents={r: reservoir_current(system, k, rho) for r, k in kernels.items()},
+        currents={r: _current(system.levels, pop_rows, rho)
+                  for r, pop_rows in zip(baths, rows)},
         liouvillian=liou, solve_info=info,
         positivity=steady.positivity_report(rho))

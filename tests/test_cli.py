@@ -764,6 +764,38 @@ def test_mixed_sweep_rows_carry_their_one_point_messages(
     assert n_bad == len(errors) and len(set(errors)) > 1
 
 
+@pytest.mark.parametrize("ta", [math.inf, -math.inf, math.nan, -0.0])
+def test_sweep_rows_of_a_bad_temperature_carry_their_one_point_messages(ta):
+    """A temperature the array test flags (inf, -inf, NaN) gets the error
+    row its point raises alone, named before a coupling below 0; -0.0,
+    which it passes, is solved where the coupling is good."""
+    params = dict(_SINGLE, ta=ta)
+    text, n_bad, _ = render_sweep("single", "lindblad", params, "ga",
+                                  -1.0, 1.0, 5, comments=False)
+    assert text == _per_point_csv("single", "lindblad", params, "ga",
+                                  -1.0, 1.0, 5)
+    rows = read_csv_text(text)[2]
+    temperature_errors = sum("temperature" in r[-1] for r in rows)
+    assert (n_bad, temperature_errors) == ((2, 0) if ta == 0.0 else (5, 5))
+
+
+def test_a_sweep_checks_each_temperature_once(monkeypatch, capsys):
+    """fig3's 161 points are each checked once per reservoir, by the
+    BathColumns of their chunk: 322 calls of the temperature check."""
+    calls = []
+    check = bath._check_temperature
+
+    def counted(T):
+        calls.append(T)
+        check(T)
+
+    monkeypatch.setattr(bath, "_check_temperature", counted)
+    monkeypatch.setattr(cli, "_check_temperature", counted)
+    assert main(["preset", "fig3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2 * PRESETS["fig3"]["count"]
+
+
 @pytest.mark.parametrize("model, mode, params, message", [
     ("triple", "lindblad", _COUPLED,
      "unknown model 'triple'; valid: single, coupled"),

@@ -1,9 +1,11 @@
+import contextlib
+import io
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, target
+from hypothesis import given, reject, target
 from hypothesis import strategies as st
 
 from qheat import (BathSpec, DegenerateSteadyStateError, DensityMatrix,
@@ -16,6 +18,8 @@ from qheat import (BathSpec, DegenerateSteadyStateError, DensityMatrix,
                    positivity_report, reservoir_current, solve_steady_state,
                    steady_point, svd_steady_state)
 from qheat import steady
+from qheat.cli import PRESETS
+from qheat.cli import main as cli_main
 from qheat.steady import EVOLVE_BLOCK
 from test_kernel_properties import (PROPERTY_SETTINGS, _baths, _kernels,
                                     lindblad_systems)
@@ -945,20 +949,30 @@ def _two_level_generator(population_rate):
     return m
 
 
+def _certify_nothing(m, mp, trace_resid):
+    """The certificate switched off: every entry goes to the split."""
+    return np.zeros(m.shape[:-2], dtype=bool)
+
+
 def test_a_split_count_the_full_svd_overrules_is_solved(monkeypatch):
     """Rounding at the cutoff can make the split count two null
     directions where the entry's full SVD counts one, and the full SVD
-    decides. The split is made to report a second zero, a coherence's,
-    for every entry of a stack: the entry with one null direction is
-    passed over, and the next, whose population block is zero, is
-    refused with its own message; alone, the first is solved."""
+    decides. The certificate is made to decide nothing, so every entry
+    goes through the split, and the split is made to report a second
+    zero, a coherence's, for every entry of a stack: the entry with one
+    null direction is passed over, and the next, whose population block
+    is zero, is refused with its own message; alone, the first is
+    solved."""
     split = steady._split_singular_values
+    splits = []
 
     def split_with_a_second_zero(m):
+        splits.append(m.shape)
         sv = split(m)
         sv[..., 1] = 0.0
         return sv
 
+    monkeypatch.setattr(steady, "_certified", _certify_nothing)
     monkeypatch.setattr(steady, "_split_singular_values",
                         split_with_a_second_zero)
     good, degenerate = _two_level_generator(2.0), _two_level_generator(0.0)
@@ -968,6 +982,7 @@ def test_a_split_count_the_full_svd_overrules_is_solved(monkeypatch):
     with pytest.raises(DegenerateSteadyStateError,
                        match="^nullspace dimension 2"):
         solve_steady_state(stack)
+    assert splits == [(1, 4, 4), (2, 4, 4)]
 
 
 def test_a_traceless_null_vector_fails_the_trace_row_solve():
@@ -1058,37 +1073,190 @@ def test_every_lindblad_steady_state_is_positive(system, baths):
 
 
 def test_nullspace_check_makes_one_svd(monkeypatch):
-    """The split check takes one batched SVD per size of coupled block,
-    each block smaller than the N^2 x N^2 generator; a leaky generator
-    is refused before any SVD, and a degenerate one adds its full SVD."""
+    """The certificate takes one batched det per block size and no SVD
+    where it proves one null direction: the N = 10 lindblad generator,
+    the coupled pair in either mode and every preset chunk. The coupled
+    pair at g = 1e-6 is not certified and solves through the split, one
+    batched SVD per block size, each block smaller than N^2; a leaky
+    generator is refused before any det or SVD, and a degenerate one
+    adds its full SVD."""
     system = _random_lindblad_system(10)
     g_of, t_of = {"A": 1.0, "B": 0.8}, {"A": 2.0, "B": 1.0}
     secular = _generator(system, g_of, t_of, "lindblad")
     leaky = _generator(system, g_of, t_of, "redfield")
     degenerate = _unreached_level_liouvillian(2.0)
     pair, _ = make_coupled_qubits(1.0, 2.0, 0.5)
-    shapes = []     # the matrix shape of every np.linalg.svd call
-    svd = np.linalg.svd
+    calls = []      # (name, matrix shape) of every np.linalg.svd and det call
 
-    def spy(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+    def spy(name, f):
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return f(a, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    for name in ("svd", "det"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+
+    def svd_calls():
+        return [shape for name, shape in calls if name == "svd"]
+
     solve_steady_state(secular)
-    assert len(shapes) == 1 and shapes[0][-2] == shapes[0][-1] < 100
+    assert svd_calls() == [] and calls
+    assert all(shape[-1] < 100 for _, shape in calls)
     # the coupled pair's blocks: [4, 2, 2, 2, 2] secular, [6, 4, 4] not
     for mode, blocks in (("lindblad", {(4, 2, 2), (1, 4, 4)}),
                          ("redfield", {(2, 4, 4), (1, 6, 6)})):
-        shapes.clear()
+        calls.clear()
         solve_steady_state(_generator(pair, {"A": 1.0, "B": 1.0}, t_of, mode))
-        assert len(shapes) == len(blocks) and set(shapes) == blocks
-    shapes.clear()
+        assert svd_calls() == [] and {shape for _, shape in calls} == blocks
+        # too weak to certify: the entry goes alone through the split
+        calls.clear()
+        weak = _generator(pair, {"A": 1e-6, "B": 1e-6}, t_of, mode)
+        rho = solve_steady_state(weak)
+        assert np.abs(weak.matrix @ rho.entries.reshape(-1)).max() < 1e-10
+        assert len(svd_calls()) == len(blocks)
+        assert set(svd_calls()) == {(1, *shape) for shape in blocks}
+        assert {shape for name, shape in calls if name == "det"} == blocks
+    for fig in PRESETS:
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["preset", fig]) == 0
+        assert svd_calls() == [] and len(calls) == 2
+        assert {shape[0] for _, shape in calls} == {PRESETS[fig]["count"]}
+    calls.clear()
     with pytest.raises(DegenerateSteadyStateError, match="preserve trace"):
         solve_steady_state(leaky)
-    assert shapes == []     # refused before any SVD
-    # a split check that finds an entry degenerate takes its full SVD
-    shapes.clear()
+    assert calls == []      # refused before any det or SVD
+    # an entry the certificate leaves and the split finds degenerate
+    # takes its full SVD
+    calls.clear()
     with pytest.raises(DegenerateSteadyStateError):
         solve_steady_state(degenerate)
+    shapes = svd_calls()
     assert len(shapes) == 2 and shapes[0][-1] < 9 and shapes[1] == (9, 9)
+
+
+_weak_g = st.one_of(st.just(0.0), st.floats(-14.0, 3.0).map(lambda x: 10.0 ** x))
+_wide_t = st.one_of(st.just(0.0), st.floats(-3.0, 8.0).map(lambda x: 10.0 ** x))
+
+
+@st.composite
+def _certificate_cases(draw):
+    """A generator of the single qubit, the coupled pair or a random
+    N = 2..6 system, in either mode, for one point or a stack of four,
+    with couplings down to 1e-14 and zero, temperatures from 1e-3 to
+    1e8 and zero; the two reservoirs share their coupling in about half
+    of the draws, which keeps a redfield pair's trace."""
+    system = draw(st.one_of(st.just(make_single_qubit(1.0)),
+                            st.just(make_coupled_qubits(1.0, 2.0, 0.5)[0]),
+                            lindblad_systems()))
+    mode = draw(st.sampled_from(["lindblad", "redfield"]))
+    stacked = draw(st.booleans())
+    shared = draw(st.booleans())
+    entries = []
+    for _ in range(4 if stacked else 1):
+        g_a = draw(_weak_g)
+        g_b = g_a if shared else draw(_weak_g)
+        entries.append({"A": BathSpec(temperature=draw(_wide_t), spectral_density=g_a),
+                        "B": BathSpec(temperature=draw(_wide_t), spectral_density=g_b)})
+    baths = {r: [e[r] for e in entries] if stacked else entries[0][r]
+             for r in ("A", "B")}
+    try:
+        return assemble_liouvillian(system, combine_kernels(
+            [build_kernel(system, baths[r], r, mode) for r in ("A", "B")]))
+    except NearDegeneracyError:
+        reject()
+
+
+def _solve_outcome(L):
+    """The state bytes of the solve, or its refusal's type and message."""
+    try:
+        return solve_steady_state(L).entries.tobytes()
+    except (DegenerateSteadyStateError, SteadyStateResidualError) as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(_certificate_cases())
+def test_the_certificate_passes_only_what_the_split_counts_as_one(L):
+    """Every entry the certificate passes has a split count of one,
+    stacked and alone, and the solve's outcome, state bytes or refusal
+    message, is the one it gives with the certificate switched off. The
+    smallest ratio of the second-smallest split value to the cutoff
+    among the certified entries is the hypothesis target."""
+    verdicts = []
+    certify = steady._certified
+
+    def spy(m, mp, trace_resid):
+        verdicts.append((m, certify(m, mp, trace_resid)))
+        return verdicts[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(steady, "_certified", spy)
+        outcome = _solve_outcome(L)
+        patch.setattr(steady, "_certified", _certify_nothing)
+        assert _solve_outcome(L) == outcome
+    margins = []
+    for m, certified in verdicts:
+        m = m.reshape((-1,) + m.shape[-2:])
+        stacked = steady._split_singular_values(m)
+        for j in np.flatnonzero(certified):
+            for sv in (stacked[j], steady._split_singular_values(m[j])):
+                assert _null_count(sv) == 1
+                margins.append(np.sort(sv)[1] / (steady.NULLSPACE_RTOL * sv.max()))
+    if margins:
+        target(-float(min(margins)), label="-(second value / cutoff)")
+
+
+def _scaled_coupled_generator(scales):
+    """The coupled lindblad pair at T = (2, 1), g = 1, times each scale,
+    as one generator or a stack."""
+    pair, _ = make_coupled_qubits(1.0, 2.0, 0.5)
+    m = _generator(pair, {"A": 1.0, "B": 1.0}, {"A": 2.0, "B": 1.0},
+                   "lindblad").matrix
+    return Liouvillian(dim=4, matrix=np.squeeze(np.stack([m * s for s in scales])))
+
+
+@pytest.mark.parametrize("scales, certified", [
+    ((1e160,), [False]),        # ||M||_F overflows
+    ((1e-300,), [False]),       # ||M||_F below 2^-256
+    ((1e6,), [True]),
+    ((1e160, 1.0, 1e-300, 1e-3), [False, True, False, True]),
+])
+def test_the_certificate_of_extreme_generators_warns_nothing(scales, certified):
+    """Generators with entries near 1e160 and 1e-300 fall back to the
+    split without a warning, and every outcome is the one the solve
+    gives with the certificate switched off; in a stack the certified
+    entries pass and only the others are split. The trace row of M' is
+    of order one, so far from that scale its det bound is too weak to
+    certify: this generator is certified from about 1e-4 to 1e8 times
+    its own scale."""
+    L = _scaled_coupled_generator(scales)
+    verdicts = []
+    certify = steady._certified
+
+    def spy(m, mp, trace_resid):
+        verdicts.append(certify(m, mp, trace_resid))
+        return verdicts[-1]
+
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("error")
+        patch.setattr(steady, "_certified", spy)
+        outcome = _solve_outcome(L)
+        patch.setattr(steady, "_certified", _certify_nothing)
+        assert _solve_outcome(L) == outcome
+    assert np.atleast_1d(verdicts[0]).tolist() == certified
+
+
+def test_the_point_at_ta_1e160_prints_no_warning(capsys):
+    """qheat single --ta 1e160 --tb 1 gives the output and exit code it
+    gives with the certificate switched off, and no warning."""
+    argv = ["single", "--ta", "1e160", "--tb", "1"]
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("error")
+        code = cli_main(argv)
+        out = capsys.readouterr()
+        patch.setattr(steady, "_certified", _certify_nothing)
+        assert cli_main(argv) == code == 1
+        assert capsys.readouterr() == out
+    assert out.err == "qheat: conservation residual 5.000e-01\n"

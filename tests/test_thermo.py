@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,3 +217,40 @@ def test_redfield_current_meets_lindblad_at_weak_coupling():
          for mode in ("redfield", "lindblad")}
     assert q["redfield"] == pytest.approx(0.1013764, abs=5e-8)
     assert q["lindblad"] == pytest.approx(0.1014395, abs=5e-8)
+
+
+@pytest.mark.parametrize("mode", ["lindblad", "redfield"])
+def test_steady_point_currents_are_reservoir_currents(mode):
+    """steady_point keeps only each kernel's population rows, and its
+    currents are those reservoir_current reads off the whole kernels,
+    bit for bit, for a stack and for one point."""
+    system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
+    temps = np.linspace(5.0, 8.0, 7)
+    baths = {"A": [BathSpec(temperature=t + 5.0, spectral_density=1.0) for t in temps],
+             "B": [BathSpec(temperature=t - 5.0, spectral_density=1.0) for t in temps]}
+    for chosen in (baths, {r: b[3] for r, b in baths.items()}):
+        point = steady_point(system, chosen, mode)
+        for r, b in chosen.items():
+            q = reservoir_current(system, build_kernel(system, b, r, mode),
+                                  point.rho)
+            assert np.asarray(point.currents[r]).tobytes() == np.asarray(q).tobytes()
+
+
+def test_a_steady_point_chunk_lets_its_kernels_go():
+    """A 161-entry coupled chunk, fig5's size, peaks below four
+    (B, N^2, N^2) stacks: the kernels and their sum are let go before
+    the generator is built, and afterwards only the generator is kept."""
+    system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
+    temps = np.linspace(5.0, 8.0, 161)
+    baths = {"A": [BathSpec(temperature=t + 5.0, spectral_density=1.0) for t in temps],
+             "B": [BathSpec(temperature=t - 5.0, spectral_density=1.0) for t in temps]}
+    steady_point(system, baths, "redfield")     # caches filled
+    stack = 161 * 16 * 16 * 16      # bytes of one complex (161, 16, 16) stack
+    tracemalloc.start()
+    try:
+        point = steady_point(system, baths, "redfield")
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * stack and kept < 1.5 * stack
+    assert point.liouvillian.matrix.nbytes == stack
