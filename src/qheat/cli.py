@@ -41,7 +41,7 @@ Configuration can also come from a JSON file via --config. Its keys are
 the flag names. Each entry is parsed as the flag --key=value placed
 before the command-line flags, so it passes the checks a flag passes and
 explicit flags win. The switches strict-positivity and no-header take
-true or false.
+true or false, and a null value is refused for any key (exit 1).
 
 --out PATH rewrites an existing file in place and cuts it to the new
 length, rather than truncating it first (see _write_output). main
@@ -196,7 +196,9 @@ class _Parser(argparse.ArgumentParser):
     def config_tokens(self, path: str) -> list:
         """A JSON config file's entries as --key=value tokens for this
         parser: true/false switch a flag, a string for a text flag goes in
-        verbatim, any other value as its JSON text (so "2" is no float)."""
+        verbatim, any other value as its JSON text (so "2" is no float).
+        A null value is refused with a UsageError naming its key, as no
+        flag takes one."""
         try:
             with open(path) as fh:
                 cfg = json.load(fh)
@@ -212,6 +214,9 @@ class _Parser(argparse.ArgumentParser):
             raise UsageError(f"unknown config keys {unknown}; known: {sorted(known)}")
         tokens = []
         for key, value in cfg.items():
+            if value is None:
+                raise UsageError(f"config {path!r} sets {key!r} to null; give "
+                                 f"a value or leave the key out")
             if known[key].nargs == 0 and isinstance(value, bool):
                 tokens += [f"--{key}"] if value else []
             elif isinstance(value, str) and known[key].type is None:

@@ -30,16 +30,16 @@ B points is one batched det per block size of the nullspace
 certificate, one batched LU solve and one batched eigvalsh. numpy's
 stacked linear algebra runs the same LAPACK call per entry, so every
 entry is bit-identical to the result for that entry's matrix alone. The
-nullspace check is the one exception, as its values are read only
-against its cutoff: the certificate proves from dets and norms that an
-entry has exactly one null direction, and only the entries it leaves go
-through the split, one batched SVD per block size. Both take the
-connected blocks of the links any entry of the stack has, so an entry's
-values may differ in rounding from those of the entry alone, and the
-blocks, which depend only on the pattern of nonzero entries, are cached
-by that pattern (_blocks), so a sweep's later chunks and every later
-point of one model pay a dict lookup for them. Diagnostics are Python
-scalars for one point and arrays over the batch axis for a stack
+certificate is the one exception, as its values are read only against
+bounds: it proves from dets and norms that an entry has exactly one
+null direction, and it takes the connected blocks of the links any
+entry of the stack has, so an entry's bounds may differ in rounding
+from those of the entry alone. The blocks, which depend only on the
+pattern of nonzero entries, are cached by that pattern (_blocks), so a
+sweep's later chunks and every later point of one model pay a dict
+lookup for them. The entries the certificate leaves go through one
+batched full SVD, whose values are each entry's own. Diagnostics are
+Python scalars for one point and arrays over the batch axis for a stack
 (kernel._per_entry), and a failing entry raises the error its own
 matrix raises. A Liouvillian is only dim and matrix.
 """
@@ -237,24 +237,6 @@ def _linked_blocks(m: np.ndarray) -> tuple:
     return _blocks(nz.tobytes(), len(nz))
 
 
-def _split_singular_values(m: np.ndarray) -> np.ndarray:
-    """The singular values of each generator in m, in no set order,
-    taken block by block.
-
-    Up to a permutation each M is the direct sum of the submatrices of
-    the connected blocks of the links of the stack (_linked_blocks), so
-    the values of the blocks together are M's singular spectrum. An
-    index linked to nothing gives |M_ii|; the blocks of each size s >= 2
-    go through one batched SVD of their (k, s, s) submatrices, whose
-    values take the blocks' places in the list.
-    """
-    sv = np.abs(m.diagonal(0, -2, -1))
-    cells_of = m.reshape(m.shape[:-2] + (-1,))
-    for group, cells in _linked_blocks(m):
-        sv[..., group] = np.linalg.svd(cells_of[..., cells], compute_uv=False)
-    return sv
-
-
 def _det_bound(b: np.ndarray) -> np.ndarray:
     """|det b| / ||b||_F^(s-1), a lower bound on the smallest singular
     value of each s x s matrix of the stack b, which is |det b| over the
@@ -278,7 +260,7 @@ def _det_bound(b: np.ndarray) -> np.ndarray:
 
 def _certified(m: np.ndarray, mp: np.ndarray,
                trace_resid: np.ndarray) -> np.ndarray:
-    """Per entry of m, whether its split is sure to count exactly one
+    """Per entry of m, whether its full SVD is sure to count exactly one
     null direction, shown without an SVD; mp is m with the trace row in
     row (0, 0), the matrix the solve factorises.
 
@@ -295,7 +277,7 @@ def _certified(m: np.ndarray, mp: np.ndarray,
     sqrt(N) * residual is at most rtol ||M||_F / (2N), rtol being
     NULLSPACE_RTOL, s_{d-1} > 2 rtol s_1 and s_d <= rtol s_1 / 2: one
     value lies below the cutoff rtol s_1 and the next above it, each
-    with a factor of two to spare for the rounding of the split's SVD
+    with a factor of two to spare for the rounding of the full SVD
     and of these bounds. ||M||_F is one dot product of M's real view
     with itself; where it overflows to inf the first condition fails,
     and an entry with ||M||_F below 2^-256, whose squares may underflow,
@@ -329,23 +311,24 @@ def _refuse_leaky(m: np.ndarray, trace_resid: np.ndarray):
             f"trace")
 
 
-def _refuse_degenerate(m: np.ndarray, counts: np.ndarray, trace_resid: np.ndarray):
-    """Raise the DegenerateSteadyStateError of the first entry of m whose
-    full singular spectrum has other than one null direction.
+def _refuse_degenerate(m: np.ndarray, trace_resid: np.ndarray):
+    """Raise the DegenerateSteadyStateError of the first entry of the
+    (k, d, d) stack m whose singular spectrum has other than one null
+    direction.
 
-    Only the entries whose split counts are not 1 are looked at, each
-    through its own full SVD, so the message quotes the same values
-    for a point and for a stack."""
-    flat = m.reshape((-1,) + m.shape[-2:])
-    for j in np.flatnonzero(counts != 1):
-        sv_j = np.linalg.svd(flat[j], compute_uv=False)
-        null_sv = [float(x) for x in sv_j[sv_j <= NULLSPACE_RTOL * sv_j[0]]]
-        if len(null_sv) == 1:
-            continue
+    The values come from one batched SVD of the stack, which numpy takes
+    entry by entry, so they count each entry's null directions and the
+    message quotes the same values for a point and for a stack."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    null = sv <= NULLSPACE_RTOL * sv[:, :1]
+    wrong = null.sum(axis=-1) != 1
+    if np.count_nonzero(wrong):
+        j = np.flatnonzero(wrong)[0]
+        null_sv = [float(x) for x in sv[j][null[j]]]
         raise DegenerateSteadyStateError(
             f"nullspace dimension {len(null_sv)}, need exactly 1; "
-            f"singular values below cutoff: {null_sv}, sigma_max {sv_j[0]:g}; "
-            f"trace residual {trace_resid.reshape(-1)[j]:.3e}")
+            f"singular values below cutoff: {null_sv}, sigma_max {sv[j, 0]:g}; "
+            f"trace residual {trace_resid[j]:.3e}")
 
 
 def solve_steady_state(L: Liouvillian, full_output: bool = False):
@@ -367,42 +350,31 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
     M' shares all rows of M but one, so the second-smallest singular
     value of M is at least sigma_min(M'), which is bounded from below
     by |det b| / ||b||_F^(s-1) over the s x s blocks b of M''s nonzero
-    pattern (one batched det per block size) and by |M'_ii| over the
-    indices linked to nothing; the trace row, which M nearly
+    pattern (one batched det per block size; the coupled pair's 16
+    indices fall into blocks of 4, 2, 2, 2 and 2 in lindblad mode and
+    6, 4 and 4 in redfield mode, plus decoupled ones) and by |M'_ii|
+    over the indices linked to nothing; the trace row, which M nearly
     annihilates, puts the smallest one at most sqrt(N) times the trace
     residual; and ||M||_F / N <= sigma_max <= ||M||_F. An entry whose
     bounds put the smallest value below half the cutoff and the next
-    above twice it counts exactly one null direction in the split too,
-    with room for rounding, and is passed. The certificate leaves weak
-    couplings, degenerate generators and generators far from unit scale
-    (whose ||M||_F is below 2^-256 or overflows, or next to whose
+    above twice it counts exactly one null direction in its full SVD
+    too, with room for rounding, and is passed. The certificate leaves
+    weak couplings, degenerate generators and generators far from unit
+    scale (whose ||M||_F is below 2^-256 or overflows, or next to whose
     entries the trace row's ones weaken the det bound). The det bound
     falls as g^(s-1), so the coupled pair at T = (2, 1) is certified at
     g = 1e-3 but not 3e-4 in lindblad mode, and at 3e-3 but not 1e-3 in
     redfield mode.
 
-    Only the entries the certificate leaves go through the split, one
-    batched call for all of them, whose count decides as it did without
-    the certificate. M is, up to a permutation, the direct sum of the
-    submatrices of the connected blocks of its nonzero pattern (i linked
-    to j where M_ij or M_ji is nonzero). Each index linked to nothing
-    gives |M_ii|, and the blocks of each size go through one batched SVD
-    (_split_singular_values). A secular (lindblad) generator couples
-    each coherence only to coherences of the same Bohr frequency, so at
-    N = 10 its largest block is about N x N instead of N^2 x N^2, and
-    the coupled pair's 16 indices fall into blocks of 4, 2, 2, 2 and 2
-    (lindblad) or 6, 4 and 4 (redfield), plus decoupled ones. Anything
+    The entries the certificate leaves go through one batched full SVD
+    (_refuse_degenerate), whose values are each entry's own. Anything
     but exactly one null direction raises DegenerateSteadyStateError
-    with the singular values of the full matrix below the cutoff and the
-    trace residual; the entry's full SVD is taken to say so, and an
-    entry whose split counts other than one null direction but whose
-    full SVD counts one, which rounding at the cutoff can make, is
-    solved. The cutoff is set by the Bohr frequencies, but the nonzero
-    singular values of the population block scale with the couplings g,
-    so very weak coupling is refused although its steady state is
-    unique: at T = (2, 1), in either mode, the single qubit
-    (omega0 = 1) below g = 1.5e-11 and the coupled pair (1, 2, 0.5)
-    below g = 1.8e-10.
+    with the singular values below the cutoff and the trace residual.
+    The cutoff is set by the Bohr frequencies, but the nonzero singular
+    values of the population block scale with the couplings g, so very
+    weak coupling is refused although its steady state is unique: at
+    T = (2, 1), in either mode, the single qubit (omega0 = 1) below
+    g = 1.5e-11 and the coupled pair (1, 2, 0.5) below g = 1.8e-10.
 
     The solve itself is M' x = e_0 on the full matrix. M' is singular
     when the one null vector is traceless, and that LU failure is
@@ -427,13 +399,10 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
     mp[..., row0, :] = 0.0
     mp[..., row0, ::n + 1] = 1.0        # the population columns (p, p)
     certified = _certified(m, mp, trace_resid)
-    if not certified.all():         # the split counts the entries left
+    if not certified.all():         # the full SVD counts the entries left
         left = np.flatnonzero(~certified)
-        m_left = m.reshape((-1,) + m.shape[-2:])[left]
-        sv = _split_singular_values(m_left)
-        counts = (sv <= NULLSPACE_RTOL * sv.max(axis=-1, keepdims=True)).sum(axis=-1)
-        if np.count_nonzero(counts != 1):
-            _refuse_degenerate(m_left, counts, trace_resid.reshape(-1)[left])
+        _refuse_degenerate(m.reshape((-1,) + m.shape[-2:])[left],
+                           trace_resid.reshape(-1)[left])
     rhs = np.zeros(mp.shape[:-1] + (1,), dtype=complex)   # e_0 columns
     rhs[..., row0, 0] = 1.0
     try:

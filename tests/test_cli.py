@@ -482,6 +482,21 @@ def test_config_rejections(tmp_path, capsys):
         f"qheat: config {str(cfg)!r} must hold a JSON object\n"
 
 
+@pytest.mark.parametrize("key", ["out", "ta", "mode", "no-header"])
+def test_config_null_is_refused_naming_its_key(key, tmp_path, capsys,
+                                               monkeypatch):
+    """A JSON null is no flag value: it is refused before any flag is
+    parsed, and --out null writes no file named null."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "null.json"
+    cfg.write_text(json.dumps({"tb": 1.5, key: None}))
+    assert main(["single", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", (
+        f"qheat: config {str(cfg)!r} sets {key!r} to null; give a value or "
+        f"leave the key out\n"))
+    assert [p.name for p in tmp_path.iterdir()] == ["null.json"]
+
+
 def test_unwritable_output_path(tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert main(["single", "--out", str(target)]) == 1

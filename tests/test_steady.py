@@ -836,29 +836,95 @@ def _sparse_random_system(rng, n):
                       couplings=couplings)
 
 
-def _assert_split_matches_the_full_svd(m):
-    """For the stack m and for each of its entries alone, the split
-    spectrum is the full SVD's to rounding and gives its null count."""
-    full = np.linalg.svd(m, compute_uv=False)
-    stacked = steady._split_singular_values(m)
-    for j in range(len(m)):
-        alone = steady._split_singular_values(m[j])
-        for split in (stacked[j], alone):
-            assert np.allclose(np.sort(split)[::-1], full[j],
-                               rtol=0, atol=1e-12 * full[j, 0])
-            assert _null_count(split) == _null_count(full[j])
-    return full
+def _certify_nothing(m, mp, trace_resid):
+    """The certificate switched off: every entry goes to the full SVD."""
+    return np.zeros(m.shape[:-2], dtype=bool)
 
 
-def test_split_null_count_equals_the_full_svd_count():
-    """On random systems, N = 2..10 in both modes, the split spectrum is
-    the full SVD's to rounding and gives the same null count, for each
-    generator alone and for the stack of four, whose T = 0 baths, zero
-    spectral densities and zero coupling entries vary the pattern. The
-    coupled pair's (B, 16, 16) stacks, over T = 0..6 and g = 0..2 in both
-    modes, do too, on a pattern the block cache has not seen."""
+def _solve_outcome(L):
+    """The state bytes of the solve, or its refusal's type and message."""
+    try:
+        return solve_steady_state(L).entries.tobytes()
+    except (DegenerateSteadyStateError, SteadyStateResidualError) as exc:
+        return type(exc), str(exc)
+
+
+def _full_svd_refusal(m):
+    """The nullspace refusal of the one generator m, worded from its own
+    full SVD, or None where that SVD counts one null direction."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    null = [float(x) for x in sv[sv <= steady.NULLSPACE_RTOL * sv[0]]]
+    if len(null) == 1:
+        return None
+    residual = float(steady._trace_residual(m, math.isqrt(len(m))))
+    return (DegenerateSteadyStateError,
+            f"nullspace dimension {len(null)}, need exactly 1; singular values "
+            f"below cutoff: {null}, sigma_max {sv[0]:g}; trace residual "
+            f"{residual:.3e}")
+
+
+def _assert_refused_where_the_full_svd_counts_other_than_one(m):
+    """Each entry of the stack m alone that keeps its trace is refused
+    exactly where its full SVD counts other than one null direction,
+    with the message worded from that SVD; the stack raises the message
+    of its first leaky entry, else of its first degenerate one, else of
+    its first entry refused alone, and otherwise its states are the
+    bytes of the one-point solves. Returns the number of leaky,
+    degenerate and other entries."""
+    n = math.isqrt(m.shape[-1])
+    kinds, outcomes = [], []
+    for entry in m:
+        outcome = _solve_outcome(Liouvillian(dim=n, matrix=entry))
+        refusal = _full_svd_refusal(entry)
+        scale = np.abs(entry).sum(axis=-1).max()
+        if steady._trace_residual(entry, n) > steady.TRACE_TOL * max(1.0, scale):
+            assert outcome[0] is DegenerateSteadyStateError
+            assert outcome[1].endswith("the generator does not preserve trace")
+            kinds.append(0)
+        elif refusal is not None:
+            assert outcome == refusal
+            kinds.append(1)
+        else:
+            assert isinstance(outcome, bytes) or outcome[0] is SteadyStateResidualError
+            kinds.append(2)
+        outcomes.append(outcome)
+    stacked = _solve_outcome(Liouvillian(dim=n, matrix=m))
+    refused = [(k, o) for k, o in zip(kinds, outcomes) if not isinstance(o, bytes)]
+    if refused:     # min keeps the first entry of the earliest check
+        assert stacked == min(refused, key=lambda ko: ko[0])[1]
+    else:
+        assert stacked == b"".join(outcomes)
+    return np.bincount(kinds, minlength=3)
+
+
+def test_the_null_count_refuses_exactly_what_the_full_svd_counts_as_other_than_one():
+    """On random systems, N = 2..10 in both modes, alone and as stacks of
+    four whose T = 0 baths, zero spectral densities and zero coupling
+    entries vary the pattern, and on the coupled pair's (B, 16, 16)
+    stacks over T = 0..6 and g = 0..2 in both modes, on a pattern the
+    block cache has not seen: with the certificate on and switched off,
+    a generator that keeps its trace is refused exactly where its full
+    SVD counts other than one null direction, with that entry's own
+    message, and is otherwise solved to the bytes of its one-point
+    solve."""
     rng = np.random.default_rng(17)
-    degenerate = patterns_differ = decoupled = 0
+    counts = np.zeros(3, dtype=int)
+    certified = patterns_differ = decoupled = 0
+    certify = steady._certified
+
+    def spy(m, mp, trace_resid):
+        nonlocal certified
+        verdict = certify(m, mp, trace_resid)
+        certified += np.count_nonzero(verdict)
+        return verdict
+
+    def check(m):
+        nonlocal counts
+        for switch in (spy, _certify_nothing):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(steady, "_certified", switch)
+                counts += _assert_refused_where_the_full_svd_counts_other_than_one(m)
+
     for n in range(2, 11):
         for mode in ("lindblad", "redfield"):
             for _ in range(3):
@@ -871,14 +937,14 @@ def test_split_null_count_equals_the_full_svd_count():
                 m = assemble_liouvillian(system, combine_kernels(
                     [build_kernel(system, baths[r], r, mode)
                      for r in ("A", "B")])).matrix
-                full = _assert_split_matches_the_full_svd(m)
-                degenerate += np.count_nonzero(_null_count(full) != 1)
+                check(m)
                 nz = m != 0
                 patterns_differ += bool((nz != nz[0]).any())
                 off = nz.any(axis=0) & ~np.eye(n * n, dtype=bool)
                 decoupled += np.count_nonzero(~(off | off.T).any(axis=0))
-    # the draws reach the cases the split must get right
-    assert degenerate > 0 and patterns_differ > 0 and decoupled > 0
+    # the draws reach the cases the count must get right
+    assert counts.all() and certified > 0
+    assert patterns_differ > 0 and decoupled > 0
     pair, _ = make_coupled_qubits(1.0, 2.0, 0.5)
     steady._blocks.cache_clear()
     for mode in ("lindblad", "redfield"):
@@ -893,7 +959,7 @@ def test_split_null_count_equals_the_full_svd_count():
         m = assemble_liouvillian(pair, combine_kernels(
             [build_kernel(pair, baths[r], r, mode) for r in ("A", "B")])).matrix
         assert m.shape == (12, 16, 16)
-        _assert_split_matches_the_full_svd(m)
+        check(m)
     # each mode's stack pattern, then each entry's own, missed the cache
     assert steady._blocks.cache_info().misses >= 2
 
@@ -916,9 +982,8 @@ def _unreached_level_liouvillian(t_a):
 
 
 def test_trace_preserving_degenerate_message_comes_from_the_full_svd():
-    # at T_A = 1.5 the rounding-sized null value of the linked block
-    # differs in its bytes between the split and the full SVD, so the
-    # message shows which one it quotes
+    # the message quotes the values of the generator's own full SVD,
+    # the rounding-sized null value of the linked block among them
     L = _unreached_level_liouvillian(1.5)
     m = L.matrix
     sv = np.linalg.svd(m, compute_uv=False)
@@ -937,52 +1002,6 @@ def test_trace_preserving_degenerate_message_comes_from_the_full_svd():
     with pytest.raises(DegenerateSteadyStateError) as exc:
         solve_steady_state(stack)
     assert str(exc.value) == expected
-
-
-def _two_level_generator(population_rate):
-    """A trace-preserving 4 x 4 generator: the population block
-    r [[-1, 1], [1, -1]], whose one null direction is the equal
-    populations when r > 0 and which is zero when r = 0, and coherences
-    that decay at rate 1."""
-    m = np.diag([-population_rate, -1.0, -1.0, -population_rate]) + 0j
-    m[0, 3] = m[3, 0] = population_rate
-    return m
-
-
-def _certify_nothing(m, mp, trace_resid):
-    """The certificate switched off: every entry goes to the split."""
-    return np.zeros(m.shape[:-2], dtype=bool)
-
-
-def test_a_split_count_the_full_svd_overrules_is_solved(monkeypatch):
-    """Rounding at the cutoff can make the split count two null
-    directions where the entry's full SVD counts one, and the full SVD
-    decides. The certificate is made to decide nothing, so every entry
-    goes through the split, and the split is made to report a second
-    zero, a coherence's, for every entry of a stack: the entry with one
-    null direction is passed over, and the next, whose population block
-    is zero, is refused with its own message; alone, the first is
-    solved."""
-    split = steady._split_singular_values
-    splits = []
-
-    def split_with_a_second_zero(m):
-        splits.append(m.shape)
-        sv = split(m)
-        sv[..., 1] = 0.0
-        return sv
-
-    monkeypatch.setattr(steady, "_certified", _certify_nothing)
-    monkeypatch.setattr(steady, "_split_singular_values",
-                        split_with_a_second_zero)
-    good, degenerate = _two_level_generator(2.0), _two_level_generator(0.0)
-    rho = solve_steady_state(Liouvillian(dim=2, matrix=good))
-    assert np.allclose(rho.entries, np.diag([0.5, 0.5]), atol=1e-15)
-    stack = Liouvillian(dim=2, matrix=np.stack([good, degenerate]))
-    with pytest.raises(DegenerateSteadyStateError,
-                       match="^nullspace dimension 2"):
-        solve_steady_state(stack)
-    assert splits == [(1, 4, 4), (2, 4, 4)]
 
 
 def test_a_traceless_null_vector_fails_the_trace_row_solve():
@@ -1076,10 +1095,9 @@ def test_nullspace_check_makes_one_svd(monkeypatch):
     """The certificate takes one batched det per block size and no SVD
     where it proves one null direction: the N = 10 lindblad generator,
     the coupled pair in either mode and every preset chunk. The coupled
-    pair at g = 1e-6 is not certified and solves through the split, one
-    batched SVD per block size, each block smaller than N^2; a leaky
-    generator is refused before any det or SVD, and a degenerate one
-    adds its full SVD."""
+    pair at g = 1e-6 is not certified and is counted by one full SVD of
+    a one-entry sub-stack; a leaky generator is refused before any det
+    or SVD, and a degenerate one takes one full SVD too."""
     system = _random_lindblad_system(10)
     g_of, t_of = {"A": 1.0, "B": 0.8}, {"A": 2.0, "B": 1.0}
     secular = _generator(system, g_of, t_of, "lindblad")
@@ -1109,13 +1127,12 @@ def test_nullspace_check_makes_one_svd(monkeypatch):
         calls.clear()
         solve_steady_state(_generator(pair, {"A": 1.0, "B": 1.0}, t_of, mode))
         assert svd_calls() == [] and {shape for _, shape in calls} == blocks
-        # too weak to certify: the entry goes alone through the split
+        # too weak to certify: the entry alone takes one full SVD
         calls.clear()
         weak = _generator(pair, {"A": 1e-6, "B": 1e-6}, t_of, mode)
         rho = solve_steady_state(weak)
         assert np.abs(weak.matrix @ rho.entries.reshape(-1)).max() < 1e-10
-        assert len(svd_calls()) == len(blocks)
-        assert set(svd_calls()) == {(1, *shape) for shape in blocks}
+        assert svd_calls() == [(1, 16, 16)]
         assert {shape for name, shape in calls if name == "det"} == blocks
     for fig in PRESETS:
         calls.clear()
@@ -1127,13 +1144,11 @@ def test_nullspace_check_makes_one_svd(monkeypatch):
     with pytest.raises(DegenerateSteadyStateError, match="preserve trace"):
         solve_steady_state(leaky)
     assert calls == []      # refused before any det or SVD
-    # an entry the certificate leaves and the split finds degenerate
-    # takes its full SVD
+    # a degenerate entry the certificate leaves takes one full SVD
     calls.clear()
     with pytest.raises(DegenerateSteadyStateError):
         solve_steady_state(degenerate)
-    shapes = svd_calls()
-    assert len(shapes) == 2 and shapes[0][-1] < 9 and shapes[1] == (9, 9)
+    assert svd_calls() == [(1, 9, 9)]
 
 
 _weak_g = st.one_of(st.just(0.0), st.floats(-14.0, 3.0).map(lambda x: 10.0 ** x))
@@ -1168,22 +1183,14 @@ def _certificate_cases(draw):
         reject()
 
 
-def _solve_outcome(L):
-    """The state bytes of the solve, or its refusal's type and message."""
-    try:
-        return solve_steady_state(L).entries.tobytes()
-    except (DegenerateSteadyStateError, SteadyStateResidualError) as exc:
-        return type(exc), str(exc)
-
-
 @PROPERTY_SETTINGS
 @given(_certificate_cases())
-def test_the_certificate_passes_only_what_the_split_counts_as_one(L):
-    """Every entry the certificate passes has a split count of one,
-    stacked and alone, and the solve's outcome, state bytes or refusal
-    message, is the one it gives with the certificate switched off. The
-    smallest ratio of the second-smallest split value to the cutoff
-    among the certified entries is the hypothesis target."""
+def test_the_certificate_passes_only_what_the_full_svd_counts_as_one(L):
+    """Every entry the certificate passes has one null direction in its
+    full SVD, and the solve's outcome, state bytes or refusal message,
+    is the one it gives with the certificate switched off. The smallest
+    ratio of the second-smallest singular value to the cutoff among the
+    certified entries is the hypothesis target."""
     verdicts = []
     certify = steady._certified
 
@@ -1198,12 +1205,10 @@ def test_the_certificate_passes_only_what_the_split_counts_as_one(L):
         assert _solve_outcome(L) == outcome
     margins = []
     for m, certified in verdicts:
-        m = m.reshape((-1,) + m.shape[-2:])
-        stacked = steady._split_singular_values(m)
-        for j in np.flatnonzero(certified):
-            for sv in (stacked[j], steady._split_singular_values(m[j])):
-                assert _null_count(sv) == 1
-                margins.append(np.sort(sv)[1] / (steady.NULLSPACE_RTOL * sv.max()))
+        full = np.linalg.svd(m.reshape((-1,) + m.shape[-2:]), compute_uv=False)
+        for sv in full[certified.reshape(-1)]:
+            assert _null_count(sv) == 1
+            margins.append(sv[-2] / (steady.NULLSPACE_RTOL * sv[0]))
     if margins:
         target(-float(min(margins)), label="-(second value / cutoff)")
 
@@ -1225,9 +1230,9 @@ def _scaled_coupled_generator(scales):
 ])
 def test_the_certificate_of_extreme_generators_warns_nothing(scales, certified):
     """Generators with entries near 1e160 and 1e-300 fall back to the
-    split without a warning, and every outcome is the one the solve
+    full SVD without a warning, and every outcome is the one the solve
     gives with the certificate switched off; in a stack the certified
-    entries pass and only the others are split. The trace row of M' is
+    entries pass and only the others take the full SVD. The trace row of M' is
     of order one, so far from that scale its det bound is too weak to
     certify: this generator is certified from about 1e-4 to 1e8 times
     its own scale."""
