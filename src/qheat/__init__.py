@@ -11,8 +11,8 @@ qheat.models; the command line front end in qheat.cli.
 Units: hbar = k_B = 1 throughout.
 """
 
-from .bath import (BathSpec, SpectralDensity, SpectralLookupError,
-                   bath_correlation, planck_occupation)
+from .bath import (BathColumns, BathSpec, SpectralDensity,
+                   SpectralLookupError, bath_correlation, planck_occupation)
 from .kernel import (LINDBLAD, MODES, REDFIELD, NearDegeneracyError,
                      SuperKernel, build_kernel, check_trace_condition,
                      combine_kernels, degeneracy_tolerance, pair_index)
@@ -35,8 +35,8 @@ from .thermo import (SECOND_LAW_FAIL, SECOND_LAW_NA, SECOND_LAW_PASS,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BathSpec", "SpectralDensity", "SpectralLookupError", "bath_correlation",
-    "planck_occupation",
+    "BathSpec", "BathColumns", "SpectralDensity", "SpectralLookupError",
+    "bath_correlation", "planck_occupation",
     "SystemSpec", "CoupledDiag", "make_single_qubit", "make_coupled_qubits",
     "REDFIELD", "LINDBLAD", "MODES", "SuperKernel", "NearDegeneracyError",
     "build_kernel", "check_trace_condition", "combine_kernels",

@@ -171,7 +171,7 @@ class BathColumns:
     """B baths of one reservoir as two columns: bath i has temperature
     temperatures[i] and spectral density spectral_densities[i].
 
-    This is the form build_kernel reads, and the one a sweep hands over:
+    The one form in which build_kernel and steady_point take B baths:
     entries may share one SpectralDensity object, and each distinct
     object is looked up once per kernel. The columns must be equally
     long and not empty, every temperature must pass BathSpec's check

@@ -41,7 +41,8 @@ Configuration can also come from a JSON file via --config. Its keys are
 the flag names. Each entry is parsed as the flag --key=value placed
 before the command-line flags, so it passes the checks a flag passes and
 explicit flags win. The switches strict-positivity and no-header take
-true or false, and a null value is refused for any key (exit 1).
+true or false. A null, an array or an object is refused for any key,
+and true or false for any other key (exit 1).
 
 --out PATH rewrites an existing file in place and cuts it to the new
 length, rather than truncating it first (see _write_output). main
@@ -197,8 +198,8 @@ class _Parser(argparse.ArgumentParser):
         """A JSON config file's entries as --key=value tokens for this
         parser: true/false switch a flag, a string for a text flag goes in
         verbatim, any other value as its JSON text (so "2" is no float).
-        A null value is refused with a UsageError naming its key, as no
-        flag takes one."""
+        A null, an array, an object, or true/false for a flag that is no
+        switch, is refused with a UsageError naming its key."""
         try:
             with open(path) as fh:
                 cfg = json.load(fh)
@@ -214,10 +215,13 @@ class _Parser(argparse.ArgumentParser):
             raise UsageError(f"unknown config keys {unknown}; known: {sorted(known)}")
         tokens = []
         for key, value in cfg.items():
-            if value is None:
-                raise UsageError(f"config {path!r} sets {key!r} to null; give "
-                                 f"a value or leave the key out")
-            if known[key].nargs == 0 and isinstance(value, bool):
+            switch = known[key].nargs == 0
+            if value is None or isinstance(value, (list, dict)) or \
+                    (isinstance(value, bool) and not switch):
+                raise UsageError(f"config {path!r} sets {key!r} to "
+                                 f"{json.dumps(value)}; give a value or leave "
+                                 f"the key out")
+            if switch and isinstance(value, bool):
                 tokens += [f"--{key}"] if value else []
             elif isinstance(value, str) and known[key].type is None:
                 tokens.append(f"--{key}={value}")
@@ -573,8 +577,7 @@ def _point_command(model: str, args) -> int:
         return 2 if strict else 1
     _write_output(args.out,
                   format_point_report(model, args.mode, params, point, report))
-    if args.strict_positivity and \
-            point.positivity.min_eigenvalue < -POSITIVITY_TOL:
+    if args.strict_positivity and not point.positivity.positive:
         print(f"qheat: steady state fails positivity: min eigenvalue "
               f"{point.positivity.min_eigenvalue:.6e}", file=sys.stderr)
         return 2

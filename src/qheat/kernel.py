@@ -51,15 +51,14 @@ Cattaneo et al., NJP 21, 113045 (2019); Trushechkin, PRA 103, 062226
 (2021).
 
 build_kernel reads its baths as two columns, the temperatures and one
-spectral density per bath: a BathColumns is that form, and one BathSpec
-or a sequence of them is turned into it first, so one code path serves
-all three. The bath enters only through one correlation table
-D[b, x, y] = D(E_x - E_y) on supp X, of shape (B, N, N), bath axis
-first. It is filled from the distinct transition frequencies w of S^1:
-each distinct spectral density object is looked up once per w (a
-constant once in all), however many baths share it, and one call of
-qheat.bath's occupation rule, the one planck_occupation reads, gives
-every (bath, w), so that g (1 + n) and g n equal bath_correlation's
+spectral density per bath: a BathColumns of B baths is that form, and
+one BathSpec gives columns of length 1. The bath enters only through
+one correlation table D[b, x, y] = D(E_x - E_y) on supp X, of shape
+(B, N, N), bath axis first. It is filled from the distinct transition
+frequencies w of S^1: each distinct spectral density object is looked
+up once per w (a constant once in all), however many baths share it,
+and one call of qheat.bath's occupation rule, the one planck_occupation
+reads, gives every (bath, w), so that g (1 + n) and g n equal bath_correlation's
 D^{12}(w) and D^{21}(-w) byte for byte. Everything after the table is
 array algebra over that bath axis, with B = 1 for one bath (the axis is
 then dropped from the data) and B for B baths, so the same code yields
@@ -108,7 +107,6 @@ carries a reservoir label: steady_point keys kernels and currents by it.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,7 +264,7 @@ def _correlations(temperatures, densities, omegas: list):
 
 
 def build_kernel(system: SystemSpec,
-                 bath: BathSpec | BathColumns | Sequence[BathSpec],
+                 bath: BathSpec | BathColumns,
                  reservoir: str, mode: str) -> SuperKernel:
     """Dissipative kernel of one reservoir in Redfield or Lindblad mode.
 
@@ -275,13 +273,13 @@ def build_kernel(system: SystemSpec,
     constraint to the transfer term (see the module docstring).
 
     bath is one BathSpec, giving a kernel with (N^2, N^2) data, or B
-    baths as a BathColumns or a sequence of B BathSpecs, giving one
-    stacked kernel with (B, N^2, N^2) data whose entry data[i] is
-    bit-identical to the data of the one-bath build of bath i. Each form
-    is turned into the same two columns at the top, temperatures and
-    spectral densities, and all run the same array algebra over a
-    leading bath axis, of length 1 for one bath and dropped at the end;
-    the module docstring derives it.
+    baths as a BathColumns, giving one stacked kernel with
+    (B, N^2, N^2) data whose entry data[i] is bit-identical to the data
+    of the one-bath build of bath i. Both forms are read as the same two
+    columns at the top, temperatures and spectral densities, and run the
+    same array algebra over a leading bath axis, of length 1 for one
+    bath and dropped at the end; the module docstring derives it. Any
+    other object (a list of BathSpecs) raises a TypeError up front.
 
     The reservoir couples through X = S^1 + S^2, and the bath enters only
     through the correlation table D[b, x, y] = D(E_x - E_y) on supp X.
@@ -306,20 +304,16 @@ def build_kernel(system: SystemSpec,
     if reservoir not in system.couplings:
         raise KeyError(
             f"system has no reservoir {reservoir!r}; have {sorted(system.couplings)}")
-    # every form of bath as its two columns; batch is () for one BathSpec
+    # either form of bath as its two columns; batch is () for one BathSpec
     if isinstance(bath, BathSpec):
         temperatures, densities = (bath.temperature,), (bath.spectral_density,)
         batch = ()
-    else:
-        if not isinstance(bath, BathColumns):
-            baths = tuple(bath)
-            if not baths:
-                raise ValueError("bath sequence is empty; need at least one "
-                                 "BathSpec")
-            bath = BathColumns(tuple(b.temperature for b in baths),
-                               tuple(b.spectral_density for b in baths))
+    elif isinstance(bath, BathColumns):
         temperatures, densities = bath.temperatures, bath.spectral_densities
         batch = (len(temperatures),)
+    else:
+        raise TypeError(f"bath must be one BathSpec or one BathColumns, got "
+                        f"{type(bath).__name__}")
     n_baths = len(temperatures)
     n = system.dim
     E = np.array(system.levels)

@@ -20,10 +20,10 @@ steady_point is the whole pipeline in one call, and every composition in
 the package (the CLI's points and sweeps) goes through it: one kernel per
 reservoir, their sum, the generator, its trace-one null vector, each
 reservoir's current through its own kernel, and the positivity report.
-Given one bath per reservoir it solves one point; given B baths per
-reservoir (a BathColumns or a list of BathSpecs) it runs each layer once
-on the (B, N^2, N^2) stack, and every entry is bit-identical to the
-one-point result for its baths.
+Given one BathSpec per reservoir it solves one point; given a
+BathColumns of B baths per reservoir it runs each layer once on the
+(B, N^2, N^2) stack, and every entry is bit-identical to the one-point
+result for its baths.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ def steady_point(system: SystemSpec, baths: dict, mode: str) -> SteadyPoint:
     """Steady state, heat currents and diagnostics of system between baths.
 
     baths maps each reservoir label to one BathSpec, or for a stack of B
-    points to B baths, as a BathColumns or a list of B BathSpecs;
-    kernels are combined in the order of baths. Each layer (build_kernel
+    points to a BathColumns of B baths (build_kernel refuses any other
+    form); kernels are combined in the order of baths. Each layer (build_kernel
     per reservoir, combine_kernels, assemble_liouvillian,
     solve_steady_state, positivity_report) runs once, looked up on its
     module at call time, so a wrapper put on the module attribute sees

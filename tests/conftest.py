@@ -1,6 +1,15 @@
 import pytest
 
-from qheat import BathSpec, make_coupled_qubits, make_single_qubit, steady_point
+from qheat import (BathColumns, BathSpec, make_coupled_qubits, make_single_qubit,
+                   steady_point)
+
+
+def columns(baths):
+    """BathSpecs as the BathColumns of a stack, the one form in which
+    build_kernel and steady_point take more than one bath."""
+    baths = list(baths)
+    return BathColumns([b.temperature for b in baths],
+                       [b.spectral_density for b in baths])
 
 
 def _run_pipeline(system, mode, g_of, t_of):

@@ -19,7 +19,7 @@ def loop_kernel_data(system, bath, reservoir, mode):
     if isinstance(bath, BathSpec):
         baths, batch = (bath,), ()
     else:
-        baths = tuple(bath)
+        baths = tuple(map(BathSpec, bath.temperatures, bath.spectral_densities))
         batch = (len(baths),)
     n = system.dim
     E = system.levels
@@ -41,7 +41,7 @@ def loop_kernel_data(system, bath, reservoir, mode):
         channels.append((s[a], s[b], table))
 
     # out is data with the pair axes first, so out[row, col] is one entry
-    # for one bath and the B entries of a stack for a sequence
+    # for one bath and the B entries of a stack for a BathColumns
     data = np.zeros(batch + (n * n, n * n), dtype=complex)
     out = data.transpose(-2, -1, *range(len(batch)))
     with np.errstate(over="ignore", invalid="ignore"):

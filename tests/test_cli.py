@@ -485,16 +485,21 @@ def test_config_rejections(tmp_path, capsys):
 @pytest.mark.parametrize("key", ["out", "ta", "mode", "no-header"])
 def test_config_null_is_refused_naming_its_key(key, tmp_path, capsys,
                                                monkeypatch):
-    """A JSON null is no flag value: it is refused before any flag is
-    parsed, and --out null writes no file named null."""
+    """A JSON null, array or object is no flag value, nor is true or false
+    for a flag that is no switch: each is refused before any flag is
+    parsed, and --out null, true or [1] writes no file of that name."""
     monkeypatch.chdir(tmp_path)
-    cfg = tmp_path / "null.json"
-    cfg.write_text(json.dumps({"tb": 1.5, key: None}))
-    assert main(["single", "--config", str(cfg)]) == 1
-    assert capsys.readouterr() == ("", (
-        f"qheat: config {str(cfg)!r} sets {key!r} to null; give a value or "
-        f"leave the key out\n"))
-    assert [p.name for p in tmp_path.iterdir()] == ["null.json"]
+    cfg = tmp_path / "c.json"
+    refused = ["null", "[1]", '{"a": 1}']
+    if key != "no-header":
+        refused += ["true", "false"]
+    for text in refused:
+        cfg.write_text(json.dumps({"tb": 1.5, key: json.loads(text)}))
+        assert main(["single", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"qheat: config {str(cfg)!r} sets {key!r} to {text}; give a value "
+            f"or leave the key out\n"))
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_unwritable_output_path(tmp_path):
@@ -895,7 +900,6 @@ def test_cli_keeps_no_per_model_branch_or_table():
     ({"ta": "2"}, ["sweep", "--var", "tm", "--range", "1:2:2"]),
     ({"model": "triple"}, ["sweep", "--var", "ta", "--range", "1:2:2"]),
     ({"no-header": "false"}, ["sweep", "--var", "ta", "--range", "1:2:2"]),
-    ({"ta": True}, ["single"]),
 ])
 def test_config_values_pass_the_flag_checks(cfg, argv, tmp_path, capsys):
     path = tmp_path / "bad.json"

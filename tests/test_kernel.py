@@ -4,14 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from qheat import (BathSpec, NearDegeneracyError, SpectralDensity,
+from conftest import columns
+from qheat import (BathColumns, BathSpec, NearDegeneracyError, SpectralDensity,
                    SpectralLookupError, SuperKernel, SystemSpec,
                    bath_correlation, build_kernel, check_trace_condition,
                    combine_kernels, coupled_rates, degeneracy_tolerance,
                    gibbs_state, kernel, make_coupled_qubits,
                    make_single_qubit, pair_index, planck_occupation,
                    steady_point)
-from qheat.bath import BathColumns
 
 
 def entry(K, p, pp, q, qp):
@@ -241,11 +241,11 @@ def test_tabulated_spectral_density_queried_at_transitions_only():
         label="A")
     with pytest.raises(LookupError):
         build_kernel(system, bath_bad, "A", "redfield")
-    # the sequence form queries the tables the same way
-    kt_batch = build_kernel(system, [bath_c, bath_t], "A", "redfield")
+    # the column form queries the tables the same way
+    kt_batch = build_kernel(system, columns([bath_c, bath_t]), "A", "redfield")
     assert all(np.array_equal(data, kc.data) for data in kt_batch.data)
     with pytest.raises(SpectralLookupError):
-        build_kernel(system, [bath_c, bath_bad], "A", "redfield")
+        build_kernel(system, columns([bath_c, bath_bad]), "A", "redfield")
 
 
 class _CountingTable(dict):
@@ -290,8 +290,8 @@ def test_each_frequency_evaluated_once_per_bath(name, per_bath, n_baths,
         for log in logs:
             log.clear()
         for r in system.reservoirs:
-            build_kernel(system, baths[0] if n_baths is None else baths, r,
-                         mode)
+            build_kernel(system, baths[0] if n_baths is None
+                         else columns(baths), r, mode)
         for log in logs:
             assert len(log) == per_bath
             assert log == want
@@ -370,12 +370,6 @@ def test_overflowing_kernel_names_its_tabulated_density(mode):
         "with spectral density SpectralDensity.from_table([(1.0, 1e+308)])")
 
 
-def _columns(baths):
-    """A list of BathSpecs as the BathColumns build_kernel reads."""
-    return BathColumns([b.temperature for b in baths],
-                       [b.spectral_density for b in baths])
-
-
 @pytest.mark.parametrize("mode", ["lindblad", "redfield"])
 def test_first_bath_missing_a_frequency_raises_its_own_error(mode):
     """Baths are read in stack order: the first one whose table misses a
@@ -399,11 +393,10 @@ def test_first_bath_missing_a_frequency_raises_its_own_error(mode):
             (baths(no_minus, no_plus), no_minus, minus)):
         with pytest.raises(SpectralLookupError) as alone:
             build_kernel(system, baths(culprit)[0], "A", mode)
-        for form in (stack, _columns(stack)):
-            with pytest.raises(SpectralLookupError) as exc:
-                build_kernel(system, form, "A", mode)
-            assert str(exc.value) == str(alone.value)
-            assert str(exc.value).endswith(f"omega={missing!r}")
+        with pytest.raises(SpectralLookupError) as exc:
+            build_kernel(system, columns(stack), "A", mode)
+        assert str(exc.value) == str(alone.value)
+        assert str(exc.value).endswith(f"omega={missing!r}")
 
 
 @pytest.mark.parametrize("t, g, named", [
@@ -427,11 +420,10 @@ def test_overflowing_kernel_names_its_bath(system, t, g, named):
                 build_kernel(system, bad, "A", mode)
             assert str(exc.value) == message
             # in a stack, the first overflowing bath is named
-            stack = [fine, bad, fine, worse]
-            for form in (stack, _columns(stack)):
-                with pytest.raises(ValueError) as exc:
-                    build_kernel(system, form, "A", mode)
-                assert str(exc.value) == message
+            stack = columns([fine, bad, fine, worse])
+            with pytest.raises(ValueError) as exc:
+                build_kernel(system, stack, "A", mode)
+            assert str(exc.value) == message
 
 
 def _random_system(rng, n):
@@ -457,7 +449,7 @@ def test_batched_build_equals_single_builds(name, mode):
     system = _BATCH_SYSTEMS[name]
     baths = [BathSpec(temperature=t, spectral_density=g, label="A")
              for t in (0.0, 0.05, 0.7, 3.0, 16.0) for g in (0.0, 0.4, 1.0)]
-    batch = build_kernel(system, baths, "A", mode)
+    batch = build_kernel(system, columns(baths), "A", mode)
     d2 = system.dim ** 2
     assert batch.data.shape == (len(baths), d2, d2)
     assert batch.data.flags.c_contiguous
@@ -467,13 +459,12 @@ def test_batched_build_equals_single_builds(name, mode):
         assert np.array_equal(data, single.data)
     assert np.array_equal(check_trace_condition(batch),
                           [check_trace_condition(k) for k in singles])
-    # the column form, with the densities shared by value, builds the
-    # list form's bytes
+    # densities shared by value build the bytes of one density per bath
     shared = {g: SpectralDensity.constant(g) for g in (0.0, 0.4, 1.0)}
-    columns = BathColumns(
+    stack = BathColumns(
         [b.temperature for b in baths],
         [shared[b.spectral_density.at([1.0])[0]] for b in baths])
-    assert build_kernel(system, columns, "A", mode).data.tobytes() == \
+    assert build_kernel(system, stack, "A", mode).data.tobytes() == \
         batch.data.tobytes()
 
 
@@ -508,8 +499,30 @@ def test_build_kernel_input_validation():
         build_kernel(system, bath, "A", "secular")
     with pytest.raises(KeyError):
         build_kernel(system, bath, "C", "lindblad")
-    with pytest.raises(ValueError, match="bath sequence is empty"):
-        build_kernel(system, [], "A", "lindblad")
+
+
+@pytest.mark.parametrize("form", [list, tuple,
+                                  lambda baths: (b for b in baths)],
+                         ids=["list", "tuple", "generator"])
+def test_baths_other_than_a_spec_or_columns_are_refused(form, monkeypatch):
+    """build_kernel, and steady_point through it, take one BathSpec or a
+    BathColumns: a list, a tuple or a generator of BathSpecs, empty or
+    not, raises a TypeError naming both forms before any bath is read."""
+    def unreachable(*args):
+        raise AssertionError("a correlation table was filled")
+    monkeypatch.setattr(kernel, "_correlations", unreachable)
+    system = make_single_qubit(1.0)
+    bath = BathSpec(temperature=1.0, spectral_density=1.0)
+    for baths in ([], [bath, bath]):
+        message = ("bath must be one BathSpec or one BathColumns, got "
+                   f"{type(form(baths)).__name__}")
+        with pytest.raises(TypeError) as exc:
+            build_kernel(system, form(baths), "A", "lindblad")
+        assert str(exc.value) == message
+        with pytest.raises(TypeError) as exc:
+            steady_point(system, {r: form(baths) for r in system.reservoirs},
+                         "lindblad")
+        assert str(exc.value) == message
 
 
 def test_combine_kernels_behaviour():
@@ -529,8 +542,8 @@ def test_combine_kernels_behaviour():
         combine_kernels([ka, other])
     # a stack beside a single kernel, or stacks of unequal length, are
     # refused in either order instead of broadcasting
-    stack3 = build_kernel(system, [bath_b] * 3, "B", "lindblad")
-    stack1 = build_kernel(system, [bath_b], "B", "lindblad")
+    stack3 = build_kernel(system, columns([bath_b] * 3), "B", "lindblad")
+    stack1 = build_kernel(system, columns([bath_b]), "B", "lindblad")
     for first, second in ((stack3, ka), (ka, stack3), (stack3, stack1),
                           (stack1, stack3)):
         with pytest.raises(ValueError) as exc:

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import columns
 from kernel_oracle import loop_kernel_data
 from qheat import (BathSpec, MODES, SystemSpec, build_kernel,
                    make_coupled_qubits, make_single_qubit)
@@ -91,8 +92,8 @@ SYSTEMS = {
 
 BATHS = {
     "one": BathSpec(temperature=1.7, spectral_density=0.8),
-    "stack": [BathSpec(temperature=t, spectral_density=g)
-              for t, g in ((0.0, 1.0), (0.7, 0.0), (2.3, 1.4))],
+    "stack": columns(BathSpec(temperature=t, spectral_density=g)
+                     for t, g in ((0.0, 1.0), (0.7, 0.0), (2.3, 1.4))),
 }
 
 

@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, reject, settings, target
 from hypothesis import strategies as st
 
+from conftest import columns
 from qheat import (BathSpec, NearDegeneracyError, SystemSpec,
                    assemble_liouvillian, build_kernel,
                    check_trace_condition, combine_kernels, gibbs_state)
@@ -66,7 +67,8 @@ def test_gibbs_state_is_stationary_at_equal_temperatures(system, t, g_a, g_b):
 
 @PROPERTY_SETTINGS
 @given(lindblad_systems(), st.sampled_from(["lindblad", "redfield"]),
-       st.one_of(_baths, st.lists(_baths, min_size=3, max_size=3)), st.data())
+       st.one_of(_baths, st.lists(_baths, min_size=3, max_size=3).map(columns)),
+       st.data())
 def test_every_kernel_preserves_hermiticity(system, mode, bath, data):
     """K applied to a Hermitian rho is Hermitian, for one bath and for
     each entry of a 3-bath stack, to 1e-12 max(1, ||K||_inf); the

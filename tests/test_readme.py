@@ -1,19 +1,53 @@
 """The README's library examples run as written."""
 
+import ast
 import re
 from pathlib import Path
+
+import numpy as np
+
+import qheat
+from qheat import BathSpec, steady_point
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _python_blocks():
+    return re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                      flags=re.DOTALL | re.MULTILINE)
+
+
+def test_the_package_exports_what_the_readme_imports():
+    """Every name in qheat.__all__ resolves under a star import, and every
+    name the README imports from qheat is in __all__."""
+    namespace = {}
+    exec("from qheat import *", namespace)
+    assert [name for name in qheat.__all__ if name not in namespace] == []
+    imported = {alias.name for block in _python_blocks()
+                for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "qheat"
+                for alias in node.names}
+    assert "BathColumns" in imported
+    assert imported <= set(qheat.__all__)
+
+
 def test_readme_python_blocks_run_in_order():
-    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
-                        flags=re.DOTALL | re.MULTILINE)
+    blocks = _python_blocks()
     assert len(blocks) == 3
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
-    assert namespace["stack"].rho.entries.shape == (3, 4, 4)
-    assert namespace["columns"].rho.entries.tobytes() == \
-        namespace["stack"].rho.entries.tobytes()
+    stack = namespace["stack"]
+    assert stack.rho.entries.shape == (3, 4, 4)
+    # each entry of the stack is its own one-point steady_point
+    for j in range(3):
+        point = steady_point(namespace["system"], {
+            r: BathSpec(temperature=c.temperatures[j],
+                        spectral_density=c.spectral_densities[j])
+            for r, c in (("A", namespace["hot"]), ("B", namespace["cold"]))},
+            "lindblad")
+        assert stack.rho.entries[j].tobytes() == point.rho.entries.tobytes()
+        for r in "AB":
+            assert stack.currents[r][j].tobytes() == \
+                np.float64(point.currents[r]).tobytes()
     assert namespace["currents"] == namespace["point"].currents

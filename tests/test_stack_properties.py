@@ -16,6 +16,7 @@ so some draws are refused by the solve.
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import columns
 from qheat import BathSpec, steady_point
 from test_kernel_properties import PROPERTY_SETTINGS, RESERVOIRS, lindblad_systems
 
@@ -52,14 +53,14 @@ def test_stack_entries_equal_one_point_solves(system, mode, bath_lists):
     n_points = len(bath_lists[0])
     points = [dict(zip(RESERVOIRS, baths)) for baths in zip(*bath_lists)]
     alone = [_solve(system, p, mode) for p in points]
-    single = [_solve(system, {r: [b] for r, b in p.items()}, mode)
+    single = [_solve(system, {r: columns([b]) for r, b in p.items()}, mode)
               for p in points]
     for point, entry in zip(alone, single):
         if isinstance(point, tuple):
             assert entry == point
         else:
             assert not isinstance(entry, tuple) and _equal(entry, 0, point)
-    stack = _solve(system, dict(zip(RESERVOIRS, map(list, bath_lists))), mode)
+    stack = _solve(system, dict(zip(RESERVOIRS, map(columns, bath_lists))), mode)
     if isinstance(stack, tuple):
         assert stack in alone
     else:

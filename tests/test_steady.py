@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, reject, target
 from hypothesis import strategies as st
 
+from conftest import columns
 from qheat import (BathSpec, DegenerateSteadyStateError, DensityMatrix,
                    IntegrationError, Liouvillian, NearDegeneracyError,
                    PositivityReport, SolveInfo, SteadyStateResidualError,
@@ -716,9 +717,9 @@ def test_stacked_tail_equals_per_matrix_calls(case):
     stack give, entry by entry, exactly what they give on that entry's
     own 2-D kernels."""
     _, system, mode, g_of, temps = case
-    stacks = {r: build_kernel(system, [BathSpec(temperature=t[r],
-                                                spectral_density=g_of[r], label=r)
-                                       for t in temps], r, mode)
+    stacks = {r: build_kernel(system, columns(BathSpec(temperature=t[r],
+                                                       spectral_density=g_of[r])
+                                              for t in temps), r, mode)
               for r in ("A", "B")}
     L = assemble_liouvillian(system, combine_kernels([stacks["A"], stacks["B"]]))
     rho, info = solve_steady_state(L, full_output=True)
@@ -935,7 +936,7 @@ def test_the_null_count_refuses_exactly_what_the_full_svd_counts_as_other_than_o
                                       else rng.uniform(0.5, 1.5))
                              for _ in range(4)] for r in ("A", "B")}
                 m = assemble_liouvillian(system, combine_kernels(
-                    [build_kernel(system, baths[r], r, mode)
+                    [build_kernel(system, columns(baths[r]), r, mode)
                      for r in ("A", "B")])).matrix
                 check(m)
                 nz = m != 0
@@ -957,7 +958,8 @@ def test_the_null_count_refuses_exactly_what_the_full_svd_counts_as_other_than_o
                                    spectral_density=a.spectral_density)
                           for a, b in zip(baths["A"], baths["B"])]
         m = assemble_liouvillian(pair, combine_kernels(
-            [build_kernel(pair, baths[r], r, mode) for r in ("A", "B")])).matrix
+            [build_kernel(pair, columns(baths[r]), r, mode)
+             for r in ("A", "B")])).matrix
         assert m.shape == (12, 16, 16)
         check(m)
     # each mode's stack pattern, then each entry's own, missed the cache
@@ -1174,7 +1176,7 @@ def _certificate_cases(draw):
         g_b = g_a if shared else draw(_weak_g)
         entries.append({"A": BathSpec(temperature=draw(_wide_t), spectral_density=g_a),
                         "B": BathSpec(temperature=draw(_wide_t), spectral_density=g_b)})
-    baths = {r: [e[r] for e in entries] if stacked else entries[0][r]
+    baths = {r: columns(e[r] for e in entries) if stacked else entries[0][r]
              for r in ("A", "B")}
     try:
         return assemble_liouvillian(system, combine_kernels(

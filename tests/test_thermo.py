@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import columns
 from qheat import (BathSpec, CurrentConsistencyError, CurrentReport,
                    DensityMatrix, build_kernel, gibbs_state, law_checks, make_coupled_qubits,
                    make_single_qubit, planck_occupation, reservoir_current,
@@ -160,8 +161,8 @@ def test_stacked_steady_point_equals_one_point_calls(model, mode):
     points = [{"A": BathSpec(temperature=ta, spectral_density=1.0, label="A"),
                "B": BathSpec(temperature=tb, spectral_density=g_b, label="B")}
               for ta, tb in ((1.5, 1.0), (2.0, 0.5), (3.0, 1.2), (0.8, 0.8))]
-    stack = steady_point(system, {r: [p[r] for p in points] for r in "AB"},
-                         mode)
+    stack = steady_point(system, {r: columns(p[r] for p in points)
+                                  for r in "AB"}, mode)
     assert stack.rho.entries.shape == (len(points), system.dim, system.dim)
     for j, baths in enumerate(points):
         one = steady_point(system, baths, mode)
@@ -173,12 +174,13 @@ def test_stacked_steady_point_equals_one_point_calls(model, mode):
             np.float64(one.positivity.min_eigenvalue).tobytes()
 
 
-def test_steady_point_refuses_bath_lists_of_unequal_length():
+def test_steady_point_refuses_stacks_of_unequal_length():
     system = make_single_qubit(1.0)
     bath = BathSpec(temperature=1.0, spectral_density=1.0)
-    for a, b, shapes in (([bath] * 3, [bath] * 2, "(3, 4, 4) vs (2, 4, 4)"),
-                         ([bath] * 2, [bath] * 3, "(2, 4, 4) vs (3, 4, 4)"),
-                         (bath, [bath] * 3, "(4, 4) vs (3, 4, 4)")):
+    two, three = columns([bath] * 2), columns([bath] * 3)
+    for a, b, shapes in ((three, two, "(3, 4, 4) vs (2, 4, 4)"),
+                         (two, three, "(2, 4, 4) vs (3, 4, 4)"),
+                         (bath, three, "(4, 4) vs (3, 4, 4)")):
         with pytest.raises(ValueError) as exc:
             steady_point(system, {"A": a, "B": b}, "lindblad")
         assert str(exc.value) == f"kernel data shapes differ: {shapes}"
@@ -197,9 +199,9 @@ def test_redfield_regime_on_the_fig5_grid(g, second_law_fails, non_positive):
     tm = np.linspace(cfg["start"], cfg["stop"], cfg["count"])
     half = 0.5 * (cfg["ta"] - cfg["tb"])
     temps = {"A": tm + half, "B": tm - half}
-    point = steady_point(system, {r: [BathSpec(temperature=t,
-                                               spectral_density=g)
-                                      for t in temps[r]] for r in temps},
+    point = steady_point(system, {r: columns(BathSpec(temperature=t,
+                                                      spectral_density=g)
+                                             for t in temps[r]) for r in temps},
                          "redfield")
     report = law_checks(*((temps[r], point.currents[r]) for r in temps))
     assert np.count_nonzero(report.second_law == "fail") == second_law_fails
@@ -228,7 +230,8 @@ def test_steady_point_currents_are_reservoir_currents(mode):
     temps = np.linspace(5.0, 8.0, 7)
     baths = {"A": [BathSpec(temperature=t + 5.0, spectral_density=1.0) for t in temps],
              "B": [BathSpec(temperature=t - 5.0, spectral_density=1.0) for t in temps]}
-    for chosen in (baths, {r: b[3] for r, b in baths.items()}):
+    for chosen in ({r: columns(b) for r, b in baths.items()},
+                   {r: b[3] for r, b in baths.items()}):
         point = steady_point(system, chosen, mode)
         for r, b in chosen.items():
             q = reservoir_current(system, build_kernel(system, b, r, mode),
@@ -242,8 +245,10 @@ def test_a_steady_point_chunk_lets_its_kernels_go():
     the generator is built, and afterwards only the generator is kept."""
     system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
     temps = np.linspace(5.0, 8.0, 161)
-    baths = {"A": [BathSpec(temperature=t + 5.0, spectral_density=1.0) for t in temps],
-             "B": [BathSpec(temperature=t - 5.0, spectral_density=1.0) for t in temps]}
+    baths = {"A": columns(BathSpec(temperature=t + 5.0, spectral_density=1.0)
+                          for t in temps),
+             "B": columns(BathSpec(temperature=t - 5.0, spectral_density=1.0)
+                          for t in temps)}
     steady_point(system, baths, "redfield")     # caches filled
     stack = 161 * 16 * 16 * 16      # bytes of one complex (161, 16, 16) stack
     tracemalloc.start()
