@@ -234,7 +234,7 @@ def _add_model_flags(p, flags) -> None:
     for flag in flags.values():
         p.add_argument(f"--{flag.name}", type=float, default=argparse.SUPPRESS,
                        help=f"{flag.help} (default {flag.default:g})")
-    p.add_argument("--mode", choices=("lindblad", "redfield"),
+    p.add_argument("--mode", choices=sorted(MODES),
                    default="lindblad", help="kernel mode (default lindblad)")
 
 

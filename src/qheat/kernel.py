@@ -124,7 +124,6 @@ __all__ = [
     "check_trace_condition",
     "combine_kernels",
     "degeneracy_tolerance",
-    "pair_index",
 ]
 
 REDFIELD = "redfield"
@@ -175,11 +174,6 @@ def _trace_residual(matrix: np.ndarray, n: int) -> np.ndarray:
     an (N^2, N^2) matrix, per entry of a stack; its population rows (p, p)
     sit at flat indices 0, N+1, 2(N+1), ..."""
     return np.max(np.abs(matrix[..., ::n + 1, :].sum(axis=-2)), axis=-1)
-
-
-def pair_index(dim: int, p: int, q: int) -> int:
-    """Flat row-major index of the ordered level pair (p, q)."""
-    return p * dim + q
 
 
 def degeneracy_tolerance(levels) -> float:

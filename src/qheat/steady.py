@@ -53,8 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import _check_temperature
-from .kernel import (TRACE_TOL, SuperKernel, _frozen, _per_entry,
-                     _trace_residual, pair_index)
+from .kernel import TRACE_TOL, SuperKernel, _frozen, _per_entry, _trace_residual
 from .system import SystemSpec
 
 __all__ = [
@@ -124,10 +123,6 @@ class DensityMatrix:
         diag = np.arange(self.dim)
         m[..., diag, diag] = 0.0
         return m
-
-    @property
-    def trace(self):
-        return _per_entry(self.entries.trace(axis1=-2, axis2=-1), complex)
 
     def hermiticity_defect(self):
         e = self.entries
@@ -394,17 +389,16 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
     trace_resid = _trace_residual(m, n)
     if trace_resid.max() > TRACE_TOL:
         _refuse_leaky(m, trace_resid)
-    row0 = pair_index(n, 0, 0)
-    mp = m.copy()
-    mp[..., row0, :] = 0.0
-    mp[..., row0, ::n + 1] = 1.0        # the population columns (p, p)
+    mp = m.copy()                       # row 0, the pair (0, 0), becomes
+    mp[..., 0, :] = 0.0                 # the trace row
+    mp[..., 0, ::n + 1] = 1.0           # the population columns (p, p)
     certified = _certified(m, mp, trace_resid)
     if not certified.all():         # the full SVD counts the entries left
         left = np.flatnonzero(~certified)
         _refuse_degenerate(m.reshape((-1,) + m.shape[-2:])[left],
                            trace_resid.reshape(-1)[left])
     rhs = np.zeros(mp.shape[:-1] + (1,), dtype=complex)   # e_0 columns
-    rhs[..., row0, 0] = 1.0
+    rhs[..., 0, 0] = 1.0
     try:
         x = np.linalg.solve(mp, rhs)
     except np.linalg.LinAlgError as exc:
@@ -597,7 +591,6 @@ class PositivityReport:
 
     min_population: float
     min_eigenvalue: float
-    hermiticity_defect: float
 
     @property
     def positive(self) -> bool:
@@ -605,11 +598,10 @@ class PositivityReport:
 
 
 def positivity_report(rho: DensityMatrix) -> PositivityReport:
-    """Minimum population, minimum eigenvalue of the Hermitian part, defect;
+    """Minimum population and minimum eigenvalue of the Hermitian part;
     per entry for a stacked rho."""
     e = rho.entries
     eigs = np.linalg.eigvalsh(0.5 * (e + e.conj().swapaxes(-1, -2)))
     return PositivityReport(
         min_population=_per_entry(rho.populations.min(axis=-1)),
-        min_eigenvalue=_per_entry(eigs[..., 0]),
-        hermiticity_defect=rho.hermiticity_defect())
+        min_eigenvalue=_per_entry(eigs[..., 0]))

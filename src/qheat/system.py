@@ -33,7 +33,8 @@ class SystemSpec:
     levels: finite energies E_n in ascending order, at least two.
     couplings: reservoir label -> raising-channel operator S^1 in the
         energy basis, finite entries; the lowering channel S^2 is its
-        conjugate transpose.
+        conjugate transpose. Labels are kept as strings, so two labels
+        with one string (1 and "1") are refused.
 
     Every nonzero S^1_{pq} must have E_p - E_q > 0 (the raising channel
     raises the system energy). That is what guarantees the bath
@@ -54,8 +55,13 @@ class SystemSpec:
         n = len(levels)
         E = np.array(levels)
         lowering = E[:, None] <= E      # E_p - E_q <= 0 exactly where E_p <= E_q
-        coups = {}
+        coups, labels = {}, {}
         for label, s1 in dict(self.couplings).items():
+            name = str(label)
+            if name in labels:
+                raise ValueError(f"reservoir labels {labels[name]!r} and "
+                                 f"{label!r} are the same string {name!r}")
+            labels[name] = label
             s1 = np.array(s1, dtype=complex)
             if s1.shape != (n, n):
                 raise ValueError(
@@ -70,17 +76,13 @@ class SystemSpec:
                     f"coupling {label!r} entry ({p},{q}) does not raise energy "
                     f"(E_p - E_q = {levels[p] - levels[q]:g})")
             s1.flags.writeable = False
-            coups[str(label)] = s1
+            coups[name] = s1
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "couplings", coups)
 
     @property
     def dim(self) -> int:
         return len(self.levels)
-
-    @property
-    def reservoirs(self) -> tuple:
-        return tuple(self.couplings)
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,9 @@ def steady_point(system: SystemSpec, baths: dict, mode: str) -> SteadyPoint:
 
     baths maps each reservoir label to one BathSpec, or for a stack of B
     points to a BathColumns of B baths (build_kernel refuses any other
-    form); kernels are combined in the order of baths. Each layer (build_kernel
+    form); kernels are combined in the order of baths. Its keys must be
+    the labels of system.couplings: a ValueError naming the missing and
+    unknown labels is raised before any kernel is built. Each layer (build_kernel
     per reservoir, combine_kernels, assemble_liouvillian,
     solve_steady_state, positivity_report) runs once, looked up on its
     module at call time, so a wrapper put on the module attribute sees
@@ -176,6 +178,12 @@ def steady_point(system: SystemSpec, baths: dict, mode: str) -> SteadyPoint:
     reservoir_current's formula (_current) on those rows, so it is
     bit-identical to reservoir_current on the whole kernel.
     """
+    if baths.keys() != system.couplings.keys():
+        missing = [r for r in system.couplings if r not in baths]
+        unknown = [r for r in baths if r not in system.couplings]
+        raise ValueError(f"baths must match the system's reservoirs "
+                         f"{list(system.couplings)}: missing {missing}, "
+                         f"unknown {unknown}")
     kernels = [kernel.build_kernel(system, b, r, mode) for r, b in baths.items()]
     total = kernel.combine_kernels(kernels)
     rows = [_population_rows(k).copy() for k in kernels]

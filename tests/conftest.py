@@ -15,7 +15,7 @@ def columns(baths):
 def _run_pipeline(system, mode, g_of, t_of):
     point = steady_point(system, {r: BathSpec(temperature=t_of[r],
                                               spectral_density=g_of[r], label=r)
-                                  for r in system.reservoirs}, mode)
+                                  for r in system.couplings}, mode)
     return point.rho, point.currents, point.liouvillian
 
 

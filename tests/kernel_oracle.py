@@ -10,8 +10,9 @@ the input checks of build_kernel and only returns the data.
 
 import numpy as np
 
-from qheat import (LINDBLAD, BathSpec, bath_correlation, degeneracy_tolerance,
-                   pair_index)
+from qheat import BathSpec
+from qheat.bath import bath_correlation
+from qheat.kernel import LINDBLAD, degeneracy_tolerance
 
 
 def loop_kernel_data(system, bath, reservoir, mode):
@@ -47,7 +48,7 @@ def loop_kernel_data(system, bath, reservoir, mode):
     with np.errstate(over="ignore", invalid="ignore"):
         for p in range(n):
             for pp in range(n):
-                row = pair_index(n, p, pp)
+                row = p * n + pp
                 for q in range(n):
                     for qp in range(n):
                         val = 0j
@@ -80,5 +81,5 @@ def loop_kernel_data(system, bath, reservoir, mode):
                                 if prod != 0:
                                     acc += prod * (D[qp, pp] + D[q, p])
                             val += 0.5 * acc
-                        out[row, pair_index(n, q, qp)] = val
+                        out[row, q * n + qp] = val
     return data

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import qheat
-from qheat import (BathSpec, SpectralDensity, SpectralLookupError,
-                   bath_correlation, planck_occupation)
+from qheat import BathSpec, SpectralDensity
+from qheat.bath import SpectralLookupError, bath_correlation, planck_occupation
 
 
 def test_occupation_reference_value():

@@ -15,11 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qheat import (BathSpec, DensityMatrix, SteadyPoint, __version__, bath,
-                   cli, kernel, law_checks, make_coupled_qubits,
-                   make_single_qubit, steady, steady_point)
+from qheat import (BathSpec, __version__, bath, cli, kernel,
+                   make_coupled_qubits, make_single_qubit, steady,
+                   steady_point)
 from qheat.cli import (PRESETS, UsageError, compute_point, main, parse_range,
                        render_sweep)
+from qheat.steady import DensityMatrix
+from qheat.thermo import SteadyPoint, law_checks
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -1055,7 +1057,9 @@ def test_preset_twice_onto_one_path_equals_reference(tmp_path):
 
 def test_shared_parser_equals_fresh_processes(tmp_path, capsys):
     """Invocations run through main in one process print exactly what
-    each prints in a fresh process, so no flag value carries over."""
+    each prints in a fresh process, so no flag value carries over. The
+    fresh processes all start before the in-process runs, and run
+    alongside them."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"ta": 3.0, "w0": 2.0}))
     invocations = [["single", "--ta", "3"], ["single"],
@@ -1065,16 +1069,25 @@ def test_shared_parser_equals_fresh_processes(tmp_path, capsys):
                    ["coupled"], ["preset", "fig4", "--no-header"],
                    ["preset", "fig4"]]
     env = _fresh_process_env()
-    for argv in invocations:
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        fresh = subprocess.run([sys.executable, "-m", "qheat.cli", *argv],
-                               capture_output=True, env=env, check=False)
-        assert (captured.out.encode(), captured.err.encode(), code) == \
-            (fresh.stdout, fresh.stderr, fresh.returncode), argv
+    fresh = [subprocess.Popen([sys.executable, "-m", "qheat.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env)
+             for argv in invocations]
+    try:
+        for argv, process in zip(invocations, fresh):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            out, err = process.communicate()
+            assert (captured.out.encode(), captured.err.encode(), code) == \
+                (out, err, process.returncode), argv
+    finally:        # reap the processes a failed assertion left running
+        for process in fresh:
+            if process.returncode is None:
+                process.kill()
+                process.communicate()
 
 
 def test_import_loads_no_scipy():

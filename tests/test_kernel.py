@@ -5,24 +5,20 @@ import numpy as np
 import pytest
 
 from conftest import columns
-from qheat import (BathColumns, BathSpec, NearDegeneracyError, SpectralDensity,
-                   SpectralLookupError, SuperKernel, SystemSpec,
-                   bath_correlation, build_kernel, check_trace_condition,
-                   combine_kernels, coupled_rates, degeneracy_tolerance,
-                   gibbs_state, kernel, make_coupled_qubits,
-                   make_single_qubit, pair_index, planck_occupation,
-                   steady_point)
+from qheat import (BathColumns, BathSpec, SpectralDensity, SystemSpec, kernel,
+                   make_coupled_qubits, make_single_qubit, steady_point)
+from qheat.bath import SpectralLookupError, bath_correlation, planck_occupation
+from qheat.kernel import (NearDegeneracyError, SuperKernel, build_kernel,
+                          check_trace_condition, combine_kernels,
+                          degeneracy_tolerance)
+from qheat.models import coupled_rates
+from qheat.steady import gibbs_state
 
 
 def entry(K, p, pp, q, qp):
     """K_{(p,pp),(q,qp)} of a single (unstacked) kernel."""
-    return K.data[pair_index(K.dim, p, pp), pair_index(K.dim, q, qp)]
-
-
-def test_pair_index():
-    assert pair_index(4, 0, 0) == 0
-    assert pair_index(4, 1, 2) == 6
-    assert pair_index(2, 1, 0) == 2
+    n = K.dim
+    return K.data[p * n + pp, q * n + qp]
 
 
 def test_degeneracy_tolerance_scaling():
@@ -81,7 +77,7 @@ def test_coupled_population_block_matches_rates():
     classical rate matrix of its four transitions."""
     w1, w2, lam, g, ta, tb = 1.0, 2.0, 0.5, 1.0, 1.5, 1.0
     system, _ = make_coupled_qubits(w1, w2, lam)
-    pop = [pair_index(4, p, p) for p in range(4)]
+    pop = [p * 4 + p for p in range(4)]
 
     def rate_matrix(r1, r2, r3, r4):
         return np.array([[-(r3 + r4), r2, r1, 0.0],
@@ -107,7 +103,7 @@ def test_lindblad_population_coherence_decoupling():
     system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
     bath = BathSpec(temperature=1.5, spectral_density=1.0, label="A")
     K = build_kernel(system, bath, "A", "lindblad")
-    pop = [pair_index(4, p, p) for p in range(4)]
+    pop = [p * 4 + p for p in range(4)]
     coh = [i for i in range(16) if i not in pop]
     assert np.all(K.data[np.ix_(pop, coh)] == 0)
     assert np.all(K.data[np.ix_(coh, pop)] == 0)
@@ -173,7 +169,7 @@ def test_trace_check_detects_perturbation():
     bath = BathSpec(temperature=1.0, spectral_density=1.0, label="A")
     K = build_kernel(system, bath, "A", "lindblad")
     data = np.array(K.data)
-    data[pair_index(2, 0, 0), pair_index(2, 1, 1)] += 1e-3
+    data[0, 3] += 1e-3           # row (0, 0), column (1, 1)
     bad = SuperKernel(dim=2, data=data, mode="lindblad")
     assert check_trace_condition(bad) >= 1e-3 - 1e-12
 
@@ -277,7 +273,7 @@ def test_each_frequency_evaluated_once_per_bath(name, per_bath, n_baths,
     the kernels of both reservoirs, one frequency each for the qubit,
     omega_plus and omega_minus each for the coupled pair."""
     system = _BATCH_SYSTEMS[name]
-    want = [w for r in system.reservoirs
+    want = [w for r in system.couplings
             for w in _distinct_frequencies(system, r)]
     logs, baths = [], []
     for i in range(n_baths or 1):
@@ -289,7 +285,7 @@ def test_each_frequency_evaluated_once_per_bath(name, per_bath, n_baths,
     for mode in ("lindblad", "redfield"):
         for log in logs:
             log.clear()
-        for r in system.reservoirs:
+        for r in system.couplings:
             build_kernel(system, baths[0] if n_baths is None
                          else columns(baths), r, mode)
         for log in logs:
@@ -520,7 +516,7 @@ def test_baths_other_than_a_spec_or_columns_are_refused(form, monkeypatch):
             build_kernel(system, form(baths), "A", "lindblad")
         assert str(exc.value) == message
         with pytest.raises(TypeError) as exc:
-            steady_point(system, {r: form(baths) for r in system.reservoirs},
+            steady_point(system, {r: form(baths) for r in system.couplings},
                          "lindblad")
         assert str(exc.value) == message
 

@@ -14,8 +14,8 @@ import pytest
 
 from conftest import columns
 from kernel_oracle import loop_kernel_data
-from qheat import (BathSpec, MODES, SystemSpec, build_kernel,
-                   make_coupled_qubits, make_single_qubit)
+from qheat import BathSpec, SystemSpec, make_coupled_qubits, make_single_qubit
+from qheat.kernel import MODES, build_kernel
 
 RESERVOIRS = ("A", "B")
 
@@ -102,7 +102,7 @@ BATHS = {
 @pytest.mark.parametrize("name", list(SYSTEMS))
 def test_kernel_bytes_equal_loop_oracle(name, mode, baths):
     system, bath = SYSTEMS[name], BATHS[baths]
-    for r in system.reservoirs:
+    for r in system.couplings:
         got = build_kernel(system, bath, r, mode).data
         want = loop_kernel_data(system, bath, r, mode)
         assert got.shape == want.shape

@@ -12,9 +12,10 @@ from hypothesis import given, reject, settings, target
 from hypothesis import strategies as st
 
 from conftest import columns
-from qheat import (BathSpec, NearDegeneracyError, SystemSpec,
-                   assemble_liouvillian, build_kernel,
-                   check_trace_condition, combine_kernels, gibbs_state)
+from qheat import BathSpec, SystemSpec
+from qheat.kernel import (NearDegeneracyError, build_kernel,
+                          check_trace_condition, combine_kernels)
+from qheat.steady import assemble_liouvillian, gibbs_state
 
 RESERVOIRS = ("A", "B")
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None)

@@ -4,10 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from qheat import (coupled_lindblad_closed, coupled_rates,
-                   coupled_redfield_closed, limit_currents,
-                   make_coupled_qubits, make_single_qubit, pauli_steady_state,
-                   single_qubit_closed)
+from qheat import (coupled_lindblad_closed, coupled_redfield_closed,
+                   limit_currents, make_coupled_qubits, make_single_qubit,
+                   pauli_steady_state, single_qubit_closed)
+from qheat.models import coupled_rates
 
 REF = dict(omega1=1.0, omega2=2.0, lam=0.5)
 

@@ -10,7 +10,7 @@ def test_single_qubit_structure():
     spec = make_single_qubit(1.0)
     assert spec.levels == (-0.5, 0.5)
     assert spec.dim == 2
-    assert spec.reservoirs == ("A", "B")
+    assert tuple(spec.couplings) == ("A", "B")
     s1 = spec.couplings["A"]
     assert s1[1, 0] == 1.0
     assert np.count_nonzero(s1) == 1
@@ -156,6 +156,20 @@ def _first_lowering_entry(levels, couplings):
                 return (f"coupling {label!r} entry ({p},{q}) does not raise "
                         f"energy (E_p - E_q = {levels[p] - levels[q]:g})")
     return None
+
+
+def test_labels_with_one_string_are_refused():
+    """Labels are kept as strings, so 1 and "1" would name one reservoir
+    and the later coupling would replace the earlier one."""
+    s1 = make_single_qubit(1.0).couplings["A"]
+    assert tuple(SystemSpec(levels=(0.0, 1.0),
+                            couplings={1: s1, "2": s1}).couplings) == ("1", "2")
+    for couplings, first, second in (({1: s1, "1": 2 * s1}, "1", "'1'"),
+                                     ({"1": s1, 1: 2 * s1}, "'1'", "1")):
+        with pytest.raises(ValueError) as exc:
+            SystemSpec(levels=(0.0, 1.0), couplings=couplings)
+        assert str(exc.value) == (f"reservoir labels {first} and {second} "
+                                  "are the same string '1'")
 
 
 def test_energy_check_names_the_first_lowering_entry():

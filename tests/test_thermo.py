@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import columns
-from qheat import (BathSpec, CurrentConsistencyError, CurrentReport,
-                   DensityMatrix, build_kernel, gibbs_state, law_checks, make_coupled_qubits,
-                   make_single_qubit, planck_occupation, reservoir_current,
+from qheat import (BathSpec, kernel, make_coupled_qubits, make_single_qubit,
                    steady_point)
+from qheat.bath import planck_occupation
 from qheat.cli import PRESETS
-from qheat.thermo import CURRENT_TOL
+from qheat.kernel import build_kernel
+from qheat.steady import DensityMatrix, gibbs_state
+from qheat.thermo import (CURRENT_TOL, CurrentConsistencyError, CurrentReport,
+                          law_checks, reservoir_current)
 
 
 def test_single_qubit_current_reference(single_pipeline):
@@ -184,6 +186,30 @@ def test_steady_point_refuses_stacks_of_unequal_length():
         with pytest.raises(ValueError) as exc:
             steady_point(system, {"A": a, "B": b}, "lindblad")
         assert str(exc.value) == f"kernel data shapes differ: {shapes}"
+
+
+def test_steady_point_refuses_baths_that_differ_from_the_reservoirs(
+        monkeypatch):
+    """The keys of baths must be the labels of system.couplings: a
+    reservoir without a bath, which would otherwise be solved as if it
+    were not there, and a label the system lacks are both named before
+    any kernel is built."""
+    def unreachable(*args):
+        raise AssertionError("a kernel was built")
+    monkeypatch.setattr(kernel, "build_kernel", unreachable)
+    system = make_single_qubit(1.0)
+    bath = BathSpec(temperature=1.0, spectral_density=1.0)
+    for baths, missing, unknown in (
+            ({"A": bath}, "['B']", "[]"),
+            ({"B": bath}, "['A']", "[]"),
+            ({}, "['A', 'B']", "[]"),
+            ({"A": bath, "B": bath, "C": bath}, "[]", "['C']"),
+            ({"A": bath, 1: bath}, "['B']", "[1]")):
+        with pytest.raises(ValueError) as exc:
+            steady_point(system, baths, "lindblad")
+        assert str(exc.value) == ("baths must match the system's reservoirs "
+                                  f"['A', 'B']: missing {missing}, "
+                                  f"unknown {unknown}")
 
 
 @pytest.mark.parametrize("g, second_law_fails, non_positive",
