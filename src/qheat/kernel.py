@@ -53,10 +53,13 @@ Cattaneo et al., NJP 21, 113045 (2019); Trushechkin, PRA 103, 062226
 build_kernel reads its baths as two columns, the temperatures and one
 spectral density per bath: a BathColumns of B baths is that form, and
 one BathSpec gives columns of length 1. The bath enters only through
-one correlation table D[b, x, y] = D(E_x - E_y) on supp X, of shape
-(B, N, N), bath axis first. It is filled from the distinct transition
-frequencies w of S^1: each distinct spectral density object is looked
-up once per w (a constant once in all), however many baths share it,
+one correlation table of shape (B, 2 F), bath axis first, for the F
+distinct transition frequencies w of S^1: D^{12}(w) in the first F
+columns and D^{21}(-w) in the last F. D[b, x, y] = D(E_x - E_y) on
+supp X is the column of the frequency of (x, y), a D^{12} one on supp
+S^1 and a D^{21} one on its transpose. Each distinct spectral density
+object is looked up once per w (a constant once in all), however many
+baths share it,
 and one call of qheat.bath's occupation rule, the one planck_occupation
 reads, gives every (bath, w), so that g (1 + n) and g n equal bath_correlation's
 D^{12}(w) and D^{21}(-w) byte for byte. Everything after the table is
@@ -68,21 +71,54 @@ bath i. A sweep over bath parameters (temperatures, coupling strengths)
 thus builds its kernels once per batch instead of once per point, and
 hands them over as columns with no per-point object.
 
-The level sum of the two decay terms is one table per batch,
+The build has two parts. The plan (_plan) is everything that depends
+on the coupling pattern alone. Its key is N, the mode, supp S^1, the
+frequency slot of each entry of supp S^1 (entries of one slot share one
+frequency, in the order dict.fromkeys gives them) and the level-sum
+bracket [x, l, y] as a mask. From that key alone it lists, as flat
+read-only index arrays, the entries of X and the columns of the
+correlation table each term reads and the data entries each term
+writes. The key holds coincidence patterns, not values, so every point
+of a model shares one plan, on fresh draws and in CLI sweeps alike, and
+so do both reservoirs of the paper's two models. Plans are cached by
+their key in a bounded functools.lru_cache, as steady._blocks caches
+the blocks of a generator. Every check of build_kernel (mode,
+reservoir, bath form, both near-degeneracy refusals, the spectral
+lookups) runs before the lookup, so a cached plan skips none of them.
+
+The apply is the bath algebra. The level sum of the two decay terms,
 
     G[b, x, y] = sum_l [E_xl + E_ly = 0] X_xl X_ly D[b, x, l],
 
-filled by a loop over l alone. The decay terms subtract G[b, p, q]/2 on
-the p' = q' diagonal of the (B, N, N, N, N) kernel indexed
-[b, p, p', q, q'], and G[b, q', p']/2 on its p = q diagonal. The
-transfer term is an outer product over supp X x supp X times
-D[b, q', p'] + D[b, q, p], and half of it is added at the pairs its
-bracket keeps, at most one term per entry. Lindblad forms it only on
-the secular pairs. That drops nothing but +-0 terms: no entry is -0
-before the transfer step, so adding them would change no byte, and a D
-value that overflows reaches its own always secular pair
-(q', p') = (q, p) and the level sum, so the overflow refusal is
-unchanged.
+is formed on G's support only, the (x, y) joined by a chain
+x -> l -> y. One _product forms the chain products X_xl X_ly and the
+transfer products X_pq X_q'p' together. Each chain times its D is laid
+out (B, L, S + 1) with l on the middle axis, and G is one .sum() over
+that axis. numpy adds the rows of a middle axis in sequence (it sums
+pairwise only along the innermost axis), so this is the loop over l
+byte for byte; tests/test_kernel.py pins that order. The decay terms
+subtract G[b, p, q]/2 where p' = q' and G[b, q', p']/2 where p = q,
+written as (0 - h1) - h2 at the entries G's support reaches. Half the
+transfer term X_pq X_q'p' (D[b, q', p'] + D[b, q, p]) is then added at
+the flat index of each pair its bracket keeps, at most one pair per
+entry: redfield keeps every pair of one raising and one lowering entry
+of supp X, lindblad only the secular ones.
+
+Two identities let a plan stand in for the values. First, in lindblad
+mode the secular pairs, |W_pq + W_q'p'| <= eps, are exactly the
+(raising, lowering) and (lowering, raising) pairs of one slot. The
+near-degeneracy refusals put every accepted transition frequency, and
+any two distinct ones, more than eps apart. So two raising (or two
+lowering) entries never meet the bracket, and a raising and a lowering
+one meet it exactly when their frequencies are equal. Second, every
+term in which the plan and the reference loop differ is +-0: padding
+reads X_00 = 0, a term the plan drops has a zero product or a zero D,
+and adding +-0 changes at most the sign of a zero. A zero's sign in G
+never reaches the data, because (0 - h1) - h2 is +0 for zeros h1, h2 of
+either sign. No entry is -0 before the transfer step, so a dropped +-0
+transfer term would change no byte either. A D value that overflows
+reaches its own pair (q', p') = (q, p), which both modes keep, so the
+overflow refusal names the same bath as before.
 
 The data are byte-identical to those of the six-deep loop over
 (p, p', q, q', l, channel) that tests/kernel_oracle.py keeps as the
@@ -92,13 +128,13 @@ loop's numpy scalar products are: numpy's array complex multiply may
 fuse a product into the sum (with numpy 2.4 on x86-64 it rounds
 differently in 44 % of random products), which moves entries of
 complex-coupled kernels by a few 1e-15. And every sum keeps the loop's
-order: the level sum runs over l in sequence, and each entry takes its
-decay terms before its transfer term. The loop's extra terms, one per
-(l, channel) against one per l here, are +-0, as are the parts where
-S^1 + S^2 turns a -0 into +0; a sum that starts at +0 keeps none of
-those signs. combine_kernels and check_trace_condition, like the
-steady-state and current layers downstream, act on each entry of a
-stack as they act on a single kernel.
+order: the level sum adds its chains in l order, and each entry takes
+its decay terms before its transfer term. The loop's extra terms, one
+per (l, channel) against one per chain here, are +-0 (the second
+identity), as are the parts where S^1 + S^2 turns a -0 into +0.
+combine_kernels and check_trace_condition, like the steady-state and
+current layers downstream, act on each entry of a stack as they act on
+a single kernel.
 
 _frozen (the shape check), _per_entry (a Python scalar for one point, an
 array for a stack) and _trace_residual serve every layer. No kernel
@@ -107,6 +143,7 @@ carries a reservoir label: steady_point keys kernels and currents by it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,6 +294,99 @@ def _correlations(temperatures, densities, omegas: list):
     return g * (1.0 + occupation), g * occupation
 
 
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """Where build_kernel reads and writes, for one coupling pattern: flat
+    index arrays, read-only, built by _plan. S counts the entries (x, y)
+    of G's support, the pairs joined by at least one chain x -> l -> y.
+
+    left, right: indices into X = S^1 + S^2 flattened; X[left] X[right]
+        is first each chain X_xl X_ly, laid out as chains is, then each
+        transfer pair X_pq X_q'p'. Padding reads X_00, which is 0.
+    chains: (L, S + 1), row l and column s the column of the correlation
+        table that holds D[x, l] for the chain x -> l -> y of support
+        entry s = (x, y); where no such chain exists, and in the last
+        column, padding, so that the last column's G is 0.
+    decay, decay_row, decay_col: the flat data entries the decay terms
+        reach, and at each the column of G its two terms subtract,
+        G[p, q] where p' = q' and G[q', p'] where p = q, the last column
+        where a term is absent.
+    transfer, transfer_d: the flat data entry of each transfer pair, and
+        the two table columns of D[q', p'] and D[q, p] it sums.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    chains: np.ndarray
+    decay: np.ndarray
+    decay_row: np.ndarray
+    decay_col: np.ndarray
+    transfer: np.ndarray
+    transfer_d: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(n: int, secular: bool, support_bytes: bytes, slots: tuple,
+          resonant_bytes: bytes) -> _Plan:
+    """The _Plan of a kernel of N = n levels: supp S^1 as the bytes of an
+    (n, n) bool mask, the frequency slot of each entry of supp S^1 in
+    row-major order (entries of one slot share one frequency), and the
+    level-sum bracket [x, l, y] as the bytes of an (n, n, n) bool mask.
+
+    It reads nothing but its arguments, which hold patterns, not values,
+    so systems that share them share a plan: every point of a model, and
+    both of its reservoirs where their patterns agree.
+    """
+    raising = np.frombuffer(support_bytes, dtype=bool).reshape(n, n)
+    resonant = np.frombuffer(resonant_bytes, dtype=bool).reshape(n, n, n)
+    m = len(set(slots))
+    rows, cols = raising.nonzero()
+    # the slot of X_xy on supp X, and its column of the correlation table:
+    # D^{12} of the slot on supp S^1, D^{21} on its transpose
+    slot = np.zeros((n, n), dtype=np.intp)
+    slot[rows, cols] = slot[cols, rows] = slots
+    column = slot + m * raising.T
+    supp = raising | raising.T
+
+    # G's support: the (x, y) with a chain x -> l -> y, and its chains by l
+    chain = resonant & supp[:, :, None] & supp                  # [x, l, y]
+    gx, gy = np.nonzero(chain.any(axis=1))
+    l, s = np.nonzero(chain[gx, :, gy].T)
+    shape = (l.max(initial=-1) + 1, len(gx) + 1)
+    left, right, chains = (np.zeros(shape, dtype=np.intp) for _ in range(3))
+    left[l, s], right[l, s] = gx[s] * n + l, l * n + gy[s]
+    chains[l, s] = column[gx[s], l]
+
+    # the column of G each decay term subtracts at [p, p', q, q']:
+    # G[p, q] where p' = q', G[q', p'] where p = q, else the padding one
+    r, g = np.arange(n), np.arange(len(gx))[:, None]
+    row, col = np.full((2,) + (n,) * 4, len(gx))
+    row[gx[:, None], r, gy[:, None], r] = g
+    col[r, gy[:, None], r, gx[:, None]] = g
+    decay = np.flatnonzero((row < len(gx)) | (col < len(gx)))
+
+    # transfer pairs (p, q), (q', p') of supp X: one raising and one
+    # lowering entry, and in lindblad mode of one slot (the secular ones)
+    p, q = supp.nonzero()
+    up = raising[p, q]
+    keep = up[:, None] != up
+    if secular:
+        keep &= slot[p, q][:, None] == slot[p, q]
+    i, j = np.nonzero(keep)
+    p, q, qp, pp = p[i], q[i], p[j], q[j]
+
+    nn = n * n
+    arrays = dict(
+        left=np.concatenate((left.ravel(), p * n + q)),
+        right=np.concatenate((right.ravel(), qp * n + pp)),
+        chains=chains, decay=decay, decay_row=row.ravel()[decay],
+        decay_col=col.ravel()[decay], transfer=(p * n + pp) * nn + q * n + qp,
+        transfer_d=np.stack((column[qp, pp], column[q, p])))
+    for a in arrays.values():
+        a.flags.writeable = False
+    return _Plan(**arrays)
+
+
 def build_kernel(system: SystemSpec,
                  bath: BathSpec | BathColumns,
                  reservoir: str, mode: str) -> SuperKernel:
@@ -276,8 +406,9 @@ def build_kernel(system: SystemSpec,
     other object (a list of BathSpecs) raises a TypeError up front.
 
     The reservoir couples through X = S^1 + S^2, and the bath enters only
-    through the correlation table D[b, x, y] = D(E_x - E_y) on supp X.
-    Each bath's spectral density is looked up once per distinct
+    through the correlation table, D^{12} and D^{21} per distinct
+    transition frequency, which gives D[b, x, y] = D(E_x - E_y) on
+    supp X. Each bath's spectral density is looked up once per distinct
     transition frequency, the occupations come from qheat.bath's one
     occupation rule, and the entries equal those of the scalar
     bath_correlation byte for byte (_correlations). That keeps every
@@ -286,8 +417,15 @@ def build_kernel(system: SystemSpec,
     missing one raises SpectralLookupError, and among B baths the first
     bath that misses one raises the error it raises alone.
 
-    The data match the reference loop byte for byte (see the module
-    docstring).
+    The checks come first: mode, reservoir, bath form, the refusal of
+    near-degenerate levels (either mode) and transition frequencies
+    (lindblad). Then the pattern key (N, mode, supp S^1, the frequency
+    slot of each of its entries and the level-sum bracket mask) fetches
+    the cached _plan, and the apply gathers X on its support and the
+    correlation table per slot, forms every product at once, sums the
+    level sum over its l axis and writes the decay and transfer terms at
+    the plan's flat indices. The data match the reference loop byte for
+    byte (see the module docstring).
 
     A kernel with an entry that overflows to inf or NaN is refused with
     a ValueError naming the reservoir and the temperature and spectral
@@ -313,9 +451,9 @@ def build_kernel(system: SystemSpec,
     E = np.array(system.levels)
     W = E[:, None] - E                  # W[x, y] = E_x - E_y
     s1 = system.couplings[reservoir]
-    x = s1 + s1.conj().T                # X = S^1 + S^2, disjoint supports
     # supp S^1 in row-major order and its frequencies, > 0 (S^1 raises)
-    rows, cols = s1.nonzero()
+    support = s1 != 0
+    rows, cols = support.nonzero()
     freqs = W[rows, cols].tolist()
     secular = mode == LINDBLAD
     eps = degeneracy_tolerance(system.levels)
@@ -323,48 +461,34 @@ def build_kernel(system: SystemSpec,
     if secular:
         _reject_near_degenerate(freqs, "transition frequencies", eps)
 
-    # the distinct frequencies, and where each of freqs sits among them
+    # the distinct frequencies, and the slot of each of freqs among them
     omegas = list(dict.fromkeys(freqs))
     where = {w: i for i, w in enumerate(omegas)}
-    slots = [where[w] for w in freqs]
+    slots = tuple(where[w] for w in freqs)
+    # the level-sum bracket [W_xl + W_ly = 0], indexed [x, l, y]
+    resonant = np.abs(W[:, :, None] + W) <= eps
+    plan = _plan(n, secular, support.tobytes(), slots, resonant.tobytes())
 
-    r = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        # D[b, x, y]: D^{12}(E_x - E_y) on supp S^1, D^{21} on its transpose
-        emission, absorption = _correlations(temperatures, densities, omegas)
-        D = np.zeros((n_baths, n, n))
-        D[:, rows, cols] = emission[:, slots]
-        D[:, cols, rows] = absorption[:, slots]
-
-        # G[b, x, y] = sum_l [W_xl + W_ly = 0] X_xl X_ly D[b, x, l] in l order;
-        # the bracket drops the (1,1) and (2,2) chains, as E_x > E_l > E_y
-        resonant = np.abs(W[:, :, None] + W) <= eps            # [x, l, y]
-        chain = np.where(resonant, _product(x[:, :, None], x), 0)
-        G = np.zeros((n_baths, n, n), dtype=complex)
-        for l in range(n):
-            G += chain[:, l] * D[:, :, l, None]
-        half = 0.5 * G
-        # K[b, p, p', q, q'] = - 1/2 G[b, p, q] d_p'q' - 1/2 G[b, q', p'] d_pq
-        #     + 1/2 X_pq X_q'p' (D[b, q', p'] + D[b, q, p]) [W_pq W_q'p' < 0]
+        # table[b, k]: D^{12} of slot k, then D^{21} of slot k - len(omegas)
+        table = np.concatenate(
+            _correlations(temperatures, densities, omegas), axis=1)
+        x = (s1 + s1.conj().T).ravel()  # X = S^1 + S^2, disjoint supports
+        products = _product(x[plan.left], x[plan.right])
+        chains = products[:plan.chains.size].reshape(plan.chains.shape)
+        # G[b, s] = sum_l X_xl X_ly D[b, x, l], in l order, over the
+        # chains of support entry s = (x, y); half is G / 2
+        half = 0.5 * (chains * table[:, plan.chains]).sum(axis=1)
         data = np.zeros(batch + (n * n, n * n), dtype=complex)
-        K = data.reshape(n_baths, n, n, n, n)
-        # 0 - half, not -half, so that a zero entry is +0 as in the loop
-        K[:, :, r, :, r] = 0.0 - half
-        K[:, r, :, r, :] -= half.swapaxes(1, 2)
-        # the transfer pairs of supp X x supp X; lindblad keeps only the
-        # secular ones: no entry of K is -0 here, so adding the +-0 of a
-        # dropped pair would change no byte, and a D value that overflows
-        # also reaches its own secular pair (q', p') = (q, p)
-        p, q = x.nonzero()
-        w = W[p, q]
-        keep = (np.abs(w[:, None] + w) <= eps if secular
-                else (w[:, None] > 0) != (w > 0))
-        i, j = np.nonzero(keep)
-        p, q, qp, pp = p[i], q[i], p[j], q[j]
-        outer = _product(x[p, q], x[qp, pp])
-        K[:, p, pp, q, qp] += 0.5 * (outer * (D[:, qp, pp] + D[:, q, p]))
+        flat = data.reshape(n_baths, -1)
+        # (0 - half) - half, so that a zero entry is +0 as in the loop
+        flat[:, plan.decay] = ((0.0 - half[:, plan.decay_row])
+                               - half[:, plan.decay_col])
+        flat[:, plan.transfer] += 0.5 * (
+            products[plan.chains.size:] * (table[:, plan.transfer_d[0]]
+                                           + table[:, plan.transfer_d[1]]))
     if not np.isfinite(data).all():
-        finite = np.isfinite(K).reshape(n_baths, -1).all(axis=1)
+        finite = np.isfinite(flat).all(axis=1)
         j = int(np.argmin(finite))
         raise ValueError(
             f"kernel of reservoir {reservoir!r} overflows to inf or NaN at "

@@ -37,11 +37,15 @@ entry of the stack has, so an entry's bounds may differ in rounding
 from those of the entry alone. The blocks, which depend only on the
 pattern of nonzero entries, are cached by that pattern (_blocks), so a
 sweep's later chunks and every later point of one model pay a dict
-lookup for them. The entries the certificate leaves go through one
-batched full SVD, whose values are each entry's own. Diagnostics are
-Python scalars for one point and arrays over the batch axis for a stack
-(kernel._per_entry), and a failing entry raises the error its own
-matrix raises. A Liouvillian is only dim and matrix.
+lookup for them. kernel._plan is the second such cache, under the same
+rule: it is keyed by the coupling pattern of a kernel (supports,
+frequency slots, level-sum bracket), never by a value, and reads
+nothing but its key, so it hits on fresh draws and in CLI sweeps and
+not only on repeated inputs. The entries the certificate leaves go
+through one batched full SVD, whose values are each entry's own.
+Diagnostics are Python scalars for one point and arrays over the batch
+axis for a stack (kernel._per_entry), and a failing entry raises the
+error its own matrix raises. A Liouvillian is only dim and matrix.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,10 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import columns
-from qheat import (BathColumns, BathSpec, SpectralDensity, SystemSpec, kernel,
-                   make_coupled_qubits, make_single_qubit, steady_point)
+from qheat import (BathColumns, BathSpec, SpectralDensity, SystemSpec, cli,
+                   kernel, make_coupled_qubits, make_single_qubit, steady_point)
 from qheat.bath import SpectralLookupError, bath_correlation, planck_occupation
-from qheat.kernel import (NearDegeneracyError, SuperKernel, build_kernel,
+from qheat.kernel import (MODES, NearDegeneracyError, SuperKernel, build_kernel,
                           check_trace_condition, combine_kernels,
                           degeneracy_tolerance)
 from qheat.models import coupled_rates
@@ -590,3 +591,116 @@ def test_kernel_data_is_immutable():
         K.data[0, 0] = 1.0
     with pytest.raises(ValueError):
         SuperKernel(dim=2, data=np.zeros((3, 3)), mode="lindblad")
+
+
+def test_fresh_coupled_draws_share_one_plan_per_mode():
+    """The plan cache is keyed by coincidence patterns, not values: both
+    reservoirs of 64 coupled pairs, each drawn afresh, make one plan per
+    mode."""
+    rng = np.random.default_rng(31)
+    kernel._plan.cache_clear()
+    for mode in MODES:
+        for _ in range(64):
+            w1, w2 = rng.uniform(0.5, 2.0, 2)
+            lam = rng.uniform(0.05, 0.95) * math.sqrt(w1 * w2)
+            system, _ = make_coupled_qubits(w1, w2, lam)
+            bath = BathSpec(temperature=rng.uniform(0.0, 3.0),
+                            spectral_density=rng.uniform(0.1, 2.0))
+            for r in system.couplings:
+                build_kernel(system, bath, r, mode)
+    info = kernel._plan.cache_info()
+    assert (info.misses, info.hits) == (2, 254)
+
+
+def test_a_lambda_sweep_makes_one_plan_and_the_rows_of_fresh_plans(
+        tmp_path, monkeypatch):
+    """Every point of a system sweep has its own levels and couplings, and
+    all of them share one plan; its rows are those of a build that makes
+    a fresh plan for every kernel."""
+    argv = ["sweep", "--model", "coupled", "--var", "lambda", "--ta", "2",
+            "--range", "0:0.9:7", "--out"]
+    kernel._plan.cache_clear()
+    assert cli.main([*argv, str(tmp_path / "cached.csv")]) == 0
+    assert kernel._plan.cache_info().misses == 1
+    monkeypatch.setattr(kernel, "_plan", kernel._plan.__wrapped__)
+    assert cli.main([*argv, str(tmp_path / "fresh.csv")]) == 0
+    cached, fresh = ((tmp_path / f"{name}.csv").read_bytes()
+                     for name in ("cached", "fresh"))
+    assert cached == fresh and cached.count(b",ok\n") == 7
+
+
+def _one_transition(levels, *entries):
+    s1 = np.zeros((len(levels), len(levels)))
+    for p, q, value in entries:
+        s1[p, q] = value
+    return SystemSpec(levels=levels, couplings={"A": s1})
+
+
+@pytest.mark.parametrize("cached, near, modes, message", [
+    # exactly degenerate levels pass and leave the key of the near ones
+    (_one_transition((0.0, 1.0, 1.0), (1, 0, 1.0)),
+     _one_transition((0.0, 1.0, 1.0 + 1e-12), (1, 0, 1.0)), MODES,
+     "distinct level energies 1 and 1 differ by 1.00009e-12, inside the "
+     "secular tolerance 1e-09"),
+    # distinct frequencies far apart or within eps have one slot pattern
+    (_one_transition((0.0, 1.0, 2.5), (1, 0, 1.0), (2, 1, 0.5)),
+     _one_transition((0.0, 1.0, 2.0 + 1e-12), (1, 0, 1.0), (2, 1, 0.5)),
+     ("lindblad",),
+     "distinct transition frequencies 1 and 1 differ by 1.00009e-12, "
+     "inside the secular tolerance 2e-09"),
+])
+def test_a_cached_plan_skips_no_near_degeneracy_refusal(cached, near, modes,
+                                                        message, monkeypatch):
+    """A near-degenerate system whose pattern key is cached is still
+    refused, with the message it gets on a cold cache: the refusals run
+    before the plan lookup."""
+    bath = BathSpec(temperature=1.0, spectral_density=1.0)
+    for mode in modes:
+        build_kernel(cached, bath, "A", mode)
+        with monkeypatch.context() as m:    # the key of near is cached
+            m.setattr(kernel, "_reject_near_degenerate", lambda *args: None)
+            misses = kernel._plan.cache_info().misses
+            build_kernel(near, bath, "A", mode)
+            assert kernel._plan.cache_info().misses == misses
+        with pytest.raises(NearDegeneracyError) as exc:
+            build_kernel(near, bath, "A", mode)
+        assert str(exc.value) == message
+
+
+def test_plans_are_read_only(monkeypatch):
+    plans, real = [], kernel._plan
+    monkeypatch.setattr(kernel, "_plan",
+                        lambda *key: plans.append(real(*key)) or plans[-1])
+    system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
+    bath = BathSpec(temperature=1.0, spectral_density=1.0)
+    for mode in MODES:
+        build_kernel(system, bath, "A", mode)
+    assert len(plans) == 2
+    for plan in plans:
+        for field in dataclasses.fields(plan):
+            array = getattr(plan, field.name)
+            assert array.size
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.left = None
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_a_sum_over_a_middle_axis_adds_in_order(batch):
+    """build_kernel's level sum is one .sum() over the l axis of a
+    (B, L, S + 1) array, S + 1 >= 3 wherever L > 1, and relies on numpy
+    adding its rows l in sequence, as the reference loop does. Along an
+    innermost axis numpy sums pairwise instead, and on these terms of
+    mixed magnitude and sign that rounds differently."""
+    rng = np.random.default_rng(7)
+    shape = (batch, 11, 3)
+    terms = (rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.integers(-8, 9, shape)
+             + 1j * rng.choice([-1.0, 1.0], shape)
+             * 10.0 ** rng.integers(-8, 9, shape))
+    loop = terms[:, 0].copy()
+    for l in range(1, shape[1]):
+        loop += terms[:, l]
+    assert terms.sum(axis=1).tobytes() == loop.tobytes()
+    innermost = np.ascontiguousarray(terms.swapaxes(1, 2)).sum(axis=-1)
+    assert innermost.tobytes() != loop.tobytes()

@@ -11,11 +11,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import columns
 from kernel_oracle import loop_kernel_data
-from qheat import BathSpec, SystemSpec, make_coupled_qubits, make_single_qubit
-from qheat.kernel import MODES, build_kernel
+from qheat import BathSpec, SystemSpec, kernel, make_coupled_qubits, make_single_qubit
+from qheat.kernel import MODES, NearDegeneracyError, build_kernel
+from test_kernel_properties import PROPERTY_SETTINGS, _baths, _parts
 
 RESERVOIRS = ("A", "B")
 
@@ -107,3 +110,55 @@ def test_kernel_bytes_equal_loop_oracle(name, mode, baths):
         want = loop_kernel_data(system, bath, r, mode)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), (r, np.max(np.abs(got - want)))
+
+
+@st.composite
+def twin_systems(draw):
+    """One coupling pattern on two spectra of N = 2..4 levels: generic
+    levels and an exact ladder, whose transition frequencies coincide, so
+    the two share supports and brackets but not frequency slots. Either
+    spectrum may have one level doubled (at the same place in both), and
+    each reservoir has its own random zero pattern of complex raising
+    couplings."""
+    n = draw(st.integers(2, 4))
+    spacing = draw(st.sampled_from([0.25, 1.0, 3.0]))
+    gaps = draw(st.lists(st.floats(0.5, 1.5), min_size=n - 1, max_size=n - 1))
+    spectra = [list(np.cumsum([0.0, *gaps])), [spacing * i for i in range(n)]]
+    if n > 2 and draw(st.booleans()):   # exactly degenerate: another bracket
+        k = draw(st.integers(1, n - 1))
+        for levels in spectra:
+            levels[k] = levels[k - 1]
+    couplings = {}
+    for r in RESERVOIRS:
+        s1 = np.zeros((n, n), dtype=complex)
+        for p, q in zip(*np.tril_indices(n, -1)):
+            if spectra[0][p] > spectra[0][q] and draw(st.booleans()):
+                s1[p, q] = complex(draw(_parts), draw(_parts))
+        couplings[r] = s1
+    return [SystemSpec(levels=tuple(levels), couplings=couplings)
+            for levels in spectra]
+
+
+@PROPERTY_SETTINGS
+@given(twin_systems(),
+       st.one_of(_baths, st.lists(_baths, min_size=3, max_size=3).map(columns)))
+def _builds_equal_loop_oracle(systems, bath):
+    for system in systems:
+        for r in RESERVOIRS:
+            for mode in MODES:
+                try:
+                    got = build_kernel(system, bath, r, mode).data
+                except NearDegeneracyError:
+                    continue
+                want = loop_kernel_data(system, bath, r, mode)
+                assert got.tobytes() == want.tobytes()
+
+
+def test_plans_cached_by_pattern_give_the_loop_bytes():
+    """Is the plan's key enough? Drawn systems share one warm cache, so
+    most builds take a plan that another system, with other levels,
+    couplings and baths, made; each must still give the loop's bytes."""
+    kernel._plan.cache_clear()
+    _builds_equal_loop_oracle()
+    info = kernel._plan.cache_info()
+    assert info.hits > info.misses > 1
