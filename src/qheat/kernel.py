@@ -71,20 +71,20 @@ bath i. A sweep over bath parameters (temperatures, coupling strengths)
 thus builds its kernels once per batch instead of once per point, and
 hands them over as columns with no per-point object.
 
-The build has two parts. The plan (_plan) is everything that depends
-on the coupling pattern alone. Its key is N, the mode, supp S^1, the
+The build has two parts. The plan (_plan) is everything that depends on
+the coupling pattern alone. Its key is N, the mode, supp S^1 and the
 frequency slot of each entry of supp S^1 (entries of one slot share one
-frequency, in the order dict.fromkeys gives them) and the level-sum
-bracket [x, l, y] as a mask. From that key alone it lists, as flat
-read-only index arrays, the entries of X and the columns of the
-correlation table each term reads and the data entries each term
-writes. The key holds coincidence patterns, not values, so every point
-of a model shares one plan, on fresh draws and in CLI sweeps alike, and
-so do both reservoirs of the paper's two models. Plans are cached by
-their key in a bounded functools.lru_cache, as steady._blocks caches
-the blocks of a generator. Every check of build_kernel (mode,
-reservoir, bath form, both near-degeneracy refusals, the spectral
-lookups) runs before the lookup, so a cached plan skips none of them.
+frequency, in the order dict.fromkeys gives them); it holds no level
+value. From that key alone it lists, as flat read-only index arrays,
+the entries of X and the columns of the correlation table each term
+reads and the data entries each term writes. The key holds coincidence
+patterns, not values, so every point of a model shares one plan, on
+fresh draws and in CLI sweeps alike, and so do both reservoirs of the
+paper's two models. Plans are cached by their key in a bounded
+functools.lru_cache, as steady._blocks caches the blocks of a
+generator. Every check of build_kernel (mode, reservoir, bath form,
+both near-degeneracy refusals, the spectral lookups) runs before the
+lookup, so a cached plan skips none of them.
 
 The apply is the bath algebra. The level sum of the two decay terms,
 
@@ -104,21 +104,34 @@ the flat index of each pair its bracket keeps, at most one pair per
 entry: redfield keeps every pair of one raising and one lowering entry
 of supp X, lindblad only the secular ones.
 
-Two identities let a plan stand in for the values. First, in lindblad
-mode the secular pairs, |W_pq + W_q'p'| <= eps, are exactly the
-(raising, lowering) and (lowering, raising) pairs of one slot. The
-near-degeneracy refusals put every accepted transition frequency, and
-any two distinct ones, more than eps apart. So two raising (or two
-lowering) entries never meet the bracket, and a raising and a lowering
-one meet it exactly when their frequencies are equal. Second, every
-term in which the plan and the reference loop differ is +-0: padding
-reads X_00 = 0, a term the plan drops has a zero product or a zero D,
-and adding +-0 changes at most the sign of a zero. A zero's sign in G
-never reaches the data, because (0 - h1) - h2 is +0 for zeros h1, h2 of
-either sign. No entry is -0 before the transfer step, so a dropped +-0
-transfer term would change no byte either. A D value that overflows
-reaches its own pair (q', p') = (q, p), which both modes keep, so the
-overflow refusal names the same bath as before.
+One pairing rule stands in for every bracket: two entries of supp X
+meet it when one raises and the other lowers, and, for the level sum
+and the secular transfer term, when both are of one slot (redfield's
+transfer term keeps every raising-lowering pair). The near-degeneracy
+refusals make it select what the brackets on the values
+W_xy = E_x - E_y select. They put every transition frequency more than
+eps from 0, so two raising (or two lowering) steps never meet a
+bracket. A raising and a lowering step, of frequencies w1 and w2, have
+W_xl + W_ly = +-(w1 - w2) as a chain x -> l -> y and
+W_pq + W_q'p' = +-(w1 - w2) as a transfer pair. In lindblad mode the
+frequency refusal puts any two distinct frequencies more than eps
+apart, tested on these very floats, so either bracket holds exactly
+when w1 = w2, in one slot. Redfield mode has no frequency refusal, and
+its level sum rests on the level refusal alone: a chain meets its
+bracket when E_x = E_y, which is w1 = w2, and not when the levels lie
+more than eps apart, except where their gap exceeds eps by less than
+the rounding of w1 - w2, a few ulp of the largest level. There the
+reference loop may read the chain as resonant while the rule, like the
+level refusal, holds the levels distinct (levels
+(0, 1.0000000000000129e-09, 1), for one).
+Every other term in which the plan and the reference loop differ is
++-0: padding reads X_00 = 0, a term the plan drops has a zero product
+or a zero D, and adding +-0 changes at most the sign of a zero. A
+zero's sign in G never reaches the data, because (0 - h1) - h2 is +0
+for zeros h1, h2 of either sign. No entry is -0 before the transfer
+step, so a dropped +-0 transfer term would change no byte either. A D
+value that overflows reaches its own pair (q', p') = (q, p), which both
+modes keep, so the overflow refusal names the same bath as before.
 
 The data are byte-identical to those of the six-deep loop over
 (p, p', q, q', l, channel) that tests/kernel_oracle.py keeps as the
@@ -130,8 +143,8 @@ differently in 44 % of random products), which moves entries of
 complex-coupled kernels by a few 1e-15. And every sum keeps the loop's
 order: the level sum adds its chains in l order, and each entry takes
 its decay terms before its transfer term. The loop's extra terms, one
-per (l, channel) against one per chain here, are +-0 (the second
-identity), as are the parts where S^1 + S^2 turns a -0 into +0.
+per (l, channel) against one per chain here, are +-0 (see above), as
+are the parts where S^1 + S^2 turns a -0 into +0.
 combine_kernels and check_trace_condition, like the steady-state and
 current layers downstream, act on each entry of a stack as they act on
 a single kernel.
@@ -326,19 +339,19 @@ class _Plan:
 
 
 @functools.lru_cache(maxsize=64)
-def _plan(n: int, secular: bool, support_bytes: bytes, slots: tuple,
-          resonant_bytes: bytes) -> _Plan:
+def _plan(n: int, secular: bool, support_bytes: bytes, slots: tuple) -> _Plan:
     """The _Plan of a kernel of N = n levels: supp S^1 as the bytes of an
-    (n, n) bool mask, the frequency slot of each entry of supp S^1 in
-    row-major order (entries of one slot share one frequency), and the
-    level-sum bracket [x, l, y] as the bytes of an (n, n, n) bool mask.
+    (n, n) bool mask and the frequency slot of each entry of supp S^1 in
+    row-major order (entries of one slot share one frequency).
 
     It reads nothing but its arguments, which hold patterns, not values,
     so systems that share them share a plan: every point of a model, and
-    both of its reservoirs where their patterns agree.
+    both of its reservoirs where their patterns agree. Every bracket is
+    one pairing rule on them: two entries of supp X meet it when one
+    raises and the other lowers, and, for the level sum and the secular
+    transfer term, when both are of one slot (see the module docstring).
     """
     raising = np.frombuffer(support_bytes, dtype=bool).reshape(n, n)
-    resonant = np.frombuffer(resonant_bytes, dtype=bool).reshape(n, n, n)
     m = len(set(slots))
     rows, cols = raising.nonzero()
     # the slot of X_xy on supp X, and its column of the correlation table:
@@ -348,8 +361,10 @@ def _plan(n: int, secular: bool, support_bytes: bytes, slots: tuple,
     column = slot + m * raising.T
     supp = raising | raising.T
 
-    # G's support: the (x, y) with a chain x -> l -> y, and its chains by l
-    chain = resonant & supp[:, :, None] & supp                  # [x, l, y]
+    # G's support: the (x, y) with a chain x -> l -> y, and its chains by
+    # l; (x, l) and (l, y) raise and lower by one frequency, so E_x = E_y
+    chain = (supp[:, :, None] & supp & (raising[:, :, None] != raising)
+             & (slot[:, :, None] == slot))                      # [x, l, y]
     gx, gy = np.nonzero(chain.any(axis=1))
     l, s = np.nonzero(chain[gx, :, gy].T)
     shape = (l.max(initial=-1) + 1, len(gx) + 1)
@@ -419,13 +434,13 @@ def build_kernel(system: SystemSpec,
 
     The checks come first: mode, reservoir, bath form, the refusal of
     near-degenerate levels (either mode) and transition frequencies
-    (lindblad). Then the pattern key (N, mode, supp S^1, the frequency
-    slot of each of its entries and the level-sum bracket mask) fetches
-    the cached _plan, and the apply gathers X on its support and the
-    correlation table per slot, forms every product at once, sums the
-    level sum over its l axis and writes the decay and transfer terms at
-    the plan's flat indices. The data match the reference loop byte for
-    byte (see the module docstring).
+    (lindblad). Then the pattern key (N, mode, supp S^1 and the
+    frequency slot of each of its entries) fetches the cached _plan, and
+    the apply gathers X on its support and the correlation table per
+    slot, forms every product at once, sums the level sum over its l
+    axis and writes the decay and transfer terms at the plan's flat
+    indices. The data match the reference loop byte for byte (see the
+    module docstring).
 
     A kernel with an entry that overflows to inf or NaN is refused with
     a ValueError naming the reservoir and the temperature and spectral
@@ -449,12 +464,11 @@ def build_kernel(system: SystemSpec,
     n_baths = len(temperatures)
     n = system.dim
     E = np.array(system.levels)
-    W = E[:, None] - E                  # W[x, y] = E_x - E_y
     s1 = system.couplings[reservoir]
     # supp S^1 in row-major order and its frequencies, > 0 (S^1 raises)
     support = s1 != 0
     rows, cols = support.nonzero()
-    freqs = W[rows, cols].tolist()
+    freqs = (E[rows] - E[cols]).tolist()
     secular = mode == LINDBLAD
     eps = degeneracy_tolerance(system.levels)
     _reject_near_degenerate(system.levels, "level energies", eps)
@@ -465,9 +479,7 @@ def build_kernel(system: SystemSpec,
     omegas = list(dict.fromkeys(freqs))
     where = {w: i for i, w in enumerate(omegas)}
     slots = tuple(where[w] for w in freqs)
-    # the level-sum bracket [W_xl + W_ly = 0], indexed [x, l, y]
-    resonant = np.abs(W[:, :, None] + W) <= eps
-    plan = _plan(n, secular, support.tobytes(), slots, resonant.tobytes())
+    plan = _plan(n, secular, support.tobytes(), slots)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # table[b, k]: D^{12} of slot k, then D^{21} of slot k - len(omegas)

@@ -38,11 +38,11 @@ from those of the entry alone. The blocks, which depend only on the
 pattern of nonzero entries, are cached by that pattern (_blocks), so a
 sweep's later chunks and every later point of one model pay a dict
 lookup for them. kernel._plan is the second such cache, under the same
-rule: it is keyed by the coupling pattern of a kernel (supports,
-frequency slots, level-sum bracket), never by a value, and reads
-nothing but its key, so it hits on fresh draws and in CLI sweeps and
-not only on repeated inputs. The entries the certificate leaves go
-through one batched full SVD, whose values are each entry's own.
+rule: it is keyed by the coupling pattern of a kernel (supports and
+frequency slots), never by a value, and reads nothing but its key, so
+it hits on fresh draws and in CLI sweeps and not only on repeated
+inputs. The entries the certificate leaves go through one batched full
+SVD, whose values are each entry's own.
 Diagnostics are Python scalars for one point and arrays over the batch
 axis for a stack (kernel._per_entry), and a failing entry raises the
 error its own matrix raises. A Liouvillian is only dim and matrix.
@@ -168,7 +168,6 @@ class SolveInfo:
     field is an array over the batch axis."""
 
     residual: float                 # ||M vec(rho)||_inf after symmetrisation
-    hermiticity_defect: float       # asymmetry of the raw solution
 
 
 def assemble_liouvillian(system: SystemSpec, K_total: SuperKernel) -> Liouvillian:
@@ -377,9 +376,11 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
 
     The solve itself is M' x = e_0 on the full matrix. M' is singular
     when the one null vector is traceless, and that LU failure is
-    refused as a SteadyStateResidualError. The result is symmetrised,
-    renormalised, and only accepted if ||M vec(rho)||_inf < 1e-10, an
-    absolute bound; the error names ||M||_inf of the failing generator.
+    refused as a SteadyStateResidualError. The result is symmetrised to
+    (rho + rho^dagger) / 2, which is exactly Hermitian as float addition
+    commutes, renormalised, and only accepted if ||M vec(rho)||_inf <
+    1e-10, an absolute bound; the error names ||M||_inf of the failing
+    generator.
 
     A stacked generator gives a stacked DensityMatrix, each entry
     bit-identical to the solve of that entry alone. Each check (leak,
@@ -408,9 +409,7 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
     except np.linalg.LinAlgError as exc:
         raise SteadyStateResidualError(f"trace-row solve failed: {exc}") from exc
     rho = x.reshape(x.shape[:-2] + (n, n))
-    rho_h = rho.conj().swapaxes(-1, -2)
-    defect = np.abs(rho - rho_h).max(axis=(-2, -1))
-    rho = 0.5 * (rho + rho_h)
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
     rho = rho / rho.trace(axis1=-2, axis2=-1).real[..., None, None]
     residual = np.abs(m @ rho.reshape(x.shape)).max(axis=(-2, -1))
     too_large = residual > RESIDUAL_TOL
@@ -425,8 +424,7 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
     out = DensityMatrix(dim=n, entries=rho)
     if not full_output:
         return out
-    return out, SolveInfo(
-        residual=_per_entry(residual), hermiticity_defect=_per_entry(defect))
+    return out, SolveInfo(residual=_per_entry(residual))
 
 
 def svd_steady_state(L: Liouvillian) -> DensityMatrix:
@@ -512,7 +510,8 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     and then all the steps are taken. With the default step, a zero
     generator returns rho0 unchanged (d rho/dt = 0; an explicit dt gives
     P = I and the same state). Raises ValueError for a non-finite
-    t_final, dt or t_final / dt, and IntegrationError if the step lies
+    t_final, dt or t_final / dt, a negative t_final or an explicit
+    dt <= 0 (also at t_final = 0), and IntegrationError if the step lies
     outside RK4's stability region (P has spectral radius above
     1 + 1e-9), any state's norm is not at most 1e6 * max(1, ||rho0||)
     (an inf or NaN entry makes it inf or NaN, so this catches those
@@ -530,13 +529,13 @@ def evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
         raise ValueError(f"dt must be finite, got {dt}")
     if t_final < 0:
         raise ValueError(f"t_final must be >= 0, got {t_final}")
+    if dt is not None and dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
     m = L.matrix
     if t_final == 0 or (dt is None and not m.any()):
         return DensityMatrix(dim=rho0.dim, entries=rho0.entries)
     if dt is None:
         dt = 0.01 / float(np.linalg.norm(m, np.inf))
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
     ratio = t_final / dt
     if not math.isfinite(ratio):
         raise ValueError(f"t_final / dt must be finite, got t_final = "

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from conftest import columns
 from kernel_oracle import loop_kernel_data
 from qheat import BathSpec, SystemSpec, kernel, make_coupled_qubits, make_single_qubit
-from qheat.kernel import MODES, NearDegeneracyError, build_kernel
+from qheat.kernel import (LINDBLAD, MODES, NearDegeneracyError, build_kernel,
+                          degeneracy_tolerance)
 from test_kernel_properties import PROPERTY_SETTINGS, _baths, _parts
 
 RESERVOIRS = ("A", "B")
@@ -100,6 +101,30 @@ BATHS = {
 }
 
 
+def _assert_plan_chains_meet_the_bracket(system, r, mode):
+    """The chains x -> l -> y of the plan build_kernel takes, read off its
+    left and right index arrays (padding reads X_00, which no chain reads,
+    as x != l on supp X), are the chains on supp X x supp X that meet the
+    level sum's bracket |W_xl + W_ly| <= eps by value, as the loop
+    tests it."""
+    n, s1 = system.dim, system.couplings[r]
+    E = np.array(system.levels)
+    support = s1 != 0
+    rows, cols = support.nonzero()
+    freqs = (E[rows] - E[cols]).tolist()
+    where = {w: i for i, w in enumerate(dict.fromkeys(freqs))}
+    plan = kernel._plan(n, mode == LINDBLAD, support.tobytes(),
+                        tuple(where[w] for w in freqs))
+    left = plan.left[:plan.chains.size]
+    right = plan.right[:plan.chains.size][left != 0]
+    left = left[left != 0]
+    got = set(zip(left // n, left % n, right % n))
+    W = E[:, None] - E
+    supp = support | support.T
+    bracket = np.abs(W[:, :, None] + W) <= degeneracy_tolerance(system.levels)
+    assert got == set(zip(*np.nonzero(supp[:, :, None] & supp & bracket)))
+
+
 @pytest.mark.parametrize("baths", sorted(BATHS))
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", list(SYSTEMS))
@@ -110,6 +135,7 @@ def test_kernel_bytes_equal_loop_oracle(name, mode, baths):
         want = loop_kernel_data(system, bath, r, mode)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), (r, np.max(np.abs(got - want)))
+        _assert_plan_chains_meet_the_bracket(system, r, mode)
 
 
 @st.composite
@@ -152,12 +178,15 @@ def _builds_equal_loop_oracle(systems, bath):
                     continue
                 want = loop_kernel_data(system, bath, r, mode)
                 assert got.tobytes() == want.tobytes()
+                _assert_plan_chains_meet_the_bracket(system, r, mode)
 
 
 def test_plans_cached_by_pattern_give_the_loop_bytes():
     """Is the plan's key enough? Drawn systems share one warm cache, so
     most builds take a plan that another system, with other levels,
-    couplings and baths, made; each must still give the loop's bytes."""
+    couplings and baths, made; each must still give the loop's bytes,
+    and its chains must be those the level sum's bracket selects by
+    value."""
     kernel._plan.cache_clear()
     _builds_equal_loop_oracle()
     info = kernel._plan.cache_info()
