@@ -1,9 +1,9 @@
 """Thermal reservoir physics.
 
-Planck occupation numbers, spectral densities and the rotating-wave bath
-correlation function D^{ab}(omega) for bosonic heat reservoirs. Natural
-units hbar = k_B = 1 throughout; frequencies, energies and temperatures
-are all dimensionless.
+Planck occupation numbers, spectral densities and the table of the
+rotating-wave bath correlation function D^{ab}(omega) for bosonic heat
+reservoirs. Natural units hbar = k_B = 1 throughout; frequencies,
+energies and temperatures are all dimensionless.
 
 A reservoir enters the dissipative kernels only through its temperature
 and its spectral density g(omega), so that is all a BathSpec stores;
@@ -17,6 +17,13 @@ two active correlation channels follow the usual convention
 with every other (channel, sign) combination identically zero. Detailed
 balance D^{12}(omega) = exp(omega/T) D^{21}(-omega) then holds by
 construction.
+
+This module is the library's one implementation of every bath rule:
+the temperature check, the occupation rule _occupations that
+planck_occupation reads, and _correlations, which fills D^{12}(w) and
+D^{21}(-w) of B baths at F frequencies w > 0 for build_kernel. The
+scalar D^{ab}(omega), channel by channel, is written out independently
+as bath_correlation in tests/kernel_oracle.py, the kernel's reference.
 """
 
 from __future__ import annotations
@@ -25,12 +32,13 @@ import math
 from dataclasses import dataclass
 from math import exp, expm1, inf
 
+import numpy as np
+
 __all__ = [
     "BathColumns",
     "BathSpec",
     "SpectralDensity",
     "SpectralLookupError",
-    "bath_correlation",
     "planck_occupation",
 ]
 
@@ -59,6 +67,31 @@ def _occupations(temperatures, omegas) -> list:
             else 1.0 / expm1(x) if 0.0 < (x := w / T) <= 700.0
             else exp(-x) if x else inf
             for T in temperatures for w in omegas]
+
+
+def _correlations(temperatures, densities, omegas: list):
+    """D^{12}(w) and D^{21}(-w) of each bath, given as the columns of its
+    temperatures and spectral densities, at each of the distinct
+    frequencies omegas, all > 0: two (B, len(omegas)) arrays, which
+    build_kernel lays side by side as its (B, 2 F) correlation table.
+
+    Each entry is g(w) (1 + n) or g(w) n, with the Planck occupations n
+    read from _occupations in one call for the whole table rather than a
+    call per entry, and equals the scalar reference bath_correlation of
+    tests/kernel_oracle.py byte for byte. Each distinct spectral density
+    object is looked up once, in the order of its first bath, so the
+    first bath whose table misses a frequency raises the
+    SpectralLookupError it raises alone; a column of one shared density
+    gives one row of g, broadcast over the baths.
+    """
+    distinct = list(dict.fromkeys(densities))
+    g = np.array([density.at(omegas) for density in distinct])
+    if len(distinct) > 1:
+        row = {density: i for i, density in enumerate(distinct)}
+        g = g[[row[density] for density in densities]]
+    occupation = np.array(_occupations(temperatures, omegas)).reshape(
+        len(temperatures), len(omegas))
+    return g * (1.0 + occupation), g * occupation
 
 
 def planck_occupation(omega: float, T: float) -> float:
@@ -200,27 +233,3 @@ class BathColumns:
         object.__setattr__(self, "temperatures", temperatures)
         object.__setattr__(self, "spectral_densities", densities)
 
-
-def bath_correlation(bath: BathSpec, alpha: int, beta: int, omega: float) -> float:
-    """Rotating-wave correlation D^{alpha beta}(omega) of one reservoir.
-
-    Nonzero only on the (1,2) channel at omega > 0 and on the (2,1)
-    channel at omega < 0; the diagonal channels (1,1) and (2,2) vanish
-    identically. omega = 0 on an active channel is rejected: rotating-wave
-    channels exist only at finite transition frequency, so a
-    zero-frequency query means the caller's model is misconfigured.
-    """
-    if alpha not in (1, 2) or beta not in (1, 2):
-        raise ValueError(f"channel indices must be 1 or 2, got ({alpha}, {beta})")
-    if alpha == beta:
-        return 0.0
-    if omega == 0.0:
-        raise ValueError(f"bath correlation channel ({alpha},{beta}) undefined at omega = 0")
-    T = bath.temperature
-    if alpha == 1:
-        if omega < 0:
-            return 0.0
-        return bath.spectral_density(omega) * (1.0 + planck_occupation(omega, T))
-    if omega > 0:
-        return 0.0
-    return bath.spectral_density(-omega) * planck_occupation(-omega, T)

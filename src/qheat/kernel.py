@@ -57,12 +57,14 @@ one correlation table of shape (B, 2 F), bath axis first, for the F
 distinct transition frequencies w of S^1: D^{12}(w) in the first F
 columns and D^{21}(-w) in the last F. D[b, x, y] = D(E_x - E_y) on
 supp X is the column of the frequency of (x, y), a D^{12} one on supp
-S^1 and a D^{21} one on its transpose. Each distinct spectral density
-object is looked up once per w (a constant once in all), however many
-baths share it,
-and one call of qheat.bath's occupation rule, the one planck_occupation
-reads, gives every (bath, w), so that g (1 + n) and g n equal bath_correlation's
-D^{12}(w) and D^{21}(-w) byte for byte. Everything after the table is
+S^1 and a D^{21} one on its transpose. qheat.bath._correlations fills
+the two halves, where every bath rule lives: each distinct spectral
+density object is looked up once per w (a constant once in all),
+however many baths share it, and one call of the occupation rule that
+planck_occupation reads gives every (bath, w). build_kernel lays the
+halves side by side. The scalar reference, tests/kernel_oracle.py's
+bath_correlation, gives the same D^{12}(w) and D^{21}(-w) byte for
+byte. Everything after the table is
 array algebra over that bath axis, with B = 1 for one bath (the axis is
 then dropped from the data) and B for B baths, so the same code yields
 a single kernel or one stacked kernel with data of shape
@@ -118,12 +120,12 @@ frequency refusal puts any two distinct frequencies more than eps
 apart, tested on these very floats, so either bracket holds exactly
 when w1 = w2, in one slot. Redfield mode has no frequency refusal, and
 its level sum rests on the level refusal alone: a chain meets its
-bracket when E_x = E_y, which is w1 = w2, and not when the levels lie
-more than eps apart, except where their gap exceeds eps by less than
-the rounding of w1 - w2, a few ulp of the largest level. There the
-reference loop may read the chain as resonant while the rule, like the
-level refusal, holds the levels distinct (levels
-(0, 1.0000000000000129e-09, 1), for one).
+bracket when E_x = E_y, which is w1 = w2, and the level refusal puts
+any two distinct levels more than eps + 4 ulp(max |E|) apart. The
+rounded sum fl(fl(E_x - E_l) + fl(E_l - E_y)) is within 2 ulp(max |E|)
+of E_x - E_y before its last rounding, which then cannot round it to
+eps or below, so the chain lies outside the bracket; and the two
+frequencies fall in two slots. The margin is less than 1e-6 of eps.
 Every other term in which the plan and the reference loop differ is
 +-0: padding reads X_00 = 0, a term the plan drops has a zero product
 or a zero D, and adding +-0 changes at most the sign of a zero. A
@@ -157,11 +159,12 @@ carries a reservoir label: steady_point keys kernels and currents by it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathColumns, BathSpec, _occupations
+from .bath import BathColumns, BathSpec, _correlations
 from .system import SystemSpec
 
 __all__ = [
@@ -184,9 +187,10 @@ TRACE_TOL = 1e-12
 
 
 class NearDegeneracyError(ValueError):
-    """Two distinct level energies (either mode) or transition
-    frequencies (lindblad mode) sit within the secular tolerance of each
-    other, so the Kronecker constraints of the kernel are ambiguous:
+    """Two distinct level energies (either mode; within the secular
+    tolerance plus 4 ulp of the largest |level|) or transition
+    frequencies (lindblad mode; within the secular tolerance) sit too
+    close, so the Kronecker constraints of the kernel are ambiguous:
     merging or splitting them is a modelling decision, not a numerical
     one."""
 
@@ -255,13 +259,14 @@ class SuperKernel:
                                                  "kernel data"))
 
 
-def _reject_near_degenerate(values, what: str, eps: float):
-    """Refuse two distinct values within eps of each other: sorted, the
-    neighbours at a nonzero gap are the consecutive distinct values, and
-    the first such pair at most eps apart is named."""
+def _reject_near_degenerate(values, what: str, eps: float,
+                            margin: float = 0.0):
+    """Refuse two distinct values within eps + margin of each other:
+    sorted, the neighbours at a nonzero gap are the consecutive distinct
+    values, and the first such pair at most eps + margin apart is named."""
     values = sorted(values)
     for a, b in zip(values, values[1:]):
-        if 0 < b - a <= eps:
+        if 0 < b - a <= eps + margin:
             raise NearDegeneracyError(
                 f"distinct {what} {a:g} and {b:g} differ by {b - a:g}, "
                 f"inside the secular tolerance {eps:g}")
@@ -281,30 +286,6 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     np.subtract(re, x.imag * y.imag, out=out.real)
     np.add(x.real * y.imag, x.imag * y.real, out=out.imag)
     return out
-
-
-def _correlations(temperatures, densities, omegas: list):
-    """D^{12}(w) and D^{21}(-w) of each bath, given as the columns of its
-    temperatures and spectral densities, at each of the distinct
-    frequencies omegas, all > 0: two (B, len(omegas)) arrays.
-
-    Each entry equals bath_correlation(bath, 1, 2, w) or
-    bath_correlation(bath, 2, 1, -w) byte for byte: g(w) (1 + n) and
-    g(w) n, with the Planck occupations n read from qheat.bath's one
-    occupation rule in one call for the whole table rather than a call
-    per entry. Each distinct spectral density object is looked up once,
-    in the order of its first bath, so the first bath whose table misses
-    a frequency raises the SpectralLookupError it raises alone; a column
-    of one shared density gives one row of g, broadcast over the baths.
-    """
-    distinct = list(dict.fromkeys(densities))
-    g = np.array([density.at(omegas) for density in distinct])
-    if len(distinct) > 1:
-        row = {density: i for i, density in enumerate(distinct)}
-        g = g[[row[density] for density in densities]]
-    occupation = np.array(_occupations(temperatures, omegas)).reshape(
-        len(temperatures), len(omegas))
-    return g * (1.0 + occupation), g * occupation
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,19 +404,21 @@ def build_kernel(system: SystemSpec,
     The reservoir couples through X = S^1 + S^2, and the bath enters only
     through the correlation table, D^{12} and D^{21} per distinct
     transition frequency, which gives D[b, x, y] = D(E_x - E_y) on
-    supp X. Each bath's spectral density is looked up once per distinct
-    transition frequency, the occupations come from qheat.bath's one
-    occupation rule, and the entries equal those of the scalar
-    bath_correlation byte for byte (_correlations). That keeps every
+    supp X. qheat.bath._correlations fills it: each bath's spectral
+    density is looked up once per distinct transition frequency, the
+    occupations come from qheat.bath's one occupation rule, and the
+    entries equal those of the scalar reference bath_correlation in
+    tests/kernel_oracle.py byte for byte. That keeps every
     query at a finite transition frequency and lets tabulated spectral
     densities list only the frequencies the model actually uses; a table
     missing one raises SpectralLookupError, and among B baths the first
     bath that misses one raises the error it raises alone.
 
     The checks come first: mode, reservoir, bath form, the refusal of
-    near-degenerate levels (either mode) and transition frequencies
-    (lindblad). Then the pattern key (N, mode, supp S^1 and the
-    frequency slot of each of its entries) fetches the cached _plan, and
+    near-degenerate levels (either mode; a gap up to eps + 4 ulp of the
+    largest |level|) and transition frequencies (lindblad; up to eps).
+    Then the pattern key (N, mode, supp S^1 and the frequency slot of
+    each of its entries) fetches the cached _plan, and
     the apply gathers X on its support and the correlation table per
     slot, forms every product at once, sums the level sum over its l
     axis and writes the decay and transfer terms at the plan's flat
@@ -471,7 +454,9 @@ def build_kernel(system: SystemSpec,
     freqs = (E[rows] - E[cols]).tolist()
     secular = mode == LINDBLAD
     eps = degeneracy_tolerance(system.levels)
-    _reject_near_degenerate(system.levels, "level energies", eps)
+    # widened by the rounding of a chain's two frequency differences
+    _reject_near_degenerate(system.levels, "level energies", eps,
+                            4.0 * math.ulp(max(map(abs, system.levels))))
     if secular:
         _reject_near_degenerate(freqs, "transition frequencies", eps)
 

@@ -6,13 +6,43 @@ build_kernel to byte for byte. It keeps the arithmetic the library used
 before the array construction: every complex product is a numpy scalar
 product, and each sum runs in the loop's (l, channel) order. It skips
 the input checks of build_kernel and only returns the data.
+
+Its correlations come from bath_correlation, the scalar rule channel by
+channel, which reads nothing of qheat.bath but planck_occupation; the
+library fills its table in qheat.bath._correlations, and
+tests/test_kernel.py holds the two equal byte for byte.
 """
 
 import numpy as np
 
 from qheat import BathSpec
-from qheat.bath import bath_correlation
+from qheat.bath import planck_occupation
 from qheat.kernel import LINDBLAD, degeneracy_tolerance
+
+
+def bath_correlation(bath: BathSpec, alpha: int, beta: int, omega: float) -> float:
+    """Rotating-wave correlation D^{alpha beta}(omega) of one reservoir.
+
+    Nonzero only on the (1,2) channel at omega > 0 and on the (2,1)
+    channel at omega < 0; the diagonal channels (1,1) and (2,2) vanish
+    identically. omega = 0 on an active channel is rejected: rotating-wave
+    channels exist only at finite transition frequency, so a
+    zero-frequency query means the caller's model is misconfigured.
+    """
+    if alpha not in (1, 2) or beta not in (1, 2):
+        raise ValueError(f"channel indices must be 1 or 2, got ({alpha}, {beta})")
+    if alpha == beta:
+        return 0.0
+    if omega == 0.0:
+        raise ValueError(f"bath correlation channel ({alpha},{beta}) undefined at omega = 0")
+    T = bath.temperature
+    if alpha == 1:
+        if omega < 0:
+            return 0.0
+        return bath.spectral_density(omega) * (1.0 + planck_occupation(omega, T))
+    if omega > 0:
+        return 0.0
+    return bath.spectral_density(-omega) * planck_occupation(-omega, T)
 
 
 def loop_kernel_data(system, bath, reservoir, mode):

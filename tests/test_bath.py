@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import qheat
-from qheat import BathSpec, SpectralDensity
-from qheat.bath import SpectralLookupError, bath_correlation, planck_occupation
+from kernel_oracle import bath_correlation
+from qheat import BathSpec, SpectralDensity, kernel
+from qheat.bath import SpectralLookupError, _correlations, planck_occupation
 
 
 def test_occupation_reference_value():
@@ -192,10 +193,17 @@ def test_non_finite_values_are_rejected(bad):
 
 
 def test_each_bath_rule_is_written_only_in_bath():
-    """The Planck occupation and the temperature check live in
-    qheat.bath alone; every other module calls them there."""
+    """The Planck occupation, the temperature check and the correlation
+    table live in qheat.bath alone; every other module calls them there.
+    No other module reads the occupation rule itself, and build_kernel's
+    table builder is qheat.bath's, so the kernel cannot hold a second
+    copy of D^{12} = g (1 + n), D^{21} = g n."""
     for path in sorted(Path(qheat.__file__).parent.glob("*.py")):
         if path.name != "bath.py":
             source = path.read_text()
             assert "expm1" not in source, path.name
             assert "temperature must be" not in source, path.name
+            assert "_occupations" not in source, path.name
+            assert "def _correlations" not in source, path.name
+    assert kernel._correlations is _correlations
+    assert not hasattr(qheat.bath, "bath_correlation")

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import columns
+from kernel_oracle import bath_correlation
 from qheat import (BathColumns, BathSpec, SpectralDensity, SystemSpec, cli,
                    kernel, make_coupled_qubits, make_single_qubit, steady_point)
-from qheat.bath import SpectralLookupError, bath_correlation, planck_occupation
+from qheat.bath import SpectralLookupError, _correlations, planck_occupation
 from qheat.kernel import (MODES, NearDegeneracyError, SuperKernel, build_kernel,
                           check_trace_condition, combine_kernels,
                           degeneracy_tolerance)
@@ -203,6 +204,20 @@ def test_near_degenerate_spectra_rejected():
     for mode in ("lindblad", "redfield"):
         with pytest.raises(NearDegeneracyError):
             build_kernel(system, bath, "A", mode)
+    # a gap above eps = 1e-9 by less than the rounding of a chain's two
+    # frequency differences: the level refusal's margin of 4 ulp(1)
+    # covers it, so redfield refuses it too instead of building a kernel
+    # whose level sum the loop's bracket reads otherwise
+    s1 = np.zeros((3, 3))
+    s1[1, 0] = s1[2, 0] = s1[2, 1] = 1.0
+    band = SystemSpec(levels=(0.0, 1.0000000000000129e-09, 1.0),
+                      couplings={"A": s1})
+    for mode in ("lindblad", "redfield"):
+        with pytest.raises(NearDegeneracyError) as exc:
+            build_kernel(band, bath, "A", mode)
+        assert str(exc.value) == (
+            "distinct level energies 0 and 1e-09 differ by 1e-09, inside "
+            "the secular tolerance 1e-09")
 
 
 def _degenerate_three_level():
@@ -299,15 +314,15 @@ def _bits(values) -> bytes:
 
 
 def _tables(baths, omegas):
-    """kernel._correlations of a list of baths, given as its columns."""
-    return kernel._correlations([b.temperature for b in baths],
-                                [b.spectral_density for b in baths], omegas)
+    """qheat.bath._correlations of a list of baths, given as its columns."""
+    return _correlations([b.temperature for b in baths],
+                         [b.spectral_density for b in baths], omegas)
 
 
 def test_correlation_tables_equal_bath_correlation_byte_for_byte():
-    """The tables' inlined Planck loop against the scalar bath_correlation:
-    T = 0, omega/T > 700 (where exp(-omega/T) is subnormal) and exactly
-    700, seeded temperatures over 1e-3..1e3, g = 0 and a table."""
+    """The tables against the oracle's scalar bath_correlation: T = 0,
+    omega/T > 700 (where exp(-omega/T) is subnormal) and exactly 700,
+    seeded temperatures over 1e-3..1e3, g = 0 and a table."""
     rng = np.random.default_rng(18)
     omegas = list(dict.fromkeys([0.71, 0.72, 0.745, 350.0,
                                  *rng.uniform(0.05, 3.0, 12).tolist()]))
@@ -330,10 +345,10 @@ def test_correlation_tables_equal_bath_correlation_byte_for_byte():
 
 
 def test_correlation_tables_keep_planck_occupations_edges():
-    """The tables' inlined occupation and planck_occupation are one rule
-    at its edges: T = 0, and omega/T one ulp below 700 (1/expm1) and one
-    ulp above (exp(-omega/T)), byte for byte against bath_correlation.
-    Where planck_occupation refuses omega/T below 1/DBL_MAX (T = 1e300,
+    """The tables' occupations and planck_occupation are one rule at its
+    edges: T = 0, and omega/T one ulp below 700 (1/expm1) and one ulp
+    above (exp(-omega/T)), byte for byte against the oracle's
+    bath_correlation. Where planck_occupation refuses omega/T below 1/DBL_MAX (T = 1e300,
     omega = 2e-12), build_kernel refuses with its overflow error, which
     names the bath."""
     omegas = [float(np.nextafter(700.0, 0.0)), float(np.nextafter(700.0, np.inf))]

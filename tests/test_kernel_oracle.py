@@ -191,3 +191,32 @@ def test_plans_cached_by_pattern_give_the_loop_bytes():
     _builds_equal_loop_oracle()
     info = kernel._plan.cache_info()
     assert info.hits > info.misses > 1
+
+
+
+@pytest.mark.parametrize("top", [1.0, 3.0, 1e3])
+def test_level_gaps_at_the_refusal_bound_give_the_loop_bytes(top):
+    """Levels (0, gap, top), every transition coupled, at gaps from one
+    ulp of eps above eps to eps + 6 ulp(top). Both modes refuse every gap
+    up to eps + 4 ulp(top), naming the two levels, and every wider gap
+    gives the loop's bytes: there the pairing rule and the loop's bracket
+    agree. Without the 4 ulp(top) margin, redfield builds the gaps just
+    above eps, where the rounded sum W_xl + W_ly falls inside the
+    loop's bracket and the kernels differ."""
+    eps, ulp = degeneracy_tolerance((top,)), math.ulp(top)
+    gaps = ([eps + j * math.ulp(eps) for j in range(1, 8)]
+            + [eps + k * ulp / 4 for k in range(1, 25)])
+    s1 = np.tril(np.ones((3, 3)), -1)
+    bath = BATHS["one"]
+    for gap in gaps:
+        system = SystemSpec(levels=(0.0, gap, top), couplings={"A": s1})
+        for mode in MODES:
+            if gap <= eps + 4 * ulp:
+                with pytest.raises(NearDegeneracyError) as exc:
+                    build_kernel(system, bath, "A", mode)
+                assert str(exc.value).startswith(
+                    f"distinct level energies 0 and {gap:g} differ by ")
+                continue
+            got = build_kernel(system, bath, "A", mode).data
+            want = loop_kernel_data(system, bath, "A", mode)
+            assert got.tobytes() == want.tobytes(), (gap, mode)
