@@ -207,9 +207,11 @@ class BathColumns:
     The one form in which build_kernel and steady_point take B baths:
     entries may share one SpectralDensity object, and each distinct
     object is looked up once per kernel. The columns must be equally
-    long and not empty, every temperature must pass BathSpec's check
-    (the first that does not raises its message), and every density must
-    be a SpectralDensity.
+    long and not empty. Every temperature is checked first, then every
+    density entry that is not a SpectralDensity is promoted as BathSpec
+    promotes it, one object per distinct number (0.0 and -0.0 apart).
+    The first entry refused raises what the BathSpec of its temperature
+    and density raises, so a one-entry column raises in BathSpec's order.
     """
 
     temperatures: tuple
@@ -226,10 +228,16 @@ class BathColumns:
             raise ValueError("bath columns are empty; need at least one bath")
         for T in temperatures:
             _check_temperature(T)
+        made = {}   # a number's density by value and sign: 0.0, -0.0 apart
+        promoted = []
         for density in densities:
             if not isinstance(density, SpectralDensity):
-                raise TypeError(f"spectral densities must be SpectralDensity "
-                                f"objects, got {density!r}")
+                try:
+                    key = density, math.copysign(1.0, density)
+                    density = made.get(key) or made.setdefault(
+                        key, SpectralDensity.constant(density))
+                except TypeError:   # no number, or unhashable: on its own
+                    density = SpectralDensity.constant(density)
+            promoted.append(density)
         object.__setattr__(self, "temperatures", temperatures)
-        object.__setattr__(self, "spectral_densities", densities)
-
+        object.__setattr__(self, "spectral_densities", tuple(promoted))

@@ -10,14 +10,16 @@ All physics goes through qheat.thermo.steady_point (kernel build,
 nullspace solve, per-reservoir currents), never through the closed
 forms, so CLI output exercises the same code path as any library caller:
 compute_point returns the SteadyPoint of one steady_point call. A sweep
-has one path, _sweep_rows: each chunk of consecutive grid points that
-share one system is one steady_point call, and the sweep runs as columns
-from the grid to the CSV text, with no dict or bath object per grid
-point. Point reports and sweep rows take their first- and second-law
-verdicts from one law_checks call on the currents and temperatures, and
-one first-law rule (_first_law_error) judges both: a point whose
-|q_A + q_B| reaches CONSERVATION_ROW_TOL is an error row in a sweep and
-is refused by the point command with the same message.
+has one path, _sweep_rows: each run of consecutive grid points that
+share one system hands its grid columns to one BathColumns per reservoir
+and is one steady_point call, and a run that raises splits in halves
+down to the points that raise. The sweep runs as columns from the grid
+to the CSV text, with no dict or bath object per grid point. Point
+reports and sweep rows take their first- and second-law verdicts from
+one law_checks call on the currents and temperatures, and one first-law
+rule (_first_law_error) judges both: a point whose |q_A + q_B| reaches
+CONSERVATION_ROW_TOL is an error row in a sweep and is refused by the
+point command with the same message.
 
 Sweeps accept the pseudo-variable "tm", the mean temperature: sweeping tm
 moves T_A and T_B together, keeping their difference fixed at the value
@@ -69,7 +71,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .bath import BathColumns, BathSpec, SpectralDensity, _check_temperature
+from .bath import BathColumns, BathSpec
 from .kernel import MODES
 # not called here; perfbench/test_perfbench.py reads cli.build_kernel
 from .kernel import build_kernel  # noqa: F401
@@ -367,79 +369,46 @@ def _sweep_rows(record: _Model, mode, values, grid):
 
     values holds the swept variable at each grid point, and grid maps
     each params key of the record to its column of values, one per grid
-    point. Each point is checked first, as a one-point run checks it:
-    its system, built only when its record.system_keys values differ
-    from those of the last system built, then per reservoir its
-    temperature and its coupling, whose SpectralDensity is built once
-    per coupling value and shared by every point with that value. A
-    point whose parameters are refused gets its error row at once, with
-    the message BathSpec's own checks give. Each temperature column is
-    flagged by one array test, and only a flagged temperature goes
-    through BathSpec's check for its message, at its place in that
-    order; BathColumns checks each chunk's columns once more. The others
-    are cut into chunks of consecutive points that share one system, at
-    most SWEEP_CHUNK long, and each chunk is one steady_point call with
-    each reservoir's baths as a BathColumns, a temperature column and
-    one shared density per entry, so no bath object is built per point
-    and every layer runs once on the chunk's (B, N^2, N^2) stack and
-    law_checks once on its current and temperature arrays. Stack entries
-    are bit-identical to one-point results, so every row equals the row
-    of its point solved alone, and _first_law_error marks a row whose
-    currents break the first law as the point command refuses it. A
-    chunk that raises is solved again as one-entry chunks, so each error
-    row carries the message a one-point run gives. A solved chunk's rows
-    are written from its columns by _solved_lines.
+    point. The grid is cut into runs of consecutive points that share
+    one system key (the record.system_keys values), at most SWEEP_CHUNK
+    long. A run builds its system once, hands each reservoir's
+    temperature and coupling columns to one BathColumns, which checks
+    them as BathSpec checks one point, and makes one steady_point call:
+    every layer runs once on the run's (B, N^2, N^2) stack and law_checks
+    once on its current and temperature arrays. A run that raises, in
+    its system, its baths or its solve, is split in halves; a one-point
+    run that raises is an error row with the message its point raises
+    alone. Stack entries are bit-identical to one-point results, so every
+    row equals the row of its point solved alone, and _first_law_error
+    marks a row whose currents break the first law as the point command
+    refuses it. A solved run's rows are written from its columns by
+    _solved_lines.
     """
     lines = [None] * len(values)
     n_bad, ok_pops = 0, []
-    # per reservoir: temperature and coupling columns, whether BathSpec
-    # refuses each temperature (one array test, below 0, inf or NaN), and
-    # the densities built so far, by coupling value (a swept column holds
-    # one zero at most, so 0.0 and -0.0 never share one)
-    reservoirs = []
-    for t, g in zip(_TEMPERATURE_FLAGS, record.coupling_keys):
-        column = np.asarray(grid[t], dtype=float)
-        refused = ~((column >= 0.0) & (column < math.inf))
-        reservoirs.append((grid[t], grid[g], refused.tolist(), {}))
-    chunks = []     # (system, grid indices, [densities] per reservoir)
-    key = system = None
-    for i, point_key in enumerate(zip(*(grid[k] for k in record.system_keys))):
+    runs, start = [], 0
+    keys = list(zip(*(grid[k] for k in record.system_keys)))
+    for i in range(1, len(keys) + 1):
+        if i == len(keys) or keys[i] != keys[start] \
+                or i - start == SWEEP_CHUNK:
+            runs.append((start, i))
+            start = i
+    runs.reverse()
+    while runs:                 # a stack: split runs are solved next
+        lo, hi = runs.pop()
         try:
-            if point_key != key:
-                system, key = record.build_system(*point_key), point_key
-            point = []
-            for temperatures, couplings, refused, densities in reservoirs:
-                # BathSpec's checks in its order: the temperature, then g
-                if refused[i]:
-                    _check_temperature(temperatures[i])
-                g = couplings[i]
-                density = densities.get(g)
-                if density is None:
-                    density = densities[g] = SpectralDensity.constant(g)
-                point.append(density)
-        except _POINT_ERRORS as exc:
-            lines[i] = _error_line(record, values[i], exc)
-            n_bad += 1
-            continue
-        if not chunks or chunks[-1][0] is not system \
-                or len(chunks[-1][1]) == SWEEP_CHUNK:
-            chunks.append((system, [], [[] for _ in RESERVOIRS]))
-        chunks[-1][1].append(i)
-        for column, density in zip(chunks[-1][2], point):
-            column.append(density)
-    for system, index, densities in chunks:     # grows as failing chunks split
-        baths = {r: BathColumns([temperatures[i] for i in index], column)
-                 for r, (temperatures, *_), column
-                 in zip(RESERVOIRS, reservoirs, densities)}
-        try:
+            system = record.build_system(*keys[lo])
+            baths = {r: BathColumns(grid[t][lo:hi], grid[g][lo:hi])
+                     for r, t, g in zip(RESERVOIRS, _TEMPERATURE_FLAGS,
+                                        record.coupling_keys)}
             stack = steady_point(system, baths, mode)
         except _POINT_ERRORS as exc:
-            if len(index) == 1:
-                lines[index[0]] = _error_line(record, values[index[0]], exc)
+            if hi - lo == 1:
+                lines[lo] = _error_line(record, values[lo], exc)
                 n_bad += 1
             else:
-                chunks += [(system, [i], [[column[j]] for column in densities])
-                           for j, i in enumerate(index)]
+                mid = (lo + hi) // 2
+                runs += [(mid, hi), (lo, mid)]
             continue
         report = law_checks((baths["A"].temperatures, stack.currents["A"]),
                             (baths["B"].temperatures, stack.currents["B"]))
@@ -448,19 +417,17 @@ def _sweep_rows(record: _Model, mode, values, grid):
         status = ["ok" if (e := _first_law_error(r)) is None else f"error: {e}"
                   for r in resid]
         ok = [m for m, s in zip(min_pop, status) if s == "ok"]
-        n_bad += len(index) - len(ok)
+        n_bad += hi - lo - len(ok)
         ok_pops += ok
         cohs = []
         for p, q in record.coherences:
             rho_pq = stack.rho.entries[:, p, q]
             cohs += [rho_pq.real.tolist(), rho_pq.imag.tolist()]
-        columns = ([values[i] for i in index],
-                   *stack.rho.populations.T.tolist(), *cohs,
+        columns = (values[lo:hi], *stack.rho.populations.T.tolist(), *cohs,
                    stack.currents["A"].tolist(), stack.currents["B"].tolist(),
                    resid, min_pop, report.second_law.tolist(), status)
-        for i, line in zip(index, _solved_lines(columns)):
-            lines[i] = line
-        del stack       # its stacks must not outlive this chunk into the next
+        lines[lo:hi] = _solved_lines(columns)
+        del stack       # its stacks must not outlive this run into the next
     return lines, n_bad, min(ok_pops, default=None)
 
 

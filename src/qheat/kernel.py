@@ -259,17 +259,22 @@ class SuperKernel:
                                                  "kernel data"))
 
 
-def _reject_near_degenerate(values, what: str, eps: float,
-                            margin: float = 0.0):
-    """Refuse two distinct values within eps + margin of each other:
-    sorted, the neighbours at a nonzero gap are the consecutive distinct
-    values, and the first such pair at most eps + margin apart is named."""
+def _reject_near_degenerate(values, what: str, eps: float, ulps: int = 0):
+    """Refuse two distinct values at most eps, plus ulps ulp of the
+    largest |value|, apart: sorted, the neighbours at a nonzero gap are
+    the consecutive distinct values, and the first such pair within the
+    bound is named, with both values and their gap in full (repr) and
+    the bound's terms."""
     values = sorted(values)
+    top = max(abs(values[0]), abs(values[-1])) if values else 0.0
+    bound = eps + ulps * math.ulp(top)
     for a, b in zip(values, values[1:]):
-        if 0 < b - a <= eps + margin:
+        if 0 < b - a <= bound:
+            widened = (f" plus {ulps} ulp of the largest magnitude {top!r}"
+                       if ulps else "")
             raise NearDegeneracyError(
-                f"distinct {what} {a:g} and {b:g} differ by {b - a:g}, "
-                f"inside the secular tolerance {eps:g}")
+                f"distinct {what} {a!r} and {b!r} differ by {b - a!r}, "
+                f"within the secular tolerance {eps!r}{widened}")
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -455,8 +460,7 @@ def build_kernel(system: SystemSpec,
     secular = mode == LINDBLAD
     eps = degeneracy_tolerance(system.levels)
     # widened by the rounding of a chain's two frequency differences
-    _reject_near_degenerate(system.levels, "level energies", eps,
-                            4.0 * math.ulp(max(map(abs, system.levels))))
+    _reject_near_degenerate(system.levels, "level energies", eps, 4)
     if secular:
         _reject_near_degenerate(freqs, "transition frequencies", eps)
 

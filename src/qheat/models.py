@@ -14,6 +14,7 @@ forms are special cases of it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +54,13 @@ def _coupled_geometry(omega1, omega2, lam):
     """
     if omega1 <= 0 or omega2 <= 0:
         raise ValueError(f"qubit splittings must be > 0, got {omega1}, {omega2}")
-    if not 0 <= lam < math.sqrt(omega1 * omega2):
+    product = omega1 * omega2
+    # sqrt(omega1) sqrt(omega2) where the product under- or overflows
+    bound = (math.sqrt(product) if sys.float_info.min <= product < math.inf
+             else math.sqrt(omega1) * math.sqrt(omega2))
+    if not 0 <= lam < bound:
         raise ValueError(
-            f"need 0 <= lam < sqrt(omega1*omega2) = {math.sqrt(omega1 * omega2):g}, "
+            f"need 0 <= lam < sqrt(omega1*omega2) = {bound:g}, "
             f"got lam = {lam}")
     omega_m = 0.5 * (omega1 + omega2)
     delta = math.hypot(0.5 * (omega1 - omega2), lam)

@@ -13,6 +13,7 @@ latter diagonalised in closed form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -143,9 +144,13 @@ def make_coupled_qubits(omega1: float, omega2: float, lam: float):
         raise ValueError(f"qubit splittings must be > 0, got {omega1}, {omega2}")
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    if lam >= math.sqrt(omega1 * omega2):
+    product = omega1 * omega2
+    # sqrt(omega1) sqrt(omega2) where the product under- or overflows
+    bound = (math.sqrt(product) if sys.float_info.min <= product < math.inf
+             else math.sqrt(omega1) * math.sqrt(omega2))
+    if lam >= bound:
         raise ValueError(
-            f"need lam < sqrt(omega1*omega2) = {math.sqrt(omega1 * omega2):g} "
+            f"need lam < sqrt(omega1*omega2) = {bound:g} "
             f"for a positive omega_minus, got lam = {lam}")
     omega_m = 0.5 * (omega1 + omega2)
     delta_omega = 0.5 * (omega1 - omega2)

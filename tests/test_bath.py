@@ -207,3 +207,7 @@ def test_each_bath_rule_is_written_only_in_bath():
             assert "def _correlations" not in source, path.name
     assert kernel._correlations is _correlations
     assert not hasattr(qheat.bath, "bath_correlation")
+    # the CLI hands its grid columns to BathColumns: no copy of a rule
+    cli_source = (Path(qheat.__file__).parent / "cli.py").read_text()
+    assert "_check_temperature" not in cli_source
+    assert "SpectralDensity" not in cli_source

@@ -88,3 +88,24 @@ def test_the_names_the_benchmark_reads_resolve():
     BathSpec(temperature=1.0, spectral_density=1.0, label="A")
     system, _ = make_coupled_qubits(1.0, 2.0, 0.5)
     assert system.dim == 4
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in _spec()["workloads"]])
+def test_one_cycle_of_each_workload_passes_the_benchmark_checks(
+        workload, tmp_path, monkeypatch):
+    """Cycle 0 of each workload, run and judged by perfbench/run.py's own
+    run_cycle and Tally, fails no output check and leaves no file in its
+    working directory once the load is closed."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.chdir(tmp_path)
+    run = importlib.import_module("run")
+    workloads = importlib.import_module("workloads")
+    load = workloads.WORKLOADS[workload](0)
+    tally = run.Tally()
+    try:
+        run.run_cycle(load, 0, tally)
+    finally:
+        load.close()
+    assert tally.failed == 0, tally.failures
+    assert tally.checks > 0
+    assert list(tmp_path.iterdir()) == []

@@ -715,6 +715,39 @@ def test_bath_sweep_longer_than_chunk(monkeypatch):
                                   -1.0, 4.0, 21)
 
 
+@pytest.mark.parametrize("model, params, var, start, stop, count, chunk, "
+                         "n_refused, lengths", [
+    # T_B = T - 1 is refused below T = 1, at the first 8 of 21 points
+    ("coupled", dict(_COUPLED, ta=3.0, tb=1.0), "tm", -1.0, 4.0, 21, 5, 8,
+     [2, 5, 5, 1]),
+    # g_A = -0.55 + 0.25 k is refused at the first 3 of 13 points
+    ("single", _SINGLE, "ga", -0.55, 2.45, 13, 4, 3, [1, 4, 4, 1]),
+])
+def test_a_failing_run_splits_in_halves_off_the_chunk_boundaries(
+        model, params, var, start, stop, count, chunk, n_refused, lengths,
+        monkeypatch):
+    """Refused points that end inside a run of SWEEP_CHUNK points: the
+    run is split in halves until each refused point is a one-point run,
+    so only the points that pass their checks reach steady_point, in the
+    pinned runs, and every row is that of its point solved alone."""
+    seen = []
+    real_steady_point = cli.steady_point
+
+    def spying_steady_point(system, baths, mode):
+        seen.append(len(baths["A"].temperatures))
+        return real_steady_point(system, baths, mode)
+
+    monkeypatch.setattr(cli, "steady_point", spying_steady_point)
+    monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+    text, n_bad, _ = render_sweep(model, "lindblad", params, var, start,
+                                  stop, count, comments=False)
+    assert n_bad == n_refused and sum(seen) == count - n_refused
+    assert seen == lengths
+    monkeypatch.undo()
+    assert text == _per_point_csv(model, "lindblad", params, var, start,
+                                  stop, count)
+
+
 def test_system_sweep_is_one_one_entry_call_per_point(monkeypatch):
     lengths = []
     real_steady_point = cli.steady_point
@@ -812,7 +845,6 @@ def test_a_sweep_checks_each_temperature_once(monkeypatch, capsys):
         check(T)
 
     monkeypatch.setattr(bath, "_check_temperature", counted)
-    monkeypatch.setattr(cli, "_check_temperature", counted)
     assert main(["preset", "fig3"]) == 0
     capsys.readouterr()
     assert len(calls) == 2 * PRESETS["fig3"]["count"]

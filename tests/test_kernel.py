@@ -216,8 +216,9 @@ def test_near_degenerate_spectra_rejected():
         with pytest.raises(NearDegeneracyError) as exc:
             build_kernel(band, bath, "A", mode)
         assert str(exc.value) == (
-            "distinct level energies 0 and 1e-09 differ by 1e-09, inside "
-            "the secular tolerance 1e-09")
+            "distinct level energies 0.0 and 1.0000000000000129e-09 differ "
+            "by 1.0000000000000129e-09, within the secular tolerance 1e-09 "
+            "plus 4 ulp of the largest magnitude 1.0")
 
 
 def _degenerate_three_level():
@@ -480,28 +481,62 @@ def test_batched_build_equals_single_builds(name, mode):
         batch.data.tobytes()
 
 
-def test_bath_columns_refuse_what_a_bath_refuses():
+def _bath_spec_refusal(temperatures, densities):
+    """The type and message of what the BathSpecs of a column's entries
+    raise, every temperature checked before any density, or None where
+    each entry makes a BathSpec."""
     one = SpectralDensity.constant(1.0)
-    for temperatures, densities, error, message in (
-            ([1.0, 2.0], [one], ValueError,
+    for T, density in [(T, one) for T in temperatures] + list(
+            zip(temperatures, densities)):
+        try:
+            BathSpec(temperature=T, spectral_density=density)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def test_bath_columns_refuse_what_a_bath_refuses():
+    """A column refuses what the BathSpecs of its entries refuse, with
+    the same type and message: the first refused temperature, else the
+    first refused density in bath order. The densities it takes are
+    promoted as BathSpec promotes them, one object per distinct value."""
+    one = SpectralDensity.constant(1.0)
+    for temperatures, densities, message in (
+            ([1.0, 2.0], [one],
              "bath columns differ in length: 2 temperatures, 1 spectral "
              "densities"),
-            ([], [], ValueError, "bath columns are empty"),
-            ([1.0, -0.5, math.nan], [one] * 3, ValueError,
-             "temperature must be >= 0, got -0.5"),
-            ([1.0, math.inf], [one] * 2, ValueError,
-             "temperature must be finite, got inf"),
-            ([1.0], [1.0], TypeError,
-             "spectral densities must be SpectralDensity objects, got 1.0"),
-            # unhashable entries get the same message, and the first bad
-            # entry in bath order is named
-            ([1.0, 2.0], [[1.0], {}], TypeError,
-             "spectral densities must be SpectralDensity objects, got [1.0]"),
-            ([1.0] * 4, [one, 2.0, [3.0], 2.0], TypeError,
-             "spectral densities must be SpectralDensity objects, got 2.0")):
-        with pytest.raises(error) as exc:
+            ([], [], "bath columns are empty")):
+        with pytest.raises(ValueError) as exc:
             BathColumns(temperatures, densities)
         assert str(exc.value).startswith(message)
+    for temperatures, densities in (
+            ([1.0, -0.5, math.nan], [one] * 3),
+            ([1.0, math.inf], [one] * 2),
+            # every temperature is checked before any density, and a
+            # one-entry column in BathSpec's order
+            ([1.0, math.nan], [None, one]),
+            ([-1.0], [-1.0]),
+            ([1.0], [None]),
+            ([1.0], ["x"]),
+            ([1.0] * 2, [math.nan, -1]),
+            ([1.0] * 2, [-1, math.nan]),
+            ([1.0] * 3, [-0.0, "2.5", None]),
+            # unhashable entries, and the first bad entry in bath order
+            ([1.0, 2.0], [[1.0], {}]),
+            ([1.0] * 4, [one, 2.0, [3.0], 2.0])):
+        want = _bath_spec_refusal(temperatures, densities)
+        assert want is not None, densities
+        with pytest.raises(want[0]) as exc:
+            BathColumns(temperatures, densities)
+        assert (type(exc.value), str(exc.value)) == want
+    densities = [0.0, -0.0, 2, "2.5", one, 2.0, -0.0, 0.0]
+    assert _bath_spec_refusal([1.0] * 8, densities) is None
+    got = BathColumns([1.0] * 8, densities).spectral_densities
+    assert [repr(d) for d in got] == [
+        repr(BathSpec(temperature=1.0, spectral_density=d).spectral_density)
+        for d in densities]
+    assert got[0] is got[7] and got[1] is got[6] and got[2] is got[5]
+    assert got[4] is one and len({id(d) for d in got}) == 5
 
 
 def test_build_kernel_input_validation():
@@ -655,14 +690,17 @@ def _one_transition(levels, *entries):
     # exactly degenerate levels pass and leave the key of the near ones
     (_one_transition((0.0, 1.0, 1.0), (1, 0, 1.0)),
      _one_transition((0.0, 1.0, 1.0 + 1e-12), (1, 0, 1.0)), MODES,
-     "distinct level energies 1 and 1 differ by 1.00009e-12, inside the "
-     "secular tolerance 1e-09"),
+     "distinct level energies 1.0 and 1.000000000001 differ by "
+     "1.000088900582341e-12, within the secular tolerance "
+     "1.0000000000010001e-09 plus 4 ulp of the largest magnitude "
+     "1.000000000001"),
     # distinct frequencies far apart or within eps have one slot pattern
     (_one_transition((0.0, 1.0, 2.5), (1, 0, 1.0), (2, 1, 0.5)),
      _one_transition((0.0, 1.0, 2.0 + 1e-12), (1, 0, 1.0), (2, 1, 0.5)),
      ("lindblad",),
-     "distinct transition frequencies 1 and 1 differ by 1.00009e-12, "
-     "inside the secular tolerance 2e-09"),
+     "distinct transition frequencies 1.0 and 1.000000000001 differ by "
+     "1.000088900582341e-12, within the secular tolerance "
+     "2.000000000001e-09"),
 ])
 def test_a_cached_plan_skips_no_near_degeneracy_refusal(cached, near, modes,
                                                         message, monkeypatch):

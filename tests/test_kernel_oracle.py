@@ -215,7 +215,7 @@ def test_level_gaps_at_the_refusal_bound_give_the_loop_bytes(top):
                 with pytest.raises(NearDegeneracyError) as exc:
                     build_kernel(system, bath, "A", mode)
                 assert str(exc.value).startswith(
-                    f"distinct level energies 0 and {gap:g} differ by ")
+                    f"distinct level energies 0.0 and {gap!r} differ by ")
                 continue
             got = build_kernel(system, bath, "A", mode).data
             want = loop_kernel_data(system, bath, "A", mode)

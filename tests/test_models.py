@@ -49,6 +49,11 @@ def test_single_qubit_closed_guards():
     (0.0, 2.0, 0.5, "qubit splittings must be > 0, got 0.0, 2.0"),
     (1.0, 2.0, 3.0, "need 0 <= lam < sqrt(omega1*omega2) = 1.41421, "
                     "got lam = 3.0"),
+    # omega1 omega2 underflows to 0, and overflows to inf
+    (1e-200, 2e-200, 1.5e-200, "need 0 <= lam < sqrt(omega1*omega2) = "
+                               "1.41421e-200, got lam = 1.5e-200"),
+    (1e160, 4e160, 3e160, "need 0 <= lam < sqrt(omega1*omega2) = 2e+160, "
+                          "got lam = 3e+160"),
 ])
 def test_coupled_rates_refuse_unusable_geometry(omega1, omega2, lam, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1020,7 +1020,7 @@ def test_a_traceless_null_vector_fails_the_trace_row_solve():
 
 
 _REFUSALS = {
-    NearDegeneracyError: ("inside the secular tolerance",),
+    NearDegeneracyError: ("within the secular tolerance",),
     DegenerateSteadyStateError: ("does not preserve trace", "need exactly 1"),
     SteadyStateResidualError: ("exceeds the absolute bound",),
 }

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,24 @@ def test_coupled_rejects_invalid_parameters():
         make_coupled_qubits(0.0, 2.0, 0.1)
     with pytest.raises(ValueError):
         make_coupled_qubits(1.0, -2.0, 0.1)
+
+
+@pytest.mark.parametrize("omega1, omega2, shown", [
+    (1e-200, 2e-200, "1.41421e-200"),   # omega1 omega2 underflows to 0
+    (1e160, 4e160, "2e+160"),           # omega1 omega2 overflows to inf
+])
+def test_coupled_bounds_lam_where_the_product_leaves_the_floats(
+        omega1, omega2, shown):
+    """Where omega1 omega2 is no finite normal float, the bound on lam is
+    sqrt(omega1) sqrt(omega2): lam at it is refused, naming it, and half
+    of it gives a positive omega_minus."""
+    bound = math.sqrt(omega1) * math.sqrt(omega2)
+    with pytest.raises(ValueError, match=re.escape(
+            f"need lam < sqrt(omega1*omega2) = {shown} for a positive "
+            f"omega_minus, got lam = ")):
+        make_coupled_qubits(omega1, omega2, bound)
+    _, diag = make_coupled_qubits(omega1, omega2, 0.5 * bound)
+    assert 0 < diag.omega_minus < min(omega1, omega2)
 
 
 def test_system_spec_validation():
