@@ -381,8 +381,10 @@ def _sweep_rows(record: _Model, mode, values, grid):
     alone. Stack entries are bit-identical to one-point results, so every
     row equals the row of its point solved alone, and _first_law_error
     marks a row whose currents break the first law as the point command
-    refuses it. A solved run's rows are written from its columns by
-    _solved_lines.
+    refuses it. A row's min_population is the smallest of the populations
+    it prints, positivity_report's own expression, so no sweep reads
+    positivity and none takes an eigendecomposition. A solved run's rows
+    are written from its columns by _solved_lines.
     """
     lines = [None] * len(values)
     n_bad, ok_pops = 0, []
@@ -413,7 +415,8 @@ def _sweep_rows(record: _Model, mode, values, grid):
         report = law_checks((baths["A"].temperatures, stack.currents["A"]),
                             (baths["B"].temperatures, stack.currents["B"]))
         resid = report.conservation_residual.tolist()
-        min_pop = stack.positivity.min_population.tolist()
+        pops = stack.rho.populations
+        min_pop = pops.min(axis=-1).tolist()
         status = ["ok" if (e := _first_law_error(r)) is None else f"error: {e}"
                   for r in resid]
         ok = [m for m, s in zip(min_pop, status) if s == "ok"]
@@ -423,7 +426,7 @@ def _sweep_rows(record: _Model, mode, values, grid):
         for p, q in record.coherences:
             rho_pq = stack.rho.entries[:, p, q]
             cohs += [rho_pq.real.tolist(), rho_pq.imag.tolist()]
-        columns = (values[lo:hi], *stack.rho.populations.T.tolist(), *cohs,
+        columns = (values[lo:hi], *pops.T.tolist(), *cohs,
                    stack.currents["A"].tolist(), stack.currents["B"].tolist(),
                    resid, min_pop, report.second_law.tolist(), status)
         lines[lo:hi] = _solved_lines(columns)

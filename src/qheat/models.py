@@ -139,7 +139,9 @@ class RateParams:
 
 def coupled_rates(omega1, omega2, lam, g_a, g_b, t_a, t_b) -> RateParams:
     """Rate parameters a_n, b_n, s_n (and the uniform-g extras c_n, d_n,
-    k, n_norm when they exist) for the coupled-qubit model."""
+    k, n_norm when they exist) for the coupled-qubit model. A uniform g
+    whose normalisation n_norm leaves the float range is a ValueError
+    naming its rates, for either closed form."""
     alpha, beta, wp, wm, delta = _coupled_geometry(omega1, omega2, lam)
     ga = _as_g(g_a)
     gb = _as_g(g_b)
@@ -166,8 +168,15 @@ def coupled_rates(omega1, omega2, lam, g_a, g_b, t_a, t_b) -> RateParams:
         c = (half * (1 + na_p), half * (1 + na_m), half * na_p, half * na_m)
         d = (half * (1 + nb_p), half * (1 + nb_m), half * nb_p, half * nb_m)
         k = (c[0] + c[1]) - (d[0] + d[1])
-        n_norm = ((s_sum ** 2 + 4 * e ** 2) * (s[0] + s[2]) * (s[1] + s[3])
-                  - 4 * (k * s_sum) ** 2)
+        try:
+            n_norm = ((s_sum ** 2 + 4 * e ** 2) * (s[0] + s[2]) * (s[1] + s[3])
+                      - 4 * (k * s_sum) ** 2)
+        except OverflowError:       # a square past the largest float
+            n_norm = math.inf
+        if not math.isfinite(n_norm):
+            raise ValueError(
+                "normalisation factor leaves the float range at total rate "
+                f"{s_sum:g}, transfer strength {k:g}, e = {e:g}")
         extras = dict(c=c, d=d, k=k, n_norm=n_norm)
     return RateParams(a=a, b=b, s=s, e=e, s_sum=s_sum,
                       omega_plus=wp, omega_minus=wm, **extras)
@@ -207,6 +216,9 @@ def coupled_lindblad_closed(omega1, omega2, lam, g_a, g_b, t_a, t_b) -> CoupledL
     z24 = s2 + s4
     if z13 == 0 or z24 == 0:
         raise ValueError("no dissipation on one transition group; steady state undefined")
+    if z13 * z24 == 0:
+        raise ValueError(f"population normaliser (s1+s3)(s2+s4) = {z13:g} * "
+                         f"{z24:g} underflows to 0")
     pops = (s1 * s2 / (z13 * z24), s1 * s4 / (z13 * z24),
             s3 * s2 / (z13 * z24), s3 * s4 / (z13 * z24))
     a1, a2, a3, a4 = r.a

@@ -18,16 +18,19 @@ current per entry, each bit-identical to the current of that entry alone.
 
 steady_point is the whole pipeline in one call, and every composition in
 the package (the CLI's points and sweeps) goes through it: one kernel per
-reservoir, their sum, the generator, its trace-one null vector, each
-reservoir's current through its own kernel, and the positivity report.
-Given one BathSpec per reservoir it solves one point; given a
-BathColumns of B baths per reservoir it runs each layer once on the
-(B, N^2, N^2) stack, and every entry is bit-identical to the one-point
-result for its baths.
+reservoir, their sum, the generator, its trace-one null vector and each
+reservoir's current through its own kernel. Given one BathSpec per
+reservoir it solves one point; given a BathColumns of B baths per
+reservoir it runs each layer once on the (B, N^2, N^2) stack, and every
+entry is bit-identical to the one-point result for its baths. The
+positivity report, one eigendecomposition per entry, is computed on the
+first read of SteadyPoint.positivity, not by steady_point: a caller that
+reads only rho and the currents never pays for it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,13 +151,19 @@ def law_checks(first, second) -> CurrentReport:
 class SteadyPoint:
     """Everything the pipeline computes at one point, or at each entry of
     a stack: per-entry values then carry a leading batch axis, as in
-    SolveInfo and PositivityReport, and currents are arrays."""
+    SolveInfo and PositivityReport, and currents are arrays. positivity
+    is computed on its first read and kept."""
 
     rho: DensityMatrix
     currents: dict                  # reservoir label -> q^R
     liouvillian: Liouvillian
     solve_info: SolveInfo
-    positivity: PositivityReport
+
+    @functools.cached_property
+    def positivity(self) -> PositivityReport:
+        """steady.positivity_report(rho), looked up on its module at the
+        first read, so a wrapper put on the module attribute sees it."""
+        return steady.positivity_report(self.rho)
 
 
 def steady_point(system: SystemSpec, baths: dict, mode: str) -> SteadyPoint:
@@ -164,17 +173,19 @@ def steady_point(system: SystemSpec, baths: dict, mode: str) -> SteadyPoint:
     points to a BathColumns of B baths (build_kernel refuses any other
     form); kernels are combined in the order of baths. Its keys must be
     the labels of system.couplings: a ValueError naming the missing and
-    unknown labels is raised before any kernel is built. Each layer (build_kernel
-    per reservoir, combine_kernels, assemble_liouvillian,
-    solve_steady_state, positivity_report) runs once, looked up on its
-    module at call time, so a wrapper put on the module attribute sees
-    every call. Stacks of unequal length are refused by combine_kernels,
-    which names both shapes; the first entry that fails a check raises
-    the error it raises alone. Once combined, each reservoir's kernel is
-    cut to its N population rows, the only rows its current reads; the
-    kernels are let go before the generator is built and their sum once
-    it is, so from then on a chunk holds two (B, N^2, N^2) stacks at
-    most, the generator and the solve's trace-row copy. Each current is
+    unknown labels is raised before any kernel is built. Each layer
+    (build_kernel per reservoir, combine_kernels, assemble_liouvillian,
+    solve_steady_state) runs once, looked up on its module at call time,
+    so a wrapper put on the module attribute sees every call;
+    positivity_report runs only when the result's positivity is first
+    read, and at most once. Stacks of unequal length are refused by
+    combine_kernels, which names both shapes; the first entry that fails
+    a check raises the error it raises alone. Once combined, each
+    reservoir's kernel is cut to its N population rows, the only rows
+    its current reads; the kernels are let go before the generator is
+    built and their sum once it is, so from then on a chunk holds two
+    (B, N^2, N^2) stacks at most, the generator and the solve's
+    trace-row copy. Each current is
     reservoir_current's formula (_current) on those rows, so it is
     bit-identical to reservoir_current on the whole kernel.
     """
@@ -195,5 +206,4 @@ def steady_point(system: SystemSpec, baths: dict, mode: str) -> SteadyPoint:
         rho=rho,
         currents={r: _current(system.levels, pop_rows, rho)
                   for r, pop_rows in zip(baths, rows)},
-        liouvillian=liou, solve_info=info,
-        positivity=steady.positivity_report(rho))
+        liouvillian=liou, solve_info=info)

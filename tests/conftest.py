@@ -1,7 +1,7 @@
 import pytest
 
 from qheat import (BathColumns, BathSpec, make_coupled_qubits, make_single_qubit,
-                   steady_point)
+                   steady, steady_point)
 
 
 def columns(baths):
@@ -37,3 +37,18 @@ def coupled_pipeline():
         return _run_pipeline(system, mode, {"A": ga, "B": gb},
                              {"A": ta, "B": tb})
     return run
+
+
+@pytest.fixture
+def positivity_calls(monkeypatch):
+    """The states steady.positivity_report is called on, in call order,
+    through a wrapper on the module attribute that returns its value."""
+    calls = []
+    real = steady.positivity_report
+
+    def counting(rho):
+        calls.append(rho)
+        return real(rho)
+
+    monkeypatch.setattr(steady, "positivity_report", counting)
+    return calls

@@ -419,6 +419,29 @@ def test_presets_match_stored_reference(fig, tmp_path):
     assert path.read_bytes() == (REFERENCE_DIR / f"{fig}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("fig", ["fig3", "fig4", "fig5"])
+def test_a_preset_reads_no_positivity(fig, tmp_path, positivity_calls):
+    """A sweep row's min_population is the minimum of the populations it
+    prints: no preset takes an eigendecomposition, and its bytes are the
+    stored reference's."""
+    path = tmp_path / f"{fig}.csv"
+    assert main(["preset", fig, "--out", str(path)]) == 0
+    assert positivity_calls == []
+    assert path.read_bytes() == (REFERENCE_DIR / f"{fig}.csv").read_bytes()
+
+
+def test_a_sweep_with_error_rows_reads_no_positivity(positivity_calls):
+    # T_B = 0.5 is refused nowhere, T_A below 0 is: error rows, and
+    # redfield rows past T_A = 10 with a negative min_population
+    params = dict(_COUPLED, tb=0.5)
+    text, n_bad, min_pop = render_sweep("coupled", "redfield", params, "ta",
+                                        -1.0, 12.0, 27, comments=False)
+    assert positivity_calls == []
+    assert n_bad == 2 and min_pop < 0
+    assert text == _per_point_csv("coupled", "redfield", params, "ta",
+                                  -1.0, 12.0, 27)
+
+
 def test_fig5_strict_positivity_exit(tmp_path):
     path = tmp_path / "fig5.csv"
     assert main(["preset", "fig5", "--strict-positivity",

@@ -3,11 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qheat import (coupled_lindblad_closed, coupled_redfield_closed,
                    limit_currents, make_coupled_qubits, make_single_qubit,
                    pauli_steady_state, single_qubit_closed)
 from qheat.models import coupled_rates
+from test_kernel_properties import PROPERTY_SETTINGS
 
 REF = dict(omega1=1.0, omega2=2.0, lam=0.5)
 
@@ -64,6 +67,51 @@ def test_coupled_lindblad_closed_refuses_no_dissipation():
     with pytest.raises(ValueError, match="^no dissipation on one transition "
                                          "group; steady state undefined$"):
         coupled_lindblad_closed(g_a=0.0, g_b=0.0, t_a=1.0, t_b=1.0, **REF)
+
+
+@pytest.mark.parametrize("form, args, message", [
+    # each raised OverflowError in n_norm's squares
+    (coupled_lindblad_closed, (1e-200, 2e-200, 7e-201, 1, 1, 1, 1),
+     "normalisation factor leaves the float range at total rate "
+     "3.97351e+200, transfer strength 0, e = -1.72047e-200"),
+    (coupled_lindblad_closed, (1.0, 1.0, 1e-150, 1e-200, 1e-200, 1.0, 1e300),
+     "normalisation factor leaves the float range at total rate 2e+100, "
+     "transfer strength -5e+99, e = -2e-150"),
+    (coupled_redfield_closed, (1e300, 1e300, 1e200, 1e150, 1e150, 1e-300),
+     "normalisation factor leaves the float range at total rate 2e+150, "
+     "transfer strength 0, e = -2e+200"),
+    # raised ZeroDivisionError: the two rate sums are finite, their product 0
+    (coupled_lindblad_closed,
+     (1e150, 1e150, 1e-300, 1e-200, 1e-200, 1e-200, 1.0),
+     "population normaliser (s1+s3)(s2+s4) = 1e-200 * 1e-200 underflows "
+     "to 0"),
+])
+def test_closed_forms_refuse_values_past_the_float_range(form, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        form(*args)
+
+
+_ARITY = {single_qubit_closed: 5, coupled_lindblad_closed: 7,
+          coupled_redfield_closed: 6}
+_extremes = st.floats(-300.0, 300.0).map(lambda x: 10.0 ** x)
+
+
+# about 1 % of these draws reach a float-range refusal, so 100 examples
+# may meet none
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(st.sampled_from(list(_ARITY)), st.data(), st.booleans())
+def test_closed_forms_raise_only_value_errors_at_float_extremes(
+        form, data, uniform):
+    """Parameters drawn log-uniform from 1e-300 to 1e300: a closed form
+    returns or refuses with a ValueError, and raises nothing else."""
+    args = data.draw(st.lists(_extremes, min_size=_ARITY[form],
+                              max_size=_ARITY[form]))
+    if form is coupled_lindblad_closed and uniform:
+        args[4] = args[3]       # g_b = g_a: coupled_rates computes n_norm
+    try:
+        form(*args)
+    except ValueError:
+        pass
 
 
 def test_coupled_rates_structure():

@@ -10,7 +10,7 @@ from qheat import (BathSpec, kernel, make_coupled_qubits, make_single_qubit,
 from qheat.bath import planck_occupation
 from qheat.cli import PRESETS
 from qheat.kernel import build_kernel
-from qheat.steady import DensityMatrix, gibbs_state
+from qheat.steady import DensityMatrix, gibbs_state, positivity_report
 from qheat.thermo import (CURRENT_TOL, CurrentConsistencyError, CurrentReport,
                           law_checks, reservoir_current)
 
@@ -174,6 +174,43 @@ def test_stacked_steady_point_equals_one_point_calls(model, mode):
                 np.float64(one.currents[r]).tobytes()
         assert stack.positivity.min_eigenvalue[j].tobytes() == \
             np.float64(one.positivity.min_eigenvalue).tobytes()
+
+
+def _same_bytes(a, b):
+    return type(a) is type(b) and np.asarray(a).tobytes() == \
+        np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["lindblad", "redfield"])
+def test_positivity_is_computed_on_its_first_read(positivity_calls, mode):
+    """steady_point takes no eigendecomposition; the first read of
+    positivity makes one positivity_report call on rho, a second read
+    none, and the value is positivity_report's, byte for byte, per point
+    and per stack entry."""
+    system = make_coupled_qubits(1.0, 2.0, 0.5)[0]
+    # (10.5, 0.5) loses positivity in redfield mode
+    points = [{r: BathSpec(temperature=t, spectral_density=1.0, label=r)
+               for r, t in zip("AB", temps)}
+              for temps in ((1.5, 1.0), (10.5, 0.5), (0.8, 0.8))]
+    stack = steady_point(system, {r: columns(p[r] for p in points)
+                                  for r in "AB"}, mode)
+    ones = [steady_point(system, baths, mode) for baths in points]
+    assert positivity_calls == []
+    for point in (stack, *ones):
+        report = point.positivity
+        assert len(positivity_calls) == 1
+        assert positivity_calls[0] is point.rho
+        assert point.positivity is report
+        assert len(positivity_calls) == 1
+        positivity_calls.clear()
+        want = positivity_report(point.rho)
+        for field in ("min_population", "min_eigenvalue"):
+            assert _same_bytes(getattr(report, field), getattr(want, field))
+    for j, one in enumerate(ones):
+        for field in ("min_population", "min_eigenvalue"):
+            assert getattr(stack.positivity, field)[j].tobytes() == \
+                np.float64(getattr(one.positivity, field)).tobytes()
+    assert positivity_calls == []
 
 
 def test_steady_point_refuses_stacks_of_unequal_length():
