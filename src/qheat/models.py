@@ -9,6 +9,10 @@ directly from the analytic expressions with no shared code path and no
 algebraic simplification. pauli_steady_state is the same kind of oracle
 for the secular kernel on any number of levels; the two qubit closed
 forms are special cases of it.
+
+Each returns finite numbers or raises a ValueError: at float extremes,
+where a rate or a product leaves the float range, the first non-finite
+field of the result is refused by name, with the inputs (_finite).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import planck_occupation
+from .bath import _check_temperature, planck_occupation
 
 __all__ = [
     "CoupledLindbladResult",
@@ -44,6 +48,29 @@ def _as_g(g):
     if val < 0:
         raise ValueError(f"spectral density must be >= 0, got {val}")
     return lambda omega: val
+
+
+def _finite(form: str, inputs: dict, **fields):
+    """Refuse the first of fields, each a number or a sequence or array
+    of them, that holds an inf or NaN: a ValueError names form, that
+    field and its value, and the inputs."""
+    for name, value in fields.items():
+        if not np.isfinite(value).all():
+            shown = value.tolist() if isinstance(value, np.ndarray) else value
+            args = ", ".join(f"{k}={v!r}" for k, v in inputs.items())
+            raise ValueError(f"{form} gives a non-finite {name} = {shown!r} "
+                             f"at {args}")
+
+
+def _quotient(num, den):
+    """num / den as written, NaN where den is 0, for _finite to refuse."""
+    return num / den if den else math.nan
+
+
+def _boltzmann(omega, t):
+    """exp(-omega/T) of a checked temperature; T = 0 gives exactly 0, the
+    rule qheat.bath states for the occupations."""
+    return math.exp(-omega / t) if t else 0.0
 
 
 def _coupled_geometry(omega1, omega2, lam):
@@ -105,6 +132,9 @@ def single_qubit_closed(omega0, g_a, g_b, t_a, t_b) -> SingleQubitResult:
     rho_m = (ga * (1 + na) + gb * (1 + nb)) / denom
     ratio = (ga * na + gb * nb) / (ga * (1 + na) + gb * (1 + nb))
     q_a = ga * gb * omega0 * (na - nb) / denom
+    _finite("single_qubit_closed",
+            dict(omega0=omega0, g_a=g_a, g_b=g_b, t_a=t_a, t_b=t_b),
+            rho_plus=rho_p, rho_minus=rho_m, ratio=ratio, q_a=q_a)
     return SingleQubitResult(rho_plus=rho_p, rho_minus=rho_m, ratio=ratio,
                              q_a=q_a, q_b=-q_a)
 
@@ -141,7 +171,8 @@ def coupled_rates(omega1, omega2, lam, g_a, g_b, t_a, t_b) -> RateParams:
     """Rate parameters a_n, b_n, s_n (and the uniform-g extras c_n, d_n,
     k, n_norm when they exist) for the coupled-qubit model. A uniform g
     whose normalisation n_norm leaves the float range is a ValueError
-    naming its rates, for either closed form."""
+    naming its rates, for either closed form, and so is any other rate
+    past the float range."""
     alpha, beta, wp, wm, delta = _coupled_geometry(omega1, omega2, lam)
     ga = _as_g(g_a)
     gb = _as_g(g_b)
@@ -178,6 +209,10 @@ def coupled_rates(omega1, omega2, lam, g_a, g_b, t_a, t_b) -> RateParams:
                 "normalisation factor leaves the float range at total rate "
                 f"{s_sum:g}, transfer strength {k:g}, e = {e:g}")
         extras = dict(c=c, d=d, k=k, n_norm=n_norm)
+    _finite("coupled_rates",
+            dict(omega1=omega1, omega2=omega2, lam=lam, g_a=g_a, g_b=g_b,
+                 t_a=t_a, t_b=t_b),
+            a=a, b=b, s=s, s_sum=s_sum, **extras)
     return RateParams(a=a, b=b, s=s, e=e, s_sum=s_sum,
                       omega_plus=wp, omega_minus=wm, **extras)
 
@@ -225,6 +260,11 @@ def coupled_lindblad_closed(omega1, omega2, lam, g_a, g_b, t_a, t_b) -> CoupledL
     b1, b2, b3, b4 = r.b
     q_a_plus = (a3 * b1 - a1 * b3) * r.omega_plus / z13
     q_a_minus = (a4 * b2 - a2 * b4) * r.omega_minus / z24
+    _finite("coupled_lindblad_closed",
+            dict(omega1=omega1, omega2=omega2, lam=lam, g_a=g_a, g_b=g_b,
+                 t_a=t_a, t_b=t_b),
+            populations=pops, q_a_plus=q_a_plus, q_a_minus=q_a_minus,
+            q_a=q_a_plus + q_a_minus)
     return CoupledLindbladResult(populations=pops, q_a_plus=q_a_plus,
                                  q_a_minus=q_a_minus, q_b_plus=-q_a_plus,
                                  q_b_minus=-q_a_minus, rates=r)
@@ -273,6 +313,9 @@ def coupled_redfield_closed(omega1, omega2, lam, g, t_a, t_b) -> CoupledRedfield
     coh = -(2 * k / n_norm) * (s1 * s2 - s3 * s4)
     rho_23 = coh * complex(s, -2 * e)
     rho_32 = coh * complex(s, +2 * e)
+    _finite("coupled_redfield_closed",
+            dict(omega1=omega1, omega2=omega2, lam=lam, g=g, t_a=t_a, t_b=t_b),
+            populations=pops, rho_23=rho_23, rho_32=rho_32)
     return CoupledRedfieldResult(populations=pops, rho_23=rho_23,
                                  rho_32=rho_32, rates=r)
 
@@ -314,20 +357,28 @@ def pauli_steady_state(levels, couplings, g, t) -> PauliResult:
     diagonal and these are its populations and currents (Breuer &
     Petruccione, The Theory of Open Quantum Systems, section 3.3).
     single_qubit_closed and coupled_lindblad_closed are special cases.
+    A rate, population or current past the float range is refused with
+    a ValueError naming it, without a warning.
     """
     levels = [float(e) for e in levels]
+    inputs = dict(levels=levels, g=g, t=t)
     rates = {}
-    for r, s1 in couplings.items():
-        s1 = np.asarray(s1)
-        if np.triu(s1).any():
-            raise ValueError(f"coupling {r!r} must be nonzero only below the "
-                             "diagonal (S^1 raises the energy)")
-        rates[r] = _rate_matrix(levels, s1, _as_g(g[r]), t[r])
-    vh = np.linalg.svd(sum(rates.values()))[2]
-    pops = vh[-1] / vh[-1].sum()
-    return PauliResult(
-        populations=pops,
-        currents={r: float(np.dot(levels, w @ pops)) for r, w in rates.items()})
+    # a value past the float range is refused below by name, not warned of
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for r, s1 in couplings.items():
+            s1 = np.asarray(s1)
+            if np.triu(s1).any():
+                raise ValueError(f"coupling {r!r} must be nonzero only below "
+                                 "the diagonal (S^1 raises the energy)")
+            rates[r] = _rate_matrix(levels, s1, _as_g(g[r]), t[r])
+        total = sum(rates.values())     # not finite where any rate is not
+        _finite("pauli_steady_state", inputs, rate_matrix=total)
+        vh = np.linalg.svd(total)[2]
+        pops = vh[-1] / vh[-1].sum()
+        currents = {r: float(np.dot(levels, w @ pops)) for r, w in rates.items()}
+    _finite("pauli_steady_state", inputs, populations=pops,
+            **{f"current {r!r}": q for r, q in currents.items()})
+    return PauliResult(populations=pops, currents=currents)
 
 
 def limit_currents(model: str, regime: str, **params) -> dict:
@@ -351,20 +402,30 @@ def limit_currents(model: str, regime: str, **params) -> dict:
     branch frequency. Returns {"q_a": ..., "q_b": ...} plus, for the
     coupled model, the per-branch components. The high forms hold for
     temperatures far above every transition frequency, the low forms far
-    below; nothing here checks that the caller is in regime.
+    below; nothing here checks that the caller is in regime. The
+    temperatures are checked by qheat.bath's rule (finite, >= 0), and at
+    T = 0 exp(-w/T) is 0. A current whose denominator is 0 (it
+    underflows, or every coupling is 0) or that leaves the float range
+    is a ValueError naming it.
     """
     if regime not in ("high", "low"):
         raise ValueError(f"regime must be 'high' or 'low', got {regime!r}")
+    form = f"limit_currents({model!r}, {regime!r})"
     if model == "single":
         w0 = params["omega0"]
+        if w0 <= 0:
+            raise ValueError(f"omega0 must be > 0, got {w0}")
         ga = _as_g(params["g_a"])(w0)
         gb = _as_g(params["g_b"])(w0)
         ta, tb = params["t_a"], params["t_b"]
+        _check_temperature(ta)
+        _check_temperature(tb)
         if regime == "high":
-            q_a = 0.5 * ga * gb * w0 * (ta - tb) / (ga * ta + gb * tb)
+            q_a = _quotient(0.5 * ga * gb * w0 * (ta - tb), ga * ta + gb * tb)
         else:
-            q_a = (ga * gb * w0 / (ga + gb)
-                   * (math.exp(-w0 / ta) - math.exp(-w0 / tb)))
+            q_a = (_quotient(ga * gb * w0, ga + gb)
+                   * (_boltzmann(w0, ta) - _boltzmann(w0, tb)))
+        _finite(form, params, q_a=q_a)
         return {"q_a": q_a, "q_b": -q_a}
     if model == "coupled":
         alpha, beta, wp, wm, _ = _coupled_geometry(
@@ -372,19 +433,22 @@ def limit_currents(model: str, regime: str, **params) -> dict:
         ga = _as_g(params["g_a"])
         gb = _as_g(params["g_b"])
         ta, tb = params["t_a"], params["t_b"]
+        _check_temperature(ta)
+        _check_temperature(tb)
         ab2 = (alpha * beta) ** 2
         if regime == "high":
-            qp = (0.5 * ab2 * ga(wp) * gb(wp) * wp * (ta - tb)
-                  / (alpha ** 2 * ga(wp) * ta + beta ** 2 * gb(wp) * tb))
-            qm = (0.5 * ab2 * ga(wm) * gb(wm) * wm * (ta - tb)
-                  / (beta ** 2 * ga(wm) * ta + alpha ** 2 * gb(wm) * tb))
+            qp = _quotient(0.5 * ab2 * ga(wp) * gb(wp) * wp * (ta - tb),
+                           alpha ** 2 * ga(wp) * ta + beta ** 2 * gb(wp) * tb)
+            qm = _quotient(0.5 * ab2 * ga(wm) * gb(wm) * wm * (ta - tb),
+                           beta ** 2 * ga(wm) * ta + alpha ** 2 * gb(wm) * tb)
         else:
-            qp = (ab2 * ga(wp) * gb(wp) * wp
-                  / (alpha ** 2 * ga(wp) + beta ** 2 * gb(wp))
-                  * (math.exp(-wp / ta) - math.exp(-wp / tb)))
-            qm = (ab2 * ga(wm) * gb(wm) * wm
-                  / (beta ** 2 * ga(wm) + alpha ** 2 * gb(wm))
-                  * (math.exp(-wm / ta) - math.exp(-wm / tb)))
+            qp = (_quotient(ab2 * ga(wp) * gb(wp) * wp,
+                            alpha ** 2 * ga(wp) + beta ** 2 * gb(wp))
+                  * (_boltzmann(wp, ta) - _boltzmann(wp, tb)))
+            qm = (_quotient(ab2 * ga(wm) * gb(wm) * wm,
+                            beta ** 2 * ga(wm) + alpha ** 2 * gb(wm))
+                  * (_boltzmann(wm, ta) - _boltzmann(wm, tb)))
+        _finite(form, params, q_a_plus=qp, q_a_minus=qm, q_a=qp + qm)
         return {"q_a": qp + qm, "q_b": -(qp + qm),
                 "q_a_plus": qp, "q_a_minus": qm,
                 "q_b_plus": -qp, "q_b_minus": -qm}

@@ -26,23 +26,25 @@ trace. The module holds:
 Liouvillian and DensityMatrix also hold stacks, (B, N^2, N^2) and
 (B, N, N), and assemble_liouvillian, solve_steady_state and
 positivity_report act on each entry of a stack at once: a sweep chunk of
-B points is one batched det per block size of the nullspace
-certificate, one batched LU solve and one batched eigvalsh. numpy's
-stacked linear algebra runs the same LAPACK call per entry, so every
-entry is bit-identical to the result for that entry's matrix alone. The
-certificate is the one exception, as its values are read only against
-bounds: it proves from dets and norms that an entry has exactly one
-null direction, and it takes the connected blocks of the links any
-entry of the stack has, so an entry's bounds may differ in rounding
-from those of the entry alone. The blocks, which depend only on the
-pattern of nonzero entries, are cached by that pattern (_blocks), so a
-sweep's later chunks and every later point of one model pay a dict
-lookup for them. kernel._plan is the second such cache, under the same
-rule: it is keyed by the coupling pattern of a kernel (supports and
-frequency slots), never by a value, and reads nothing but its key, so
-it hits on fresh draws and in CLI sweeps and not only on repeated
-inputs. The entries the certificate leaves go through one batched full
-SVD, whose values are each entry's own.
+B points is one pass of the nullspace certificate (one gather of its
+blocks' cells and one batched det per block size) and one batched LU
+solve, and positivity_report, which no sweep calls, is one batched
+eigvalsh. numpy's stacked linear algebra runs the same LAPACK call per
+entry, so every entry is bit-identical to the result for that entry's
+matrix alone. The certificate is the one exception, as its values are
+read only against bounds: it proves from dets and norms that an entry
+has exactly one null direction, and it takes the connected blocks of
+the links any entry of the stack has, so an entry's bounds may differ
+in rounding from those of the entry alone. Where it reads (the cells of
+every block, where each block's parts start, its size), the plan,
+depends only on the pattern of links, so it is cached by that pattern
+(_blocks), and a sweep's later chunks and every later point of one
+model pay a dict lookup for it. kernel._plan is the second such cache,
+under the same rule: it is keyed by the coupling pattern of a kernel
+(supports and frequency slots), never by a value, and reads nothing but
+its key, so it hits on fresh draws and in CLI sweeps and not only on
+repeated inputs. The entries the certificate leaves go through one
+batched full SVD, whose values are each entry's own.
 Diagnostics are Python scalars for one point and arrays over the batch
 axis for a stack (kernel._per_entry), and a failing entry raises the
 error its own matrix raises. A Liouvillian is only dim and matrix.
@@ -185,27 +187,52 @@ def assemble_liouvillian(system: SystemSpec, K_total: SuperKernel) -> Liouvillia
     return Liouvillian(dim=n, matrix=m)
 
 
-@functools.lru_cache(maxsize=64)
-def _blocks(pattern: bytes, n: int) -> tuple:
-    """The connected blocks of more than one index of a link pattern,
-    grouped by size: per block size s, in rising s, a pair of read-only
-    arrays, the (k, s) indices whose rows are the k blocks of that size,
-    each in rising index order, and the (k, s, s) flat indices of their
-    submatrices' cells in a row-major n x n matrix.
+@dataclass(frozen=True, eq=False)
+class _BlockPlan:
+    """Where _certified reads, for one link pattern of n indices (the
+    N^2 of a generator): flat arrays, read-only, built by _blocks. The
+    blocks are the connected blocks of the pattern, an index linked to
+    nothing being a block of one, laid out in rising size and, within
+    one size, in the order of their first index.
 
-    pattern holds the bytes of a symmetric n x n bool matrix with a
-    false diagonal, index i linked to j where it is true. The blocks are
-    found by a breadth-first walk; an index linked to nothing is a block
-    of one and is left out. The partition depends only on the pattern,
-    so it is cached, and a solve whose pattern was seen before pays only
-    this lookup.
+    cells: the flat indices of every block's cells in a row-major n x n
+        matrix, each s x s block row-major, one block after the other.
+    lone: the number of indices linked to nothing; their blocks come
+        first, so the first lone cells are their diagonal cells.
+    starts: the first of each block's real and imaginary parts in the
+        float view of the gathered cells, 2 x its first cell, for
+        np.maximum.reduceat and np.add.reduceat.
+    part_block: the block of each of those parts.
+    half: (s - 1) / 2 of each block, the power of ||b||_F^2 in its bound.
+    sizes: per block size s >= 2, in rising s, (s, k, offset): its k
+        blocks are the k s^2 cells that start at cells[offset].
+    """
+
+    cells: np.ndarray
+    lone: int
+    starts: np.ndarray
+    part_block: np.ndarray
+    half: np.ndarray
+    sizes: tuple
+
+
+@functools.lru_cache(maxsize=64)
+def _blocks(pattern: bytes, n: int) -> _BlockPlan:
+    """The _BlockPlan of a link pattern: pattern holds the bytes of a
+    symmetric n x n bool matrix with a false diagonal, index i linked to
+    j where it is true.
+
+    The blocks are found by a breadth-first walk. The plan depends only
+    on the pattern, never on a value, so it is cached by it, and a solve
+    whose pattern was seen before, a later point of one model or a later
+    chunk of a sweep, pays only this lookup.
     """
     neighbours = [row.nonzero()[0].tolist()
                   for row in np.frombuffer(pattern, dtype=bool).reshape(n, n)]
     seen = [False] * n
     by_size = {}
     for start in range(n):
-        if seen[start] or not neighbours[start]:
+        if seen[start]:
             continue
         seen[start] = True
         block = [start]
@@ -215,16 +242,27 @@ def _blocks(pattern: bytes, n: int) -> tuple:
                     seen[j] = True
                     block.append(j)
         by_size.setdefault(len(block), []).append(sorted(block))
-    groups = []
-    for size in sorted(by_size):
-        group = np.array(by_size[size])
-        cells = group[:, :, None] * n + group[:, None, :]
-        group.flags.writeable = cells.flags.writeable = False
-        groups.append((group, cells))
-    return tuple(groups)
+    cells, size, sizes, offset = [], [], [], 0
+    for s in sorted(by_size):
+        group = np.array(by_size[s])
+        cells.append((group[:, :, None] * n + group[:, None, :]).ravel())
+        size += [s] * len(group)
+        if s > 1:
+            sizes.append((s, len(group), offset))
+        offset += cells[-1].size
+    size = np.array(size)
+    area = size * size
+    arrays = dict(cells=np.concatenate(cells),
+                  starts=2 * (np.cumsum(area) - area),
+                  part_block=np.repeat(np.arange(len(size)), 2 * area),
+                  half=(size - 1) / 2)
+    for a in arrays.values():
+        a.flags.writeable = False
+    return _BlockPlan(**arrays, lone=len(by_size.get(1, ())),
+                      sizes=tuple(sizes))
 
 
-def _linked_blocks(m: np.ndarray) -> tuple:
+def _linked_blocks(m: np.ndarray) -> _BlockPlan:
     """The _blocks of the links of m, index i linked to j when M_ij or
     M_ji is nonzero in some entry of the stack."""
     nz = m != 0
@@ -235,27 +273,6 @@ def _linked_blocks(m: np.ndarray) -> tuple:
     return _blocks(nz.tobytes(), len(nz))
 
 
-def _det_bound(b: np.ndarray) -> np.ndarray:
-    """|det b| / ||b||_F^(s-1), a lower bound on the smallest singular
-    value of each s x s matrix of the stack b, which is |det b| over the
-    product of its s - 1 others, each at most ||b||_F.
-
-    Each matrix is first scaled by the power of two that puts its
-    largest real or imaginary part in [1/2, 1), which is exact, so
-    neither the det nor the norm overflows, and the bound is scaled back;
-    a zero matrix gives 0.
-    """
-    parts = np.ascontiguousarray(b).view(float)
-    e = np.frexp(np.abs(parts).max(axis=(-2, -1)))[1]
-    scaled = np.ldexp(parts, -e[..., None, None])
-    flat = scaled.reshape(e.shape + (-1,))
-    fro2 = np.vecdot(flat, flat)
-    det = np.abs(np.linalg.det(scaled.view(complex)))
-    # a nonzero scaled matrix has a part of at least 1/2, so the floor
-    # only turns a zero matrix's 0 / 0 into 0
-    return np.ldexp(det / np.maximum(fro2, 0.25) ** ((b.shape[-1] - 1) / 2), e)
-
-
 def _certified(m: np.ndarray, mp: np.ndarray,
                trace_resid: np.ndarray) -> np.ndarray:
     """Per entry of m, whether its full SVD is sure to count exactly one
@@ -264,9 +281,11 @@ def _certified(m: np.ndarray, mp: np.ndarray,
 
     With s_1 >= ... >= s_d the singular values of an M of d = N^2 rows:
     - s_{d-1}(M) >= s_min(M'), since M and M' share all rows but one;
-    - s_min(M') is the smallest of |M'_ii| over the indices linked to
-      nothing and of s_min over the blocks of M''s links
-      (_linked_blocks), each at least _det_bound;
+    - s_min(M') is the smallest s_min over the blocks b of M''s links
+      (_linked_blocks), and for an s x s block s_min(b) is at least
+      |det b| / ||b||_F^(s-1): |det b| is the product of its s singular
+      values, and each of the s - 1 others is at most ||b||_F. An index
+      linked to nothing is a block of one, bounded by |M'_ii| itself;
     - s_d(M) <= ||t^T M|| / ||t|| <= sqrt(N) * trace residual, t being
       ones on the N population indices: t^T M holds the population
       rows' column sums, N^2 of them, each at most the residual;
@@ -280,15 +299,35 @@ def _certified(m: np.ndarray, mp: np.ndarray,
     with itself; where it overflows to inf the first condition fails,
     and an entry with ||M||_F below 2^-256, whose squares may underflow,
     is not certified.
+
+    The block bounds follow the cached _BlockPlan of the links, the same
+    code for one point and a stack: one gather of every block's cells;
+    each block scaled by the power of two 2^-e that puts its largest
+    real or imaginary part in [1/2, 1), which is exact, so neither its
+    det nor its norm overflows, with e from one np.maximum.reduceat and
+    ||b||_F^2 from one np.add.reduceat; one np.linalg.det per block size
+    of two or more on a view of the scaled cells, a block of one being
+    its own det; and one expression for every bound, scaled back by
+    2^e. A nonzero scaled block has a part of at least 1/2, so the
+    floor max(||b||_F^2, 1/4) only turns a zero block's 0 / 0 into 0.
     """
     n = math.isqrt(m.shape[-1])
     parts = m.reshape(m.shape[:-2] + (-1,)).view(float)
     with np.errstate(over="ignore"):
         fro = np.sqrt(np.vecdot(parts, parts))
-    lower = np.abs(mp.diagonal(0, -2, -1))
-    cells_of = mp.reshape(mp.shape[:-2] + (-1,))
-    for group, cells in _linked_blocks(mp):
-        lower[..., group] = _det_bound(cells_of[..., cells])[..., None]
+    plan = _linked_blocks(mp)
+    lead = mp.shape[:-2]
+    # on a stack the gather is not C-contiguous, which view needs
+    parts = np.ascontiguousarray(
+        mp.reshape(lead + (-1,))[..., plan.cells]).view(float)
+    e = np.frexp(np.maximum.reduceat(np.abs(parts), plan.starts, axis=-1))[1]
+    scaled = np.ldexp(parts, (-e)[..., plan.part_block])
+    fro2 = np.add.reduceat(scaled * scaled, plan.starts, axis=-1)
+    b = scaled.view(complex)
+    det = np.concatenate([b[..., :plan.lone]] + [
+        np.linalg.det(b[..., o:o + k * s * s].reshape(lead + (k, s, s)))
+        for s, k, o in plan.sizes], axis=-1)
+    lower = np.ldexp(np.abs(det) / np.maximum(fro2, 0.25) ** plan.half, e)
     cutoff = NULLSPACE_RTOL * fro
     return ((fro >= _FRO_FLOOR) & (lower.min(axis=-1) > 2 * cutoff)
             & (math.sqrt(n) * trace_resid <= cutoff / (2 * n)))
@@ -348,21 +387,24 @@ def solve_steady_state(L: Liouvillian, full_output: bool = False):
     M' shares all rows of M but one, so the second-smallest singular
     value of M is at least sigma_min(M'), which is bounded from below
     by |det b| / ||b||_F^(s-1) over the s x s blocks b of M''s nonzero
-    pattern (one batched det per block size; the coupled pair's 16
-    indices fall into blocks of 4, 2, 2, 2 and 2 in lindblad mode and
-    6, 4 and 4 in redfield mode, plus decoupled ones) and by |M'_ii|
-    over the indices linked to nothing; the trace row, which M nearly
-    annihilates, puts the smallest one at most sqrt(N) times the trace
-    residual; and ||M||_F / N <= sigma_max <= ||M||_F. An entry whose
-    bounds put the smallest value below half the cutoff and the next
-    above twice it counts exactly one null direction in its full SVD
-    too, with room for rounding, and is passed. The certificate leaves
-    weak couplings, degenerate generators and generators far from unit
-    scale (whose ||M||_F is below 2^-256 or overflows, or next to whose
-    entries the trace row's ones weaken the det bound). The det bound
-    falls as g^(s-1), so the coupled pair at T = (2, 1) is certified at
-    g = 1e-3 but not 3e-4 in lindblad mode, and at 3e-3 but not 1e-3 in
-    redfield mode.
+    pattern (the coupled pair's 16 indices fall into blocks of 4, 2, 2,
+    2 and 2 in lindblad mode and 6, 4 and 4 in redfield mode, plus
+    decoupled ones) and by |M'_ii| over the indices linked to nothing;
+    the trace row, which M nearly annihilates, puts the smallest one at
+    most sqrt(N) times the trace residual; and ||M||_F / N <= sigma_max
+    <= ||M||_F. The blocks come from one cached plan per link pattern
+    (_blocks), so the bounds are one gather of their cells, one exact
+    power-of-two scaling of each block, one batched det per block size
+    and one expression for all of them. An entry whose bounds put the
+    smallest value below half the cutoff and the next above twice it
+    counts exactly one null direction in its full SVD too, with room
+    for rounding, and is passed. The certificate leaves weak couplings,
+    degenerate generators and generators far from unit scale (whose
+    ||M||_F is below 2^-256 or overflows, or next to whose entries the
+    trace row's ones weaken the det bound). The det bound falls as
+    g^(s-1), so the coupled pair at T = (2, 1) is certified at g = 1e-3
+    but not 3e-4 in lindblad mode, and at 3e-3 but not 1e-3 in redfield
+    mode.
 
     The entries the certificate leaves go through one batched full SVD
     (_refuse_degenerate), whose values are each entry's own. Anything

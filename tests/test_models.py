@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -91,27 +92,110 @@ def test_closed_forms_refuse_values_past_the_float_range(form, args, message):
         form(*args)
 
 
+_LIMIT_PARAMS = {"single": ("omega0", "g_a", "g_b", "t_a", "t_b"),
+                 "coupled": ("omega1", "omega2", "lam", "g_a", "g_b", "t_a",
+                             "t_b")}
+
+
+def _limit(model, regime):
+    """limit_currents of one model and regime, taking its parameters in
+    the order of _LIMIT_PARAMS."""
+    def form(*args):
+        return limit_currents(model, regime,
+                              **dict(zip(_LIMIT_PARAMS[model], args)))
+    form.__name__ = f"limit_currents_{model}_{regime}"
+    return form
+
+
+def _pauli_single(omega0, g_a, g_b, t_a, t_b):
+    """pauli_steady_state of make_single_qubit(omega0) between two baths."""
+    qubit = make_single_qubit(omega0)
+    return pauli_steady_state(qubit.levels, qubit.couplings,
+                              {"A": g_a, "B": g_b}, {"A": t_a, "B": t_b})
+
+
 _ARITY = {single_qubit_closed: 5, coupled_lindblad_closed: 7,
-          coupled_redfield_closed: 6}
+          coupled_redfield_closed: 6, _pauli_single: 5,
+          **{_limit(model, regime): len(names)
+             for model, names in _LIMIT_PARAMS.items()
+             for regime in ("high", "low")}}
 _extremes = st.floats(-300.0, 300.0).map(lambda x: 10.0 ** x)
 
 
-# about 1 % of these draws reach a float-range refusal, so 100 examples
-# may meet none
-@settings(PROPERTY_SETTINGS, max_examples=300)
+def _numbers(value):
+    """Every number in a closed form's result: through dataclasses, whose
+    q_a and q_b properties count too, dicts, tuples and arrays."""
+    if dataclasses.is_dataclass(value):
+        names = [f.name for f in dataclasses.fields(value)]
+        names += [p for p in ("q_a", "q_b") if p not in names and hasattr(value, p)]
+        for name in names:
+            yield from _numbers(getattr(value, name))
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _numbers(v)
+    elif isinstance(value, (tuple, list, np.ndarray)):
+        for v in value:
+            yield from _numbers(v)
+    elif value is not None:
+        yield value
+
+
+@settings(PROPERTY_SETTINGS, max_examples=500)
 @given(st.sampled_from(list(_ARITY)), st.data(), st.booleans())
 def test_closed_forms_raise_only_value_errors_at_float_extremes(
         form, data, uniform):
-    """Parameters drawn log-uniform from 1e-300 to 1e300: a closed form
-    returns or refuses with a ValueError, and raises nothing else."""
+    """Parameters drawn log-uniform from 1e-300 to 1e300: a closed form,
+    limit_currents in either model and regime, or pauli_steady_state of
+    the single qubit returns only finite numbers or refuses with a
+    ValueError, and raises or warns nothing else."""
     args = data.draw(st.lists(_extremes, min_size=_ARITY[form],
                               max_size=_ARITY[form]))
     if form is coupled_lindblad_closed and uniform:
         args[4] = args[3]       # g_b = g_a: coupled_rates computes n_norm
     try:
-        form(*args)
+        result = form(*args)
     except ValueError:
-        pass
+        return
+    numbers = list(_numbers(result))
+    assert numbers and all(np.isfinite(x) for x in numbers), (args, result)
+
+
+@pytest.mark.parametrize("form, args, message", [
+    (single_qubit_closed, (1.0, 1e300, 1e300, 1.0, 2.0),
+     "single_qubit_closed gives a non-finite q_a = -inf at omega0=1.0, "
+     "g_a=1e+300, g_b=1e+300, t_a=1.0, t_b=2.0"),
+    (coupled_lindblad_closed, (1.0, 2.0, 0.5, 1.0, 1e300, 1e300, 1.0),
+     "coupled_lindblad_closed gives a non-finite populations = "
+     "(nan, nan, nan, nan) at omega1=1.0, omega2=2.0, lam=0.5, g_a=1.0, "
+     "g_b=1e+300, t_a=1e+300, t_b=1.0"),
+    # raised ZeroDivisionError: g_a T_A + g_b T_B underflows to 0
+    (_limit("single", "high"), (1.0, 1e-200, 1e-200, 1e-200, 1e-200),
+     "limit_currents('single', 'high') gives a non-finite q_a = nan at "
+     "omega0=1.0, g_a=1e-200, g_b=1e-200, t_a=1e-200, t_b=1e-200"),
+    (_limit("single", "high"), (1e300, 1e300, 1e300, 2.0, 1.0),
+     "limit_currents('single', 'high') gives a non-finite q_a = inf at "
+     "omega0=1e+300, g_a=1e+300, g_b=1e+300, t_a=2.0, t_b=1.0"),
+    # warned of two overflows and returned NaN populations and currents
+    (_pauli_single, (1.0, 1e300, 1e300, 1e300, 1.0),
+     "pauli_steady_state gives a non-finite rate_matrix = "
+     "[[-inf, inf], [inf, -inf]] at levels=[-0.5, 0.5], "
+     "g={'A': 1e+300, 'B': 1e+300}, t={'A': 1e+300, 'B': 1.0}"),
+], ids=["single", "coupled-lindblad", "limit-underflow", "limit-overflow",
+        "pauli"])
+def test_closed_forms_refuse_non_finite_results_by_name(form, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        form(*args)
+
+
+def test_low_temperature_limit_takes_t_zero():
+    """exp(-w/T) is 0 at T = 0, where limit_currents raised
+    ZeroDivisionError: q_A = g_A g_B w0 / (g_A + g_B) (0 - exp(-w0/T_B))."""
+    out = limit_currents("single", "low", omega0=1.0, g_a=1.0, g_b=1.0,
+                         t_a=0.0, t_b=1.0)
+    assert out == {"q_a": -0.5 * math.exp(-1.0), "q_b": 0.5 * math.exp(-1.0)}
+    coupled = limit_currents("coupled", "low", g_a=1.0, g_b=1.0, t_a=0.0,
+                             t_b=0.0, **REF)
+    assert coupled["q_a"] == 0.0
 
 
 def test_coupled_rates_structure():

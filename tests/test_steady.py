@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import warnings
@@ -1152,6 +1153,42 @@ def test_nullspace_check_makes_one_svd(monkeypatch):
     with pytest.raises(DegenerateSteadyStateError):
         solve_steady_state(degenerate)
     assert svd_calls() == [(1, 9, 9)]
+
+
+def test_a_seen_link_pattern_reuses_its_certificate_plan(monkeypatch):
+    """A second solve of a link pattern already seen, for one point and
+    for a stack, at other temperatures, adds no _blocks miss and reads
+    the same plan, as the kernel's _plan is pinned; every array of the
+    plan is read-only."""
+    plans, real = [], steady._linked_blocks
+    monkeypatch.setattr(steady, "_linked_blocks",
+                        lambda m: plans.append(real(m)) or plans[-1])
+    pair, _ = make_coupled_qubits(1.0, 2.0, 0.5)
+    g_of = {"A": 1.0, "B": 1.0}
+    steady._blocks.cache_clear()
+    for mode in ("lindblad", "redfield"):
+        misses = []
+        for t_a in (2.0, 3.0):
+            stack = [BathSpec(temperature=t, spectral_density=1.0)
+                     for t in (t_a, t_a + 0.5, t_a + 4.0)]
+            solve_steady_state(_generator(pair, g_of, {"A": t_a, "B": 1.0},
+                                          mode))
+            solve_steady_state(assemble_liouvillian(pair, combine_kernels(
+                [build_kernel(pair, columns(stack), r, mode)
+                 for r in ("A", "B")])))
+            misses.append(steady._blocks.cache_info().misses)
+        assert misses[0] > 0 and misses[1] == misses[0]
+        assert plans[-2] is plans[-4] and plans[-1] is plans[-3]
+    assert len(plans) == 8
+    for plan in plans:
+        for field in dataclasses.fields(plan):
+            array = getattr(plan, field.name)
+            if isinstance(array, np.ndarray):
+                assert array.size
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.cells = None
 
 
 _weak_g = st.one_of(st.just(0.0), st.floats(-14.0, 3.0).map(lambda x: 10.0 ** x))
