@@ -88,6 +88,19 @@ generator. Every check of build_kernel (mode, reservoir, bath form,
 both near-degeneracy refusals, the spectral lookups) runs before the
 lookup, so a cached plan skips none of them.
 
+The key comes from the system's transition analysis (_analyse): the
+frequencies on supp S^1, their distinct values omegas, the slot of each
+entry and the verdicts of both near-degeneracy refusals. It reads the
+levels and the support alone, so it runs once per SystemSpec object and
+coupling support, on the first build, and is kept on the object
+(SystemSpec._transitions, keyed by the support's bytes) for every
+later build: both reservoirs of either paper model, and of any system
+whose reservoirs share a support, take one analysis. Only a passing
+analysis is kept. A system refused for its levels runs the analysis,
+and raises, on every build; the frequency refusal's verdict is kept as
+its message, raised by lindblad builds alone, so the refusals keep
+their order and their messages.
+
 The apply is the bath algebra. The level sum of the two decay terms,
 
     G[b, x, y] = sum_l [E_xl + E_ly = 0] X_xl X_ly D[b, x, l],
@@ -388,6 +401,47 @@ def _plan(n: int, secular: bool, support_bytes: bytes, slots: tuple) -> _Plan:
     return _Plan(**arrays)
 
 
+@dataclass(frozen=True, eq=False)
+class _Transitions:
+    """What build_kernel reads of one system's levels and one coupling
+    support, built by _analyse.
+
+    omegas: the distinct transition frequencies on it, all > 0, in the
+        order dict.fromkeys gives them.
+    slots: the slot of each entry of supp S^1, in row-major order, among
+        omegas.
+    frequency_refusal: the message of the refusal of near-degenerate
+        transition frequencies (lindblad mode's), or None where they pass.
+    """
+
+    omegas: tuple
+    slots: tuple
+    frequency_refusal: str | None
+
+
+def _analyse(system: SystemSpec, support: np.ndarray) -> _Transitions:
+    """The _Transitions of system on supp S^1 = support, after the refusal
+    of near-degenerate levels (either mode; a gap up to eps + 4 ulp of
+    the largest |level|). The frequency refusal's verdict is kept, not
+    raised, since only lindblad mode applies it."""
+    levels = system.levels
+    E = np.array(levels)
+    rows, cols = support.nonzero()
+    freqs = (E[rows] - E[cols]).tolist()
+    eps = degeneracy_tolerance(levels)
+    # widened by the rounding of a chain's two frequency differences
+    _reject_near_degenerate(levels, "level energies", eps, 4)
+    try:
+        _reject_near_degenerate(freqs, "transition frequencies", eps)
+        refusal = None
+    except NearDegeneracyError as exc:
+        refusal = str(exc)
+    omegas = tuple(dict.fromkeys(freqs))
+    where = {w: i for i, w in enumerate(omegas)}
+    return _Transitions(omegas=omegas, slots=tuple(where[w] for w in freqs),
+                        frequency_refusal=refusal)
+
+
 def build_kernel(system: SystemSpec,
                  bath: BathSpec | BathColumns,
                  reservoir: str, mode: str) -> SuperKernel:
@@ -422,8 +476,11 @@ def build_kernel(system: SystemSpec,
     The checks come first: mode, reservoir, bath form, the refusal of
     near-degenerate levels (either mode; a gap up to eps + 4 ulp of the
     largest |level|) and transition frequencies (lindblad; up to eps).
+    Both refusals are part of the transition analysis (_analyse), which
+    runs once per system object and coupling support and is reused by
+    every later build on that system, the refusals' verdicts included.
     Then the pattern key (N, mode, supp S^1 and the frequency slot of
-    each of its entries) fetches the cached _plan, and
+    each of its entries) fetches the cached _plan on every build, and
     the apply gathers X on its support and the correlation table per
     slot, forms every product at once, sums the level sum over its l
     axis and writes the decay and transfer terms at the plan's flat
@@ -432,7 +489,9 @@ def build_kernel(system: SystemSpec,
 
     A kernel with an entry that overflows to inf or NaN is refused with
     a ValueError naming the reservoir and the temperature and spectral
-    density of its bath (among B baths, the first such bath).
+    density of its bath (among B baths, the first such bath). The check
+    reads the float view of the data: an entry is finite where both of
+    its parts are.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -451,29 +510,22 @@ def build_kernel(system: SystemSpec,
                         f"{type(bath).__name__}")
     n_baths = len(temperatures)
     n = system.dim
-    E = np.array(system.levels)
     s1 = system.couplings[reservoir]
-    # supp S^1 in row-major order and its frequencies, > 0 (S^1 raises)
+    # the analysis of supp S^1, once per system and support
     support = s1 != 0
-    rows, cols = support.nonzero()
-    freqs = (E[rows] - E[cols]).tolist()
+    key = support.tobytes()
+    transitions = system._transitions.get(key)
+    if transitions is None:
+        transitions = system._transitions[key] = _analyse(system, support)
     secular = mode == LINDBLAD
-    eps = degeneracy_tolerance(system.levels)
-    # widened by the rounding of a chain's two frequency differences
-    _reject_near_degenerate(system.levels, "level energies", eps, 4)
-    if secular:
-        _reject_near_degenerate(freqs, "transition frequencies", eps)
-
-    # the distinct frequencies, and the slot of each of freqs among them
-    omegas = list(dict.fromkeys(freqs))
-    where = {w: i for i, w in enumerate(omegas)}
-    slots = tuple(where[w] for w in freqs)
-    plan = _plan(n, secular, support.tobytes(), slots)
+    if secular and transitions.frequency_refusal is not None:
+        raise NearDegeneracyError(transitions.frequency_refusal)
+    plan = _plan(n, secular, key, transitions.slots)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        # table[b, k]: D^{12} of slot k, then D^{21} of slot k - len(omegas)
-        table = np.concatenate(
-            _correlations(temperatures, densities, omegas), axis=1)
+        # table[b, k]: D^{12} of slot k, then D^{21} of slot k - F
+        table = np.concatenate(_correlations(
+            temperatures, densities, transitions.omegas), axis=1)
         x = (s1 + s1.conj().T).ravel()  # X = S^1 + S^2, disjoint supports
         products = _product(x[plan.left], x[plan.right])
         chains = products[:plan.chains.size].reshape(plan.chains.shape)
@@ -488,7 +540,7 @@ def build_kernel(system: SystemSpec,
         flat[:, plan.transfer] += 0.5 * (
             products[plan.chains.size:] * (table[:, plan.transfer_d[0]]
                                            + table[:, plan.transfer_d[1]]))
-    if not np.isfinite(data).all():
+    if not np.isfinite(data.view(float)).all():
         finite = np.isfinite(flat).all(axis=1)
         j = int(np.argmin(finite))
         raise ValueError(

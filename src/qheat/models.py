@@ -41,7 +41,10 @@ __all__ = [
 
 
 def _as_g(g):
-    """Accept a bare number or any callable omega -> g(omega)."""
+    """Accept a bare number or any callable omega -> g(omega). A number
+    is converted with float(), as every other scalar parameter is on
+    entry, so a numpy scalar is read as the float it holds: it overflows
+    to inf, as a float does, instead of warning."""
     if callable(g):
         return g
     val = float(g)
@@ -117,6 +120,7 @@ def single_qubit_closed(omega0, g_a, g_b, t_a, t_b) -> SingleQubitResult:
     occupations. With g_b = 0 the ratio collapses to the Boltzmann factor
     exp(-omega0/T_A).
     """
+    omega0, t_a, t_b = float(omega0), float(t_a), float(t_b)
     if omega0 <= 0:
         raise ValueError(f"omega0 must be > 0, got {omega0}")
     ga = _as_g(g_a)(omega0)
@@ -173,6 +177,7 @@ def coupled_rates(omega1, omega2, lam, g_a, g_b, t_a, t_b) -> RateParams:
     whose normalisation n_norm leaves the float range is a ValueError
     naming its rates, for either closed form, and so is any other rate
     past the float range."""
+    omega1, omega2, lam, t_a, t_b = map(float, (omega1, omega2, lam, t_a, t_b))
     alpha, beta, wp, wm, delta = _coupled_geometry(omega1, omega2, lam)
     ga = _as_g(g_a)
     gb = _as_g(g_b)
@@ -361,6 +366,7 @@ def pauli_steady_state(levels, couplings, g, t) -> PauliResult:
     a ValueError naming it, without a warning.
     """
     levels = [float(e) for e in levels]
+    t = {r: float(value) for r, value in t.items()}
     inputs = dict(levels=levels, g=g, t=t)
     rates = {}
     # a value past the float range is refused below by name, not warned of
@@ -411,6 +417,9 @@ def limit_currents(model: str, regime: str, **params) -> dict:
     if regime not in ("high", "low"):
         raise ValueError(f"regime must be 'high' or 'low', got {regime!r}")
     form = f"limit_currents({model!r}, {regime!r})"
+    # every parameter but the g's, which _as_g converts, is a number
+    params = {k: v if k in ("g_a", "g_b") else float(v)
+              for k, v in params.items()}
     if model == "single":
         w0 = params["omega0"]
         if w0 <= 0:

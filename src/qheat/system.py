@@ -80,6 +80,10 @@ class SystemSpec:
             coups[name] = s1
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "couplings", coups)
+        # supp S^1 bytes -> the transition analysis qheat.kernel derives
+        # from the levels and that support on its first build_kernel call
+        # (kernel._analyse); it lives and dies with this object
+        object.__setattr__(self, "_transitions", {})
 
     @property
     def dim(self) -> int:

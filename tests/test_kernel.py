@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 import warnings
 
 import numpy as np
@@ -706,7 +707,10 @@ def test_a_cached_plan_skips_no_near_degeneracy_refusal(cached, near, modes,
                                                         message, monkeypatch):
     """A near-degenerate system whose pattern key is cached is still
     refused, with the message it gets on a cold cache: the refusals run
-    before the plan lookup."""
+    before the plan lookup. The patched build leaves a passing analysis
+    on near itself, so the refused builds take a fresh system of near's
+    levels and couplings; one refused system raises its message on every
+    build."""
     bath = BathSpec(temperature=1.0, spectral_density=1.0)
     for mode in modes:
         build_kernel(cached, bath, "A", mode)
@@ -715,9 +719,117 @@ def test_a_cached_plan_skips_no_near_degeneracy_refusal(cached, near, modes,
             misses = kernel._plan.cache_info().misses
             build_kernel(near, bath, "A", mode)
             assert kernel._plan.cache_info().misses == misses
-        with pytest.raises(NearDegeneracyError) as exc:
-            build_kernel(near, bath, "A", mode)
-        assert str(exc.value) == message
+        fresh = SystemSpec(levels=near.levels, couplings=near.couplings)
+        for _ in range(2):
+            with pytest.raises(NearDegeneracyError) as exc:
+                build_kernel(fresh, bath, "A", mode)
+            assert str(exc.value) == message
+
+
+def test_the_frequency_verdict_refuses_lindblad_builds_alone():
+    """A system whose transition frequencies are near-degenerate keeps
+    the frequency refusal's verdict in its analysis: its redfield builds
+    pass and its lindblad builds are refused, in either order."""
+    message = ("distinct transition frequencies 1.0 and 1.000000000001 "
+               "differ by 1.000088900582341e-12, within the secular "
+               "tolerance 2.000000000001e-09")
+    bath = BathSpec(temperature=1.0, spectral_density=1.0)
+    for order in (MODES, MODES[::-1]):
+        near = _one_transition((0.0, 1.0, 2.0 + 1e-12), (1, 0, 1.0),
+                               (2, 1, 0.5))
+        for mode in order + order:
+            if mode == "redfield":
+                build_kernel(near, bath, "A", mode)
+                continue
+            with pytest.raises(NearDegeneracyError) as exc:
+                build_kernel(near, bath, "A", mode)
+            assert str(exc.value) == message
+
+
+def _counted_analyses(monkeypatch):
+    """The (system, supp S^1) of every kernel._analyse call from here on."""
+    calls, real = [], kernel._analyse
+    monkeypatch.setattr(kernel, "_analyse", lambda system, support: (
+        calls.append((system, support.tobytes())) or real(system, support)))
+    return calls
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_points_two_reservoirs_run_one_analysis(mode, monkeypatch):
+    """Both reservoirs of each paper model, and of a dense random system,
+    share one coupling support, so a point runs the transition analysis
+    once; later builds on the same system object run none."""
+    calls = _counted_analyses(monkeypatch)
+    for model, params in (
+            ("single", dict(w0=1.3, ga=1.0, gb=0.5, ta=2.0, tb=1.0)),
+            ("coupled", dict(w1=1.0, w2=2.0, lam=0.5, g=1.0, ta=2.0,
+                             tb=1.0))):
+        cli.compute_point(model, mode, params)
+    assert len(calls) == 2
+    system = _random_system(np.random.default_rng([7, 6]), 6)
+    bath = BathSpec(temperature=1.5, spectral_density=0.8)
+    for _ in range(2):
+        for r in system.couplings:
+            build_kernel(system, bath, r, mode)
+    assert len(calls) == 3 and calls[-1][0] is system
+
+
+def test_reservoirs_of_two_supports_run_one_analysis_each(monkeypatch):
+    """Reservoirs A and C share a support and B has its own: the system
+    runs one analysis per support over every build in both modes, and
+    each kernel equals, byte for byte, the build on a fresh system."""
+    levels = (0.0, 1.0, 2.5)
+    couplings = {r: np.zeros((3, 3), dtype=complex) for r in "ABC"}
+    couplings["A"][1, 0], couplings["A"][2, 1] = 1.0, 0.5j
+    couplings["B"][2, 0] = 0.7
+    couplings["C"][1, 0], couplings["C"][2, 1] = -0.3, 2.0
+    system = SystemSpec(levels=levels, couplings=couplings)
+    calls = _counted_analyses(monkeypatch)
+    bath = BathSpec(temperature=1.5, spectral_density=0.8)
+    for mode in MODES:
+        for _ in range(2):
+            for r in couplings:
+                fresh = SystemSpec(levels=levels, couplings=couplings)
+                assert (build_kernel(system, bath, r, mode).data.tobytes()
+                        == build_kernel(fresh, bath, r, mode).data.tobytes())
+    ours = [support for s, support in calls if s is system]
+    assert ours == [(couplings[r] != 0).tobytes() for r in ("A", "B")]
+
+
+@pytest.mark.parametrize("bad", [complex(math.inf, 0.0),
+                                 complex(math.nan, 1.0),
+                                 complex(0.0, -math.inf),
+                                 complex(1.0, math.nan)])
+def test_a_kernel_entry_non_finite_in_one_part_is_refused(bad, monkeypatch):
+    """The kernel's finiteness is read on the float view of its data, so
+    an entry with inf or NaN in its real or imaginary part alone is
+    refused with the message that names its bath. The apply cannot give
+    such an entry, since a product with a real factor spreads 0 * inf =
+    NaN to the other part, so it is planted where no term writes: entry
+    (0, 1), (0, 0) of the single qubit, in the last bath of the data
+    np.zeros allocates."""
+    planted = types.ModuleType("numpy")
+    planted.__dict__.update(np.__dict__)
+
+    def zeros(shape, dtype=float):
+        out = np.zeros(shape, dtype)
+        if dtype is complex:
+            out.reshape(-1, 4, 4)[-1, 1, 0] = bad
+        return out
+
+    planted.zeros = zeros
+    monkeypatch.setattr(kernel, "np", planted)
+    qubit = make_single_qubit(1.0)
+    fine, last = (BathSpec(temperature=t, spectral_density=1.0)
+                  for t in (1.0, 2.0))
+    for mode in MODES:
+        for bath in (last, columns([fine, last])):
+            with pytest.raises(ValueError) as exc:
+                build_kernel(qubit, bath, "A", mode)
+            assert str(exc.value) == (
+                "kernel of reservoir 'A' overflows to inf or NaN at "
+                "temperature 2 with spectral density "
+                "SpectralDensity.constant(1.0)")
 
 
 def test_plans_are_read_only(monkeypatch):

@@ -141,17 +141,21 @@ def _numbers(value):
 
 
 @settings(PROPERTY_SETTINGS, max_examples=500)
-@given(st.sampled_from(list(_ARITY)), st.data(), st.booleans())
+@given(st.sampled_from(list(_ARITY)), st.data(), st.booleans(),
+       st.booleans())
 def test_closed_forms_raise_only_value_errors_at_float_extremes(
-        form, data, uniform):
-    """Parameters drawn log-uniform from 1e-300 to 1e300: a closed form,
-    limit_currents in either model and regime, or pauli_steady_state of
-    the single qubit returns only finite numbers or refuses with a
-    ValueError, and raises or warns nothing else."""
+        form, data, uniform, numpy_scalars):
+    """Parameters drawn log-uniform from 1e-300 to 1e300, as floats or
+    as np.float64: a closed form, limit_currents in either model and
+    regime, or pauli_steady_state of the single qubit returns only
+    finite numbers or refuses with a ValueError, and raises or warns
+    nothing else."""
     args = data.draw(st.lists(_extremes, min_size=_ARITY[form],
                               max_size=_ARITY[form]))
     if form is coupled_lindblad_closed and uniform:
         args[4] = args[3]       # g_b = g_a: coupled_rates computes n_norm
+    if numpy_scalars:
+        args = [np.float64(x) for x in args]
     try:
         result = form(*args)
     except ValueError:

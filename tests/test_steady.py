@@ -623,7 +623,8 @@ def test_evolve_gives_the_plain_loops_outcome(system, baths, steps, scale,
             == _plain_outcome(liou, rho0, steps * h, h))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 complex(0.0, np.nan), complex(1.0, -np.inf)])
 def test_non_finite_generator_is_rejected(bad):
     """Used to surface later as 'cannot convert float NaN to integer'
     (evolve, default dt), 'Array must not contain infs or NaNs' (evolve,
@@ -1189,6 +1190,32 @@ def test_a_seen_link_pattern_reuses_its_certificate_plan(monkeypatch):
                     array.flat[0] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.cells = None
+
+
+def test_links_read_nonzero_parts_as_m_ne_0_does():
+    """_linked_blocks casts to bool where m != 0 was read: a +-0 part
+    alone is no link, a NaN or a denormal part is one, on one matrix and
+    on a stack, and both give the plan of m != 0's pattern."""
+    parts = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+             complex(math.nan, 0.0), complex(-0.0, math.nan),
+             complex(5e-324, -0.0), complex(0.0, -1.0), complex(2.0, 0.0)]
+    n = 9
+    m = np.zeros((n, n), dtype=complex)
+    for i, value in enumerate(parts):
+        m[i, i + 1] = value
+
+    def expected(nz):
+        nz = nz | nz.T
+        nz.reshape(-1)[::n + 1] = False
+        return steady._blocks(nz.tobytes(), n)
+
+    plan = steady._linked_blocks(m)
+    assert plan is expected(m != 0)
+    assert plan.lone == 3 and [s for s, _, _ in plan.sizes] == [6]
+    stack = np.stack([m, np.where(np.arange(n) % 3 == 0, m, 0.0),
+                      np.full((n, n), complex(-0.0, -0.0))])
+    stack[2, 0, 1] = 1.0
+    assert steady._linked_blocks(stack) is expected((stack != 0).any(axis=0))
 
 
 _weak_g = st.one_of(st.just(0.0), st.floats(-14.0, 3.0).map(lambda x: 10.0 ** x))
